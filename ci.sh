@@ -2,7 +2,7 @@
 # Offline CI gate: everything here must pass with no network access
 # (all dependencies are vendored under vendor/ — see README "Offline builds").
 #
-#   ./ci.sh         # full gate: build, tests, clippy, fmt, bench smoke
+#   ./ci.sh         # full gate: build, tests, clippy, fmt, bench and perfbench smoke
 #   ./ci.sh quick   # tier-1 only: release build + root test suite
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -215,5 +215,19 @@ jq -e '.samples_per_sec > 0
        and .single_plan_forward_us > 0' \
     "$OBS_TMP/bench_train.json" >/dev/null \
     || { echo "FAIL: BENCH_train.json out of bounds"; exit 1; }
+
+# Benchmark smoke: perfbench's helper tests, then every workload for one
+# second. perfbench exits non-zero when any output check fails — every
+# served value must match the offline reference to 1e-9, every search pick
+# must repeat across passes, training must be finite and deterministic — so
+# the short runs gate the benchmark's correctness, not its timings.
+echo "==> perfbench tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+echo "==> perfbench smoke"
+for workload in serve plan_search train; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 >"$OBS_TMP/perfbench-$workload.txt" \
+        || { echo "FAIL: perfbench $workload"; tail -5 "$OBS_TMP/perfbench-$workload.txt"; exit 1; }
+done
 
 echo "ci.sh: OK"

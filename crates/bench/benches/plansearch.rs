@@ -7,7 +7,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use dace_catalog::{generate_database, suite_specs};
-use dace_core::{ScoreSession, TrainConfig, Trainer};
+use dace_core::{PlanFeatures, ScoreSession, TrainConfig, Trainer};
 use dace_engine::{collect_dataset, AnalyticScorer, CostModel, LearnedScorer, SearchSession};
 use dace_plan::MachineId;
 use dace_query::ComplexWorkloadGen;
@@ -81,13 +81,18 @@ fn bench_plansearch(c: &mut Criterion) {
     });
 
     // Raw batched scoring: the candidate traffic shape the driver emits
-    // (dozens of sub-plans per level) through the session's packed forward.
-    let trees: Vec<_> = data.plans.iter().map(|p| p.tree.clone()).collect();
-    let refs: Vec<&dace_plan::PlanTree> = trees.iter().collect();
+    // (dozens of sub-plans per level), featurized and scored through the
+    // session's root-row forward.
     group.bench_function("score_batch_64", |b| {
         let mut session = ScoreSession::new(&est);
         b.iter(|| {
-            black_box(session.score_trees_ms(&refs).len());
+            let feats: Vec<PlanFeatures> = data
+                .plans
+                .iter()
+                .map(|p| est.featurizer.encode(&p.tree))
+                .collect();
+            let refs: Vec<&PlanFeatures> = feats.iter().collect();
+            black_box(session.score_features_ms(&refs).len());
         })
     });
     group.finish();

@@ -6,7 +6,7 @@
 //! model must work on databases it has never seen.
 
 use dace_nn::{RobustScaler, Tensor2, MASK_NEG};
-use dace_plan::{Dataset, PlanTree, NODE_TYPE_COUNT};
+use dace_plan::{Dataset, NodeType, PlanTree, NODE_TYPE_COUNT};
 use serde::{Deserialize, Serialize};
 
 /// Node encoding width: 16 one-hot + scaled cost + scaled cardinality.
@@ -21,6 +21,66 @@ pub struct FeatureConfig {
     /// Disable the tree-structured attention mask (DACE w/o TA, Fig. 10):
     /// every node attends to every node.
     pub disable_tree_attention: bool,
+}
+
+/// One plan node as the featurizer reads it, detached from any tree
+/// representation. A plan's nodes in DFS preorder, with their child counts,
+/// fix its shape; [`Featurizer::encode_nodes`] and
+/// [`Featurizer::fingerprint_nodes`] work on such sequences, so a planner's
+/// own plan type featurizes without first building a [`PlanTree`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FeatureNode {
+    /// Operator type.
+    pub node_type: NodeType,
+    /// Number of children.
+    pub children: usize,
+    /// Estimated cumulative cost.
+    pub est_cost: f64,
+    /// Estimated output rows.
+    pub est_rows: f64,
+    /// Actual output rows (the DACE-A cardinality variant reads these).
+    pub actual_rows: f64,
+    /// Actual cumulative latency in ms (the training target).
+    pub actual_ms: f64,
+}
+
+/// `tree`'s nodes in DFS preorder.
+fn preorder_nodes(tree: &PlanTree) -> impl Iterator<Item = FeatureNode> + '_ {
+    tree.dfs().into_iter().map(|id| {
+        let node = tree.node(id);
+        FeatureNode {
+            node_type: node.node_type,
+            children: node.children.len(),
+            est_cost: node.est_cost,
+            est_rows: node.est_rows,
+            actual_rows: node.actual_rows,
+            actual_ms: node.actual_ms,
+        }
+    })
+}
+
+/// Subtree size of each preorder position, from the child counts. In DFS
+/// preorder the descendants of position `i` are exactly
+/// `[i, i + size[i])`.
+///
+/// # Panics
+/// Panics unless `nodes` is at most one well-formed tree in preorder.
+fn subtree_sizes(nodes: &[FeatureNode]) -> Vec<usize> {
+    let mut sizes = vec![0; nodes.len()];
+    // Sizes of finished subtrees, the next sibling's on top.
+    let mut done: Vec<usize> = Vec::new();
+    for (i, node) in nodes.iter().enumerate().rev() {
+        let mut size = 1;
+        for _ in 0..node.children {
+            size += done
+                .pop()
+                .expect("child count exceeds the nodes that follow");
+        }
+        sizes[i] = size;
+        done.push(size);
+    }
+    assert!(done.len() <= 1, "node sequence is not a single tree");
+    sizes
 }
 
 /// Featurized plan, ready for the model.
@@ -197,38 +257,71 @@ impl Featurizer {
     /// Featurize one plan (targets come from the plan's actual labels; they
     /// are zeros for unlabeled inference plans).
     pub fn encode(&self, tree: &PlanTree) -> PlanFeatures {
-        let order = tree.dfs();
-        let n = order.len();
+        let nodes: Vec<FeatureNode> = preorder_nodes(tree).collect();
+        self.encode_nodes(&nodes)
+    }
+
+    /// Featurize a plan given as its nodes in DFS preorder — what
+    /// [`Featurizer::encode`] does after walking a [`PlanTree`]. The
+    /// attention mask and node heights come from the child counts.
+    ///
+    /// # Panics
+    /// Panics unless `nodes` is one well-formed tree in preorder.
+    pub fn encode_nodes(&self, nodes: &[FeatureNode]) -> PlanFeatures {
+        let n = nodes.len();
         let mut x = Tensor2::zeros(n, FEATURE_DIM);
         let mut targets = Vec::with_capacity(n);
-        for (i, &id) in order.iter().enumerate() {
-            let node = tree.node(id);
+        for (i, node) in nodes.iter().enumerate() {
             let row = x.row_mut(i);
             row[node.node_type.one_hot_index()] = 1.0;
             row[NODE_TYPE_COUNT] = self.cost_scaler.transform(safe_log1p(node.est_cost)) as f32;
-            let card = if self.config.use_actual_cardinality {
-                node.actual_rows
-            } else {
-                node.est_rows
-            };
-            row[NODE_TYPE_COUNT + 1] = self.card_scaler.transform(safe_log1p(card)) as f32;
+            row[NODE_TYPE_COUNT + 1] =
+                self.card_scaler
+                    .transform(safe_log1p(self.cardinality(node))) as f32;
             targets.push(node.actual_ms.max(MS_FLOOR).ln() as f32);
+        }
+        let sizes = subtree_sizes(nodes);
+        // A node's height is its number of ancestors: the open subtrees
+        // (exclusive ends past `i`) when its position comes up.
+        let mut heights = Vec::with_capacity(n);
+        let mut ends: Vec<usize> = Vec::new();
+        for (i, &size) in sizes.iter().enumerate() {
+            while ends.last().is_some_and(|&end| end <= i) {
+                ends.pop();
+            }
+            heights.push(ends.len() as u32);
+            ends.push(i + size);
         }
         let mask = if self.config.disable_tree_attention {
             vec![true; n * n]
         } else {
-            tree.ancestor_matrix()
+            // The ancestor matrix: row `i` allows its subtree interval.
+            let mut m = vec![false; n * n];
+            for (i, &size) in sizes.iter().enumerate() {
+                m[i * n + i..i * n + i + size].fill(true);
+            }
+            m
         };
         PlanFeatures {
             x,
             mask,
-            heights: tree.heights(),
+            heights,
             targets,
         }
     }
 
+    /// The cardinality feature's source: estimated rows, or actual rows for
+    /// the DACE-A variant.
+    fn cardinality(&self, node: &FeatureNode) -> f64 {
+        if self.config.use_actual_cardinality {
+            node.actual_rows
+        } else {
+            node.est_rows
+        }
+    }
+
     /// Structural fingerprint of a plan *under this featurizer* — the
-    /// serve-path featurization-cache key.
+    /// serve-path featurization-cache key and the search memo key.
     ///
     /// Hashes (FNV-1a, 64-bit) the featurizer identity (scaler parameters +
     /// config flags) and, per node in DFS order, the operator type, child
@@ -240,6 +333,12 @@ impl Featurizer {
     /// granularity. Including the scaler parameters means a base-model swap
     /// with refitted scalers can never serve stale cached features.
     pub fn fingerprint(&self, tree: &PlanTree) -> u64 {
+        self.fingerprint_nodes(preorder_nodes(tree))
+    }
+
+    /// [`Featurizer::fingerprint`] of a plan given as its nodes in DFS
+    /// preorder.
+    pub fn fingerprint_nodes(&self, nodes: impl IntoIterator<Item = FeatureNode>) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         fn mix(h: &mut u64, v: u64) {
@@ -257,17 +356,11 @@ impl Featurizer {
             (self.config.use_actual_cardinality as u64) << 1
                 | self.config.disable_tree_attention as u64,
         );
-        for &id in &tree.dfs() {
-            let node = tree.node(id);
+        for node in nodes {
             mix(&mut h, node.node_type.one_hot_index() as u64);
-            mix(&mut h, node.children.len() as u64);
+            mix(&mut h, node.children as u64);
             mix(&mut h, quant(safe_log1p(node.est_cost)));
-            let card = if self.config.use_actual_cardinality {
-                node.actual_rows
-            } else {
-                node.est_rows
-            };
-            mix(&mut h, quant(safe_log1p(card)));
+            mix(&mut h, quant(safe_log1p(self.cardinality(&node))));
         }
         h
     }

@@ -30,7 +30,9 @@ mod trainer;
 
 pub use adapter::{AdapterError, LoraAdapter, LoraLayerWeights};
 pub use dace_nn::Workspace;
-pub use featurize::{FeatureConfig, Featurizer, PackedBatch, PlanFeatures, FEATURE_DIM};
+pub use featurize::{
+    FeatureConfig, FeatureNode, Featurizer, PackedBatch, PlanFeatures, FEATURE_DIM,
+};
 pub use loss::LossAdjuster;
 pub use model::{DaceModel, ForwardTimings, ENCODING_DIM};
 pub use persist::{

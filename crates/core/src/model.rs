@@ -85,18 +85,6 @@ fn gather_real_rows(x: &Tensor2, lens: &[usize], n_max: usize) -> Tensor2 {
     out
 }
 
-/// Copy each block's first row (the plan root in DFS order) into a
-/// `lens.len()`-row tensor.
-fn gather_block_heads(a: &Tensor2, lens: &[usize]) -> Tensor2 {
-    let mut out = Tensor2::zeros(lens.len(), a.cols());
-    let mut start = 0;
-    for (b, &l) in lens.iter().enumerate() {
-        out.row_mut(b).copy_from_slice(a.row(start));
-        start += l;
-    }
-    out
-}
-
 /// Inverse of [`gather_real_rows`]: place compact rows back at their padded
 /// positions, leaving padding rows exactly zero.
 fn scatter_real_rows(x: &Tensor2, lens: &[usize], n_max: usize) -> Tensor2 {
@@ -271,56 +259,19 @@ impl DaceModel {
             .backward_params_ws(&ws.d1, &ws.xc, &ws.lens, &mut ws.attn);
     }
 
-    /// Batched inference over a packed mini-batch: per-plan *root*
-    /// log-latency predictions (the first real row of each block).
+    /// Batched root-latency inference over already-featurized plans:
+    /// per-plan *root* log-latency predictions, appended to `out` (cleared
+    /// first), with the attention/MLP wall-time split returned.
     ///
-    /// Only the root rows run through the MLP: the attention output of
-    /// every node is needed (the root attends to all descendants), but the
-    /// per-node MLP predictions other than the root's are discarded by
-    /// every caller of this entry point, so they are never computed. The
-    /// MLP kernels are row-independent, making the root predictions
-    /// bit-identical to the full per-node pass.
-    pub fn predict_batch(&self, batch: &PackedBatch) -> Vec<f32> {
-        let a = self.attention.forward_packed_inference(
-            &batch.xc,
-            &batch.lens,
-            batch.n_max,
-            &batch.bias,
-        );
-        let preds = self.mlp_inference(&gather_block_heads(&a, &batch.lens));
-        (0..batch.count).map(|b| preds.get(b, 0)).collect()
-    }
-
-    /// Batched root-latency inference over already-featurized plans on the
-    /// **compact** layout: plans are concatenated without padding rows, the
-    /// per-plan boolean tree masks drive attention directly (no
-    /// `n_max²`-per-plan bias buffer is built), and only each plan's root
-    /// row runs through the MLP. This is the serving scheduler's forward
-    /// path; results are identical to packing and running
-    /// [`DaceModel::predict_batch`].
-    pub fn predict_roots(&self, feats: &[&PlanFeatures]) -> Vec<f32> {
-        self.predict_roots_timed(feats).0
-    }
-
-    /// [`predict_roots`](DaceModel::predict_roots) with per-stage wall-time
-    /// attribution: how long the batch spent in block-diagonal attention vs
-    /// the root-row MLP. Allocates a throwaway workspace; long-lived callers
-    /// (the serve workers) hold one and use
-    /// [`DaceModel::predict_roots_timed_ws`].
-    pub fn predict_roots_timed(&self, feats: &[&PlanFeatures]) -> (Vec<f32>, ForwardTimings) {
-        let mut ws = Workspace::new();
-        let mut out = Vec::new();
-        let timings = self.predict_roots_timed_ws(feats, &mut ws, &mut out);
-        (out, timings)
-    }
-
-    /// Allocation-free batched root inference: the packed input, attention
-    /// scratch and MLP activations all live in the caller's workspace, and
-    /// root log-latency predictions are appended to `out` (cleared first).
-    /// Once the workspace buffers reach the high-water batch size, repeated
-    /// calls stop touching the allocator — this is the serve worker's
-    /// steady-state forward path. Results are bit-identical to
-    /// [`DaceModel::predict_roots_timed`].
+    /// Only what the root prediction needs is computed: root-row attention
+    /// ([`MaskedSelfAttention::forward_roots_into`], `O(d·d_k + n·d)` per
+    /// plan) feeds the root rows alone through the MLP. Every kernel is
+    /// row-independent, so a plan's prediction is bit-identical whatever
+    /// else shares its batch, and it matches the all-rows
+    /// [`DaceModel::predict_root`] to f32 rounding. Scratch lives in the
+    /// caller's workspace: once its buffers reach the high-water batch size,
+    /// repeated calls stop touching the allocator — the serve worker's and
+    /// the search scorer's steady-state forward path.
     pub fn predict_roots_timed_ws(
         &self,
         feats: &[&PlanFeatures],
@@ -331,29 +282,14 @@ impl DaceModel {
         if feats.is_empty() {
             return ForwardTimings::default();
         }
-        let total: usize = feats.iter().map(|f| f.x.rows()).sum();
-        ws.xc.resize_zeroed(total, FEATURE_DIM);
-        let mut row = 0;
-        for f in feats {
-            ws.xc.set_row_block(row, &f.x);
-            row += f.x.rows();
-        }
         let t_attn = std::time::Instant::now();
-        self.attention.forward_masks_into(
-            &ws.xc,
-            feats.iter().map(|f| (f.x.rows(), f.mask.as_slice())),
+        self.attention.forward_roots_into(
+            feats.iter().map(|f| (&f.x, f.mask.as_slice())),
             &mut ws.attn,
-            &mut ws.attn_out,
+            &mut ws.heads,
         );
         let attention_us = t_attn.elapsed().as_micros() as u64;
         let t_mlp = std::time::Instant::now();
-        // Only the root rows (each block's first row) run through the MLP.
-        ws.heads.resize_zeroed(feats.len(), ws.attn_out.cols());
-        let mut start = 0;
-        for (b, f) in feats.iter().enumerate() {
-            ws.heads.row_mut(b).copy_from_slice(ws.attn_out.row(start));
-            start += f.x.rows();
-        }
         self.l1
             .forward_ws(&ws.heads, &mut ws.h1, &mut ws.xb1, &mut ws.tmp);
         Relu::relu_in_place(&mut ws.h1);
@@ -370,20 +306,9 @@ impl DaceModel {
         }
     }
 
-    /// The three-layer LoRA MLP, inference mode, over arbitrary rows.
-    fn mlp_inference(&self, a: &Tensor2) -> Tensor2 {
-        let h1 = self
-            .relus
-            .0
-            .forward_inference(&self.l1.forward_inference(a));
-        let h2 = self
-            .relus
-            .1
-            .forward_inference(&self.l2.forward_inference(&h1));
-        self.l3.forward_inference(&h2)
-    }
-
-    /// Inference: per-node log-latency predictions without caching.
+    /// Inference: per-node log-latency predictions without caching — the
+    /// all-rows pass every sub-plan reader (and every equivalence test of
+    /// the root-row path) goes through.
     pub fn predict(&self, feats: &PlanFeatures) -> Tensor2 {
         let a = self.attention.forward_inference(&feats.x, &feats.mask);
         let h1 = self

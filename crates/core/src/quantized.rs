@@ -3,10 +3,11 @@
 //!
 //! [`QuantizedModel::from_model`] folds each MLP layer's LoRA delta into its
 //! base weight and int8-quantizes everything (per-output-channel scales);
-//! the forward pass mirrors [`DaceModel::predict_roots_timed_ws`] stage for
-//! stage — pack, block-diagonal masked attention, root-row gather, 3-layer
-//! MLP — so predictions differ from full precision only by quantization
-//! error. Construction happens at swap time, never on the request path.
+//! the forward pass packs the plans, runs block-diagonal masked attention
+//! over every row, gathers the root rows and runs the 3-layer MLP on them,
+//! so predictions differ from the full-precision
+//! [`DaceModel::predict_roots_timed_ws`] only by quantization error.
+//! Construction happens at swap time, never on the request path.
 
 use dace_nn::{QuantScratch, QuantizedAttention, QuantizedLinear, Relu, Tensor2};
 use std::time::Instant;
@@ -62,8 +63,8 @@ impl QuantizedModel {
 
     /// Quantized twin of [`DaceModel::predict_roots_timed_ws`]: batched
     /// root log-latency inference over the compact layout, appending to
-    /// `out` (cleared first). Same packing, same block masks, same
-    /// root-row gather; only the matmuls run int8.
+    /// `out` (cleared first). Attention runs int8 projections over every
+    /// row, then the root rows are gathered for the int8 MLP.
     pub fn predict_roots_timed_ws(
         &self,
         feats: &[&PlanFeatures],

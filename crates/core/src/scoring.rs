@@ -5,13 +5,11 @@
 //! sub-plans is cheapest" thousands of times per query. A [`ScoreSession`]
 //! amortizes that traffic — it owns a persistent [`Workspace`] plus the
 //! root/output scratch vectors, so every batch after the first runs the
-//! block-diagonal forward without allocating, and it accumulates the
+//! root-row forward without allocating, and it accumulates the
 //! throughput counters (sub-plans scored, forward wall time) that the
 //! plan-search experiments report.
 
 use std::time::Instant;
-
-use dace_plan::PlanTree;
 
 use crate::featurize::PlanFeatures;
 use crate::model::ForwardTimings;
@@ -54,41 +52,17 @@ impl<'a> ScoreSession<'a> {
     }
 
     /// The estimator this session scores with.
-    pub fn estimator(&self) -> &DaceEstimator {
+    pub fn estimator(&self) -> &'a DaceEstimator {
         self.est
     }
 
-    /// Structural fingerprint of `tree` under this session's featurizer —
-    /// the memo key (quantized estimates, scaler-parameter-salted).
-    pub fn fingerprint(&self, tree: &PlanTree) -> u64 {
-        self.est.featurizer.fingerprint(tree)
-    }
-
-    /// Score a candidate batch: featurize each tree and run one chunked
-    /// block-diagonal forward. Returns predicted root latencies (ms) in
-    /// input order; the slice is valid until the next `score_*` call.
-    pub fn score_trees_ms(&mut self, trees: &[&PlanTree]) -> &[f64] {
-        let feats: Vec<PlanFeatures> = trees
-            .iter()
-            .map(|t| self.est.featurizer.encode(t))
-            .collect();
-        let refs: Vec<&PlanFeatures> = feats.iter().collect();
-        self.score_features_ms_inner(&refs);
-        &self.out
-    }
-
-    /// Score already-featurized candidates (the memo-miss path, where the
-    /// driver featurized while deduplicating). Same output contract as
-    /// [`ScoreSession::score_trees_ms`].
+    /// Score already-featurized candidates in one chunked root-row forward.
+    /// Returns predicted root latencies (ms) in input order; the slice is
+    /// valid until the next call.
     pub fn score_features_ms(&mut self, feats: &[&PlanFeatures]) -> &[f64] {
-        self.score_features_ms_inner(feats);
-        &self.out
-    }
-
-    fn score_features_ms_inner(&mut self, feats: &[&PlanFeatures]) {
         if feats.is_empty() {
             self.out.clear();
-            return;
+            return &self.out;
         }
         let start = Instant::now();
         let timings = self.est.predict_features_batch_ms_timed_ws(
@@ -101,6 +75,7 @@ impl<'a> ScoreSession<'a> {
         self.forward_timings.accumulate(timings);
         self.plans_scored += feats.len() as u64;
         self.batches += 1;
+        &self.out
     }
 
     /// Sub-plans scored across the session's lifetime.
@@ -137,7 +112,9 @@ impl<'a> ScoreSession<'a> {
 mod tests {
     use super::*;
     use crate::trainer::{TrainConfig, Trainer};
-    use dace_plan::{Dataset, LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, TreeBuilder};
+    use dace_plan::{
+        Dataset, LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, PlanTree, TreeBuilder,
+    };
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -186,13 +163,19 @@ mod tests {
         (est, data)
     }
 
+    fn encode_all(est: &DaceEstimator, trees: &[&PlanTree]) -> Vec<PlanFeatures> {
+        trees.iter().map(|t| est.featurizer.encode(t)).collect()
+    }
+
     #[test]
     fn session_scores_match_one_shot_batch_api() {
         let (est, data) = tiny_estimator();
         let trees: Vec<&PlanTree> = data.plans.iter().take(16).map(|p| &p.tree).collect();
         let expect = est.predict_batch_ms(&trees);
+        let feats = encode_all(&est, &trees);
+        let refs: Vec<&PlanFeatures> = feats.iter().collect();
         let mut sess = ScoreSession::new(&est);
-        let got = sess.score_trees_ms(&trees).to_vec();
+        let got = sess.score_features_ms(&refs).to_vec();
         assert_eq!(got.len(), expect.len());
         for (g, e) in got.iter().zip(&expect) {
             assert!(
@@ -210,12 +193,15 @@ mod tests {
         // depend on what else shared its batch.
         let (est, data) = tiny_estimator();
         let trees: Vec<&PlanTree> = data.plans.iter().take(12).map(|p| &p.tree).collect();
+        let feats = encode_all(&est, &trees);
+        let refs: Vec<&PlanFeatures> = feats.iter().collect();
         let mut sess = ScoreSession::new(&est);
-        let all = sess.score_trees_ms(&trees).to_vec();
-        for (i, t) in trees.iter().enumerate() {
-            let solo = sess.score_trees_ms(&[t])[0];
-            assert!(
-                (solo - all[i]).abs() < 1e-9,
+        let all = sess.score_features_ms(&refs).to_vec();
+        for (i, f) in refs.iter().enumerate() {
+            let solo = sess.score_features_ms(&[f])[0];
+            assert_eq!(
+                solo.to_bits(),
+                all[i].to_bits(),
                 "plan {i}: solo {solo} != batched {}",
                 all[i]
             );
@@ -226,15 +212,17 @@ mod tests {
     fn throughput_counters_accumulate() {
         let (est, data) = tiny_estimator();
         let trees: Vec<&PlanTree> = data.plans.iter().take(8).map(|p| &p.tree).collect();
+        let feats = encode_all(&est, &trees);
+        let refs: Vec<&PlanFeatures> = feats.iter().collect();
         let mut sess = ScoreSession::new(&est);
-        sess.score_trees_ms(&trees);
-        sess.score_trees_ms(&trees[..4]);
+        sess.score_features_ms(&refs);
+        sess.score_features_ms(&refs[..4]);
         assert_eq!(sess.plans_scored(), 12);
         assert_eq!(sess.batches(), 2);
         assert!(sess.wall_us() > 0);
         assert!(sess.scores_per_sec() > 0.0);
         // Empty batches are free and uncounted.
-        sess.score_trees_ms(&[]);
+        sess.score_features_ms(&[]);
         assert_eq!(sess.batches(), 2);
     }
 }

@@ -727,9 +727,8 @@ impl DaceEstimator {
     }
 
     /// Batched latency prediction (ms): featurize all plans (sharded across
-    /// threads, same code path as training), pack them in chunks of
-    /// `config.batch_plans`, and run one block-diagonal forward per chunk.
-    /// Output order matches `trees`.
+    /// threads, same code path as training) and run root-row inference in
+    /// chunks of `config.batch_plans`. Output order matches `trees`.
     pub fn predict_batch_ms(&self, trees: &[&PlanTree]) -> Vec<f64> {
         let feats = featurize_trees_sharded(&self.featurizer, trees, self.config.featurize_threads);
         let refs: Vec<&PlanFeatures> = feats.iter().collect();
@@ -766,8 +765,8 @@ impl DaceEstimator {
     /// they reach the high-water batch size); millisecond predictions are
     /// appended to `out` (cleared first), aligned with `feats`.
     ///
-    /// Chunks run on the compact layout ([`DaceModel::predict_roots`]): no
-    /// padding rows exist, so mixed plan sizes cost nothing and chunking
+    /// Chunks run root-row inference ([`DaceModel::predict_roots_timed_ws`]):
+    /// no padding rows exist, so mixed plan sizes cost nothing and chunking
     /// needs no size sorting — plain input-order chunks keep the output
     /// aligned for free.
     ///
@@ -788,16 +787,6 @@ impl DaceEstimator {
             out.extend(roots.iter().map(|&r| Featurizer::to_ms(r)));
         }
         timings
-    }
-
-    /// One block-diagonal inference pass over an already-packed batch:
-    /// per-plan root latency (ms). The lowest-level batch entry point.
-    pub fn predict_packed_ms(&self, packed: &PackedBatch) -> Vec<f64> {
-        self.model
-            .predict_batch(packed)
-            .into_iter()
-            .map(Featurizer::to_ms)
-            .collect()
     }
 
     /// Extract the current LoRA adapter (the complete fine-tuned state) for

@@ -2,6 +2,7 @@
 //! enumeration and plan-tree construction.
 
 use dace_catalog::{ColumnId, Database, TableId};
+use dace_core::FeatureNode;
 use dace_plan::{
     JoinInfo, NodeType, OpPayload, PlanNode, PlanTree, PredicateInfo, ScanInfo, TreeBuilder,
 };
@@ -170,6 +171,23 @@ impl PhysPlan {
     /// True iff the plan has no nodes (never; present for API symmetry).
     pub fn is_empty(&self) -> bool {
         false
+    }
+
+    /// Append this plan's nodes to `out` in DFS preorder: the featurizer's
+    /// view of [`PhysPlan::to_plan_tree`], without building the tree
+    /// (`Featurizer::encode_nodes` / `fingerprint_nodes` consume it).
+    pub fn feature_nodes_into(&self, out: &mut Vec<FeatureNode>) {
+        out.push(FeatureNode {
+            node_type: self.node_type,
+            children: self.children.len(),
+            est_cost: self.est_cost,
+            est_rows: self.est_rows,
+            actual_rows: self.actual_rows,
+            actual_ms: self.actual_ms,
+        });
+        for c in &self.children {
+            c.feature_nodes_into(out);
+        }
     }
 
     /// Convert into a [`PlanTree`] (estimates and any filled-in actuals).

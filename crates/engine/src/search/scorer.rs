@@ -11,8 +11,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use dace_core::{DaceEstimator, ScoreSession};
-use dace_plan::PlanTree;
+use dace_core::{DaceEstimator, FeatureNode, PlanFeatures, ScoreSession};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -97,14 +96,22 @@ impl PlanScorer for ExplorationScorer {
 /// milliseconds. DACE predicts every sub-plan of a tree in parallel during
 /// training, so candidate sub-trees are exactly in-distribution.
 ///
+/// Each candidate is walked once in preorder; its node sequence feeds both
+/// the fingerprint and, on a miss, the features — no [`PlanTree`] is built.
 /// Each batch is deduplicated against the [`ScoreMemo`] (cross-batch
 /// sharing) and within itself (batch-local duplicates), so a shared sub-tree
 /// is featurized and scored once per memo lifetime.
+///
+/// [`PlanTree`]: dace_plan::PlanTree
 #[derive(Debug)]
 pub struct LearnedScorer<'a> {
     session: ScoreSession<'a>,
     memo: ScoreMemo,
     dedup_hits: u64,
+    /// Every candidate's preorder nodes of the current batch, back to back.
+    nodes: Vec<FeatureNode>,
+    /// Each candidate's range in `nodes`.
+    spans: Vec<Range<usize>>,
 }
 
 impl<'a> LearnedScorer<'a> {
@@ -116,6 +123,8 @@ impl<'a> LearnedScorer<'a> {
             session: ScoreSession::new(est),
             memo: ScoreMemo::new(memo_capacity),
             dedup_hits: 0,
+            nodes: Vec::new(),
+            spans: Vec::new(),
         }
     }
 
@@ -138,14 +147,27 @@ impl<'a> LearnedScorer<'a> {
     /// Score a set of candidate sub-plans (by reference so [`HybridScorer`]
     /// can route a sub-batch here without cloning plans).
     pub(crate) fn score_refs(&mut self, cands: &[&PhysPlan]) -> Vec<f64> {
-        let trees: Vec<PlanTree> = cands.iter().map(|c| c.to_plan_tree()).collect();
+        self.nodes.clear();
+        self.spans.clear();
+        for c in cands {
+            let start = self.nodes.len();
+            c.feature_nodes_into(&mut self.nodes);
+            self.spans.push(start..self.nodes.len());
+        }
+        let featurizer = &self.session.estimator().featurizer;
+        let encode = |i: usize| featurizer.encode_nodes(&self.nodes[self.spans[i].clone()]);
         if !self.memo.enabled() {
             // Memo disabled: one batch over everything, no dedup. This is
             // the baseline the bit-identity test compares against.
-            let refs: Vec<&PlanTree> = trees.iter().collect();
-            return self.session.score_trees_ms(&refs).to_vec();
+            let feats: Vec<PlanFeatures> = (0..cands.len()).map(encode).collect();
+            let refs: Vec<&PlanFeatures> = feats.iter().collect();
+            return self.session.score_features_ms(&refs).to_vec();
         }
-        let fps: Vec<u64> = trees.iter().map(|t| self.session.fingerprint(t)).collect();
+        let fps: Vec<u64> = self
+            .spans
+            .iter()
+            .map(|r| featurizer.fingerprint_nodes(self.nodes[r.clone()].iter().copied()))
+            .collect();
         let mut scores = vec![0.0f64; cands.len()];
         let mut miss_idx: Vec<usize> = Vec::new();
         for i in 0..cands.len() {
@@ -168,8 +190,9 @@ impl<'a> LearnedScorer<'a> {
                 self.dedup_hits += 1;
             }
         }
-        let tree_refs: Vec<&PlanTree> = unique.iter().map(|&i| &trees[i]).collect();
-        let fresh = self.session.score_trees_ms(&tree_refs).to_vec();
+        let feats: Vec<PlanFeatures> = unique.iter().map(|&i| encode(i)).collect();
+        let refs: Vec<&PlanFeatures> = feats.iter().collect();
+        let fresh = self.session.score_features_ms(&refs).to_vec();
         for (slot, &i) in unique.iter().enumerate() {
             self.memo.insert(fps[i], fresh[slot]);
         }

@@ -2,15 +2,18 @@
 //! planner exactly under the analytic scorer, DP must dominate greedy under
 //! the analytic model, typed plan errors must replace panics, and the score
 //! memo must be invisible to search results while counting shared sub-trees
-//! correctly.
+//! correctly, and featurizing a candidate straight from its `PhysPlan` must
+//! match featurizing its `PlanTree` bit for bit.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use dace_catalog::{generate_database, suite_specs, Database, TableId};
-use dace_core::{DaceEstimator, TrainConfig, Trainer};
+use dace_core::{DaceEstimator, FeatureConfig, Featurizer, TrainConfig, Trainer};
 use dace_engine::{
-    collect_dataset, plan, plan_with_strategy, AnalyticScorer, CostModel, CrossMachineRouter,
-    HybridScorer, JoinStrategy, LearnedScorer, PlanError, SearchSession, MAX_RELATIONS,
+    collect_dataset, execute, plan, plan_with_strategy, AnalyticScorer, CostModel,
+    CrossMachineRouter, HybridScorer, JoinStrategy, LearnedScorer, MachineProfile, PhysPlan,
+    PlanError, PlanScorer, SearchSession, MAX_RELATIONS,
 };
 use dace_plan::MachineId;
 use dace_query::{ComplexWorkloadGen, Query};
@@ -153,6 +156,77 @@ proptest! {
                 "DP plan cost {} exceeds greedy cost {} on {} tables",
                 dp.est_cost, greedy.est_cost, q.tables.len()
             );
+        }
+    }
+}
+
+/// The analytic scorer, keeping a copy of every candidate it is shown.
+struct Capture(Vec<PhysPlan>);
+
+impl PlanScorer for Capture {
+    fn name(&self) -> &'static str {
+        "capture"
+    }
+
+    fn score(&mut self, cands: &[PhysPlan], _groups: &[Range<usize>]) -> Vec<f64> {
+        self.0.extend_from_slice(cands);
+        cands.iter().map(|c| c.est_cost).collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The scorer featurizes candidates from one preorder walk of the
+    /// `PhysPlan`; that must give exactly the fingerprint and features of
+    /// the `PlanTree` path, under every featurizer variant, for planner
+    /// candidates and for executed picks (whose actuals are filled in). The
+    /// tree path's mask and heights must match the tree's own ancestor
+    /// matrix and heights.
+    #[test]
+    fn physplan_featurization_matches_plan_tree(seed in 0u64..1_000_000, variant in 0usize..3) {
+        let db = test_db();
+        let cm = CostModel::default();
+        let featurizer = Featurizer {
+            config: FeatureConfig {
+                use_actual_cardinality: variant == 1,
+                disable_tree_attention: variant == 2,
+            },
+            ..test_estimator().featurizer.clone()
+        };
+        let gen = ComplexWorkloadGen { seed, ..ComplexWorkloadGen::default() };
+        let mut capture = Capture(Vec::new());
+        let mut plans = Vec::new();
+        for (i, q) in gen.generate(db, 3).iter().enumerate() {
+            let Ok((mut pick, _)) = SearchSession::new(db, &cm).plan(q, &mut capture) else {
+                continue;
+            };
+            execute(db, &mut pick);
+            MachineProfile::m1().apply(db, &mut pick, i as u64);
+            plans.push(pick);
+        }
+        plans.append(&mut capture.0);
+        prop_assert!(!plans.is_empty());
+        let mut nodes = Vec::new();
+        for p in &plans {
+            nodes.clear();
+            p.feature_nodes_into(&mut nodes);
+            let tree = p.to_plan_tree();
+            prop_assert_eq!(
+                featurizer.fingerprint_nodes(nodes.iter().copied()),
+                featurizer.fingerprint(&tree)
+            );
+            let direct = featurizer.encode_nodes(&nodes);
+            let via_tree = featurizer.encode(&tree);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(direct.x.as_slice()), bits(via_tree.x.as_slice()));
+            prop_assert_eq!(bits(&direct.targets), bits(&via_tree.targets));
+            prop_assert_eq!(&direct.mask, &via_tree.mask);
+            prop_assert_eq!(&direct.heights, &via_tree.heights);
+            prop_assert_eq!(&via_tree.heights, &tree.heights());
+            if variant != 2 {
+                prop_assert_eq!(&via_tree.mask, &tree.ancestor_matrix());
+            }
         }
     }
 }

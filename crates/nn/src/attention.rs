@@ -12,6 +12,10 @@
 //! one variable-length block per plan ([`MaskedSelfAttention::forward_packed`]),
 //! giving one set of large Q/K/V projections per batch instead of one per
 //! plan and per-block score work proportional to each plan's *real* size.
+//!
+//! Batched root-latency inference takes a shortcut instead:
+//! [`MaskedSelfAttention::forward_roots_into`] computes only each plan's
+//! root row, folded to one weighted mean of the input rows.
 
 use serde::{Deserialize, Serialize};
 
@@ -322,109 +326,91 @@ impl MaskedSelfAttention {
         Self::apply_probs(&probs, &v, lens)
     }
 
-    /// Mask-driven block-diagonal inference: like
-    /// [`forward_packed_inference`] but each block's boolean tree mask
-    /// drives the computation directly instead of going through a padded
-    /// `stride²`-per-block additive bias buffer. `masks[b]` is block `b`'s
-    /// row-major `lens[b] × lens[b]` mask.
+    /// Root-row inference: each block's attention output for its **root**
+    /// (row 0) only — the one row a root-latency prediction reads.
+    /// `blocks` yields one `(x, mask)` pair per plan: its `l × d` node
+    /// rows and row-major `l × l` boolean mask. Output row `b` of `out`
+    /// (`B × d_v`) is block `b`'s root attention output.
     ///
-    /// This is the serving fast path. Tree masks over DFS-ordered nodes are
-    /// **row intervals** — node `i` attends to exactly `[i, i + subtree)` —
-    /// so each row's scores, softmax and value sum run only over its
-    /// allowed interval ([`Tensor2::row_dots_nt`] / [`Tensor2::row_combine`]):
-    /// no bias buffer, no block copies, and no work at masked positions.
-    /// Probabilities are identical to the bias path, which computes the
-    /// masked positions and then multiplies them by exactly zero.
-    /// Non-interval masks (possible only with hand-built features) fall
-    /// back to a dense scored row with the same semantics.
+    /// With no biases and a single head, the root output folds exactly:
+    /// `s_j = (x₀·W_Q)·(x_j·W_K) = x_j·u` with `u = W_K·(x₀·W_Q)ᵀ`, so
+    /// `out_0 = Σ_j p_j·(x_j·W_V) = x̄·W_V` with `x̄ = Σ_j p_j·x_j` and
+    /// `p = softmax_j(s_j/√d_k)` over the root's mask row. That costs
+    /// `O(d·d_k + n·d)` per plan instead of three `n`-row projections plus
+    /// every node's subtree scores. The fold reassociates float sums, so
+    /// results match the all-rows pass ([`forward_inference`]) to f32
+    /// rounding, not bit for bit.
     ///
-    /// [`forward_packed_inference`]: MaskedSelfAttention::forward_packed_inference
-    pub fn forward_masks_inference(
-        &self,
-        x: &Tensor2,
-        lens: &[usize],
-        masks: &[&[bool]],
-    ) -> Tensor2 {
-        assert_eq!(lens.len(), masks.len(), "one mask per block");
-        let mut ws = AttnScratch::default();
-        let mut out = Tensor2::default();
-        self.forward_masks_into(
-            x,
-            lens.iter().copied().zip(masks.iter().copied()),
-            &mut ws,
-            &mut out,
-        );
-        out
-    }
-
-    /// Workspace twin of [`forward_masks_inference`]: blocks stream in as
-    /// `(len, mask)` pairs (so callers need not build a `Vec` of mask
-    /// slices), projections and the score row live in `ws`, and the
-    /// attention output lands in `out`. Same interval-sparse math — the
-    /// per-worker serving path uses this to run allocation-free at steady
-    /// state.
+    /// Every step is row-independent — batched [`Tensor2::matmul_into`]
+    /// (against a `W_Kᵀ` transposed once per call) for the root query,
+    /// the folded key and the value projection, and per-plan
+    /// [`Tensor2::row_dots_nt`] / [`Tensor2::row_combine`] calls for the
+    /// scores and `x̄` — so a plan's output is bit-identical whatever
+    /// else shares its batch. The search memo and the serve feature cache
+    /// rely on that.
     ///
-    /// [`forward_masks_inference`]: MaskedSelfAttention::forward_masks_inference
-    pub fn forward_masks_into<'m, I>(
-        &self,
-        x: &Tensor2,
-        blocks: I,
-        ws: &mut AttnScratch,
-        out: &mut Tensor2,
-    ) where
-        I: IntoIterator<Item = (usize, &'m [bool])>,
+    /// Tree masks over DFS-ordered nodes make the root row one interval
+    /// (the whole plan), scored without a bias buffer; a non-interval row
+    /// (hand-built features only) is scored densely from its first allowed
+    /// position with [`MASK_NEG`] added at masked positions, exactly as in
+    /// the bias path.
+    ///
+    /// [`forward_inference`]: MaskedSelfAttention::forward_inference
+    pub fn forward_roots_into<'a, I>(&self, blocks: I, ws: &mut AttnScratch, out: &mut Tensor2)
+    where
+        I: IntoIterator<Item = (&'a Tensor2, &'a [bool])>,
+        I::IntoIter: Clone,
     {
-        let n = x.rows();
-        x.matmul_into(&self.wq.value, &mut ws.q);
-        x.matmul_into(&self.wk.value, &mut ws.k);
-        x.matmul_into(&self.wv.value, &mut ws.v);
-        let scale = 1.0 / (self.d_k as f32).sqrt();
-        out.resize_zeroed(n, self.wv.value.cols());
-        let mut start = 0;
-        for (l, mask) in blocks {
-            assert_eq!(mask.len(), l * l, "mask must be len² per block");
-            for i in 0..l {
-                let mrow = &mask[i * l..(i + 1) * l];
-                let Some(j0) = mrow.iter().position(|&b| b) else {
-                    continue; // fully masked row: zero output, as in the bias path
-                };
-                let mut run = mrow[j0..].iter().take_while(|&&b| b).count();
-                let interval = !mrow[j0 + run..].iter().any(|&b| b);
-                if !interval {
-                    run = l - j0; // dense fallback: score the rest, mask additively
-                }
-                if ws.srow.len() < run {
-                    ws.srow.resize(run, 0.0);
-                }
-                let s = &mut ws.srow[..run];
-                ws.q.row_dots_nt(start + i, &ws.k, start + j0, run, s);
-                for v in s.iter_mut() {
-                    *v *= scale;
-                }
-                if !interval {
-                    for (v, &allowed) in s.iter_mut().zip(&mrow[j0..]) {
-                        if !allowed {
-                            *v += MASK_NEG;
-                        }
-                    }
-                }
-                // Softmax over the interval.
-                let max = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut sum = 0.0;
-                for v in s.iter_mut() {
-                    *v = (*v - max).exp();
-                    sum += *v;
-                }
-                if sum > 0.0 {
-                    for v in s.iter_mut() {
-                        *v /= sum;
-                    }
-                }
-                Tensor2::row_combine(s, &ws.v, start + j0, out.row_mut(start + i));
-            }
-            start += l;
+        let blocks = blocks.into_iter();
+        let d = self.wq.value.rows();
+        let nb = blocks.clone().count();
+        ws.roots.resize_for_overwrite(nb, d);
+        for (b, (x, _)) in blocks.clone().enumerate() {
+            assert!(x.rows() > 0, "a block needs a root row");
+            ws.roots.row_mut(b).copy_from_slice(x.row(0));
         }
-        assert_eq!(start, n, "blocks must cover all rows");
+        ws.roots.matmul_into(&self.wq.value, &mut ws.q0);
+        self.wk.value.transpose_into(&mut ws.wk_t);
+        ws.q0.matmul_into(&ws.wk_t, &mut ws.u);
+        let scale = 1.0 / (self.d_k as f32).sqrt();
+        ws.xbar.resize_zeroed(nb, d);
+        for (b, (x, mask)) in blocks.enumerate() {
+            let l = x.rows();
+            assert_eq!(mask.len(), l * l, "mask must be len² per block");
+            let mrow = &mask[..l];
+            // A fully masked row scores densely with every position masked,
+            // which softmaxes to uniform weights — as the bias path does.
+            let j0 = mrow.iter().position(|&b| b).unwrap_or(0);
+            let allowed = mrow[j0..].iter().take_while(|&&b| b).count();
+            let interval = allowed > 0 && !mrow[j0 + allowed..].iter().any(|&b| b);
+            let run = if interval { allowed } else { l - j0 };
+            if ws.srow.len() < run {
+                ws.srow.resize(run, 0.0);
+            }
+            let s = &mut ws.srow[..run];
+            ws.u.row_dots_nt(b, x, j0, run, s);
+            for v in s.iter_mut() {
+                *v *= scale;
+            }
+            if !interval {
+                for (v, &ok) in s.iter_mut().zip(&mrow[j0..]) {
+                    if !ok {
+                        *v += MASK_NEG;
+                    }
+                }
+            }
+            let max = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0;
+            for v in s.iter_mut() {
+                *v = (*v - max).exp();
+                sum += *v;
+            }
+            for v in s.iter_mut() {
+                *v /= sum;
+            }
+            Tensor2::row_combine(s, x, j0, ws.xbar.row_mut(b));
+        }
+        ws.xbar.matmul_into(&self.wv.value, out);
     }
 
     /// Shared Q/K/V projection + per-block masked softmax. The projections
@@ -689,6 +675,32 @@ mod tests {
         // The padding row (fully masked) must come out exactly zero.
         for c in 0..8 {
             assert_eq!(out.get(2, c), 0.0);
+        }
+    }
+
+    #[test]
+    fn root_row_fold_matches_all_rows_row_zero() {
+        let attn = MaskedSelfAttention::new(6, 8, 5, 21);
+        let x = Tensor2::uniform(4, 6, 1.0, 22);
+        // Tree, full, non-interval and fully masked root rows.
+        let mut gap = chain_mask(4);
+        gap[1] = false;
+        let mut blind = chain_mask(4);
+        blind[..4].fill(false);
+        let masks = [chain_mask(4), full_mask(4), gap, blind];
+        let mut ws = AttnScratch::default();
+        let mut out = Tensor2::default();
+        attn.forward_roots_into(masks.iter().map(|m| (&x, m.as_slice())), &mut ws, &mut out);
+        assert_eq!((out.rows(), out.cols()), (masks.len(), 5));
+        for (b, m) in masks.iter().enumerate() {
+            let want = attn.forward_inference(&x, m);
+            for c in 0..5 {
+                let (got, want) = (out.get(b, c), want.get(0, c));
+                assert!(
+                    (got - want).abs() < 1e-5,
+                    "mask {b} col {c}: {got} vs {want}"
+                );
+            }
         }
     }
 

@@ -15,16 +15,13 @@
 //! and is where most of the fast tier's speedup comes from.
 //!
 //! [`QuantizedAttention`] quantizes only the Q/K/V projections; scores,
-//! the interval-sparse masked softmax and the value combine stay in f32,
-//! replicating [`MaskedSelfAttention::forward_masks_into`] exactly —
+//! the interval-sparse masked softmax and the value combine stay in f32 —
 //! including the guard that a fully-masked (all `-inf` logits) row produces
 //! a **zero, finite** output row instead of `NaN`.
 //!
 //! Built once per registry swap (never on the request path), so
 //! quantization cost is amortized across every request a model version
 //! serves.
-//!
-//! [`MaskedSelfAttention::forward_masks_into`]: crate::MaskedSelfAttention::forward_masks_into
 
 use crate::attention::MaskedSelfAttention;
 use crate::linear::LoraLinear;
@@ -510,11 +507,14 @@ impl QuantizedAttention {
         self.wq.bytes() + self.wk.bytes() + self.wv.bytes()
     }
 
-    /// Quantized twin of [`MaskedSelfAttention::forward_masks_into`]: same
-    /// block iteration, same interval-sparse scoring, same dense fallback
-    /// with additive `MASK_NEG`, same softmax guard — a fully-masked row
-    /// (softmax over all `-inf`) produces a zero output row, never `NaN`.
-    /// Only the three projections differ (int8 instead of f32).
+    /// Int8 block-diagonal masked attention over every row: blocks stream
+    /// in as `(len, mask)` pairs over the compact input `x`. Tree masks are
+    /// row intervals, so each row is scored, softmaxed and value-summed
+    /// over its allowed interval only; a non-interval row falls back to a
+    /// dense row with additive `MASK_NEG`, and a fully-masked row produces
+    /// a zero output row, never `NaN`. Only the three projections run
+    /// int8; tracks the f32 [`MaskedSelfAttention::forward_inference`]
+    /// within quantization error.
     pub fn forward_masks_into<'m, I>(
         &self,
         x: &Tensor2,
@@ -673,7 +673,7 @@ mod tests {
                 mask[i * l + j] = true;
             }
         }
-        let want = attn.forward_masks_inference(&x, &[l], &[&mask]);
+        let want = attn.forward_inference(&x, &mask);
         let mut ws = QuantScratch::default();
         let mut got = Tensor2::default();
         q.forward_masks_into(&x, [(l, mask.as_slice())], &mut ws, &mut got);
@@ -711,7 +711,7 @@ mod tests {
         let l = 4;
         let mut mask = vec![true; l * l];
         mask[1] = false;
-        let want = attn.forward_masks_inference(&x, &[l], &[&mask]);
+        let want = attn.forward_inference(&x, &mask);
         let mut ws = QuantScratch::default();
         let mut got = Tensor2::default();
         q.forward_masks_into(&x, [(l, mask.as_slice())], &mut ws, &mut got);

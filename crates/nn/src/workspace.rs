@@ -49,7 +49,17 @@ pub struct AttnScratch {
     pub dv: Tensor2,
     /// Parameter-gradient product scratch (`xᵀ dQ` etc., backward).
     pub gtmp: Tensor2,
-    /// One score row for the interval-sparse serving path.
+    /// Root-row inference: each block's root input row (`B × d`).
+    pub roots: Tensor2,
+    /// Root-row inference: root queries `x₀·W_Q` (`B × d_k`).
+    pub q0: Tensor2,
+    /// Root-row inference: `W_Kᵀ`, transposed once per call (`d_k × d`).
+    pub wk_t: Tensor2,
+    /// Root-row inference: folded keys `u = (x₀·W_Q)·W_Kᵀ` (`B × d`).
+    pub u: Tensor2,
+    /// Root-row inference: attention-weighted input means `x̄` (`B × d`).
+    pub xbar: Tensor2,
+    /// Root-row inference: one plan's root score row.
     pub srow: Vec<f32>,
 }
 
@@ -91,7 +101,7 @@ pub struct Workspace {
     pub dxb: Tensor2,
     /// Parameter-gradient product scratch (backward).
     pub gtmp: Tensor2,
-    /// Root-row gather for root-only serving inference.
+    /// Root attention outputs of root-row inference (the MLP's input).
     pub heads: Tensor2,
 }
 

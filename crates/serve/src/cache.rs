@@ -132,7 +132,10 @@ pub struct ShardedLruCache<V> {
 const SHARDS: usize = 8;
 
 impl<V: Clone> ShardedLruCache<V> {
-    /// Cache holding up to `capacity` entries (split across shards).
+    /// Cache holding up to `capacity` entries, split across shards so the
+    /// per-shard caps sum to exactly `capacity` (the first
+    /// `capacity % SHARDS` shards take one extra slot; below `SHARDS`
+    /// entries some shards get none and drop their inserts).
     /// `capacity = 0` disables the cache: every lookup misses and inserts
     /// are dropped.
     pub fn new(capacity: usize) -> ShardedLruCache<V> {
@@ -147,10 +150,12 @@ impl<V: Clone> ShardedLruCache<V> {
         hits: Arc<Counter>,
         misses: Arc<Counter>,
     ) -> ShardedLruCache<V> {
-        let per_shard = capacity.div_ceil(SHARDS);
         ShardedLruCache {
             shards: (0..SHARDS)
-                .map(|_| Mutex::new(LruShard::new(per_shard)))
+                .map(|i| {
+                    let cap = capacity / SHARDS + usize::from(i < capacity % SHARDS);
+                    Mutex::new(LruShard::new(cap))
+                })
                 .collect(),
             hits,
             misses,
@@ -270,14 +275,21 @@ mod tests {
 
     #[test]
     fn capacity_is_respected_under_churn() {
-        let cap = SHARDS * 4;
-        let c: ShardedLruCache<u64> = ShardedLruCache::new(cap);
-        for i in 0..10_000u64 {
-            c.insert(i, i);
+        for cap in [SHARDS * 4, 1, 5, 9, 4097] {
+            let c: ShardedLruCache<u64> = ShardedLruCache::new(cap);
+            for i in 0..10_000u64 {
+                c.insert(i, i);
+            }
+            // Churn over every shard fills each to its cap: exactly `cap`.
+            assert_eq!(c.len(), cap, "capacity {cap}");
+            // The most recent key of every shard with a slot must still be
+            // present.
+            for key in 10_000 - SHARDS as u64..10_000 {
+                let shard = c.shard(key).lock().unwrap().capacity;
+                let want = (shard > 0).then_some(key);
+                assert_eq!(c.get(key), want, "capacity {cap}, key {key}");
+            }
         }
-        assert!(c.len() <= cap, "len {} > cap {cap}", c.len());
-        // The most recent key per shard must still be present.
-        assert_eq!(c.get(9_999), Some(9_999));
     }
 
     #[test]
