@@ -205,12 +205,10 @@ cargo test --benches -p dace-bench -q
 
 # Allocation smoke: the counting-allocator bench must show a steady-state
 # training epoch allocating under its committed ceiling (the binary asserts
-# the ceiling and the >= 90% reduction vs the re-packing baseline itself);
-# the emitted JSON is additionally sanity-checked here.
+# the ceiling itself); the emitted JSON is additionally sanity-checked here.
 echo "==> alloc smoke"
 cargo bench -q -p dace-bench --bench train_alloc -- --out "$OBS_TMP/bench_train.json"
 jq -e '.samples_per_sec > 0
-       and .alloc_reduction >= 0.9
        and .alloc_bytes_per_epoch_workspace <= .alloc_ceiling_bytes
        and .single_plan_forward_us > 0' \
     "$OBS_TMP/bench_train.json" >/dev/null \

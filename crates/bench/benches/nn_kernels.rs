@@ -41,12 +41,12 @@ fn bench_modules(c: &mut Criterion) {
     group.sample_size(10);
     // A DACE-shaped plan: 12 nodes, 18 features.
     let x = Tensor2::uniform(12, 18, 1.0, 4);
-    let mask = vec![true; 12 * 12];
+    let bias = vec![0.0f32; 12 * 12];
 
     let mut attn = MaskedSelfAttention::new(18, 128, 128, 5);
     group.bench_function("attention_fwd_bwd_12x18", |b| {
         b.iter(|| {
-            let y = attn.forward(&x, &mask);
+            let y = attn.forward_bias(&x, &bias);
             black_box(attn.backward(&y));
         })
     });
@@ -61,10 +61,13 @@ fn bench_modules(c: &mut Criterion) {
     });
 
     let mut lora = LoraLinear::new(128, 128, 32, 8);
+    let (mut y, mut xb, mut tmp) = (Tensor2::default(), Tensor2::default(), Tensor2::default());
+    let (mut dx, mut dxb, mut gtmp) = (Tensor2::default(), Tensor2::default(), Tensor2::default());
     group.bench_function("lora_fwd_bwd_12x128_r32", |b| {
         b.iter(|| {
-            let y = lora.forward(&h);
-            black_box(lora.backward(&y));
+            lora.forward_ws(&h, &mut y, &mut xb, &mut tmp);
+            lora.backward_ws(&y, &h, &xb, &mut dx, &mut dxb, &mut gtmp);
+            black_box(&dx);
         })
     });
 

@@ -110,12 +110,8 @@ fn bench_training(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.sample_size(10);
 
-    // Batched padded-tensor training loop (the production path) vs the
-    // per-plan reference loop it replaced — same shuffles, same gradients
-    // up to summation order. The reference row additionally pins the seed
-    // matmul kernels (`set_reference_kernels`) so it times the *original*
-    // configuration: the DACE/DACE(per-plan-seed) ratio is the full
-    // batching + kernel speedup this rewrite delivered.
+    // The batched training loop (the production path), one and five
+    // epochs: the multi-epoch row shows packing once per fit amortizing.
     group.bench_function("DACE", |b| {
         b.iter(|| {
             black_box(
@@ -128,28 +124,6 @@ fn bench_training(c: &mut Criterion) {
             );
         })
     });
-    // The pre-workspace batched loop: per-epoch re-shuffle + re-pack with
-    // allocating kernels, pinned to the PR-1 kernel configuration
-    // (`KernelTier::Avx2Baseline`: AVX2 tiles, dot-product matmul_nt,
-    // unconditional output memset). The DACE/DACE(repack-baseline) ratio is
-    // therefore the full win of this rewrite — workspace reuse +
-    // epoch-persistent packing + the AVX-512/nt-packing kernel upgrades —
-    // measured in-run rather than against a recorded number. Multi-epoch
-    // rows show the packing amortization compounding.
-    group.bench_function("DACE(repack-baseline)", |b| {
-        dace_nn::set_kernel_tier(dace_nn::KernelTier::Avx2Baseline);
-        b.iter(|| {
-            black_box(
-                Trainer::new(TrainConfig {
-                    epochs: 1,
-                    ..Default::default()
-                })
-                .fit_baseline_repack(&slice)
-                .unwrap(),
-            );
-        });
-        dace_nn::set_kernel_tier(dace_nn::KernelTier::Auto);
-    });
     group.bench_function("DACE(5-epoch)", |b| {
         b.iter(|| {
             black_box(
@@ -161,34 +135,6 @@ fn bench_training(c: &mut Criterion) {
                 .unwrap(),
             );
         })
-    });
-    group.bench_function("DACE(repack-baseline-5-epoch)", |b| {
-        dace_nn::set_kernel_tier(dace_nn::KernelTier::Avx2Baseline);
-        b.iter(|| {
-            black_box(
-                Trainer::new(TrainConfig {
-                    epochs: 5,
-                    ..Default::default()
-                })
-                .fit_baseline_repack(&slice)
-                .unwrap(),
-            );
-        });
-        dace_nn::set_kernel_tier(dace_nn::KernelTier::Auto);
-    });
-    group.bench_function("DACE(per-plan-seed)", |b| {
-        dace_nn::set_reference_kernels(true);
-        b.iter(|| {
-            black_box(
-                Trainer::new(TrainConfig {
-                    epochs: 1,
-                    ..Default::default()
-                })
-                .fit_per_plan_reference(&slice)
-                .unwrap(),
-            );
-        });
-        dace_nn::set_reference_kernels(false);
     });
     group.bench_function("DACE-LoRA(tune)", |b| {
         let mut est = Trainer::new(TrainConfig {

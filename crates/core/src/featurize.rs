@@ -129,26 +129,24 @@ fn safe_log1p(x: f64) -> f64 {
     }
 }
 
-/// A mini-batch of featurized plans packed into one padded tensor, ready
-/// for a single block-diagonal forward/backward pass.
+/// A mini-batch of featurized plans packed for a single block-diagonal
+/// forward/backward pass.
 ///
-/// Layout: plan `b` occupies rows `[b·n_max, (b+1)·n_max)` of `x`; its
-/// `lens[b]` real nodes come first (DFS order) and the remaining rows are
-/// zero padding. `bias` holds one `n_max × n_max` additive score matrix per
-/// plan, concatenated: `0.0` where the tree mask allows attention,
-/// [`MASK_NEG`] where it forbids it, and `-∞` wherever a padding row or
-/// column is involved — so padding rows softmax to all-zero and contribute
-/// exactly zero gradient. `targets` and `heights` align with `x`'s rows
-/// (zeros at padding).
+/// Node features are compact (`xc`: plan `b`'s `lens[b]` rows follow plan
+/// `b − 1`'s, DFS order, no padding). Everything indexed per node slot is
+/// padded to the batch's largest plan: plan `b` owns slots
+/// `[b·n_max, (b+1)·n_max)` of `targets` and `heights` (zeros past its
+/// real nodes), and `bias` holds one `n_max × n_max` additive score matrix
+/// per plan, concatenated: `0.0` where the tree mask allows attention,
+/// [`MASK_NEG`] where it forbids it, and `-∞` in the padded corner a
+/// shorter plan never reads.
 #[derive(Debug, Clone)]
 pub struct PackedBatch {
-    /// Packed node features, `(count · n_max) × FEATURE_DIM`.
-    pub x: Tensor2,
-    /// Compact node features: the same plans concatenated *without* padding
+    /// Compact node features: the plans concatenated *without* padding
     /// rows (`Σ lens[b] × FEATURE_DIM`), plan `b`'s rows contiguous in order.
-    /// This is the layout the workspace forward/backward passes consume —
-    /// packing it once here is what lets the epoch loop skip the per-batch
-    /// gather entirely.
+    /// This is the layout the training forward/backward passes consume —
+    /// packing it once here is what lets the epoch loop skip any per-batch
+    /// gather.
     pub xc: Tensor2,
     /// Padded rows per plan slot.
     pub n_max: usize,
@@ -178,7 +176,6 @@ impl PackedBatch {
         let n_max = plans.iter().map(|p| p.x.rows()).max().unwrap();
         let count = plans.len();
         let total: usize = plans.iter().map(|p| p.x.rows()).sum();
-        let mut x = Tensor2::zeros(count * n_max, FEATURE_DIM);
         let mut xc = Tensor2::zeros(total, FEATURE_DIM);
         let mut xc_row = 0;
         let mut bias = vec![f32::NEG_INFINITY; count * n_max * n_max];
@@ -188,7 +185,6 @@ impl PackedBatch {
         for (b, p) in plans.iter().enumerate() {
             let n = p.x.rows();
             lens.push(n);
-            x.set_row_block(b * n_max, &p.x);
             xc.set_row_block(xc_row, &p.x);
             xc_row += n;
             let bias_b = &mut bias[b * n_max * n_max..(b + 1) * n_max * n_max];
@@ -201,7 +197,6 @@ impl PackedBatch {
             heights[b * n_max..b * n_max + n].copy_from_slice(&p.heights);
         }
         Ok(PackedBatch {
-            x,
             xc,
             n_max,
             count,
@@ -210,11 +205,6 @@ impl PackedBatch {
             targets,
             heights,
         })
-    }
-
-    /// Total packed rows (`count · n_max`).
-    pub fn rows(&self) -> usize {
-        self.count * self.n_max
     }
 }
 
@@ -513,12 +503,12 @@ mod tests {
         assert_eq!(batch.count, 2);
         assert_eq!(batch.n_max, 2);
         assert_eq!(batch.lens, vec![2, 2]);
-        assert_eq!(batch.rows(), 4);
+        assert_eq!(batch.targets.len(), 4);
         // Rows mirror the per-plan features.
         for i in 0..2 {
             for c in 0..FEATURE_DIM {
-                assert_eq!(batch.x.get(i, c), a.x.get(i, c));
-                assert_eq!(batch.x.get(2 + i, c), b.x.get(i, c));
+                assert_eq!(batch.xc.get(i, c), a.x.get(i, c));
+                assert_eq!(batch.xc.get(2 + i, c), b.x.get(i, c));
             }
         }
         assert_eq!(&batch.targets[..2], &a.targets[..]);
@@ -547,10 +537,7 @@ mod tests {
         let batch = PackedBatch::pack(&[&one, &two]).unwrap();
         assert_eq!(batch.n_max, 2);
         assert_eq!(batch.lens, vec![1, 2]);
-        // Plan 0's padding row is zero features, zero target.
-        for c in 0..FEATURE_DIM {
-            assert_eq!(batch.x.get(1, c), 0.0);
-        }
+        // Plan 0's padding slot has a zero target.
         assert_eq!(batch.targets[1], 0.0);
         // Plan 0's bias: real self-attention cell is 0.0; every cell that
         // touches the padding row/column is -inf.

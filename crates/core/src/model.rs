@@ -30,27 +30,12 @@ pub struct DaceModel {
     pub l2: LoraLinear,
     /// MLP layer 3 with LoRA rank 8.
     pub l3: LoraLinear,
-    #[serde(skip, default = "default_relus")]
-    relus: (Relu, Relu),
-    /// Padded row layout `(lens, n_max, via_workspace)` of the last
-    /// [`forward_batch`] / [`forward_batch_reference`] call. `backward` uses
-    /// it to gather the real rows out of the padded `d_pred` and to route
-    /// the gradient through the workspace chain or the legacy layer caches.
-    ///
-    /// [`forward_batch`]: DaceModel::forward_batch
-    /// [`forward_batch_reference`]: DaceModel::forward_batch_reference
-    #[serde(skip)]
-    batch_layout: Option<(Vec<usize>, usize, bool)>,
     /// Scratch arena for the compact batched forward/backward: activations
     /// and gradients live here and reuse capacity across mini-batches, so
     /// steady-state epochs stop allocating. Cloning a model (early-stopping
     /// snapshots) resets the arena instead of copying it.
     #[serde(skip)]
     ws: Workspace,
-}
-
-fn default_relus() -> (Relu, Relu) {
-    (Relu::new(), Relu::new())
 }
 
 /// Wall-time split of one batched inference forward pass, for the serve
@@ -71,32 +56,6 @@ impl ForwardTimings {
     }
 }
 
-/// Copy each plan's `lens[b]` real rows out of the padded layout (plan `b`
-/// at rows `[b·n_max, (b+1)·n_max)`) into a contiguous `Σ lens[b]`-row
-/// tensor, dropping the padding rows.
-fn gather_real_rows(x: &Tensor2, lens: &[usize], n_max: usize) -> Tensor2 {
-    let total: usize = lens.iter().sum();
-    let mut out = Tensor2::zeros(total, x.cols());
-    let mut row = 0;
-    for (b, &l) in lens.iter().enumerate() {
-        out.set_row_block(row, &x.row_block(b * n_max, l));
-        row += l;
-    }
-    out
-}
-
-/// Inverse of [`gather_real_rows`]: place compact rows back at their padded
-/// positions, leaving padding rows exactly zero.
-fn scatter_real_rows(x: &Tensor2, lens: &[usize], n_max: usize) -> Tensor2 {
-    let mut out = Tensor2::zeros(lens.len() * n_max, x.cols());
-    let mut row = 0;
-    for (b, &l) in lens.iter().enumerate() {
-        out.set_row_block(b * n_max, &x.row_block(row, l));
-        row += l;
-    }
-    out
-}
-
 impl DaceModel {
     /// Seeded model with the paper's dimensions.
     pub fn new(seed: u64) -> DaceModel {
@@ -105,95 +64,19 @@ impl DaceModel {
             l1: LoraLinear::new(D_V, H1, RANKS[0], seed ^ 0x01),
             l2: LoraLinear::new(H1, ENCODING_DIM, RANKS[1], seed ^ 0x02),
             l3: LoraLinear::new(ENCODING_DIM, 1, RANKS[2], seed ^ 0x03),
-            relus: default_relus(),
-            batch_layout: None,
             ws: Workspace::new(),
         }
     }
 
-    /// Training forward pass: per-node log-latency predictions (`n × 1`).
-    pub fn forward(&mut self, feats: &PlanFeatures) -> Tensor2 {
-        self.batch_layout = None;
-        let a = self.attention.forward(&feats.x, &feats.mask);
-        let h1 = self.relus.0.forward(&self.l1.forward(&a));
-        let h2 = self.relus.1.forward(&self.l2.forward(&h1));
-        self.l3.forward(&h2)
-    }
-
-    /// Backward pass from per-node prediction gradients — `n × 1` after
-    /// [`forward`], `count · n_max × 1` (padded layout) after
-    /// [`forward_batch`]. Padding-row gradients must be zero; they are
-    /// dropped by the gather, which is exactly what backpropagating them
-    /// through zero-probability attention rows would produce.
-    pub fn backward(&mut self, d_pred: &Tensor2) {
-        match self.batch_layout.take() {
-            Some((lens, n_max, true)) => {
-                let d = gather_real_rows(d_pred, &lens, n_max);
-                self.backward_compact(&d);
-            }
-            Some((lens, n_max, false)) => {
-                let d = gather_real_rows(d_pred, &lens, n_max);
-                let d = self.l3.backward(&d);
-                let d = self.relus.1.backward(&d);
-                let d = self.l2.backward(&d);
-                let d = self.relus.0.backward(&d);
-                let d = self.l1.backward(&d);
-                // Attention is the first layer: dx is never consumed.
-                self.attention.backward_params_only(&d);
-            }
-            None => {
-                let d = self.l3.backward(d_pred);
-                let d = self.relus.1.backward(&d);
-                let d = self.l2.backward(&d);
-                let d = self.relus.0.backward(&d);
-                let d = self.l1.backward(&d);
-                // Kept on the full `backward` (dx computed and dropped) so
-                // the per-plan reference path matches the seed exactly.
-                let _ = self.attention.backward(&d);
-            }
-        }
-    }
-
-    /// Batched training forward pass over a packed mini-batch — the
-    /// workspace path ([`forward_batch_compact`]) plus a scatter of the
-    /// compact predictions back into the padded `count · n_max × 1` layout
-    /// (padding rows are exact zeros). The epoch loop skips the scatter by
-    /// calling [`forward_batch_compact`] / [`batch_preds`] directly.
-    ///
-    /// [`forward_batch_compact`]: DaceModel::forward_batch_compact
-    /// [`batch_preds`]: DaceModel::batch_preds
-    pub fn forward_batch(&mut self, batch: &PackedBatch) -> Tensor2 {
-        self.forward_batch_compact(batch);
-        self.batch_layout = Some((batch.lens.clone(), batch.n_max, true));
-        scatter_real_rows(&self.ws.preds, &batch.lens, batch.n_max)
-    }
-
-    /// The pre-workspace batched forward pass, kept verbatim as the
-    /// reference/baseline: gathers the real rows out of the padded layout
-    /// (allocating), runs the caching layers, and scatters back. Gradient-
-    /// and bit-identical to [`DaceModel::forward_batch`]; used by the
-    /// allocation benchmark's repack baseline and the equivalence tests.
-    pub fn forward_batch_reference(&mut self, batch: &PackedBatch) -> Tensor2 {
-        let xc = gather_real_rows(&batch.x, &batch.lens, batch.n_max);
-        let a = self
-            .attention
-            .forward_packed(&xc, &batch.lens, batch.n_max, &batch.bias);
-        let h1 = self.relus.0.forward(&self.l1.forward(&a));
-        let h2 = self.relus.1.forward(&self.l2.forward(&h1));
-        let preds = self.l3.forward(&h2);
-        self.batch_layout = Some((batch.lens.clone(), batch.n_max, false));
-        scatter_real_rows(&preds, &batch.lens, batch.n_max)
-    }
-
-    /// Allocation-free batched training forward over the batch's compact
-    /// layout: every activation (attention Q/K/V/probs, MLP hiddens, LoRA
+    /// The training forward pass, over a packed mini-batch's compact
+    /// layout (one block-diagonal attention call for the whole batch):
+    /// every activation (attention Q/K/V/probs, MLP hiddens, LoRA
     /// intermediates, ReLU masks) lands in the model's workspace arena,
     /// reusing capacity from the previous mini-batch. Predictions are left
     /// in the workspace — read them with [`DaceModel::batch_preds`] — in
     /// compact row order (`Σ lens[b] × 1`). Pair with
     /// [`DaceModel::backward_compact`].
     pub fn forward_batch_compact(&mut self, batch: &PackedBatch) {
-        self.batch_layout = None;
         let ws = &mut self.ws;
         ws.xc.copy_from(&batch.xc);
         ws.lens.clear();
@@ -222,10 +105,10 @@ impl DaceModel {
         &self.ws.preds
     }
 
-    /// Allocation-free backward from compact per-row prediction gradients
-    /// (`Σ lens[b] × 1`, matching [`DaceModel::batch_preds`]): the entire
-    /// chain runs on workspace buffers, accumulating parameter gradients in
-    /// the same order as the caching path.
+    /// The training backward pass, from compact per-row prediction
+    /// gradients (`Σ lens[b] × 1`, matching [`DaceModel::batch_preds`]):
+    /// the entire chain runs on workspace buffers, accumulating parameter
+    /// gradients.
     pub fn backward_compact(&mut self, d_pred: &Tensor2) {
         let ws = &mut self.ws;
         self.l3.backward_ws(
@@ -310,16 +193,7 @@ impl DaceModel {
     /// all-rows pass every sub-plan reader (and every equivalence test of
     /// the root-row path) goes through.
     pub fn predict(&self, feats: &PlanFeatures) -> Tensor2 {
-        let a = self.attention.forward_inference(&feats.x, &feats.mask);
-        let h1 = self
-            .relus
-            .0
-            .forward_inference(&self.l1.forward_inference(&a));
-        let h2 = self
-            .relus
-            .1
-            .forward_inference(&self.l2.forward_inference(&h1));
-        self.l3.forward_inference(&h2)
+        self.l3.forward_inference(&self.hidden(feats))
     }
 
     /// Root-node log-latency (node 0 in DFS order).
@@ -330,16 +204,18 @@ impl DaceModel {
     /// The pre-trained-encoder output: the root's `h₂` activations
     /// (`ENCODING_DIM` values), the paper's `w_E` (Eq. 9).
     pub fn encode(&self, feats: &PlanFeatures) -> Vec<f32> {
+        self.hidden(feats).row(0).to_vec()
+    }
+
+    /// Every node's `h₂` activations: the all-rows attention pass through
+    /// the first two MLP layers.
+    fn hidden(&self, feats: &PlanFeatures) -> Tensor2 {
         let a = self.attention.forward_inference(&feats.x, &feats.mask);
-        let h1 = self
-            .relus
-            .0
-            .forward_inference(&self.l1.forward_inference(&a));
-        let h2 = self
-            .relus
-            .1
-            .forward_inference(&self.l2.forward_inference(&h1));
-        h2.row(0).to_vec()
+        let mut h1 = self.l1.forward_inference(&a);
+        Relu::relu_in_place(&mut h1);
+        let mut h2 = self.l2.forward_inference(&h1);
+        Relu::relu_in_place(&mut h2);
+        h2
     }
 
     /// All parameters (base + LoRA) for the optimizer.
@@ -419,35 +295,20 @@ impl DaceModel {
         Ok(())
     }
 
-    /// Switch every layer between train mode (activations cached / masks
-    /// saved for backward) and eval mode (forward passes skip all caching —
-    /// no clones on inference paths).
-    pub fn set_train(&mut self, train: bool) {
-        self.attention.set_train(train);
-        self.l1.set_train(train);
-        self.l2.set_train(train);
-        self.l3.set_train(train);
-        self.relus.0.set_train(train);
-        self.relus.1.set_train(train);
-    }
-
-    /// Drop every parameter's optimizer state ([`Param::detach`]) and put
-    /// the layers in eval mode: the inference-only form the serving
-    /// registry shares across threads.
+    /// Drop every parameter's optimizer state ([`Param::detach`]): the
+    /// inference-only form the serving registry shares across threads.
     pub fn detach(&mut self) {
         for p in self.params_mut() {
             p.detach();
         }
-        self.set_train(false);
     }
 
-    /// Reallocate optimizer state dropped by [`DaceModel::detach`] and
-    /// restore train mode, making the model trainable again.
+    /// Reallocate optimizer state dropped by [`DaceModel::detach`], making
+    /// the model trainable again.
     pub fn restore_training_state(&mut self) {
         for p in self.params_mut() {
             p.restore_state();
         }
-        self.set_train(true);
     }
 
     /// Base (non-LoRA) parameter count — the "DACE" row of Table II.
@@ -512,7 +373,8 @@ mod tests {
     fn forward_shapes_are_per_node() {
         let mut model = DaceModel::new(1);
         let feats = toy_features();
-        let preds = model.forward(&feats);
+        model.forward_batch_compact(&PackedBatch::pack(&[&feats]).unwrap());
+        let preds = model.batch_preds();
         assert_eq!(preds.rows(), 3);
         assert_eq!(preds.cols(), 1);
         assert!(preds.as_slice().iter().all(|v| v.is_finite()));
@@ -522,7 +384,8 @@ mod tests {
     fn training_and_inference_forward_agree() {
         let mut model = DaceModel::new(2);
         let feats = toy_features();
-        let a = model.forward(&feats);
+        model.forward_batch_compact(&PackedBatch::pack(&[&feats]).unwrap());
+        let a = model.batch_preds();
         let b = model.predict(&feats);
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert!((x - y).abs() < 1e-6);
@@ -567,8 +430,9 @@ mod tests {
     fn backward_accumulates_gradients() {
         let mut model = DaceModel::new(6);
         let feats = toy_features();
-        let preds = model.forward(&feats);
-        model.backward(&preds);
+        model.forward_batch_compact(&PackedBatch::pack(&[&feats]).unwrap());
+        let preds = model.batch_preds().clone();
+        model.backward_compact(&preds);
         let grad_norm: f32 = model.params_mut().iter().map(|p| p.grad.norm_sq()).sum();
         assert!(grad_norm > 0.0, "no gradient flowed");
     }

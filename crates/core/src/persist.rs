@@ -97,18 +97,9 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// FNV-1a over `bytes` (64-bit) — the same hash family the featurization
-/// cache keys with; hand-rolled to keep persistence dependency-free.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+/// The checkpoint checksum: FNV-1a over the payload bytes (64-bit), the
+/// workspace's one definition in `dace-obs`.
+pub use dace_obs::fnv1a64;
 
 /// Frame an estimator as checkpoint bytes:
 /// `DACE-CKPT-V1 len=<decimal> fnv=<16 lowercase hex>\n<json payload>`.

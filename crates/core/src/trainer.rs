@@ -2,14 +2,12 @@
 //!
 //! Both [`Trainer::fit`] and [`DaceEstimator::fine_tune_lora`] run through
 //! one shared mini-batch loop ([`run_epochs`]): each mini-batch is packed
-//! into a single padded tensor ([`PackedBatch`]) and trained with **one**
-//! block-diagonal forward/backward pass instead of one pass per plan. The
-//! gradient is mathematically identical to the per-plan loop (the attention
-//! bias is block-diagonal, padding rows contribute exactly zero), differing
-//! only in floating-point summation order; the property tests in
-//! `tests/props.rs` assert agreement to 1e-4. The pre-batching loop is kept
-//! as [`Trainer::fit_per_plan_reference`] for equivalence testing and as
-//! the benchmark baseline.
+//! once ([`PackedBatch`]) and trained with **one** block-diagonal
+//! forward/backward pass instead of one pass per plan. The gradient is
+//! mathematically identical to accumulating one pass per plan (the
+//! attention bias is block-diagonal), differing only in floating-point
+//! summation order; `tests/batch_props.rs` asserts agreement to 1e-4
+//! against one-plan batches through the same passes.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -153,40 +151,15 @@ fn featurize_sharded(
     featurize_trees_sharded(featurizer, &trees, threads)
 }
 
-/// Per-row loss gradient for a packed batch, matching the per-plan path:
+/// Per-row loss gradient for a packed batch, matching the per-plan loss:
 /// each plan's weighted squared-log-error is normalized by its own weight
-/// sum over *real* rows, then scaled by `1 / batch_size`. Padding rows get
-/// gradient zero. Also returns the batch's mean per-plan weighted loss (the
-/// quantity the gradient descends), which telemetry reports per epoch.
-fn packed_grad(adjuster: &LossAdjuster, preds: &Tensor2, batch: &PackedBatch) -> (f32, Tensor2) {
-    let mut d_pred = Tensor2::zeros(batch.rows(), 1);
-    let inv_batch = 1.0 / batch.count as f32;
-    let mut loss = 0.0f32;
-    for b in 0..batch.count {
-        let base = b * batch.n_max;
-        let n = batch.lens[b];
-        let mut wsum = 0.0f32;
-        for i in 0..n {
-            wsum += adjuster.weight(batch.heights[base + i]);
-        }
-        let wsum = wsum.max(1e-12);
-        for i in 0..n {
-            let w = adjuster.weight(batch.heights[base + i]);
-            let err = preds.get(base + i, 0) - batch.targets[base + i];
-            loss += w * err * err / wsum * inv_batch;
-            d_pred.set(base + i, 0, 2.0 * w * err / wsum * inv_batch);
-        }
-    }
-    (loss, d_pred)
-}
-
-/// [`packed_grad`] on the compact layout: `preds` has one row per *real*
+/// sum, then scaled by `1 / batch_size`. `preds` has one row per *real*
 /// node (`Σ lens[b]`), targets and heights are read through the batch's
 /// padded index, and the gradient is written into the caller's reusable
-/// buffer — no allocation once `d_pred` reaches capacity. Loss accumulation
-/// order matches [`packed_grad`] exactly (padding rows contributed nothing
-/// there), so the two are bit-identical on the rows that exist in both.
-fn packed_grad_compact(
+/// buffer — no allocation once `d_pred` reaches capacity. Returns the
+/// batch's mean per-plan weighted loss (the quantity the gradient
+/// descends), which telemetry reports per epoch.
+fn packed_grad(
     adjuster: &LossAdjuster,
     preds: &Tensor2,
     batch: &PackedBatch,
@@ -290,11 +263,9 @@ impl RunTelemetry<'_> {
 /// and run one allocation-free block-diagonal forward/backward per batch
 /// (workspace-compact path), one optimizer step per batch.
 ///
-/// Epoch-persistent packing changes the schedule from per-epoch re-chunking
-/// to a per-epoch permutation of fixed batches; every batch is still
-/// visited exactly once per epoch in a seeded-random order, and
-/// [`Trainer::fit_per_plan_reference`] mirrors the identical schedule for
-/// the equivalence tests.
+/// Batches are packed once (epoch-persistent packing): each epoch is a
+/// seeded-random permutation of the same fixed batches, so every batch is
+/// visited exactly once per epoch and no epoch re-packs anything.
 ///
 /// When `validation_fraction > 0` and `patience > 0`, a seeded validation
 /// split (drawn from its own RNG stream so the shuffle stream is unchanged)
@@ -369,7 +340,7 @@ fn run_epochs(
         for &bi in &batch_order {
             let packed = &batches[bi];
             model.forward_batch_compact(packed);
-            let loss = packed_grad_compact(adjuster, model.batch_preds(), packed, &mut d_buf);
+            let loss = packed_grad(adjuster, model.batch_preds(), packed, &mut d_buf);
             loss_sum += f64::from(loss);
             batches_done += 1;
             model.backward_compact(&d_buf);
@@ -448,73 +419,6 @@ fn run_epochs(
     }
 }
 
-/// The pre-workspace epoch loop, kept as the allocation/throughput
-/// baseline: a full per-epoch plan shuffle followed by per-batch re-packing
-/// and the padded (gather/scatter, layer-cache) forward/backward. This is
-/// exactly what [`run_epochs`] did before epoch-persistent packing; the
-/// `train_alloc` benchmark measures its per-epoch heap traffic against the
-/// workspace loop's.
-// Mirrors the historical `run_epochs` signature on purpose.
-#[allow(clippy::too_many_arguments)]
-fn run_epochs_repack_baseline(
-    model: &mut DaceModel,
-    adjuster: &LossAdjuster,
-    feats: &[PlanFeatures],
-    epochs: usize,
-    lr: f32,
-    batch_plans: usize,
-    shuffle_seed: u64,
-    telemetry: RunTelemetry<'_>,
-) {
-    model.restore_training_state();
-    let mut opt = Adam::new(lr);
-    let mut rng = SmallRng::seed_from_u64(shuffle_seed);
-    let mut order: Vec<usize> = (0..feats.len()).collect();
-    let telemetry_on = telemetry.active();
-    for epoch in 0..epochs {
-        let epoch_started = Instant::now();
-        let alloc_start = if telemetry_on {
-            alloc_probe_bytes()
-        } else {
-            None
-        };
-        order.shuffle(&mut rng);
-        let mut loss_sum = 0.0f64;
-        let mut batches = 0usize;
-        for batch in order.chunks(batch_plans.max(1)) {
-            let refs: Vec<&PlanFeatures> = batch.iter().map(|&i| &feats[i]).collect();
-            let packed = PackedBatch::pack(&refs).expect("mini-batch chunks are non-empty");
-            let preds = model.forward_batch_reference(&packed);
-            let (loss, d_pred) = packed_grad(adjuster, &preds, &packed);
-            loss_sum += f64::from(loss);
-            batches += 1;
-            model.backward(&d_pred);
-            opt.step(&mut model.params_mut());
-        }
-        if telemetry_on {
-            telemetry.emit(&EpochRecord {
-                phase: telemetry.phase.to_string(),
-                epoch,
-                epochs_planned: epochs,
-                train_loss: loss_sum / batches.max(1) as f64,
-                grad_norm: 0.0,
-                lr: f64::from(lr),
-                epoch_ms: epoch_started.elapsed().as_secs_f64() * 1e3,
-                val_loss: None,
-                val_qerr_p50: None,
-                val_qerr_p90: None,
-                val_qerr_p99: None,
-                early_stop: "continue".to_string(),
-                alloc_bytes: alloc_delta(alloc_start),
-                trace: dace_obs::current_trace(),
-            });
-        }
-    }
-    if let Some(sink) = telemetry.sink {
-        sink.finish();
-    }
-}
-
 /// Fits a [`DaceEstimator`] on a labeled dataset.
 #[derive(Debug, Clone, Default)]
 pub struct Trainer {
@@ -543,7 +447,7 @@ impl Trainer {
     /// Pre-train DACE on `train` (plans from many databases).
     ///
     /// Featurization is sharded across threads; training runs the shared
-    /// batched loop (one padded forward/backward per mini-batch). An empty
+    /// batched loop (one block-diagonal forward/backward per mini-batch). An empty
     /// dataset is a typed [`TrainError::EmptyDataset`], not a panic — the
     /// serving layer's auto-retrain feeds whatever its feedback window holds.
     pub fn fit(&self, train: &Dataset) -> Result<DaceEstimator, TrainError> {
@@ -574,111 +478,6 @@ impl Trainer {
                 verbosity: cfg.verbosity,
             },
         );
-        Ok(DaceEstimator {
-            model,
-            featurizer,
-            adjuster,
-            config: cfg,
-        })
-    }
-
-    /// [`fit`] through the pre-workspace epoch loop
-    /// ([`run_epochs_repack_baseline`]): per-epoch re-shuffling and
-    /// re-packing with the padded, allocating forward/backward. Kept as the
-    /// measured "before" of the zero-allocation work — the `train_alloc`
-    /// benchmark compares its heap traffic and throughput against [`fit`].
-    /// Ignores early stopping (the baseline predates it in the bench).
-    ///
-    /// [`fit`]: Trainer::fit
-    pub fn fit_baseline_repack(&self, train: &Dataset) -> Result<DaceEstimator, TrainError> {
-        if train.is_empty() {
-            return Err(TrainError::EmptyDataset);
-        }
-        let cfg = self.config;
-        let featurizer = Featurizer::fit(train, cfg.features);
-        let mut model = DaceModel::new(cfg.seed);
-        model.set_mode(LoraMode::Pretrain);
-        let adjuster = LossAdjuster::new(cfg.alpha);
-        let feats = featurize_sharded(&featurizer, &train.plans, cfg.featurize_threads);
-        run_epochs_repack_baseline(
-            &mut model,
-            &adjuster,
-            &feats,
-            cfg.epochs,
-            cfg.lr,
-            cfg.batch_plans,
-            cfg.seed ^ 0x5417,
-            RunTelemetry {
-                phase: "pretrain-repack-baseline",
-                sink: self.sink.as_deref(),
-                verbosity: cfg.verbosity,
-            },
-        );
-        Ok(DaceEstimator {
-            model,
-            featurizer,
-            adjuster,
-            config: cfg,
-        })
-    }
-
-    /// The pre-batching per-plan training loop, kept as the reference
-    /// implementation: one forward/backward per plan with gradient
-    /// accumulation across the mini-batch, on the same schedule as [`fit`]
-    /// (plan order shuffled once, fixed batch membership, per-epoch batch
-    /// permutation). Gradient-identical to [`fit`]'s batched loop up to
-    /// floating-point summation order — the property tests assert agreement
-    /// to 1e-4. Also serves as the benchmark baseline for the
-    /// batched-throughput comparison.
-    ///
-    /// [`fit`]: Trainer::fit
-    pub fn fit_per_plan_reference(&self, train: &Dataset) -> Result<DaceEstimator, TrainError> {
-        if train.is_empty() {
-            return Err(TrainError::EmptyDataset);
-        }
-        let cfg = self.config;
-        let featurizer = Featurizer::fit(train, cfg.features);
-        let mut model = DaceModel::new(cfg.seed);
-        model.set_mode(LoraMode::Pretrain);
-        let adjuster = LossAdjuster::new(cfg.alpha);
-
-        let feats: Vec<PlanFeatures> = train
-            .plans
-            .iter()
-            .map(|p| featurizer.encode(&p.tree))
-            .collect();
-
-        let mut opt = Adam::new(cfg.lr);
-        let mut order: Vec<usize> = (0..feats.len()).collect();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5417);
-        // Mirror run_epochs' epoch-persistent schedule exactly: one plan
-        // shuffle up front, fixed batch membership, then a per-epoch
-        // permutation of the batch order from the same RNG stream.
-        order.shuffle(&mut rng);
-        let chunks: Vec<Vec<usize>> = order
-            .chunks(cfg.batch_plans.max(1))
-            .map(|c| c.to_vec())
-            .collect();
-        let mut batch_order: Vec<usize> = (0..chunks.len()).collect();
-        for _epoch in 0..cfg.epochs {
-            batch_order.shuffle(&mut rng);
-            for &bi in &batch_order {
-                let batch = &chunks[bi];
-                for &i in batch {
-                    let f = &feats[i];
-                    let preds = model.forward(f);
-                    let pred_slice: Vec<f32> = (0..preds.rows()).map(|r| preds.get(r, 0)).collect();
-                    let (_, grad) = adjuster.loss_and_grad(&pred_slice, &f.targets, &f.heights);
-                    let mut d_pred = Tensor2::zeros(preds.rows(), 1);
-                    let inv_batch = 1.0 / batch.len() as f32;
-                    for (r, g) in grad.iter().enumerate() {
-                        d_pred.set(r, 0, g * inv_batch);
-                    }
-                    model.backward(&d_pred);
-                }
-                opt.step(&mut model.params_mut());
-            }
-        }
         Ok(DaceEstimator {
             model,
             featurizer,
@@ -1057,6 +856,50 @@ mod tests {
         assert_eq!(a.predict_ms(t), b.predict_ms(t));
     }
 
+    /// The per-plan oracle: [`Trainer::fit`]'s schedule (plan order
+    /// shuffled once, fixed batch membership, per-epoch batch permutation)
+    /// with one single-plan batch per forward/backward, its gradient scaled
+    /// by `1 / B` and accumulated across the mini-batch before each
+    /// optimizer step.
+    fn fit_per_plan(cfg: TrainConfig, train: &Dataset) -> DaceEstimator {
+        let featurizer = Featurizer::fit(train, cfg.features);
+        let mut model = DaceModel::new(cfg.seed);
+        model.set_mode(LoraMode::Pretrain);
+        let adjuster = LossAdjuster::new(cfg.alpha);
+        let feats: Vec<PlanFeatures> = train
+            .plans
+            .iter()
+            .map(|p| featurizer.encode(&p.tree))
+            .collect();
+        let mut opt = Adam::new(cfg.lr);
+        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5417);
+        let mut order: Vec<usize> = (0..feats.len()).collect();
+        order.shuffle(&mut rng);
+        let chunks: Vec<&[usize]> = order.chunks(cfg.batch_plans).collect();
+        let mut batch_order: Vec<usize> = (0..chunks.len()).collect();
+        for _ in 0..cfg.epochs {
+            batch_order.shuffle(&mut rng);
+            for &bi in &batch_order {
+                let inv_batch = 1.0 / chunks[bi].len() as f32;
+                for &i in chunks[bi] {
+                    let f = &feats[i];
+                    model.forward_batch_compact(&PackedBatch::pack(&[f]).unwrap());
+                    let preds = model.batch_preds().as_slice().to_vec();
+                    let (_, grad) = adjuster.loss_and_grad(&preds, &f.targets, &f.heights);
+                    let d: Vec<f32> = grad.iter().map(|g| g * inv_batch).collect();
+                    model.backward_compact(&Tensor2::from_vec(d.len(), 1, d));
+                }
+                opt.step(&mut model.params_mut());
+            }
+        }
+        DaceEstimator {
+            model,
+            featurizer,
+            adjuster,
+            config: cfg,
+        }
+    }
+
     #[test]
     fn batched_fit_matches_per_plan_reference() {
         // Two optimizer steps keep floating-point drift between the batched
@@ -1068,74 +911,13 @@ mod tests {
             ..Default::default()
         };
         let batched = Trainer::new(cfg).fit(&train).unwrap();
-        let reference = Trainer::new(cfg).fit_per_plan_reference(&train).unwrap();
+        let reference = fit_per_plan(cfg, &train);
         for p in &train.plans {
             let a = batched.predict_ms(&p.tree).ln();
             let b = reference.predict_ms(&p.tree).ln();
             assert!(
                 (a - b).abs() < 1e-3,
                 "batched {a} vs per-plan {b} log-ms diverged"
-            );
-        }
-    }
-
-    /// The two pillars of epoch-persistent packing, proven bit-exactly:
-    /// training on batches packed once and visited in a permuted order is
-    /// identical to re-packing the same plan chunks from scratch every
-    /// step, and the workspace-compact forward/backward is identical to the
-    /// padded reference chain.
-    #[test]
-    fn persistent_packing_matches_per_epoch_repacking() {
-        let train = synthetic_dataset(60, 31);
-        let featurizer = Featurizer::fit(&train, FeatureConfig::default());
-        let feats: Vec<PlanFeatures> = train
-            .plans
-            .iter()
-            .map(|p| featurizer.encode(&p.tree))
-            .collect();
-        let adjuster = LossAdjuster::new(0.5);
-
-        let mut a = DaceModel::new(42);
-        a.set_mode(LoraMode::Pretrain);
-        let mut b = a.clone();
-        let mut opt_a = Adam::new(1e-3);
-        let mut opt_b = Adam::new(1e-3);
-
-        // Fixed plan order, chunked once: 60 plans / 16 → 4 batches.
-        let order: Vec<usize> = (0..feats.len()).collect();
-        let chunks: Vec<Vec<usize>> = order.chunks(16).map(|c| c.to_vec()).collect();
-        let packed: Vec<PackedBatch> = chunks
-            .iter()
-            .map(|c| {
-                let refs: Vec<&PlanFeatures> = c.iter().map(|&i| &feats[i]).collect();
-                PackedBatch::pack(&refs).unwrap()
-            })
-            .collect();
-        // Three epochs of arbitrary batch permutations.
-        let perms = [vec![2usize, 0, 3, 1], vec![1, 3, 0, 2], vec![3, 2, 1, 0]];
-
-        let mut d_buf = Tensor2::default();
-        for perm in &perms {
-            for &bi in perm {
-                // Workspace path over the pre-packed batch.
-                a.forward_batch_compact(&packed[bi]);
-                let _ = packed_grad_compact(&adjuster, a.batch_preds(), &packed[bi], &mut d_buf);
-                a.backward_compact(&d_buf);
-                opt_a.step(&mut a.params_mut());
-                // Reference path re-packing the same chunk from scratch.
-                let refs: Vec<&PlanFeatures> = chunks[bi].iter().map(|&i| &feats[i]).collect();
-                let fresh = PackedBatch::pack(&refs).unwrap();
-                let preds = b.forward_batch_reference(&fresh);
-                let (_, d) = packed_grad(&adjuster, &preds, &fresh);
-                b.backward(&d);
-                opt_b.step(&mut b.params_mut());
-            }
-        }
-        for (pa, pb) in a.params_mut().iter().zip(b.params_mut().iter()) {
-            assert_eq!(
-                pa.value.as_slice(),
-                pb.value.as_slice(),
-                "persistent-packed workspace training diverged from repacking"
             );
         }
     }

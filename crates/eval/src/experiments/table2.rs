@@ -111,9 +111,7 @@ pub(super) fn run(ctx: &Ctx) -> String {
         let _ = writeln!(out, "{row}");
     }
 
-    // DACE: batched training throughput (the production path), with the
-    // per-plan reference loop reported alongside so the batching speedup is
-    // visible in the table.
+    // DACE: batched training throughput (the production path).
     {
         let cfg = dace_core::TrainConfig {
             epochs,
@@ -135,22 +133,6 @@ pub(super) fn run(ctx: &Ctx) -> String {
             est.model.size_mb(),
             train_qps,
             test.len() as f64 / inf_secs
-        );
-
-        // Seed matmul kernels + per-plan loop = the configuration this
-        // rewrite replaced; the row above / this row is the speedup.
-        dace_nn::set_reference_kernels(true);
-        let (_, ref_secs) = time(|| {
-            let _ = dace_core::Trainer::new(cfg).fit_per_plan_reference(&train);
-        });
-        dace_nn::set_reference_kernels(false);
-        let _ = writeln!(
-            out,
-            "| {:<18} | {:>10.3} | {:>16.0} | {:>17} |",
-            "DACE (per-plan)",
-            est.model.size_mb(),
-            (train.len() * epochs) as f64 / ref_secs,
-            "-"
         );
 
         // DACE-LoRA: adapter-only tuning throughput + adapter size.

@@ -5,10 +5,6 @@ use serde::{Deserialize, Serialize};
 use crate::param::Param;
 use crate::tensor::Tensor2;
 
-fn default_true() -> bool {
-    true
-}
-
 /// `y = x @ W + b`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Linear {
@@ -18,10 +14,6 @@ pub struct Linear {
     pub b: Param,
     #[serde(skip)]
     cache_x: Option<Tensor2>,
-    /// Train/eval switch: in eval mode [`Linear::forward`] skips cloning
-    /// the input into the backward cache.
-    #[serde(skip, default = "default_true")]
-    train: bool,
 }
 
 impl Linear {
@@ -31,24 +23,11 @@ impl Linear {
             w: Param::xavier(input, output, seed),
             b: Param::zeros(1, output),
             cache_x: None,
-            train: true,
         }
     }
 
-    /// Switch between training (input cached for backward) and eval (no
-    /// cache clone) behaviour of [`Linear::forward`].
-    pub fn set_train(&mut self, train: bool) {
-        self.train = train;
-        if !train {
-            self.cache_x = None;
-        }
-    }
-
-    /// Forward pass; caches the input for backward (in train mode).
+    /// Forward pass; caches the input for backward.
     pub fn forward(&mut self, x: &Tensor2) -> Tensor2 {
-        if !self.train {
-            return self.forward_inference(x);
-        }
         let mut y = x.matmul(&self.w.value);
         y.add_row_broadcast(self.b.value.row(0));
         self.cache_x = Some(x.clone());
@@ -129,14 +108,6 @@ pub struct LoraLinear {
     pub lora_a: Param,
     /// Current training mode.
     pub mode: LoraMode,
-    #[serde(skip)]
-    cache_x: Option<Tensor2>,
-    #[serde(skip)]
-    cache_xb: Option<Tensor2>,
-    /// Train/eval switch: in eval mode [`LoraLinear::forward`] skips the
-    /// cache clones.
-    #[serde(skip, default = "default_true")]
-    train: bool,
 }
 
 impl LoraLinear {
@@ -155,22 +126,9 @@ impl LoraLinear {
             lora_b: Param::xavier(input, rank, seed ^ 0x10_0A),
             lora_a: Param::zeros(rank, output),
             mode: LoraMode::Pretrain,
-            cache_x: None,
-            cache_xb: None,
-            train: true,
         };
         l.set_mode(LoraMode::Pretrain);
         l
-    }
-
-    /// Switch between training (activations cached for backward) and eval
-    /// (no cache clones) behaviour of [`LoraLinear::forward`].
-    pub fn set_train(&mut self, train: bool) {
-        self.train = train;
-        if !train {
-            self.cache_x = None;
-            self.cache_xb = None;
-        }
     }
 
     /// Switch pre-train / fine-tune mode, updating trainability flags.
@@ -183,25 +141,10 @@ impl LoraLinear {
         self.lora_b.trainable = finetune;
     }
 
-    /// Forward pass; caches activations for backward (in train mode).
-    pub fn forward(&mut self, x: &Tensor2) -> Tensor2 {
-        if !self.train {
-            return self.forward_inference(x);
-        }
-        let mut y = x.matmul(&self.w.value);
-        let xb = x.matmul(&self.lora_b.value);
-        y.add_assign(&xb.matmul(&self.lora_a.value));
-        y.add_row_broadcast(self.b.value.row(0));
-        self.cache_x = Some(x.clone());
-        self.cache_xb = Some(xb);
-        y
-    }
-
-    /// Workspace forward: `y = x @ W + (x @ B) @ A + b` written into
-    /// caller-owned buffers (`y`, the LoRA intermediate `xb`, and a matmul
-    /// temporary), with the caller keeping `x`/`xb` alive as the backward
-    /// cache. Same op order as [`LoraLinear::forward`], so results are
-    /// bit-identical; nothing allocates once the buffers reach capacity.
+    /// Forward pass `y = x @ W + (x @ B) @ A + b` written into caller-owned
+    /// buffers (`y`, the LoRA intermediate `xb`, and a matmul temporary),
+    /// with the caller keeping `x`/`xb` alive as the backward cache.
+    /// Nothing allocates once the buffers reach capacity.
     pub fn forward_ws(&self, x: &Tensor2, y: &mut Tensor2, xb: &mut Tensor2, tmp: &mut Tensor2) {
         x.matmul_into(&self.w.value, y);
         x.matmul_into(&self.lora_b.value, xb);
@@ -210,10 +153,12 @@ impl LoraLinear {
         y.add_row_broadcast(self.b.value.row(0));
     }
 
-    /// Workspace backward over the activations a [`LoraLinear::forward_ws`]
-    /// call left in the caller's buffers: accumulates the mode-trainable
-    /// parameter gradients (same order as [`LoraLinear::backward`]) and
-    /// writes dx into `dx`. `dxb`/`gtmp` are reusable scratch.
+    /// Backward pass over the activations a [`LoraLinear::forward_ws`]
+    /// call left in the caller's buffers: accumulates gradients only on the
+    /// parameters the current mode marks trainable (frozen weight gradients
+    /// are skipped entirely — this is what makes LoRA tuning cheaper than
+    /// full training, Sec. V-C) and writes dx into `dx`. `dxb`/`gtmp` are
+    /// reusable scratch.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_ws(
         &mut self,
@@ -248,46 +193,12 @@ impl LoraLinear {
         dx.add_assign(gtmp);
     }
 
-    /// Forward pass without caching (inference).
+    /// Forward pass without caching (inference): [`LoraLinear::forward_ws`]
+    /// into fresh buffers.
     pub fn forward_inference(&self, x: &Tensor2) -> Tensor2 {
-        let mut y = x.matmul(&self.w.value);
-        let xb = x.matmul(&self.lora_b.value);
-        y.add_assign(&xb.matmul(&self.lora_a.value));
-        y.add_row_broadcast(self.b.value.row(0));
+        let (mut y, mut xb, mut tmp) = (Tensor2::default(), Tensor2::default(), Tensor2::default());
+        self.forward_ws(x, &mut y, &mut xb, &mut tmp);
         y
-    }
-
-    /// Backward pass: accumulates gradients only on the parameters the
-    /// current mode marks trainable (frozen weight gradients are skipped
-    /// entirely — this is what makes LoRA tuning cheaper than full
-    /// training, Sec. V-C) and returns dx.
-    pub fn backward(&mut self, dy: &Tensor2) -> Tensor2 {
-        let x = self.cache_x.take().expect("backward called before forward");
-        let xb = self.cache_xb.take().expect("missing LoRA cache");
-
-        if self.w.trainable {
-            self.w.grad.add_assign(&x.matmul_tn(dy));
-        }
-        if self.b.trainable {
-            let sums = dy.col_sums();
-            for (i, s) in sums.iter().enumerate() {
-                let cur = self.b.grad.get(0, i);
-                self.b.grad.set(0, i, cur + s);
-            }
-        }
-        // dA = (xB)ᵀ @ dy ; d(xB) = dy @ Aᵀ ; dB = xᵀ @ d(xB)
-        if self.lora_a.trainable {
-            self.lora_a.grad.add_assign(&xb.matmul_tn(dy));
-        }
-        let dxb = dy.matmul_nt(&self.lora_a.value);
-        if self.lora_b.trainable {
-            self.lora_b.grad.add_assign(&x.matmul_tn(&dxb));
-        }
-
-        // dx = dy @ Wᵀ + d(xB) @ Bᵀ
-        let mut dx = dy.matmul_nt(&self.w.value);
-        dx.add_assign(&dxb.matmul_nt(&self.lora_b.value));
-        dx
     }
 
     /// Mutable references to all parameters (frozen ones included; the
@@ -393,9 +304,9 @@ mod tests {
 
     #[test]
     fn lora_starts_identical_to_base() {
-        let mut lora = LoraLinear::new(6, 4, 2, 3);
+        let lora = LoraLinear::new(6, 4, 2, 3);
         let x = Tensor2::uniform(5, 6, 1.0, 9);
-        let y = lora.forward(&x);
+        let y = lora.forward_inference(&x);
         // A is zero ⇒ ΔW = 0 ⇒ output equals the base layer's.
         let base = x.matmul(&lora.w.value);
         for (a, b) in y.as_slice().iter().zip(base.as_slice()) {
@@ -405,53 +316,59 @@ mod tests {
 
     #[test]
     fn lora_gradients_match_finite_differences() {
-        let mut layer = LoraLinear::new(4, 3, 2, 5);
-        // Adapter gradients only accumulate in fine-tune mode.
-        layer.set_mode(LoraMode::Finetune);
-        // Give A nonzero values so its gradient path is exercised.
-        layer.lora_a.value = Tensor2::uniform(2, 3, 0.5, 21);
-        let x = Tensor2::uniform(3, 4, 1.0, 13);
-        let y = layer.forward(&x);
-        let _ = layer.backward(&y);
+        // Pre-training moves W and the bias, fine-tuning only the adapters;
+        // frozen parameters must receive no gradient at all.
+        for mode in [LoraMode::Pretrain, LoraMode::Finetune] {
+            let mut layer = LoraLinear::new(4, 3, 2, 5);
+            layer.set_mode(mode);
+            // Nonzero A so every gradient path is exercised.
+            layer.lora_a.value = Tensor2::uniform(2, 3, 0.5, 21);
+            let x = Tensor2::uniform(3, 4, 1.0, 13);
+            let (mut y, mut xb, mut tmp) =
+                (Tensor2::default(), Tensor2::default(), Tensor2::default());
+            layer.forward_ws(&x, &mut y, &mut xb, &mut tmp);
+            let (mut dx, mut dxb, mut gtmp) =
+                (Tensor2::default(), Tensor2::default(), Tensor2::default());
+            // Loss = sum(y²)/2 so dy = y.
+            layer.backward_ws(&y, &x, &xb, &mut dx, &mut dxb, &mut gtmp);
 
-        let eps = 1e-3f32;
-        let loss =
-            |layer: &LoraLinear, x: &Tensor2| -> f32 { 0.5 * layer.forward_inference(x).norm_sq() };
-        for (name, grad_idx) in [("lora_a", 0usize), ("lora_b", 1)] {
-            let n = if grad_idx == 0 {
-                layer.lora_a.value.len()
-            } else {
-                layer.lora_b.value.len()
-            };
-            for idx in 0..n {
-                let (orig, ana) = if grad_idx == 0 {
-                    (
-                        layer.lora_a.value.as_slice()[idx],
-                        layer.lora_a.grad.as_slice()[idx],
-                    )
-                } else {
-                    (
-                        layer.lora_b.value.as_slice()[idx],
-                        layer.lora_b.grad.as_slice()[idx],
-                    )
-                };
-                let set = |layer: &mut LoraLinear, v: f32| {
-                    if grad_idx == 0 {
-                        layer.lora_a.value.as_mut_slice()[idx] = v;
-                    } else {
-                        layer.lora_b.value.as_mut_slice()[idx] = v;
+            let eps = 1e-3f32;
+            let loss = |layer: &LoraLinear, x: &Tensor2| 0.5 * layer.forward_inference(x).norm_sq();
+            let close = |num: f32, ana: f32| (num - ana).abs() < 2e-2 * (1.0 + ana.abs());
+            for p in 0..4 {
+                let len = layer.params_mut()[p].value.len();
+                for idx in 0..len {
+                    let (orig, ana, trainable) = {
+                        let ps = layer.params_mut();
+                        (
+                            ps[p].value.as_slice()[idx],
+                            ps[p].grad.as_slice()[idx],
+                            ps[p].trainable,
+                        )
+                    };
+                    if !trainable {
+                        assert_eq!(ana, 0.0, "{mode:?} frozen param {p} got a gradient");
+                        continue;
                     }
-                };
-                set(&mut layer, orig + eps);
-                let lp = loss(&layer, &x);
-                set(&mut layer, orig - eps);
-                let lm = loss(&layer, &x);
-                set(&mut layer, orig);
-                let num = (lp - lm) / (2.0 * eps);
-                assert!(
-                    (num - ana).abs() < 2e-2 * (1.0 + ana.abs()),
-                    "{name}[{idx}]: numeric {num} vs analytic {ana}"
-                );
+                    layer.params_mut()[p].value.as_mut_slice()[idx] = orig + eps;
+                    let lp = loss(&layer, &x);
+                    layer.params_mut()[p].value.as_mut_slice()[idx] = orig - eps;
+                    let lm = loss(&layer, &x);
+                    layer.params_mut()[p].value.as_mut_slice()[idx] = orig;
+                    let num = (lp - lm) / (2.0 * eps);
+                    assert!(close(num, ana), "{mode:?} param {p}[{idx}]: {num} vs {ana}");
+                }
+            }
+            let mut x2 = x.clone();
+            for idx in 0..x2.len() {
+                let orig = x2.as_slice()[idx];
+                x2.as_mut_slice()[idx] = orig + eps;
+                let lp = loss(&layer, &x2);
+                x2.as_mut_slice()[idx] = orig - eps;
+                let lm = loss(&layer, &x2);
+                x2.as_mut_slice()[idx] = orig;
+                let (num, ana) = ((lp - lm) / (2.0 * eps), dx.as_slice()[idx]);
+                assert!(close(num, ana), "{mode:?} dx[{idx}]: {num} vs {ana}");
             }
         }
     }
@@ -480,49 +397,6 @@ mod tests {
         let bad = LoraLinear::new(6, 4, 3, 1);
         let (bb, ba) = (bad.lora_b.value.clone(), bad.lora_a.value.clone());
         assert!(dst.set_lora_weights(bb, ba).is_err());
-    }
-
-    #[test]
-    fn workspace_forward_backward_match_caching_path() {
-        for mode in [LoraMode::Pretrain, LoraMode::Finetune] {
-            let mut a = LoraLinear::new(6, 4, 2, 3);
-            a.lora_a.value = Tensor2::uniform(2, 4, 0.5, 17);
-            a.set_mode(mode);
-            let mut b = a.clone();
-            let x = Tensor2::uniform(5, 6, 1.0, 9);
-            let dy = Tensor2::uniform(5, 4, 1.0, 23);
-
-            let y = a.forward(&x);
-            let dx = a.backward(&dy);
-
-            let (mut y2, mut xb, mut tmp) =
-                (Tensor2::default(), Tensor2::default(), Tensor2::default());
-            let (mut dx2, mut dxb, mut gtmp) =
-                (Tensor2::default(), Tensor2::default(), Tensor2::default());
-            b.forward_ws(&x, &mut y2, &mut xb, &mut tmp);
-            b.backward_ws(&dy, &x, &xb, &mut dx2, &mut dxb, &mut gtmp);
-
-            assert_eq!(y.as_slice(), y2.as_slice(), "{mode:?} forward");
-            assert_eq!(dx.as_slice(), dx2.as_slice(), "{mode:?} dx");
-            for (pa, pb) in a.params_mut().iter().zip(b.params_mut().iter()) {
-                assert_eq!(pa.grad.as_slice(), pb.grad.as_slice(), "{mode:?} grads");
-            }
-        }
-    }
-
-    #[test]
-    fn eval_mode_forward_skips_cache() {
-        let mut lin = Linear::new(3, 2, 7);
-        let mut lora = LoraLinear::new(3, 2, 1, 7);
-        let x = Tensor2::uniform(4, 3, 1.0, 11);
-        lin.set_train(false);
-        lora.set_train(false);
-        assert_eq!(lin.forward(&x), lin.forward_inference(&x));
-        assert_eq!(lora.forward(&x), lora.forward_inference(&x));
-        assert!(lin.cache_x.is_none() && lora.cache_x.is_none() && lora.cache_xb.is_none());
-        lin.set_train(true);
-        let _ = lin.forward(&x);
-        assert!(lin.cache_x.is_some());
     }
 
     #[test]

@@ -4,28 +4,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::tensor::Tensor2;
 
-fn default_true() -> bool {
-    true
-}
-
 /// Elementwise `max(0, x)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Relu {
     #[serde(skip)]
     mask: Option<Vec<bool>>,
-    /// Train/eval switch: in eval mode [`Relu::forward`] skips building the
-    /// backward mask.
-    #[serde(skip, default = "default_true")]
-    train: bool,
-}
-
-impl Default for Relu {
-    fn default() -> Relu {
-        Relu {
-            mask: None,
-            train: true,
-        }
-    }
 }
 
 impl Relu {
@@ -34,20 +17,8 @@ impl Relu {
         Relu::default()
     }
 
-    /// Switch between training (mask cached for backward) and eval (no
-    /// cache) behaviour of [`Relu::forward`].
-    pub fn set_train(&mut self, train: bool) {
-        self.train = train;
-        if !train {
-            self.mask = None;
-        }
-    }
-
-    /// Forward pass; caches the activation mask (in train mode).
+    /// Forward pass; caches the activation mask for backward.
     pub fn forward(&mut self, x: &Tensor2) -> Tensor2 {
-        if !self.train {
-            return self.forward_inference(x);
-        }
         let mut y = x.clone();
         let mask: Vec<bool> = y
             .as_mut_slice()
@@ -181,18 +152,5 @@ mod tests {
         let mut inf = x.clone();
         Relu::relu_in_place(&mut inf);
         assert_eq!(inf, relu.forward_inference(&x));
-    }
-
-    #[test]
-    fn eval_mode_forward_skips_mask_cache() {
-        let mut relu = Relu::new();
-        let x = Tensor2::uniform(2, 3, 2.0, 7);
-        relu.set_train(false);
-        let y = relu.forward(&x);
-        assert_eq!(y, relu.forward_inference(&x));
-        assert!(relu.mask.is_none());
-        relu.set_train(true);
-        let _ = relu.forward(&x);
-        assert!(relu.mask.is_some());
     }
 }

@@ -1,5 +1,6 @@
 //! Row-major 2-D `f32` tensors and the linear-algebra kernels the modules
-//! need. The matmul family has four tiers, picked at runtime:
+//! need. The matmul family has three tiers, picked at runtime from what the
+//! CPU supports:
 //!
 //! 1. **AVX-512F register-tiled kernels** (x86-64 with `avx512f`
 //!    detected): 6×32 output tiles accumulate over the whole shared
@@ -16,68 +17,18 @@
 //! 3. **Blocked scalar kernels** (portable fallback): four output rows per
 //!    pass with chained-zip inner loops that auto-vectorize without bounds
 //!    checks, shared dimension in L1-sized blocks.
-//! 4. **Seed reference kernels**: the original unblocked i-k-j loops,
-//!    selectable process-wide via [`set_reference_kernels`] so benchmarks
-//!    can measure the pre-optimization configuration faithfully.
 //!
-//! Per output element the FMA and blocked kernels keep the same `p`-
-//! ascending summation order as the reference (FMA only fuses the rounding
-//! of each step); `matmul_nt` additionally splits the dot product across
-//! SIMD lanes, which reassociates the sum — all consumers tolerate 1e-5.
+//! Per output element every tier keeps the same `p`-ascending summation
+//! order (FMA only fuses the rounding of each step); `matmul_nt`'s
+//! dot-product path additionally splits the sum across SIMD lanes, which
+//! reassociates it — all consumers tolerate 1e-5.
 
 #[cfg(target_arch = "x86_64")]
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-/// Process-wide matmul dispatch override, **for benchmarking only** (the
-/// `table2_throughput` baseline rows): flipping it while other threads
-/// compute would change their kernels mid-flight.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum KernelTier {
-    /// Best available: AVX-512 → AVX2+FMA → blocked scalar.
-    Auto,
-    /// The PR-1 configuration: AVX2+FMA tiles, dot-product `matmul_nt`
-    /// (no transposed-B packing), and an unconditional output memset —
-    /// the faithful "before" for kernel-level speedup measurements.
-    Avx2Baseline,
-    /// The seed's original unblocked scalar kernels.
-    SeedReference,
-}
-
-static KERNEL_TIER: AtomicU8 = AtomicU8::new(0);
-
-/// Select the matmul dispatch tier for every subsequent matmul in the
-/// process. See [`KernelTier`].
-pub fn set_kernel_tier(tier: KernelTier) {
-    KERNEL_TIER.store(tier as u8, Ordering::Relaxed);
-}
-
-fn kernel_tier() -> KernelTier {
-    match KERNEL_TIER.load(Ordering::Relaxed) {
-        1 => KernelTier::Avx2Baseline,
-        2 => KernelTier::SeedReference,
-        _ => KernelTier::Auto,
-    }
-}
-
-/// Select (`true`) or deselect (`false`) the seed reference kernels for
-/// every subsequent matmul in the process — shorthand for
-/// [`set_kernel_tier`] with [`KernelTier::SeedReference`] / `Auto`.
-pub fn set_reference_kernels(on: bool) {
-    set_kernel_tier(if on {
-        KernelTier::SeedReference
-    } else {
-        KernelTier::Auto
-    });
-}
-
-fn reference_kernels() -> bool {
-    kernel_tier() == KernelTier::SeedReference
-}
 
 /// AVX2+FMA register-tiled kernels, used when the CPU supports them.
 // Raw-pointer kernels take (ptr, strides, dims) tuples by design; bundling
@@ -602,16 +553,14 @@ impl Tensor2 {
     pub fn matmul_into(&self, other: &Tensor2, out: &mut Tensor2) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         out.resize_for_overwrite(self.rows, other.cols);
-        let tier = kernel_tier();
-        if tier == KernelTier::SeedReference {
-            out.fill_zero();
-            self.matmul_seed_into(other, out);
-            return;
-        }
         #[cfg(target_arch = "x86_64")]
         {
             let (m, k, n) = (self.rows, self.cols, other.cols);
-            if tier == KernelTier::Auto && avx512::available() {
+            // SAFETY (both blocks): the shape assert and the resize make
+            // `self` m×k, `other` k×n and `out` m×n, exactly the extents the
+            // kernel reads and writes, and each kernel runs only after its
+            // CPU-feature check.
+            if avx512::available() {
                 unsafe {
                     avx512::matmul_strided(
                         self.data.as_ptr(),
@@ -627,10 +576,6 @@ impl Tensor2 {
                 return;
             }
             if fma::available() {
-                if tier == KernelTier::Avx2Baseline {
-                    // PR-1 zeroed every output before the kernel ran.
-                    out.fill_zero();
-                }
                 unsafe {
                     fma::matmul_strided(
                         self.data.as_ptr(),
@@ -720,16 +665,13 @@ impl Tensor2 {
     pub fn matmul_tn_into(&self, other: &Tensor2, out: &mut Tensor2) {
         assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
         out.resize_for_overwrite(self.cols, other.cols);
-        let tier = kernel_tier();
-        if tier == KernelTier::SeedReference {
-            out.fill_zero();
-            self.matmul_tn_seed_into(other, out);
-            return;
-        }
         #[cfg(target_arch = "x86_64")]
         {
             let (k, m, n) = (self.rows, self.cols, other.cols);
-            if tier == KernelTier::Auto && avx512::available() {
+            // SAFETY (both blocks): the shape assert and the resize make
+            // `self` k×m (read transposed), `other` k×n and `out` m×n, and
+            // each kernel runs only after its CPU-feature check.
+            if avx512::available() {
                 unsafe {
                     avx512::matmul_strided(
                         self.data.as_ptr(),
@@ -745,10 +687,6 @@ impl Tensor2 {
                 return;
             }
             if fma::available() {
-                if tier == KernelTier::Avx2Baseline {
-                    // PR-1 zeroed every output before the kernel ran.
-                    out.fill_zero();
-                }
                 unsafe {
                     fma::matmul_strided(
                         self.data.as_ptr(),
@@ -823,11 +761,6 @@ impl Tensor2 {
         // products and tile stores, never accumulation), so no tier needs
         // the output pre-zeroed.
         out.resize_for_overwrite(self.rows, other.rows);
-        let tier = kernel_tier();
-        if tier == KernelTier::SeedReference {
-            self.matmul_nt_seed_into(other, out);
-            return;
-        }
         // With enough output rows to amortize the pack, transpose B once
         // into a thread-local scratch and run the register-tiled strided
         // kernel: per-element dot products are latency-bound (one
@@ -836,14 +769,13 @@ impl Tensor2 {
         // summation; the scratch reuses its high-water capacity, so steady
         // state stays allocation-free.
         #[cfg(target_arch = "x86_64")]
-        if tier == KernelTier::Auto
-            && self.rows >= NT_PACK_MIN_ROWS
-            && (avx512::available() || fma::available())
-        {
+        if self.rows >= NT_PACK_MIN_ROWS && (avx512::available() || fma::available()) {
             NT_PACK.with(|cell| {
                 let bt = &mut *cell.borrow_mut();
                 other.transpose_into(bt);
                 let (m, k, n) = (self.rows, self.cols, other.rows);
+                // SAFETY: `self` is m×k, the packed `bt` k×n and `out`
+                // m×n; the kernel matches the feature check above.
                 unsafe {
                     if avx512::available() {
                         avx512::matmul_strided(
@@ -875,7 +807,10 @@ impl Tensor2 {
         #[cfg(target_arch = "x86_64")]
         {
             let (m, k, n) = (self.rows, self.cols, other.rows);
-            if tier == KernelTier::Auto && avx512::available() {
+            // SAFETY (both blocks): the shape assert and the resize make
+            // `self` m×k, `other` n×k and `out` m×n, and each kernel runs
+            // only after its CPU-feature check.
+            if avx512::available() {
                 unsafe {
                     avx512::matmul_nt(
                         self.data.as_ptr(),
@@ -889,10 +824,6 @@ impl Tensor2 {
                 return;
             }
             if fma::available() {
-                if tier == KernelTier::Avx2Baseline {
-                    // PR-1 zeroed every output before the kernel ran.
-                    out.fill_zero();
-                }
                 unsafe {
                     fma::matmul_nt(
                         self.data.as_ptr(),
@@ -947,88 +878,6 @@ impl Tensor2 {
                 *o = acc;
             }
         }
-    }
-
-    /// The seed's original unblocked `matmul` (i-k-j with zero-skip), kept
-    /// verbatim so [`set_reference_kernels`] can reproduce the seed
-    /// configuration in benchmarks. Accumulates into pre-zeroed `out`.
-    fn matmul_seed_into(&self, other: &Tensor2, out: &mut Tensor2) {
-        let (m, k, _n) = (self.rows, self.cols, other.cols);
-        for i in 0..m {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (p, &a) in a_row.iter().enumerate().take(k) {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(p);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-    }
-
-    /// The seed's original unblocked `matmul_tn`. See
-    /// [`Self::matmul_seed_into`].
-    fn matmul_tn_seed_into(&self, other: &Tensor2, out: &mut Tensor2) {
-        let (k, m, _n) = (self.rows, self.cols, other.cols);
-        for p in 0..k {
-            let a_row = self.row(p);
-            let b_row = other.row(p);
-            for (i, &a) in a_row.iter().enumerate().take(m) {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-    }
-
-    /// The seed's original unblocked `matmul_nt`. See
-    /// [`Self::matmul_seed_into`].
-    fn matmul_nt_seed_into(&self, other: &Tensor2, out: &mut Tensor2) {
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        for i in 0..m {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (j, o) in out_row.iter_mut().enumerate().take(n) {
-                let b_row = other.row(j);
-                let mut acc = 0.0;
-                for p in 0..k {
-                    acc += a_row[p] * b_row[p];
-                }
-                *o = acc;
-            }
-        }
-    }
-
-    /// Allocating wrapper over [`Self::matmul_seed_into`] for the kernel
-    /// equivalence tests.
-    #[cfg(test)]
-    fn matmul_seed(&self, other: &Tensor2) -> Tensor2 {
-        let mut out = Tensor2::zeros(self.rows, other.cols);
-        self.matmul_seed_into(other, &mut out);
-        out
-    }
-
-    /// Allocating wrapper over [`Self::matmul_tn_seed_into`] for tests.
-    #[cfg(test)]
-    fn matmul_tn_seed(&self, other: &Tensor2) -> Tensor2 {
-        let mut out = Tensor2::zeros(self.cols, other.cols);
-        self.matmul_tn_seed_into(other, &mut out);
-        out
-    }
-
-    /// Allocating wrapper over [`Self::matmul_nt_seed_into`] for tests.
-    #[cfg(test)]
-    fn matmul_nt_seed(&self, other: &Tensor2) -> Tensor2 {
-        let mut out = Tensor2::zeros(self.rows, other.rows);
-        self.matmul_nt_seed_into(other, &mut out);
-        out
     }
 
     /// Transposed copy.
@@ -1128,38 +977,44 @@ impl Tensor2 {
     /// tree mask allows.
     pub fn row_dots_nt(&self, i: usize, other: &Tensor2, j0: usize, n: usize, dst: &mut [f32]) {
         assert_eq!(self.cols, other.cols, "row_dots_nt width mismatch");
-        assert!(j0 + n <= other.rows, "row_dots_nt range out of bounds");
+        assert!(
+            n <= other.rows && j0 <= other.rows - n,
+            "row_dots_nt range out of bounds"
+        );
+        assert!(dst.len() >= n, "row_dots_nt dst shorter than n");
         let k = self.cols;
         let a_row = &self.data[i * k..(i + 1) * k];
-        if !reference_kernels() {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if avx512::available() {
-                    unsafe {
-                        avx512::matmul_nt(
-                            a_row.as_ptr(),
-                            other.data.as_ptr().add(j0 * k),
-                            dst.as_mut_ptr(),
-                            1,
-                            k,
-                            n,
-                        );
-                    }
-                    return;
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY (both blocks): `a_row` holds k floats, rows
+            // `j0..j0 + n` of `other` (k wide) are in bounds and `dst`
+            // holds at least n floats, all asserted above; each kernel runs
+            // only after its CPU-feature check.
+            if avx512::available() {
+                unsafe {
+                    avx512::matmul_nt(
+                        a_row.as_ptr(),
+                        other.data.as_ptr().add(j0 * k),
+                        dst.as_mut_ptr(),
+                        1,
+                        k,
+                        n,
+                    );
                 }
-                if fma::available() {
-                    unsafe {
-                        fma::matmul_nt(
-                            a_row.as_ptr(),
-                            other.data.as_ptr().add(j0 * k),
-                            dst.as_mut_ptr(),
-                            1,
-                            k,
-                            n,
-                        );
-                    }
-                    return;
+                return;
+            }
+            if fma::available() {
+                unsafe {
+                    fma::matmul_nt(
+                        a_row.as_ptr(),
+                        other.data.as_ptr().add(j0 * k),
+                        dst.as_mut_ptr(),
+                        1,
+                        k,
+                        n,
+                    );
                 }
+                return;
             }
         }
         for (j, d) in dst[..n].iter_mut().enumerate() {
@@ -1174,41 +1029,47 @@ impl Tensor2 {
     /// sum over only the unmasked positions.
     pub fn row_combine(weights: &[f32], other: &Tensor2, j0: usize, dst: &mut [f32]) {
         let m = weights.len();
-        assert!(j0 + m <= other.rows, "row_combine range out of bounds");
+        assert!(
+            m <= other.rows && j0 <= other.rows - m,
+            "row_combine range out of bounds"
+        );
         let n = other.cols;
-        if !reference_kernels() {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if avx512::available() {
-                    unsafe {
-                        avx512::matmul_strided(
-                            weights.as_ptr(),
-                            m,
-                            1,
-                            other.data.as_ptr().add(j0 * n),
-                            dst.as_mut_ptr(),
-                            1,
-                            m,
-                            n,
-                        );
-                    }
-                    return;
+        assert!(dst.len() >= n, "row_combine dst shorter than other.cols()");
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY (both blocks): rows `j0..j0 + m` of `other` (n wide)
+            // are in bounds and `dst` holds at least n floats, both
+            // asserted above; each kernel runs only after its CPU-feature
+            // check.
+            if avx512::available() {
+                unsafe {
+                    avx512::matmul_strided(
+                        weights.as_ptr(),
+                        m,
+                        1,
+                        other.data.as_ptr().add(j0 * n),
+                        dst.as_mut_ptr(),
+                        1,
+                        m,
+                        n,
+                    );
                 }
-                if fma::available() {
-                    unsafe {
-                        fma::matmul_strided(
-                            weights.as_ptr(),
-                            m,
-                            1,
-                            other.data.as_ptr().add(j0 * n),
-                            dst.as_mut_ptr(),
-                            1,
-                            m,
-                            n,
-                        );
-                    }
-                    return;
+                return;
+            }
+            if fma::available() {
+                unsafe {
+                    fma::matmul_strided(
+                        weights.as_ptr(),
+                        m,
+                        1,
+                        other.data.as_ptr().add(j0 * n),
+                        dst.as_mut_ptr(),
+                        1,
+                        m,
+                        n,
+                    );
                 }
+                return;
             }
         }
         dst[..n].fill(0.0);
@@ -1314,86 +1175,114 @@ mod tests {
         assert!((x.get(2, 2) - 1.0).abs() < 1e-6);
     }
 
+    /// The naive triple loop every kernel tier is checked against.
+    fn naive_matmul(a: &Tensor2, b: &Tensor2) -> Tensor2 {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let mut out = Tensor2::zeros(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0;
+                for p in 0..k {
+                    acc += a.get(i, p) * b.get(p, j);
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
     #[test]
-    fn fast_kernels_match_seed_kernels() {
-        // The dispatched kernels (FMA tiles where available, blocked scalar
-        // otherwise) must agree with the seed reference implementations on
-        // every remainder path: rows % 4, cols % 16 (FMA tile width),
-        // cols % 4, and shared dims crossing the 8-lane boundary.
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 2), (7, 6, 9), (10, 3, 13)] {
-            let a = Tensor2::uniform(m, k, 1.0, (m * 100 + n) as u64);
-            let b = Tensor2::uniform(k, n, 1.0, (n * 100 + k) as u64);
-            for (x, y) in a
-                .matmul(&b)
-                .as_slice()
-                .iter()
-                .zip(a.matmul_seed(&b).as_slice())
-            {
-                assert!((x - y).abs() < 1e-5, "matmul vs seed at {m}x{k}x{n}");
+    fn every_kernel_tier_matches_naive_oracle() {
+        // Run each tier's kernels directly — AVX-512 and AVX2+FMA whenever
+        // the CPU has them, plus the blocked scalar fallback everywhere — so
+        // a tier the dispatcher skips on the running CPU is still checked. Shapes
+        // cross every tile edge: rows around the 4-row (AVX2, blocked) and
+        // 6-row (AVX-512) panels and `NT_PACK_MIN_ROWS`, columns around the
+        // 16/32-wide tiles and the 4-wide dot panels, shared dims around
+        // the 8/16-lane dot-product steps — plus DACE-sized operands.
+        let grid = [1usize, 5, 7, 8, 13].into_iter().flat_map(|m| {
+            [1usize, 9, 17, 45]
+                .into_iter()
+                .flat_map(move |k| [3usize, 16, 17, 33, 51].map(|n| (m, k, n)))
+        });
+        for (m, k, n) in grid.chain([(4, 4, 4), (12, 18, 33), (21, 128, 64)]) {
+            let a = Tensor2::uniform(m, k, 1.0, (m * 1000 + k * 10 + n) as u64);
+            let b = Tensor2::uniform(k, n, 1.0, (n * 1000 + k) as u64);
+            let (at, bt) = (a.transpose(), b.transpose());
+            let want = naive_matmul(&a, &b);
+            let check = |what: &str, got: &Tensor2| {
+                assert_eq!((got.rows(), got.cols()), (m, n), "{what} shape");
+                for (w, g) in want.as_slice().iter().zip(got.as_slice()) {
+                    assert!(
+                        (w - g).abs() <= 1e-5 * (1.0 + w.abs()),
+                        "{what} at {m}x{k}x{n}: {g} vs {w}"
+                    );
+                }
+            };
+            // Dispatched entry points; with m >= NT_PACK_MIN_ROWS
+            // on a SIMD host `matmul_nt` takes the transpose-pack path.
+            check("matmul", &a.matmul(&b));
+            check("matmul_tn", &at.matmul_tn(&b));
+            check("matmul_nt", &a.matmul_nt(&bt));
+
+            let mut out = Tensor2::zeros(m, n);
+            a.matmul_blocked_into(&b, &mut out);
+            check("blocked matmul", &out);
+            out.fill_zero();
+            at.matmul_tn_blocked_into(&b, &mut out);
+            check("blocked matmul_tn", &out);
+            a.matmul_nt_blocked_into(&bt, &mut out);
+            check("blocked matmul_nt", &out);
+
+            #[cfg(target_arch = "x86_64")]
+            macro_rules! simd_tier {
+                ($tier:ident) => {
+                    if $tier::available() {
+                        let (pa, pat, pb, pbt) = (
+                            a.data.as_ptr(),
+                            at.data.as_ptr(),
+                            b.data.as_ptr(),
+                            bt.data.as_ptr(),
+                        );
+                        // SAFETY: every operand has the extents the kernels
+                        // read or write (a m×k, at k×m, b k×n, bt n×k, out
+                        // m×n), and they run only behind `available()`.
+                        let mut out = Tensor2::zeros(m, n);
+                        let po = out.data.as_mut_ptr();
+                        unsafe { $tier::matmul_strided(pa, k, 1, pb, po, m, k, n) };
+                        check(concat!(stringify!($tier), " matmul"), &out);
+                        let po = out.data.as_mut_ptr();
+                        unsafe { $tier::matmul_strided(pat, 1, m, pb, po, m, k, n) };
+                        check(concat!(stringify!($tier), " matmul_tn"), &out);
+                        let po = out.data.as_mut_ptr();
+                        unsafe { $tier::matmul_nt(pa, pbt, po, m, k, n) };
+                        check(concat!(stringify!($tier), " matmul_nt"), &out);
+                    }
+                };
             }
-            let at = a.transpose();
-            for (x, y) in at
-                .matmul_tn(&b)
-                .as_slice()
-                .iter()
-                .zip(at.matmul_tn_seed(&b).as_slice())
+            #[cfg(target_arch = "x86_64")]
             {
-                assert!((x - y).abs() < 1e-5, "matmul_tn vs seed at {m}x{k}x{n}");
-            }
-            let bt = b.transpose();
-            for (x, y) in a
-                .matmul_nt(&bt)
-                .as_slice()
-                .iter()
-                .zip(a.matmul_nt_seed(&bt).as_slice())
-            {
-                assert!((x - y).abs() < 1e-5, "matmul_nt vs seed at {m}x{k}x{n}");
+                simd_tier!(avx512);
+                simd_tier!(fma);
             }
         }
     }
 
     #[test]
-    fn blocked_matmuls_match_naive_on_odd_shapes() {
-        // Shapes chosen to exercise the 4-row panels, the 16-wide FMA
-        // tiles, and every remainder path (rows % 4 != 0, cols % 16 != 0,
-        // shared dim % 8 != 0).
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (3, 5, 2),
-            (4, 4, 4),
-            (7, 6, 9),
-            (10, 3, 13),
-            (9, 17, 16),
-            (12, 18, 33),
-            (21, 128, 64),
-        ] {
-            let a = Tensor2::uniform(m, k, 1.0, (m * 100 + n) as u64);
-            let b = Tensor2::uniform(k, n, 1.0, (n * 100 + k) as u64);
-            let fast = a.matmul(&b);
-            let mut naive = Tensor2::zeros(m, n);
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0;
-                    for p in 0..k {
-                        acc += a.get(i, p) * b.get(p, j);
-                    }
-                    naive.set(i, j, acc);
-                }
-            }
-            for (x, y) in fast.as_slice().iter().zip(naive.as_slice()) {
-                assert!((x - y).abs() < 1e-5, "matmul mismatch at {m}x{k}x{n}");
-            }
-            let at = a.transpose();
-            let tn = at.matmul_tn(&b);
-            for (x, y) in tn.as_slice().iter().zip(naive.as_slice()) {
-                assert!((x - y).abs() < 1e-5, "matmul_tn mismatch at {m}x{k}x{n}");
-            }
-            let bt = b.transpose();
-            let nt = a.matmul_nt(&bt);
-            for (x, y) in nt.as_slice().iter().zip(naive.as_slice()) {
-                assert!((x - y).abs() < 1e-5, "matmul_nt mismatch at {m}x{k}x{n}");
-            }
-        }
+    #[should_panic(expected = "row_dots_nt dst shorter than n")]
+    fn row_dots_nt_rejects_a_short_dst() {
+        let a = Tensor2::uniform(2, 8, 1.0, 1);
+        let b = Tensor2::uniform(40, 8, 1.0, 2);
+        let mut dst = vec![0.0f32; 3];
+        a.row_dots_nt(0, &b, 0, 40, &mut dst);
+    }
+
+    #[test]
+    #[should_panic(expected = "row_combine dst shorter than other.cols()")]
+    fn row_combine_rejects_a_short_dst() {
+        let other = Tensor2::uniform(4, 48, 1.0, 3);
+        let mut dst = vec![0.0f32; 5];
+        Tensor2::row_combine(&[0.25; 4], &other, 0, &mut dst);
     }
 
     #[test]

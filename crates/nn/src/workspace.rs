@@ -5,14 +5,14 @@
 //! to its high-water capacity, after which steady-state training epochs and
 //! serving batches stop touching the allocator entirely. The arena doubles
 //! as the layer-activation cache — forward passes leave Q/K/V/probs and the
-//! MLP activations here and backward passes read them back, replacing the
-//! per-layer `x.clone()` caches of the reference path.
+//! MLP activations here and backward passes read them back instead of
+//! per-layer `x.clone()` caches.
 
 use crate::tensor::Tensor2;
 
 /// Attention-layer scratch: projections and per-block temporaries that
 /// persist from a packed forward pass to the matching backward pass.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct AttnScratch {
     /// Query projection of the whole packed input (forward → backward).
     pub q: Tensor2,

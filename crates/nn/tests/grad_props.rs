@@ -1,8 +1,12 @@
 //! Property-based gradient checks: for random shapes, inputs and parameter
 //! values, every module's analytic backward pass must match central finite
 //! differences. This is the trust anchor of the from-scratch NN library.
+//! Attention and LoRA are checked through the kernels DACE's training pass
+//! runs: `MaskedSelfAttention::backward` is a thin wrapper over
+//! `forward_packed_ws`/`backward_params_ws`, and `LoraLinear` has only its
+//! workspace forward/backward.
 
-use dace_nn::{Linear, LoraLinear, MaskedSelfAttention, Relu, RobustScaler, Tensor2};
+use dace_nn::{Linear, LoraLinear, MaskedSelfAttention, Relu, RobustScaler, Tensor2, MASK_NEG};
 use proptest::prelude::*;
 
 const EPS: f32 = 1e-2;
@@ -52,23 +56,30 @@ proptest! {
         layer.set_mode(dace_nn::LoraMode::Finetune);
         layer.lora_a.value = Tensor2::uniform(rank, dim, 0.5, seed ^ 0xA);
         let x = Tensor2::uniform(rows, dim, 1.0, seed ^ 0xB);
-        let y = layer.forward(&x);
-        let _ = layer.backward(&y);
+        let (mut y, mut xb, mut tmp) = (Tensor2::default(), Tensor2::default(), Tensor2::default());
+        layer.forward_ws(&x, &mut y, &mut xb, &mut tmp);
+        let (mut dx, mut dxb, mut gtmp) = (Tensor2::default(), Tensor2::default(), Tensor2::default());
+        layer.backward_ws(&y, &x, &xb, &mut dx, &mut dxb, &mut gtmp); // loss = ||y||²/2
         let loss = |l: &LoraLinear| 0.5 * l.forward_inference(&x).norm_sq();
-        for idx in 0..layer.lora_b.value.len() {
-            let orig = layer.lora_b.value.as_slice()[idx];
-            let ana = layer.lora_b.grad.as_slice()[idx];
-            layer.lora_b.value.as_mut_slice()[idx] = orig + EPS;
-            let lp = loss(&layer);
-            layer.lora_b.value.as_mut_slice()[idx] = orig - EPS;
-            let lm = loss(&layer);
-            layer.lora_b.value.as_mut_slice()[idx] = orig;
-            prop_assert!(close((lp - lm) / (2.0 * EPS), ana));
+        // params_mut order: W, bias, B, A — fine-tuning trains the last two.
+        for which in [2usize, 3] {
+            for idx in 0..layer.params_mut()[which].value.len() {
+                let (orig, ana) = {
+                    let ps = layer.params_mut();
+                    (ps[which].value.as_slice()[idx], ps[which].grad.as_slice()[idx])
+                };
+                layer.params_mut()[which].value.as_mut_slice()[idx] = orig + EPS;
+                let lp = loss(&layer);
+                layer.params_mut()[which].value.as_mut_slice()[idx] = orig - EPS;
+                let lm = loss(&layer);
+                layer.params_mut()[which].value.as_mut_slice()[idx] = orig;
+                prop_assert!(close((lp - lm) / (2.0 * EPS), ana));
+            }
         }
     }
 
     #[test]
-    fn attention_input_gradients(n in 2usize..5, d in 2usize..5, seed in 0u64..1_000) {
+    fn attention_gradients(n in 2usize..5, d in 2usize..5, seed in 0u64..1_000) {
         let mut attn = MaskedSelfAttention::new(d, 4, 4, seed);
         let mut x = Tensor2::uniform(n, d, 1.0, seed ^ 0xC);
         // Random "tree-ish" mask: lower-triangular style, always reflexive.
@@ -78,16 +89,32 @@ proptest! {
                 mask[i * n + j] = true;
             }
         }
-        let y = attn.forward(&x, &mask);
-        let dx = attn.backward(&y);
-        let loss = |x: &Tensor2| 0.5 * attn.forward_inference(x, &mask).norm_sq();
+        let bias: Vec<f32> = mask.iter().map(|&ok| if ok { 0.0 } else { MASK_NEG }).collect();
+        let y = attn.forward_bias(&x, &bias);
+        let dx = attn.backward(&y); // loss = ||y||²/2
+        let loss = |a: &MaskedSelfAttention, x: &Tensor2| 0.5 * a.forward_inference(x, &mask).norm_sq();
+        // W_Q, W_K, W_V: the gradients `backward_params_ws` accumulates.
+        for which in 0..3 {
+            for idx in 0..attn.params_mut()[which].value.len() {
+                let (orig, ana) = {
+                    let ps = attn.params_mut();
+                    (ps[which].value.as_slice()[idx], ps[which].grad.as_slice()[idx])
+                };
+                attn.params_mut()[which].value.as_mut_slice()[idx] = orig + EPS;
+                let lp = loss(&attn, &x);
+                attn.params_mut()[which].value.as_mut_slice()[idx] = orig - EPS;
+                let lm = loss(&attn, &x);
+                attn.params_mut()[which].value.as_mut_slice()[idx] = orig;
+                prop_assert!(close((lp - lm) / (2.0 * EPS), ana));
+            }
+        }
         for idx in 0..x.len() {
             let orig = x.as_slice()[idx];
             let ana = dx.as_slice()[idx];
             x.as_mut_slice()[idx] = orig + EPS;
-            let lp = loss(&x);
+            let lp = loss(&attn, &x);
             x.as_mut_slice()[idx] = orig - EPS;
-            let lm = loss(&x);
+            let lm = loss(&attn, &x);
             x.as_mut_slice()[idx] = orig;
             prop_assert!(close((lp - lm) / (2.0 * EPS), ana));
         }

@@ -1,50 +1,15 @@
 //! Bit-identity proptests for the `_into` kernel family and in-place ops.
 //!
 //! The zero-allocation training path is only sound if every buffer-reuse
-//! kernel produces *exactly* the same bits as its allocating counterpart —
-//! the trainer's equivalence proofs (batched vs per-plan reference) compose
-//! out of these identities. Each property runs under both dispatch modes
-//! (optimized FMA/blocked kernels and the seed reference kernels), and the
-//! reused output buffers are pre-poisoned with garbage of a *different*
-//! shape so stale capacity can never leak into results.
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
+//! kernel produces *exactly* the same bits as its allocating counterpart.
+//! The reused output buffers are pre-poisoned with garbage of a *different*
+//! shape so stale capacity can never leak into results. Agreement of the
+//! kernel tiers themselves (AVX-512, AVX2+FMA, blocked scalar) with a naive
+//! oracle is a unit test in `tensor.rs`, which can reach each tier directly.
 
 use proptest::prelude::*;
 
-use dace_nn::{set_kernel_tier, KernelTier, Relu, Tensor2};
-
-/// The kernel tier is process-global and the test harness is
-/// multi-threaded: every test that flips dispatch modes must hold this lock
-/// so another property never observes a pinned tier mid-run.
-fn dispatch_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Run `f` under every kernel-dispatch tier, always restoring the default.
-/// Restoration happens even when an assert panics, so one failing property
-/// cannot leave the whole process on a pinned tier.
-fn with_both_dispatch_modes(mut f: impl FnMut()) {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_kernel_tier(KernelTier::Auto);
-        }
-    }
-    let _guard = dispatch_lock();
-    let _restore = Restore;
-    for tier in [
-        KernelTier::Auto,
-        KernelTier::Avx2Baseline,
-        KernelTier::SeedReference,
-    ] {
-        set_kernel_tier(tier);
-        f();
-    }
-}
+use dace_nn::{Relu, Tensor2};
 
 /// A deterministic garbage buffer, shaped differently from any result, so
 /// `_into` must fully overwrite both shape and contents.
@@ -66,16 +31,14 @@ proptest! {
         let (m, k, n) = mkn;
         let a = Tensor2::uniform(m, k, 1.0, seed);
         let b = Tensor2::uniform(k, n, 1.0, seed ^ 0xF00D);
-        with_both_dispatch_modes(|| {
-            let want = a.matmul(&b);
-            let mut out = poisoned();
-            a.matmul_into(&b, &mut out);
-            prop_assert_eq!(want.as_slice(), out.as_slice());
-            prop_assert_eq!((out.rows(), out.cols()), (m, n));
-            // Reusing the warmed buffer must give the same bits again.
-            a.matmul_into(&b, &mut out);
-            prop_assert_eq!(want.as_slice(), out.as_slice());
-        });
+        let want = a.matmul(&b);
+        let mut out = poisoned();
+        a.matmul_into(&b, &mut out);
+        prop_assert_eq!(want.as_slice(), out.as_slice());
+        prop_assert_eq!((out.rows(), out.cols()), (m, n));
+        // Reusing the warmed buffer must give the same bits again.
+        a.matmul_into(&b, &mut out);
+        prop_assert_eq!(want.as_slice(), out.as_slice());
     }
 
     #[test]
@@ -83,13 +46,11 @@ proptest! {
         let (m, k, n) = mkn;
         let a = Tensor2::uniform(k, m, 1.0, seed);
         let b = Tensor2::uniform(k, n, 1.0, seed ^ 0xF00D);
-        with_both_dispatch_modes(|| {
-            let want = a.matmul_tn(&b);
-            let mut out = poisoned();
-            a.matmul_tn_into(&b, &mut out);
-            prop_assert_eq!(want.as_slice(), out.as_slice());
-            prop_assert_eq!((out.rows(), out.cols()), (m, n));
-        });
+        let want = a.matmul_tn(&b);
+        let mut out = poisoned();
+        a.matmul_tn_into(&b, &mut out);
+        prop_assert_eq!(want.as_slice(), out.as_slice());
+        prop_assert_eq!((out.rows(), out.cols()), (m, n));
     }
 
     #[test]
@@ -97,13 +58,11 @@ proptest! {
         let (m, k, n) = mkn;
         let a = Tensor2::uniform(m, k, 1.0, seed);
         let b = Tensor2::uniform(n, k, 1.0, seed ^ 0xF00D);
-        with_both_dispatch_modes(|| {
-            let want = a.matmul_nt(&b);
-            let mut out = poisoned();
-            a.matmul_nt_into(&b, &mut out);
-            prop_assert_eq!(want.as_slice(), out.as_slice());
-            prop_assert_eq!((out.rows(), out.cols()), (m, n));
-        });
+        let want = a.matmul_nt(&b);
+        let mut out = poisoned();
+        a.matmul_nt_into(&b, &mut out);
+        prop_assert_eq!(want.as_slice(), out.as_slice());
+        prop_assert_eq!((out.rows(), out.cols()), (m, n));
     }
 
     #[test]
@@ -160,59 +119,16 @@ proptest! {
     }
 }
 
-/// Every dispatch tier must agree numerically: the `Avx2Baseline` and
-/// `SeedReference` tiers exist so benchmarks can time historical kernel
-/// configurations, which is only meaningful if they compute the same
-/// function. `matmul`/`matmul_tn` keep the exact p-ascending per-element
-/// FMA chain across SIMD tiers (bit-identical); `matmul_nt`'s dot-product
-/// tier splits the sum across lanes, so cross-tier agreement is 1e-5.
-#[test]
-fn kernel_tiers_agree_numerically() {
-    let _guard = dispatch_lock();
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_kernel_tier(KernelTier::Auto);
-        }
-    }
-    let _restore = Restore;
-    // Big enough to engage the AVX-512 panels and the nt transpose-pack
-    // path (rows ≥ 8), with ragged tails on every dimension.
-    let (m, k, n) = (37, 45, 51);
-    let a = Tensor2::uniform(m, k, 1.0, 11);
-    let b = Tensor2::uniform(k, n, 1.0, 22);
-    let at = Tensor2::uniform(k, m, 1.0, 33);
-    let bt = Tensor2::uniform(n, k, 1.0, 44);
-    let run = |tier| {
-        set_kernel_tier(tier);
-        (a.matmul(&b), at.matmul_tn(&b), a.matmul_nt(&bt))
-    };
-    let (mm0, tn0, nt0) = run(KernelTier::Auto);
-    for tier in [KernelTier::Avx2Baseline, KernelTier::SeedReference] {
-        let (mm, tn, nt) = run(tier);
-        for (want, got) in [(&mm0, &mm), (&tn0, &tn), (&nt0, &nt)] {
-            for (w, g) in want.as_slice().iter().zip(got.as_slice()) {
-                assert!(
-                    (w - g).abs() <= 1e-5 * (1.0 + w.abs()),
-                    "{tier:?} diverges: {w} vs {g}"
-                );
-            }
-        }
-    }
-}
-
 /// In-place softmax (already the only softmax) must keep its all-`−∞`-row
-/// guarantee when fed through reused buffers in both dispatch modes.
+/// guarantee when fed through reused buffers.
 #[test]
 fn softmax_fully_masked_rows_stay_zero_in_reused_buffers() {
-    with_both_dispatch_modes(|| {
-        let inf = f32::NEG_INFINITY;
-        let mut x = poisoned();
-        x.copy_from_slice_shaped(3, 3, &[inf, inf, inf, 0.0, inf, 0.0, inf, inf, 1.0]);
-        x.softmax_rows();
-        assert!(x.as_slice().iter().all(|v| v.is_finite()));
-        assert_eq!(x.row(0), &[0.0, 0.0, 0.0]);
-        assert!((x.get(1, 0) - 0.5).abs() < 1e-6);
-        assert!((x.get(2, 2) - 1.0).abs() < 1e-6);
-    });
+    let inf = f32::NEG_INFINITY;
+    let mut x = poisoned();
+    x.copy_from_slice_shaped(3, 3, &[inf, inf, inf, 0.0, inf, 0.0, inf, inf, 1.0]);
+    x.softmax_rows();
+    assert!(x.as_slice().iter().all(|v| v.is_finite()));
+    assert_eq!(x.row(0), &[0.0, 0.0, 0.0]);
+    assert!((x.get(1, 0) - 0.5).abs() < 1e-6);
+    assert!((x.get(2, 2) - 1.0).abs() < 1e-6);
 }

@@ -33,18 +33,9 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use serde::{Deserialize, Serialize};
 
-/// FNV-1a64 (same constants as `dace_core::persist`; duplicated here so the
-/// journal stays dependency-free inside `dace-obs`).
-pub fn journal_fnv1a64(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+/// The frame checksum: the workspace's one FNV-1a64 ([`crate::fnv1a64`]),
+/// the same function `dace_core`'s checkpoints use.
+pub use crate::hash::fnv1a64 as journal_fnv1a64;
 
 /// A typed lifecycle event. Struct variants serialize as
 /// `{"VariantName": {fields...}}`, unit variants as `"VariantName"` — both

@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
+pub mod hash;
 pub mod hist;
 pub mod journal;
 pub mod metrics;
@@ -44,6 +45,7 @@ pub mod span;
 pub mod trace;
 
 pub use alloc::{alloc_probe_bytes, set_alloc_probe};
+pub use hash::{fnv1a64, splitmix64};
 pub use hist::{bucket_index, bucket_upper, Histogram, HistogramSnapshot, HIST_BUCKETS};
 pub use journal::{
     decode_journal, read_journal, EventJournal, JournalRecord, LifecycleEvent, DEFAULT_JOURNAL_TAIL,
@@ -56,4 +58,4 @@ pub use sink::{
 pub use sketch::{escape_label_value, AccuracyLedger, QErrorSketch, QERR_BUCKETS};
 pub use slo::{SloAlert, SloConfig, SloSeries, SloStatus, SloTracker};
 pub use span::{intern_span_name, set_tracing, span_name, tracing_enabled, SpanGuard};
-pub use trace::{current_trace, next_trace_id, splitmix64, trace_scope, TraceScope};
+pub use trace::{current_trace, next_trace_id, trace_scope, TraceScope};

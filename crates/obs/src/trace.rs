@@ -18,21 +18,12 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::hash::splitmix64;
+
 /// The monotone sequence splitmix64 scrambles. Starts at 1 so the first
 /// minted id can never be the reserved 0 (splitmix64(0) != 0, but starting
 /// above zero keeps the reasoning local).
 static TRACE_SEQ: AtomicU64 = AtomicU64::new(1);
-
-/// splitmix64: a bijective mixer on `u64` (Steele, Lea & Flood's fast
-/// splittable PRNG finalizer). Distinct inputs give distinct outputs, so
-/// driving it from a monotone counter yields unique, well-distributed ids.
-#[inline]
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Mint a fresh process-unique trace id. Wait-free (one `fetch_add`); never
 /// returns 0 (the "no trace" sentinel).
@@ -124,13 +115,5 @@ mod tests {
         let other = std::thread::spawn(current_trace).join().unwrap();
         assert_eq!(other, 0);
         assert_eq!(current_trace(), 42);
-    }
-
-    #[test]
-    fn splitmix_is_a_bijection_probe() {
-        // Spot-check injectivity over a contiguous range (full proof is
-        // algebraic; this catches transcription errors in the constants).
-        let outs: HashSet<u64> = (0..100_000u64).map(splitmix64).collect();
-        assert_eq!(outs.len(), 100_000);
     }
 }

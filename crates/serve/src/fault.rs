@@ -23,6 +23,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Once;
 use std::time::Duration;
 
+use dace_obs::splitmix64;
+
 /// Marker prefix carried by every injected panic's payload; the quiet
 /// panic hook and the supervisor's accounting both key off it.
 pub const INJECTED_PANIC: &str = "injected fault";
@@ -171,14 +173,6 @@ impl Default for FaultConfig {
     }
 }
 
-/// SplitMix64 finalizer: a cheap, well-mixed hash of the roll identity.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// The seeded injector: one roll counter and one fire counter per site.
 ///
 /// `enabled` is a runtime toggle (default: on iff the plan is not a no-op)
@@ -236,6 +230,7 @@ impl FaultInjector {
             return false;
         }
         let k = self.rolls[site as usize].fetch_add(1, Ordering::Relaxed);
+        // splitmix64: a cheap, well-mixed hash of the roll identity.
         let h = splitmix64(self.config.seed ^ SITE_SALT[site as usize] ^ splitmix64(k));
         let fire = h % 1_000_000 < u64::from(ppm);
         if fire {

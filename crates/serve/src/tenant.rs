@@ -119,21 +119,9 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// tenant-less traffic, which keeps the legacy single-tenant behavior
 /// bit-for-bit.
 pub(crate) fn tenant_salt(name: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    if z == 0 {
-        0x9e37_79b9_7f4a_7c15
-    } else {
-        z
+    match dace_obs::splitmix64(dace_obs::fnv1a64(name.as_bytes())) {
+        0 => 0x9e37_79b9_7f4a_7c15,
+        z => z,
     }
 }
 

@@ -1,6 +1,6 @@
-//! Property tests for the batched padded-tensor training path: packing a
-//! mini-batch of plans into one block-diagonal attention call must be
-//! equivalent to running each plan through the model independently — for
+//! Property tests for the batched training path: packing a mini-batch of
+//! plans into one block-diagonal forward/backward pass must be equivalent
+//! to running each plan through the same passes as a one-plan batch — for
 //! the forward pass and for the accumulated gradient — up to floating-point
 //! summation order (asserted at 1e-4).
 
@@ -57,27 +57,36 @@ fn flat_grads(model: &mut DaceModel) -> Vec<f32> {
         .collect()
 }
 
+/// The per-plan oracle: `f` alone as a one-plan batch through the training
+/// forward pass, returning its per-node predictions.
+fn forward_one(model: &mut DaceModel, f: &PlanFeatures) -> Vec<f32> {
+    model.forward_batch_compact(&PackedBatch::pack(&[f]).unwrap());
+    model.batch_preds().as_slice().to_vec()
+}
+
 proptest! {
     #[test]
     fn batched_forward_matches_per_plan_forwards(
         plans in vec(plan_strategy(), 1..=4),
         seed in 0u64..1_000,
     ) {
-        let model = DaceModel::new(seed);
+        let mut model = DaceModel::new(seed);
         let refs: Vec<&PlanFeatures> = plans.iter().collect();
         let packed = PackedBatch::pack(&refs).unwrap();
         let mut batched = model.clone();
-        let preds = batched.forward_batch(&packed);
+        batched.forward_batch_compact(&packed);
+        let preds = batched.batch_preds();
+        let mut row = 0;
         for (b, f) in plans.iter().enumerate() {
-            let single = model.predict(f);
-            for r in 0..f.x.rows() {
-                let got = preds.get(b * packed.n_max + r, 0);
-                let want = single.get(r, 0);
+            let single = forward_one(&mut model, f);
+            for (r, want) in single.iter().enumerate() {
+                let got = preds.get(row + r, 0);
                 prop_assert!(
                     (got - want).abs() < 1e-4,
                     "plan {b} row {r}: batched {got} vs single {want}"
                 );
             }
+            row += single.len();
         }
     }
 
@@ -89,18 +98,14 @@ proptest! {
         let adjuster = LossAdjuster::new(0.5);
         let count = plans.len() as f32;
 
-        // Reference: one backward per plan, gradients accumulate in the
-        // parameters (exactly the pre-batching training loop's batch body).
+        // Reference: one backward per one-plan batch, gradients scaled by
+        // 1/B accumulate in the parameters.
         let mut per_plan = DaceModel::new(seed);
         for f in &plans {
-            let preds = per_plan.forward(f);
-            let slice: Vec<f32> = (0..preds.rows()).map(|r| preds.get(r, 0)).collect();
-            let (_, grad) = adjuster.loss_and_grad(&slice, &f.targets, &f.heights);
-            let mut d = Tensor2::zeros(preds.rows(), 1);
-            for (r, g) in grad.iter().enumerate() {
-                d.set(r, 0, g / count);
-            }
-            per_plan.backward(&d);
+            let preds = forward_one(&mut per_plan, f);
+            let (_, grad) = adjuster.loss_and_grad(&preds, &f.targets, &f.heights);
+            let d: Vec<f32> = grad.iter().map(|g| g / count).collect();
+            per_plan.backward_compact(&Tensor2::from_vec(d.len(), 1, d));
         }
         let want = flat_grads(&mut per_plan);
 
@@ -109,8 +114,10 @@ proptest! {
         let mut batched = DaceModel::new(seed);
         let refs: Vec<&PlanFeatures> = plans.iter().collect();
         let packed = PackedBatch::pack(&refs).unwrap();
-        let preds = batched.forward_batch(&packed);
-        let mut d = Tensor2::zeros(packed.rows(), 1);
+        batched.forward_batch_compact(&packed);
+        let preds = batched.batch_preds();
+        let mut d = Tensor2::zeros(preds.rows(), 1);
+        let mut row = 0;
         for b in 0..packed.count {
             let base = b * packed.n_max;
             let n = packed.lens[b];
@@ -120,11 +127,12 @@ proptest! {
                 .max(1e-12);
             for i in 0..n {
                 let w = adjuster.weight(packed.heights[base + i]);
-                let err = preds.get(base + i, 0) - packed.targets[base + i];
-                d.set(base + i, 0, 2.0 * w * err / wsum / count);
+                let err = preds.get(row, 0) - packed.targets[base + i];
+                d.set(row, 0, 2.0 * w * err / wsum / count);
+                row += 1;
             }
         }
-        batched.backward(&d);
+        batched.backward_compact(&d);
         let got = flat_grads(&mut batched);
 
         prop_assert_eq!(got.len(), want.len());
