@@ -4,7 +4,7 @@
 //! featurization, and the end-to-end submit→wait round trip.
 //!
 //! Run with `cargo bench -p dace-bench --bench serve`. The closed-/open-loop
-//! multi-client numbers live in `serve_bench` (crates/eval), not here:
+//! multi-client numbers live in `perfbench` (`BENCHMARK.json`), not here:
 //! criterion drives a single thread, which is exactly right for per-request
 //! component costs and exactly wrong for contention behavior.
 

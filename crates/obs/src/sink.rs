@@ -217,6 +217,25 @@ mod tests {
             sink.finish();
         }
         let text = std::fs::read_to_string(&path).unwrap();
+        // Every line carries the keys downstream tooling reads by name.
+        for line in text.lines() {
+            let v: serde::Value = serde_json::from_str(line).unwrap();
+            let map = v.as_map().expect("one JSON object per line");
+            for key in [
+                "phase",
+                "epoch",
+                "train_loss",
+                "grad_norm",
+                "lr",
+                "epoch_ms",
+                "early_stop",
+            ] {
+                assert!(
+                    serde::map_get(map, key).is_some(),
+                    "manifest line missing {key}: {line}"
+                );
+            }
+        }
         let back = parse_manifest(&text).unwrap();
         assert_eq!(back.len(), 3);
         assert_eq!(back[2], record(2));

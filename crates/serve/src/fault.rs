@@ -4,9 +4,8 @@
 //! injection decision here is a pure function of `(seed, site, roll index)`,
 //! where the roll index is a per-site atomic counter. Thread interleaving
 //! changes *which worker* observes a given fault, but never *how many*
-//! faults fire over N rolls — so the chaos tests and `serve_bench --chaos`
-//! assert exact-ish fault counts and CI replays the same fault plan every
-//! run.
+//! faults fire over N rolls — so the chaos tests assert exact-ish fault
+//! counts and replay the same fault plan every run.
 //!
 //! The injector is compiled in unconditionally (no feature flags — the
 //! whole point is that the shipped binary is the tested binary) and costs
@@ -44,7 +43,7 @@ pub enum FaultSite {
     /// Extra latency injected while *holding the queue lock* — every worker
     /// stalls behind it.
     QueueStall = 3,
-    /// Corrupt checkpoint bytes before a reload (driven by the bench/test
+    /// Corrupt checkpoint bytes before a reload (driven by the test
     /// checkpointer, not the scheduler).
     CheckpointCorrupt = 4,
     /// Panic the background retrain thread mid-fine-tune (after it has
@@ -60,14 +59,9 @@ pub enum FaultSite {
     /// from the base model, and a later retry must succeed once the fault
     /// plan quiets. Rolled once per background load by the adapter pager.
     AdapterLoadCorrupt = 7,
-    /// A noisy-tenant traffic storm: a burst of submissions from one tenant
-    /// far over its quota. Driven by the bench/test traffic generator (like
-    /// [`FaultSite::CheckpointCorrupt`]), not the scheduler — the serve
-    /// layer's quota and WFQ planes are what absorb it.
-    TenantStorm = 8,
 }
 
-const SITE_COUNT: usize = 9;
+const SITE_COUNT: usize = 8;
 
 /// Per-site salts so the same seed yields independent decision streams.
 const SITE_SALT: [u64; SITE_COUNT] = [
@@ -79,7 +73,6 @@ const SITE_SALT: [u64; SITE_COUNT] = [
     0x6c62_272e_07bb_0142,
     0x3c79_ac49_2ba7_b653,
     0x46d8_35a1_97b0_c2f9,
-    0x1f8e_6b54_d3a9_07ce,
 ];
 
 /// Fault plan: probabilities in parts-per-million per roll, plus the
@@ -103,7 +96,7 @@ pub struct FaultConfig {
     /// How long an injected queue stall holds the queue lock.
     pub queue_stall: Duration,
     /// Checkpoint-corruption probability per save/load cycle (ppm); consumed
-    /// by the bench/test checkpointer via [`FaultInjector::should_fire`].
+    /// by the test checkpointer via [`FaultInjector::should_fire`].
     pub checkpoint_corrupt_ppm: u32,
     /// Mid-retrain crash probability per background retrain (ppm); consumed
     /// by the adaptive controller's retrain thread.
@@ -114,10 +107,6 @@ pub struct FaultConfig {
     /// Adapter-load corruption probability per background page-in (ppm);
     /// consumed by the adapter pager's loader thread.
     pub adapter_load_corrupt_ppm: u32,
-    /// Noisy-tenant storm-burst probability per submission tick (ppm);
-    /// consumed by the bench/test traffic generator via
-    /// [`FaultInjector::should_fire`].
-    pub tenant_storm_ppm: u32,
 }
 
 impl FaultConfig {
@@ -135,7 +124,6 @@ impl FaultConfig {
             retrain_crash_ppm: 0,
             sabotage_ppm: 0,
             adapter_load_corrupt_ppm: 0,
-            tenant_storm_ppm: 0,
         }
     }
 
@@ -149,7 +137,6 @@ impl FaultConfig {
             && self.retrain_crash_ppm == 0
             && self.sabotage_ppm == 0
             && self.adapter_load_corrupt_ppm == 0
-            && self.tenant_storm_ppm == 0
     }
 
     fn ppm(&self, site: FaultSite) -> u32 {
@@ -162,7 +149,6 @@ impl FaultConfig {
             FaultSite::RetrainCrash => self.retrain_crash_ppm,
             FaultSite::CandidateSabotage => self.sabotage_ppm,
             FaultSite::AdapterLoadCorrupt => self.adapter_load_corrupt_ppm,
-            FaultSite::TenantStorm => self.tenant_storm_ppm,
         }
     }
 }

@@ -20,15 +20,15 @@
 //! * [`ServeMetrics`] / [`MetricsSnapshot`] — serve-path instrumentation
 //!   registered in a shared [`dace_obs::MetricsRegistry`] (queue wait, batch
 //!   size, cache lookup, featurize, attention/MLP forward split, end-to-end
-//!   p50/p95/p99), exportable as Prometheus text or JSON and printed by the
-//!   `serve_bench` binary in `dace-eval`.
+//!   p50/p95/p99), exportable as Prometheus text or JSON and read by the
+//!   `perfbench` benchmark.
 //! * **Robustness** — workers are supervised (`catch_unwind` isolation,
 //!   respawn with capped backoff, poison-recovering locks); an optional
 //!   [`FallbackEstimator`] behind a [`CircuitBreaker`] answers
 //!   `degraded: true` from an optimizer-cost heuristic when the model path
 //!   is distrusted; and a deterministic seeded [`FaultInjector`]
-//!   ([`ServeConfig::faults`]) drives the chaos tests and
-//!   `serve_bench --chaos`.
+//!   ([`ServeConfig::faults`]) drives the chaos tests
+//!   (`tests/chaos.rs`).
 //! * **Online adaptation** — an [`AdaptiveController`] closes the
 //!   observe→retrain→swap loop caller-side: completed requests with
 //!   measured actuals feed a lock-free ring, a sliding-window
@@ -36,7 +36,8 @@
 //!   retrain, shadow eval gates promotion (through the crash-safe
 //!   checkpoint path), and a probation window rolls back to last-good if
 //!   live traffic disagrees — all without touching the serve hot path
-//!   (`serve_bench --adaptive` proves the loop end to end).
+//!   (`tests/adaptive.rs` and `tests/lineage.rs` drive the loop end to
+//!   end).
 //! * **Multi-tenant isolation** — requests carry a tenant id
 //!   ([`DaceServer::submit_for`]): each shard drains per-tenant sub-queues
 //!   by deficit-round-robin weighted-fair queueing so a flooding tenant

@@ -325,7 +325,7 @@ const SERVE_METRIC_HELP: &[(&str, &str)] = &[
 ];
 
 /// Point-in-time view of the whole serve path, printable and serializable
-/// (what `serve_bench` reports and CI asserts on).
+/// (what `perfbench` reports and the serve tests assert on).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetricsSnapshot {
     /// Requests admitted.

@@ -65,8 +65,8 @@
 //! [`CircuitBreaker`] watches model-path outcomes (errors and deadline
 //! misses) and, once tripped, routes whole groups straight to the fallback
 //! until half-open probes prove the model healthy again. Faults themselves
-//! can be injected deterministically via [`ServeConfig::faults`] for chaos
-//! tests and `serve_bench --chaos`.
+//! can be injected deterministically via [`ServeConfig::faults`] for the
+//! chaos tests.
 //!
 //! [`PackedBatch`]: dace_core::PackedBatch
 
@@ -103,7 +103,7 @@ use crate::tenant::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Largest batch a worker drains before forwarding. `1` disables
-    /// micro-batching (the baseline `serve_bench` compares against).
+    /// micro-batching.
     pub max_batch: usize,
     /// How long a worker holding a partial batch waits for more requests.
     /// Only ever paid on an idle system; a backlog fills batches instantly.
@@ -131,12 +131,6 @@ pub struct ServeConfig {
     /// Batches under 64 misses featurize serially either way, so the
     /// default never pays thread-spawn latency on the serve path.
     pub featurize_threads: usize,
-    /// Record the per-stage breakdown (cache lookup, attention/MLP split)
-    /// into the metrics registry and stamp each [`Prediction`] with its
-    /// [`StageBreakdown`]. Costs a handful of clock reads per *batch*, so
-    /// it defaults on; turn off to shave the last fraction of a percent in
-    /// throughput benchmarks.
-    pub stage_timing: bool,
     /// Depth limit enforced by admission-time plan validation (`0`
     /// disables the depth check; structural and numeric validation always
     /// run). Defaults to [`DEFAULT_MAX_PLAN_DEPTH`].
@@ -194,7 +188,6 @@ impl Default for ServeConfig {
             default_deadline: None,
             cache_capacity: 4096,
             featurize_threads: 1,
-            stage_timing: true,
             max_plan_depth: DEFAULT_MAX_PLAN_DEPTH,
             breaker: BreakerConfig::default(),
             faults: FaultConfig::disabled(),
@@ -307,9 +300,8 @@ pub struct Prediction {
     /// the model named by `version`. Degraded answers are counted in
     /// `serve_degraded_total`.
     pub degraded: bool,
-    /// Per-stage wall-time attribution for this request's batch; `None`
-    /// when [`ServeConfig::stage_timing`] is off (and on degraded answers,
-    /// which skip the staged path).
+    /// Per-stage wall-time attribution for this request's batch; `None` on
+    /// degraded answers, which skip the staged path.
     pub stages: Option<StageBreakdown>,
     /// Causal trace id minted at admission and carried through the queue,
     /// batch, worker, and (via [`crate::AdaptiveController::observe`]) any
@@ -926,8 +918,7 @@ impl DaceServer {
     }
 
     /// Per-tenant counters, weights and breaker states, sorted by traffic
-    /// (what `serve_bench --tenants` reports and the isolation tests
-    /// assert on).
+    /// (what the isolation tests assert on).
     pub fn tenant_snapshot(&self) -> Vec<TenantSnapshot> {
         self.ctx.tenants.snapshot()
     }
@@ -1488,7 +1479,7 @@ fn process_batch(ctx: &WorkerCtx, shard: usize, batch: Vec<Job>, scratch: &mut W
 /// `scratch.ms`, aligned with the group's jobs).
 struct GroupOutput {
     hit_mask: Vec<bool>,
-    stages: Option<StageBreakdown>,
+    stages: StageBreakdown,
 }
 
 /// The model path for one (adapter, tier) group: featurize through the
@@ -1577,19 +1568,15 @@ fn forward_group(
                 &mut scratch.ms,
             ),
         };
-        if config.stage_timing {
-            metrics.cache_lookup_us.record(cache_lookup_us);
-            metrics.attention_us.record(timings.attention_us);
-            metrics.mlp_us.record(timings.mlp_us);
-            Some(StageBreakdown {
-                queue_wait_us: 0, // stamped per request below
-                cache_lookup_us,
-                featurize_us: featurize_us - cache_lookup_us,
-                attention_us: timings.attention_us,
-                mlp_us: timings.mlp_us,
-            })
-        } else {
-            None
+        metrics.cache_lookup_us.record(cache_lookup_us);
+        metrics.attention_us.record(timings.attention_us);
+        metrics.mlp_us.record(timings.mlp_us);
+        StageBreakdown {
+            queue_wait_us: 0, // stamped per request below
+            cache_lookup_us,
+            featurize_us: featurize_us - cache_lookup_us,
+            attention_us: timings.attention_us,
+            mlp_us: timings.mlp_us,
         }
     };
     metrics
@@ -1638,9 +1625,9 @@ fn respond_predictions(
         metrics
             .e2e_us
             .record(job.enqueued.elapsed().as_micros() as u64);
-        let stages = group.stages.map(|s| StageBreakdown {
+        let stages = Some(StageBreakdown {
             queue_wait_us: drained_at.duration_since(job.enqueued).as_micros() as u64,
-            ..s
+            ..group.stages
         });
         mark!("serve_reply", job.trace);
         let _ = job.resp.send(Ok(Prediction {

@@ -345,8 +345,7 @@ impl Drop for InFlightGuard {
     }
 }
 
-/// Point-in-time view of one tenant (what `serve_bench --tenants` and the
-/// isolation tests assert on).
+/// Point-in-time view of one tenant (what the isolation tests assert on).
 #[derive(Debug, Clone, Serialize)]
 pub struct TenantSnapshot {
     /// Tenant id.

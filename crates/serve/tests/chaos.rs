@@ -8,13 +8,14 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use dace_plan::{NodeType, OpPayload, PlanNode, PlanValidationError, TreeBuilder};
 use dace_serve::{
     silence_injected_panics, BreakerConfig, BreakerState, CostLinearFallback, DaceServer,
-    FaultConfig, ModelRegistry, ServeConfig, ServeError,
+    FaultConfig, FaultSite, ModelRegistry, ServeConfig, ServeError,
 };
 
 /// A server wired for chaos: trained model, fitted cost-linear fallback,
@@ -292,5 +293,82 @@ fn combined_fault_storm_stays_available() {
     );
     assert_eq!(snap.pool_exhausted, 0);
     assert!(snap.degraded <= snap.completed);
+    server.shutdown();
+}
+
+/// The seeded chaos plan (seed 3405: 1% worker kills, 1% batch panics,
+/// 0.5% checkpoint corruption) under 8 closed-loop clients × 20 requests,
+/// while a background checkpointer cycles the live base model through
+/// save → maybe-corrupt → `swap_base_from_checkpoint`. Every request is
+/// answered, degraded answers are flagged exactly as counted, the pool
+/// never dies, and a corrupted checkpoint is always rejected.
+#[test]
+fn seeded_fault_plan_with_checkpoint_reloads_stays_available() {
+    silence_injected_panics();
+    let (est, train) = common::quick_estimator(7);
+    let fallback = Box::new(CostLinearFallback::fit(&train));
+    let registry = Arc::new(common::registry_with_tenant_adapter(est, &train));
+    let config = ServeConfig {
+        default_deadline: None,
+        faults: FaultConfig {
+            seed: 3405,
+            worker_kill_ppm: 10_000,
+            batch_panic_ppm: 10_000,
+            checkpoint_corrupt_ppm: 5_000,
+            ..FaultConfig::disabled()
+        },
+        ..ServeConfig::default()
+    };
+    let server = DaceServer::with_fallback(Arc::clone(&registry), config, fallback);
+    let injector = server.fault_injector();
+    let dir = std::env::temp_dir().join(format!("dace-chaos-ckpt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("base.ckpt");
+
+    // One checkpoint cycle; returns whether the reload was accepted. A
+    // rejected reload must leave the registry on its last good version,
+    // which the concurrent traffic relies on.
+    let cycle = |force_corrupt: bool| {
+        let base = registry.base();
+        dace_core::save_checkpoint(&path, &base.estimator).unwrap();
+        if force_corrupt || injector.should_fire(FaultSite::CheckpointCorrupt) {
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x04;
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        registry.swap_base_from_checkpoint(&path).is_ok()
+    };
+    let stop = AtomicBool::new(false);
+    let saves = AtomicU64::new(0);
+    let (clients, requests) = (8, 20);
+    let run = std::thread::scope(|s| {
+        s.spawn(|| {
+            // Stay well inside the registry's version-slot capacity.
+            while !stop.load(Ordering::Acquire) && saves.fetch_add(1, Ordering::Relaxed) < 900 {
+                cycle(false);
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        let run = common::closed_loop(&server, &common::trees(&train), clients, requests);
+        stop.store(true, Ordering::Release);
+        run
+    });
+    assert!(
+        !cycle(true),
+        "a deliberately corrupted checkpoint was accepted"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+
+    let snap = server.metrics_snapshot();
+    let total = (clients * requests) as u64;
+    assert_eq!(run.answered, total, "closed-loop chaos traffic was dropped");
+    assert_eq!(snap.completed, total);
+    assert!(snap.availability() >= 0.99, "availability: {snap}");
+    assert_eq!(snap.pool_exhausted, 0, "the pool must never die");
+    assert_eq!(
+        run.degraded, snap.degraded,
+        "clients saw a different number of degraded answers than were counted"
+    );
     server.shutdown();
 }

@@ -200,6 +200,42 @@ fn noisy_tenant_sheds_only_its_own_traffic() {
     assert_eq!(noisy.shed, noisy_shed);
     assert_eq!(polite.shed, 0, "sheds bled across lanes: {polite:?}");
     assert_eq!(polite.completed, 6);
+
+    // Now give the flooder a 200 rps quota (burst 20) and flood it at 10×
+    // that rate while the polite tenant keeps asking: the bucket rejects
+    // the excess typed, and the polite tenant is still answered every time.
+    server.set_tenant_quota("noisy", 200, 20).unwrap();
+    let (mut quota_rejected, mut flood, mut polite) = (0u64, Vec::new(), Vec::new());
+    for i in 0..200 {
+        match server.submit_for(Some("noisy"), plan, None, None) {
+            Ok(h) => flood.push(h),
+            Err(ServeError::QuotaExceeded) => quota_rejected += 1,
+            Err(ServeError::Overloaded) => {}
+            Err(e) => panic!("unexpected admission error: {e}"),
+        }
+        if i % 10 == 0 {
+            polite.push(
+                server
+                    .submit_for(Some("polite"), plan, None, None)
+                    .expect("polite tenant admitted during the quota storm"),
+            );
+        }
+        std::thread::sleep(Duration::from_micros(500));
+    }
+    for h in polite {
+        h.wait()
+            .expect("polite request answered during the quota storm");
+    }
+    for h in flood {
+        let _ = h.wait();
+    }
+    assert!(quota_rejected >= 1, "a 10× flood never tripped the quota");
+    assert_eq!(
+        snapshot_for(&server, "noisy").quota_rejected,
+        quota_rejected
+    );
+    let polite = snapshot_for(&server, "polite");
+    assert_eq!((polite.shed, polite.completed), (0, 26), "{polite:?}");
     server.shutdown();
 }
 
@@ -302,6 +338,28 @@ fn identical_plans_never_share_cache_entries_across_tenants() {
     let snap = server.metrics_snapshot();
     assert_eq!((snap.cache_misses, snap.cache_hits), (4, 4));
     assert_eq!(server.cache_len(), 4, "repeats must not mint new entries");
+    let registry = server.registry().clone();
+    server.shutdown();
+
+    // At scale: 8 tenants each submit the same 4 plans twice. Every
+    // (tenant, plan) pair misses on first sight — a single first-pass hit
+    // is cross-tenant bleed — and hits its own entry on the second pass.
+    let server = DaceServer::new(registry, tenant_config(1, 1));
+    let (tenants, plans) = (8, 4);
+    let pass = || {
+        for t in 0..tenants {
+            for plan in train.plans.iter().take(plans) {
+                server.predict_for(&format!("b{t:02}"), &plan.tree).unwrap();
+            }
+        }
+        server.metrics_snapshot()
+    };
+    let pairs = (tenants * plans) as u64;
+    let first = pass();
+    assert_eq!((first.cache_misses, first.cache_hits), (pairs, 0));
+    let second = pass();
+    assert_eq!(second.cache_hits - first.cache_hits, pairs);
+    assert_eq!(server.cache_len(), pairs as usize);
     server.shutdown();
 }
 
@@ -398,6 +456,51 @@ fn adapter_paging_cold_start_quarantine_and_lru() {
             "missing {kind} in journal"
         );
     }
+    let registry = server.registry().clone();
+    server.shutdown();
+
+    // Injected corruption (`AdapterLoadCorrupt` at 100%) on a valid
+    // checkpoint: the load fails typed, the tenant quarantines, and it
+    // keeps getting degraded answers before and after.
+    let config = ServeConfig {
+        faults: FaultConfig {
+            seed: 46,
+            adapter_load_corrupt_ppm: 1_000_000,
+            ..FaultConfig::disabled()
+        },
+        ..tenant_config(1, 1)
+    };
+    let server = DaceServer::with_tenancy(
+        registry,
+        config,
+        None,
+        HealthConfig::default(),
+        Some(PagerConfig {
+            hot_set: 2,
+            retry_cooldown: Duration::from_millis(50),
+            ..PagerConfig::new(&dir)
+        }),
+    );
+    let pager = Arc::clone(server.pager().expect("built with a pager"));
+    assert!(server.predict_for("t1", plan).unwrap().degraded);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !pager.is_failed("t1") {
+        assert!(
+            Instant::now() < deadline,
+            "injected corruption never failed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(server.predict_for("t1", plan).unwrap().degraded);
+    assert!(server.metrics_snapshot().adapter_load_failures >= 1);
+    let typed = server.health().journal().records().into_iter().any(|r| {
+        matches!(&r.event, LifecycleEvent::AdapterLoadFailed { tenant, reason }
+            if tenant == "t1" && reason.contains("injected"))
+    });
+    assert!(
+        typed,
+        "injected corruption must be journaled as a load failure"
+    );
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
