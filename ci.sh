@@ -2,7 +2,7 @@
 # Offline CI gate: everything here must pass with no network access
 # (all dependencies are vendored under vendor/ — see README "Offline builds").
 #
-#   ./ci.sh         # full gate: build, tests, clippy, fmt, bench and perfbench smoke
+#   ./ci.sh         # full gate: build, tests, clippy, fmt, rustdoc, bench and perfbench smoke
 #   ./ci.sh quick   # tier-1 only: release build + root test suite
 #
 # The serving system's gates (closed-loop serving, observability, health
@@ -30,6 +30,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> fmt"
 cargo fmt --all --check
+
+# Rustdoc gate: every intra-doc link must resolve. The crates are listed
+# rather than `--workspace`, which would also document the vendored
+# offline stand-ins and fail on their own links.
+echo "==> rustdoc"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
+    -p dace-plan -p dace-catalog -p dace-query -p dace-engine -p dace-nn \
+    -p dace-core -p dace-obs -p dace-serve -p dace-baselines -p dace-eval \
+    -p dace-bench -p dace-repro
 
 # Scratch space for the smokes' JSON reports below.
 OBS_TMP=$(mktemp -d)

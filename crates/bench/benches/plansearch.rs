@@ -7,7 +7,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use dace_catalog::{generate_database, suite_specs};
-use dace_core::{PlanFeatures, ScoreSession, TrainConfig, Trainer};
+use dace_core::{PlanFeatures, ScoreSession, Tensor2, TrainConfig, Trainer, FEATURE_DIM};
 use dace_engine::{collect_dataset, AnalyticScorer, CostModel, LearnedScorer, SearchSession};
 use dace_plan::MachineId;
 use dace_query::ComplexWorkloadGen;
@@ -81,8 +81,8 @@ fn bench_plansearch(c: &mut Criterion) {
     });
 
     // Raw batched scoring: the candidate traffic shape the driver emits
-    // (dozens of sub-plans per level), featurized and scored through the
-    // session's root-row forward.
+    // (dozens of sub-plans per level), featurized, packed back to back and
+    // scored through the session's root-row forward.
     group.bench_function("score_batch_64", |b| {
         let mut session = ScoreSession::new(&est);
         b.iter(|| {
@@ -91,8 +91,14 @@ fn bench_plansearch(c: &mut Criterion) {
                 .iter()
                 .map(|p| est.featurizer.encode(&p.tree))
                 .collect();
-            let refs: Vec<&PlanFeatures> = feats.iter().collect();
-            black_box(session.score_features_ms(&refs).len());
+            let lens: Vec<usize> = feats.iter().map(|f| f.x.rows()).collect();
+            let mut rows = Tensor2::zeros(lens.iter().sum(), FEATURE_DIM);
+            let mut next = 0;
+            for f in &feats {
+                rows.set_row_block(next, &f.x);
+                next += f.x.rows();
+            }
+            black_box(session.score_rows_ms(&rows, &lens).len());
         })
     });
     group.finish();

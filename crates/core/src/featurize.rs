@@ -6,7 +6,8 @@
 //! model must work on databases it has never seen.
 
 use dace_nn::{RobustScaler, Tensor2, MASK_NEG};
-use dace_plan::{Dataset, NodeType, PlanTree, NODE_TYPE_COUNT};
+use dace_obs::splitmix64;
+use dace_plan::{Dataset, NodeId, NodeType, PlanNode, PlanTree, NODE_TYPE_COUNT};
 use serde::{Deserialize, Serialize};
 
 /// Node encoding width: 16 one-hot + scaled cost + scaled cardinality.
@@ -23,55 +24,19 @@ pub struct FeatureConfig {
     pub disable_tree_attention: bool,
 }
 
-/// One plan node as the featurizer reads it, detached from any tree
-/// representation. A plan's nodes in DFS preorder, with their child counts,
-/// fix its shape; [`Featurizer::encode_nodes`] and
-/// [`Featurizer::fingerprint_nodes`] work on such sequences, so a planner's
-/// own plan type featurizes without first building a [`PlanTree`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FeatureNode {
-    /// Operator type.
-    pub node_type: NodeType,
-    /// Number of children.
-    pub children: usize,
-    /// Estimated cumulative cost.
-    pub est_cost: f64,
-    /// Estimated output rows.
-    pub est_rows: f64,
-    /// Actual output rows (the DACE-A cardinality variant reads these).
-    pub actual_rows: f64,
-    /// Actual cumulative latency in ms (the training target).
-    pub actual_ms: f64,
-}
-
-/// `tree`'s nodes in DFS preorder.
-fn preorder_nodes(tree: &PlanTree) -> impl Iterator<Item = FeatureNode> + '_ {
-    tree.dfs().into_iter().map(|id| {
-        let node = tree.node(id);
-        FeatureNode {
-            node_type: node.node_type,
-            children: node.children.len(),
-            est_cost: node.est_cost,
-            est_rows: node.est_rows,
-            actual_rows: node.actual_rows,
-            actual_ms: node.actual_ms,
-        }
-    })
-}
-
-/// Subtree size of each preorder position, from the child counts. In DFS
-/// preorder the descendants of position `i` are exactly
+/// Subtree size of each preorder position, from the preorder child counts.
+/// In DFS preorder the descendants of position `i` are exactly
 /// `[i, i + size[i])`.
 ///
 /// # Panics
-/// Panics unless `nodes` is at most one well-formed tree in preorder.
-fn subtree_sizes(nodes: &[FeatureNode]) -> Vec<usize> {
-    let mut sizes = vec![0; nodes.len()];
+/// Panics unless `child_counts` is at most one well-formed tree in preorder.
+fn subtree_sizes(child_counts: &[usize]) -> Vec<usize> {
+    let mut sizes = vec![0; child_counts.len()];
     // Sizes of finished subtrees, the next sibling's on top.
     let mut done: Vec<usize> = Vec::new();
-    for (i, node) in nodes.iter().enumerate().rev() {
+    for (i, &children) in child_counts.iter().enumerate().rev() {
         let mut size = 1;
-        for _ in 0..node.children {
+        for _ in 0..children {
             size += done
                 .pop()
                 .expect("child count exceeds the nodes that follow");
@@ -106,27 +71,69 @@ const MS_FLOOR: f64 = 1e-4;
 /// degenerate (overflowed) model outputs.
 const MAX_LOG_MS: f64 = 20.0;
 
-/// Quantization resolution of [`Featurizer::fingerprint`]: log cost and log
+/// Quantization resolution of plan fingerprints: log cost and log
 /// cardinality are rounded to this many steps per nat before hashing, so
 /// plans whose estimates differ by less than ~1/64 nat (~1.6%) share a
 /// fingerprint — far finer than the model can distinguish.
 const FINGERPRINT_STEPS_PER_NAT: f64 = 64.0;
 
-/// `ln(1 + x)` with hostile inputs neutralized: NaN, ±∞ and values below
-/// `-1` (whose log1p is undefined) encode as `0.0` — the same feature a
+/// `ln(1 + x)`, the transform every cost and cardinality feature goes
+/// through, with hostile inputs neutralized: NaN, ±∞ and values below `-1`
+/// (whose log1p is undefined) encode as `0.0` — the same feature a
 /// zero-cost node produces — instead of poisoning the whole batch tensor
 /// with NaNs. Finite in-domain values are untouched (bit-identical to the
 /// plain transform), so sanitization is a no-op for every plan a real
 /// optimizer emits; the serving layer additionally *rejects* such plans up
 /// front via `dace_plan::validate_plan`, making this the defense-in-depth
 /// layer for callers that skip validation.
+///
+/// Planners that cache a node's logs (`dace_engine::PhysPlan`) compute them
+/// with this function, so features built from the cache are bit-identical
+/// to [`Featurizer::encode`]'s.
 #[inline]
-fn safe_log1p(x: f64) -> f64 {
+pub fn log_feature(x: f64) -> f64 {
     if x.is_finite() && x > -1.0 {
         (1.0 + x).ln()
     } else {
         0.0
     }
+}
+
+/// One Merkle step of the plan fingerprint: the hash of a node from its
+/// operator, its child count, its log cost and log cardinality (each
+/// quantized to 1/64 nat) and its children's hashes, in plan order.
+///
+/// The step is featurizer-independent — it sees the logs, not the scaled
+/// features — so a planner can cache it on every node when the node is
+/// built and key a new candidate from its children in O(children).
+/// [`Featurizer::fingerprint`] is this step folded bottom-up over a
+/// [`PlanTree`], salted with the featurizer.
+///
+/// The node's own fields are packed into one word and finalized with
+/// splitmix64; the children are then absorbed one by one through the same
+/// finalizer, so child order matters (swapping a join's inputs changes the
+/// hash) and equal subtrees hash equal wherever they sit. The packing is
+/// exact: [`log_feature`] is bounded to about [-37, 710] nats, so each
+/// quantized log fits its 24 bits; only a child count above 2047 saturates,
+/// and the absorbed children still tell such nodes apart.
+pub fn node_fingerprint(
+    node_type: NodeType,
+    log_cost: f64,
+    log_card: f64,
+    children: impl ExactSizeIterator<Item = u64>,
+) -> u64 {
+    const LOG_BITS: u64 = 0xFF_FFFF;
+    let quant =
+        |x: f64| -> u64 { ((x * FINGERPRINT_STEPS_PER_NAT).round() as i64) as u64 & LOG_BITS };
+    let own = quant(log_cost)
+        | quant(log_card) << 24
+        | (node_type.one_hot_index() as u64) << 48
+        | (children.len().min(2047) as u64) << 53;
+    let mut h = splitmix64(own);
+    for child in children {
+        h = splitmix64(h ^ child);
+    }
+    h
 }
 
 /// A mini-batch of featurized plans packed for a single block-diagonal
@@ -228,13 +235,13 @@ impl Featurizer {
         for plan in &train.plans {
             for id in plan.tree.ids() {
                 let node = plan.tree.node(id);
-                costs.push(safe_log1p(node.est_cost));
+                costs.push(log_feature(node.est_cost));
                 let card = if config.use_actual_cardinality {
                     node.actual_rows
                 } else {
                     node.est_rows
                 };
-                cards.push(safe_log1p(card));
+                cards.push(log_feature(card));
             }
         }
         Featurizer {
@@ -245,32 +252,26 @@ impl Featurizer {
     }
 
     /// Featurize one plan (targets come from the plan's actual labels; they
-    /// are zeros for unlabeled inference plans).
+    /// are zeros for unlabeled inference plans). Rows follow DFS preorder;
+    /// the attention mask and node heights come from the child counts.
     pub fn encode(&self, tree: &PlanTree) -> PlanFeatures {
-        let nodes: Vec<FeatureNode> = preorder_nodes(tree).collect();
-        self.encode_nodes(&nodes)
-    }
-
-    /// Featurize a plan given as its nodes in DFS preorder — what
-    /// [`Featurizer::encode`] does after walking a [`PlanTree`]. The
-    /// attention mask and node heights come from the child counts.
-    ///
-    /// # Panics
-    /// Panics unless `nodes` is one well-formed tree in preorder.
-    pub fn encode_nodes(&self, nodes: &[FeatureNode]) -> PlanFeatures {
-        let n = nodes.len();
+        let order = tree.dfs();
+        let n = order.len();
         let mut x = Tensor2::zeros(n, FEATURE_DIM);
         let mut targets = Vec::with_capacity(n);
-        for (i, node) in nodes.iter().enumerate() {
-            let row = x.row_mut(i);
-            row[node.node_type.one_hot_index()] = 1.0;
-            row[NODE_TYPE_COUNT] = self.cost_scaler.transform(safe_log1p(node.est_cost)) as f32;
-            row[NODE_TYPE_COUNT + 1] =
-                self.card_scaler
-                    .transform(safe_log1p(self.cardinality(node))) as f32;
+        let mut child_counts = Vec::with_capacity(n);
+        for (i, &id) in order.iter().enumerate() {
+            let node = tree.node(id);
+            self.encode_row(
+                node.node_type,
+                log_feature(node.est_cost),
+                log_feature(self.cardinality(node)),
+                x.row_mut(i),
+            );
             targets.push(node.actual_ms.max(MS_FLOOR).ln() as f32);
+            child_counts.push(node.children.len());
         }
-        let sizes = subtree_sizes(nodes);
+        let sizes = subtree_sizes(&child_counts);
         // A node's height is its number of ancestors: the open subtrees
         // (exclusive ends past `i`) when its position comes up.
         let mut heights = Vec::with_capacity(n);
@@ -300,9 +301,21 @@ impl Featurizer {
         }
     }
 
+    /// Write one node's encoding into `row` (`FEATURE_DIM` wide, zeroed by
+    /// the caller): the operator's one-hot bit and the scaled log cost and
+    /// log cardinality, both already passed through [`log_feature`]. Every
+    /// encoder — [`Featurizer::encode`] and the plan-search scorer, which
+    /// reads the logs a planner cached on its nodes — writes rows here.
+    #[inline]
+    pub fn encode_row(&self, node_type: NodeType, log_cost: f64, log_card: f64, row: &mut [f32]) {
+        row[node_type.one_hot_index()] = 1.0;
+        row[NODE_TYPE_COUNT] = self.cost_scaler.transform(log_cost) as f32;
+        row[NODE_TYPE_COUNT + 1] = self.card_scaler.transform(log_card) as f32;
+    }
+
     /// The cardinality feature's source: estimated rows, or actual rows for
     /// the DACE-A variant.
-    fn cardinality(&self, node: &FeatureNode) -> f64 {
+    fn cardinality(&self, node: &PlanNode) -> f64 {
         if self.config.use_actual_cardinality {
             node.actual_rows
         } else {
@@ -310,49 +323,67 @@ impl Featurizer {
         }
     }
 
-    /// Structural fingerprint of a plan *under this featurizer* — the
-    /// serve-path featurization-cache key and the search memo key.
-    ///
-    /// Hashes (FNV-1a, 64-bit) the featurizer identity (scaler parameters +
-    /// config flags) and, per node in DFS order, the operator type, child
-    /// count (preorder + child counts uniquely determine the tree shape,
-    /// hence the attention mask) and the log cost/cardinality quantized to
-    /// [`FINGERPRINT_STEPS_PER_NAT`] steps per nat (~1.6% resolution).
-    /// Plans within a quantization cell share a cache line by design; the
-    /// scaled features differ by far less than model noise at that
-    /// granularity. Including the scaler parameters means a base-model swap
-    /// with refitted scalers can never serve stale cached features.
-    pub fn fingerprint(&self, tree: &PlanTree) -> u64 {
-        self.fingerprint_nodes(preorder_nodes(tree))
-    }
-
-    /// [`Featurizer::fingerprint`] of a plan given as its nodes in DFS
-    /// preorder.
-    pub fn fingerprint_nodes(&self, nodes: impl IntoIterator<Item = FeatureNode>) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: &mut u64, v: u64) {
-            *h ^= v;
-            *h = h.wrapping_mul(FNV_PRIME);
-        }
-        let quant = |x: f64| -> u64 { ((x * FINGERPRINT_STEPS_PER_NAT).round() as i64) as u64 };
-        let mut h = FNV_OFFSET;
-        mix(&mut h, self.cost_scaler.median.to_bits());
-        mix(&mut h, self.cost_scaler.iqr.to_bits());
-        mix(&mut h, self.card_scaler.median.to_bits());
-        mix(&mut h, self.card_scaler.iqr.to_bits());
-        mix(
-            &mut h,
+    /// This featurizer's identity as a hash: its scaler parameters and
+    /// config flags. [`Featurizer::fingerprint`] XORs it onto the plan's
+    /// Merkle root, so a base-model swap with refitted scalers can never
+    /// serve stale cached features.
+    pub fn salt(&self) -> u64 {
+        [
+            self.cost_scaler.median.to_bits(),
+            self.cost_scaler.iqr.to_bits(),
+            self.card_scaler.median.to_bits(),
+            self.card_scaler.iqr.to_bits(),
             (self.config.use_actual_cardinality as u64) << 1
                 | self.config.disable_tree_attention as u64,
-        );
-        for node in nodes {
-            mix(&mut h, node.node_type.one_hot_index() as u64);
-            mix(&mut h, node.children as u64);
-            mix(&mut h, quant(safe_log1p(node.est_cost)));
-            mix(&mut h, quant(safe_log1p(self.cardinality(&node))));
+        ]
+        .into_iter()
+        .fold(0, |h, v| splitmix64(h ^ v))
+    }
+
+    /// Structural fingerprint of a plan *under this featurizer* — the
+    /// serve-path featurization-cache key and the search memo key:
+    /// [`Featurizer::salt`] XOR the plan's Merkle root.
+    ///
+    /// The root is [`node_fingerprint`] folded bottom-up: each node hashes
+    /// its operator type, child count, log cost and log cardinality (the
+    /// one this featurizer reads) and its children's hashes in plan order.
+    /// Operators, child counts and order fix the tree shape, hence the
+    /// attention mask. The quantization cells are those of the flat
+    /// preorder hash this replaced: both logs are rounded to 1/64 nat
+    /// (~1.6%), so plans within a cell share a cache line by design — the
+    /// scaled features differ by far less than model noise at that
+    /// granularity. Because every node's hash depends only on its own
+    /// subtree, a planner that caches it per node (`dace_engine::PhysPlan`)
+    /// keys a candidate in O(1) to the same value.
+    pub fn fingerprint(&self, tree: &PlanTree) -> u64 {
+        let mut hashes = vec![0u64; tree.len()];
+        let mut fold = |id: NodeId| {
+            let node = tree.node(id);
+            hashes[id.index()] = node_fingerprint(
+                node.node_type,
+                log_feature(node.est_cost),
+                log_feature(self.cardinality(node)),
+                node.children.iter().map(|c| hashes[c.index()]),
+            );
+        };
+        // Every child must be hashed before its parent. A tree built with
+        // `TreeBuilder` stores children first, so arena order does; any
+        // other layout is redone in reverse preorder.
+        let children_first = tree.ids().all(|id| {
+            let ok = tree
+                .node(id)
+                .children
+                .iter()
+                .all(|c| c.index() < id.index());
+            if ok {
+                fold(id);
+            }
+            ok
+        });
+        if !children_first {
+            tree.dfs().into_iter().rev().for_each(&mut fold);
         }
-        h
+        self.salt() ^ hashes[tree.root().index()]
     }
 
     /// Convert a model output (log-ms) back to milliseconds.
@@ -550,6 +581,58 @@ mod tests {
             assert_eq!(batch.xc.get(1, c), two.x.get(0, c));
             assert_eq!(batch.xc.get(2, c), two.x.get(1, c));
         }
+    }
+
+    /// A node with distinct estimates, so every node hashes differently.
+    fn est_node(node_type: NodeType, cost: f64) -> PlanNode {
+        let mut n = PlanNode::new(node_type, OpPayload::Other);
+        n.est_cost = cost;
+        n.est_rows = cost * 3.0;
+        n
+    }
+
+    #[test]
+    fn fingerprint_ignores_arena_layout_and_follows_child_order() {
+        let ds = toy_dataset();
+        let f = Featurizer::fit(&ds, FeatureConfig::default());
+        // HashJoin(Hash(SeqScan 20), SeqScan 10), children stored first.
+        let mut b = TreeBuilder::new();
+        let s2 = b.leaf(est_node(NodeType::SeqScan, 20.0));
+        let hash = b.internal(est_node(NodeType::Hash, 25.0), vec![s2]);
+        let s1 = b.leaf(est_node(NodeType::SeqScan, 10.0));
+        let root = b.internal(est_node(NodeType::HashJoin, 60.0), vec![hash, s1]);
+        let built = b.finish(root);
+        // The same tree with the Hash node stored before its child.
+        let mut b = TreeBuilder::new();
+        let a = b.leaf(est_node(NodeType::SeqScan, 10.0));
+        let c = b.leaf(est_node(NodeType::SeqScan, 20.0));
+        let d = b.internal(est_node(NodeType::Hash, 25.0), vec![c]);
+        let root = b.internal(est_node(NodeType::HashJoin, 60.0), vec![d, a]);
+        let mut rewired = b.finish(root);
+        *rewired.node_mut(c) = est_node(NodeType::Hash, 25.0);
+        rewired.node_mut(c).children = vec![d];
+        *rewired.node_mut(d) = est_node(NodeType::SeqScan, 20.0);
+        rewired.node_mut(root).children = vec![c, a];
+        assert_eq!(f.fingerprint(&rewired), f.fingerprint(&built));
+        assert_eq!(f.encode(&rewired).x, f.encode(&built).x);
+        // Swapping the join's inputs changes the key.
+        rewired.node_mut(root).children = vec![a, c];
+        assert_ne!(f.fingerprint(&rewired), f.fingerprint(&built));
+    }
+
+    #[test]
+    fn fingerprint_keeps_estimates_a_parent_repeats_from_its_child() {
+        // A pass-through parent often carries its input's estimates; the
+        // key must still change with them.
+        let ds = toy_dataset();
+        let f = Featurizer::fit(&ds, FeatureConfig::default());
+        let tree = |cost: f64| {
+            let mut b = TreeBuilder::new();
+            let scan = b.leaf(est_node(NodeType::SeqScan, cost));
+            let root = b.internal(est_node(NodeType::Gather, cost), vec![scan]);
+            b.finish(root)
+        };
+        assert_ne!(f.fingerprint(&tree(10.0)), f.fingerprint(&tree(500.0)));
     }
 
     #[test]

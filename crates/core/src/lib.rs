@@ -29,9 +29,10 @@ mod scoring;
 mod trainer;
 
 pub use adapter::{AdapterError, LoraAdapter, LoraLayerWeights};
-pub use dace_nn::Workspace;
+pub use dace_nn::{Tensor2, Workspace};
 pub use featurize::{
-    FeatureConfig, FeatureNode, Featurizer, PackedBatch, PlanFeatures, FEATURE_DIM,
+    log_feature, node_fingerprint, FeatureConfig, Featurizer, PackedBatch, PlanFeatures,
+    FEATURE_DIM,
 };
 pub use loss::LossAdjuster;
 pub use model::{DaceModel, ForwardTimings, ENCODING_DIM};

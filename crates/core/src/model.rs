@@ -171,6 +171,42 @@ impl DaceModel {
             &mut ws.attn,
             &mut ws.heads,
         );
+        self.root_mlp_timed(t_attn, feats.len(), ws, out)
+    }
+
+    /// [`DaceModel::predict_roots_timed_ws`] over plans whose encoded rows
+    /// sit back to back in one compact tensor from row `row0` (`lens[b]`
+    /// rows per plan, root first), with no masks or per-plan [`PlanFeatures`]
+    /// ([`MaskedSelfAttention::forward_roots_compact_into`]): the plan-search
+    /// scorer's entry. Bit-identical to the masked entry on the same rows.
+    pub fn predict_roots_compact_timed_ws(
+        &self,
+        xc: &Tensor2,
+        row0: usize,
+        lens: &[usize],
+        ws: &mut Workspace,
+        out: &mut Vec<f32>,
+    ) -> ForwardTimings {
+        out.clear();
+        if lens.is_empty() {
+            return ForwardTimings::default();
+        }
+        let t_attn = std::time::Instant::now();
+        self.attention
+            .forward_roots_compact_into(xc, row0, lens, &mut ws.attn, &mut ws.heads);
+        self.root_mlp_timed(t_attn, lens.len(), ws, out)
+    }
+
+    /// The MLP over the `plans` root rows attention left in `ws.heads`,
+    /// appending their log-latencies to `out`; attention is timed from
+    /// `t_attn`.
+    fn root_mlp_timed(
+        &self,
+        t_attn: std::time::Instant,
+        plans: usize,
+        ws: &mut Workspace,
+        out: &mut Vec<f32>,
+    ) -> ForwardTimings {
         let attention_us = t_attn.elapsed().as_micros() as u64;
         let t_mlp = std::time::Instant::now();
         self.l1
@@ -182,7 +218,7 @@ impl DaceModel {
         self.l3
             .forward_ws(&ws.h2, &mut ws.preds, &mut ws.xb3, &mut ws.tmp);
         let mlp_us = t_mlp.elapsed().as_micros() as u64;
-        out.extend((0..feats.len()).map(|b| ws.preds.get(b, 0)));
+        out.extend((0..plans).map(|b| ws.preds.get(b, 0)));
         ForwardTimings {
             attention_us,
             mlp_us,

@@ -11,10 +11,10 @@
 
 use std::time::Instant;
 
-use crate::featurize::PlanFeatures;
+use crate::featurize::Featurizer;
 use crate::model::ForwardTimings;
 use crate::trainer::DaceEstimator;
-use dace_nn::Workspace;
+use dace_nn::{Tensor2, Workspace};
 
 /// A reusable batched-scoring session bound to one estimator.
 ///
@@ -56,24 +56,38 @@ impl<'a> ScoreSession<'a> {
         self.est
     }
 
-    /// Score already-featurized candidates in one chunked root-row forward.
-    /// Returns predicted root latencies (ms) in input order; the slice is
-    /// valid until the next call.
-    pub fn score_features_ms(&mut self, feats: &[&PlanFeatures]) -> &[f64] {
-        if feats.is_empty() {
-            self.out.clear();
+    /// Score candidates encoded back to back in one compact tensor
+    /// (`lens[b]` rows per candidate, root first, as
+    /// [`Featurizer::encode_row`] writes them) with the root-row forward
+    /// ([`DaceModel::predict_roots_compact_timed_ws`]), in chunks of the
+    /// estimator's `batch_plans` like every batched entry. Returns predicted
+    /// root latencies (ms) in candidate order; the slice is valid until the
+    /// next call.
+    ///
+    /// [`Featurizer::encode_row`]: crate::Featurizer::encode_row
+    /// [`DaceModel::predict_roots_compact_timed_ws`]: crate::DaceModel::predict_roots_compact_timed_ws
+    pub fn score_rows_ms(&mut self, xc: &Tensor2, lens: &[usize]) -> &[f64] {
+        self.out.clear();
+        if lens.is_empty() {
             return &self.out;
         }
         let start = Instant::now();
-        let timings = self.est.predict_features_batch_ms_timed_ws(
-            feats,
-            &mut self.ws,
-            &mut self.roots,
-            &mut self.out,
-        );
+        let mut row0 = 0;
+        for group in lens.chunks(self.est.config.batch_plans.max(1)) {
+            let timings = self.est.model.predict_roots_compact_timed_ws(
+                xc,
+                row0,
+                group,
+                &mut self.ws,
+                &mut self.roots,
+            );
+            self.forward_timings.accumulate(timings);
+            self.out
+                .extend(self.roots.iter().map(|&r| Featurizer::to_ms(r)));
+            row0 += group.iter().sum::<usize>();
+        }
         self.wall_us += start.elapsed().as_micros() as u64;
-        self.forward_timings.accumulate(timings);
-        self.plans_scored += feats.len() as u64;
+        self.plans_scored += lens.len() as u64;
         self.batches += 1;
         &self.out
     }
@@ -111,6 +125,7 @@ impl<'a> ScoreSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::featurize::{PackedBatch, PlanFeatures};
     use crate::trainer::{TrainConfig, Trainer};
     use dace_plan::{
         Dataset, LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, PlanTree, TreeBuilder,
@@ -167,6 +182,12 @@ mod tests {
         trees.iter().map(|t| est.featurizer.encode(t)).collect()
     }
 
+    /// `feats` packed back to back: the compact rows and per-plan lengths.
+    fn compact(feats: &[&PlanFeatures]) -> (Tensor2, Vec<usize>) {
+        let batch = PackedBatch::pack(feats).expect("non-empty batch");
+        (batch.xc, batch.lens)
+    }
+
     #[test]
     fn session_scores_match_one_shot_batch_api() {
         let (est, data) = tiny_estimator();
@@ -174,8 +195,9 @@ mod tests {
         let expect = est.predict_batch_ms(&trees);
         let feats = encode_all(&est, &trees);
         let refs: Vec<&PlanFeatures> = feats.iter().collect();
+        let (xc, lens) = compact(&refs);
         let mut sess = ScoreSession::new(&est);
-        let got = sess.score_features_ms(&refs).to_vec();
+        let got = sess.score_rows_ms(&xc, &lens).to_vec();
         assert_eq!(got.len(), expect.len());
         for (g, e) in got.iter().zip(&expect) {
             assert!(
@@ -195,10 +217,11 @@ mod tests {
         let trees: Vec<&PlanTree> = data.plans.iter().take(12).map(|p| &p.tree).collect();
         let feats = encode_all(&est, &trees);
         let refs: Vec<&PlanFeatures> = feats.iter().collect();
+        let (xc, lens) = compact(&refs);
         let mut sess = ScoreSession::new(&est);
-        let all = sess.score_features_ms(&refs).to_vec();
+        let all = sess.score_rows_ms(&xc, &lens).to_vec();
         for (i, f) in refs.iter().enumerate() {
-            let solo = sess.score_features_ms(&[f])[0];
+            let solo = sess.score_rows_ms(&f.x, &[f.x.rows()])[0];
             assert_eq!(
                 solo.to_bits(),
                 all[i].to_bits(),
@@ -214,15 +237,16 @@ mod tests {
         let trees: Vec<&PlanTree> = data.plans.iter().take(8).map(|p| &p.tree).collect();
         let feats = encode_all(&est, &trees);
         let refs: Vec<&PlanFeatures> = feats.iter().collect();
+        let (xc, lens) = compact(&refs);
         let mut sess = ScoreSession::new(&est);
-        sess.score_features_ms(&refs);
-        sess.score_features_ms(&refs[..4]);
+        sess.score_rows_ms(&xc, &lens);
+        sess.score_rows_ms(&xc, &lens[..4]);
         assert_eq!(sess.plans_scored(), 12);
         assert_eq!(sess.batches(), 2);
         assert!(sess.wall_us() > 0);
         assert!(sess.scores_per_sec() > 0.0);
         // Empty batches are free and uncounted.
-        sess.score_features_ms(&[]);
+        sess.score_rows_ms(&xc, &[]);
         assert_eq!(sess.batches(), 2);
     }
 }

@@ -6,8 +6,13 @@
 //! latency synthesis in [`crate::latency`]. Inner-side nodes of index nested
 //! loops report total rows fetched across all loops (PostgreSQL's
 //! `rows × nloops`).
+//!
+//! Sub-plans are shared between plans ([`PhysPlan`] children are `Arc`s):
+//! every write goes through [`Arc::make_mut`], so executing a plan unshares
+//! the nodes it fills in and leaves every other holder of them untouched.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dace_catalog::{ColumnId, Database, TableId, NULL_CODE};
 use dace_obs::span;
@@ -17,6 +22,7 @@ use dace_query::{JoinEdge, Predicate};
 use crate::planner::{ExecOp, PhysPlan};
 
 /// Execute `plan` against `db`, filling `actual_rows` on every node.
+/// Children shared with other plans are copied on write first.
 pub fn execute(db: &Database, plan: &mut PhysPlan) {
     let _ = run(db, plan);
 }
@@ -45,15 +51,16 @@ fn run(db: &Database, plan: &mut PhysPlan) -> Intermediate {
         ExecOp::Scan { table, predicates } => {
             // Bitmap pairs nest a Scan under a Scan; execute the index child
             // for its own count, then compute this node's result directly.
-            for c in &mut plan.children {
-                let _ = run(db, c);
+            for c in plan.children_mut() {
+                let _ = run(db, Arc::make_mut(c));
             }
             let _span = span!("exec_scan");
             scan(db, table, &predicates)
         }
         ExecOp::Join { edge } => {
-            debug_assert_eq!(plan.children.len(), 2);
-            let mut it = plan.children.iter_mut();
+            debug_assert_eq!(plan.children().len(), 2);
+            let nested_loop = plan.node_type() == dace_plan::NodeType::NestedLoop;
+            let mut it = plan.children_mut().iter_mut().map(Arc::make_mut);
             let left = it.next().unwrap();
             let right = it.next().unwrap();
             let l = run(db, left);
@@ -62,21 +69,19 @@ fn run(db: &Database, plan: &mut PhysPlan) -> Intermediate {
             let out = hash_join(db, l, r, edge);
             // Inner index scans of a nested loop report total fetched rows
             // across all probes.
-            if plan.node_type == dace_plan::NodeType::NestedLoop
-                && right.node_type == dace_plan::NodeType::IndexScan
-            {
+            if nested_loop && right.node_type() == dace_plan::NodeType::IndexScan {
                 right.actual_rows = out.rows() as f64;
             }
             out
         }
-        ExecOp::PassThrough => run(db, &mut plan.children[0]),
+        ExecOp::PassThrough => run(db, Arc::make_mut(&mut plan.children_mut()[0])),
         ExecOp::Aggregate { group_by } => {
-            let child = run(db, &mut plan.children[0]);
+            let child = run(db, Arc::make_mut(&mut plan.children_mut()[0]));
             let _span = span!("exec_aggregate");
             aggregate(db, child, group_by)
         }
         ExecOp::Limit { n } => {
-            let mut child = run(db, &mut plan.children[0]);
+            let mut child = run(db, Arc::make_mut(&mut plan.children_mut()[0]));
             let keep = (n as usize).min(child.rows());
             for col in &mut child.rowids {
                 col.truncate(keep);
@@ -236,8 +241,12 @@ fn aggregate(db: &Database, input: Intermediate, group_by: Option<ColumnId>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::card::CardEstimator;
     use crate::cost::CostModel;
-    use crate::planner::plan;
+    use crate::latency::MachineProfile;
+    use crate::planner::{
+        connecting_edge, join_candidates, masked_edges, pick_min_cost, plan, scan_candidates,
+    };
     use dace_catalog::{generate_database, suite_specs};
     use dace_query::{Aggregate, ComplexWorkloadGen, Query};
 
@@ -390,11 +399,78 @@ mod tests {
         }
     }
 
+    /// `p` with every node freshly allocated: shares nothing with `p`.
+    fn deep_clone(p: &PhysPlan) -> PhysPlan {
+        let mut copy = p.clone();
+        for c in copy.children_mut() {
+            *c = Arc::new(deep_clone(c));
+        }
+        copy
+    }
+
+    /// Addresses of every node of `p`.
+    fn node_ptrs(p: &PhysPlan, out: &mut Vec<*const PhysPlan>) {
+        out.push(p as *const PhysPlan);
+        for c in p.children() {
+            node_ptrs(c, out);
+        }
+    }
+
+    fn assert_actuals_zero(p: &PhysPlan) {
+        assert_eq!((p.actual_rows, p.actual_ms), (0.0, 0.0));
+        for c in p.children() {
+            assert_actuals_zero(c);
+        }
+    }
+
+    #[test]
+    fn executing_a_candidate_leaves_plans_sharing_its_children_untouched() {
+        let db = db();
+        let cm = CostModel::default();
+        let est = CardEstimator::new(&db);
+        let q = ComplexWorkloadGen {
+            max_joins: 1,
+            agg_prob: 0.0,
+            ..ComplexWorkloadGen::default()
+        }
+        .generate(&db, 40)
+        .into_iter()
+        .find(|q| q.joins.len() == 1 && q.tables.len() == 2)
+        .expect("a two-table join");
+        let scan = |t| Arc::new(pick_min_cost(scan_candidates(&db, &q, t, &cm, &est)));
+        let (l, r) = (scan(q.tables[0]), scan(q.tables[1]));
+        let edge = connecting_edge(&masked_edges(&q), 1, 2).expect("joined tables");
+        let cands = join_candidates(&db, (1, &l), (2, &r), edge, &cm, &est);
+        // The hash join and the merge join both hold both scans.
+        let mut pick = cands[0].clone();
+        let other = cands.last().unwrap().clone();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        node_ptrs(&pick, &mut a);
+        node_ptrs(&other, &mut b);
+        assert!(a.iter().any(|p| b.contains(p)), "candidates share no node");
+
+        let snapshot = deep_clone(&other);
+        let mut unshared = deep_clone(&pick);
+        let profile = MachineProfile::m1();
+        execute(&db, &mut pick);
+        profile.apply(&db, &mut pick, 7);
+        execute(&db, &mut unshared);
+        profile.apply(&db, &mut unshared, 7);
+
+        assert_actuals_zero(&other);
+        assert_eq!(other, snapshot);
+        assert_actuals_zero(&l);
+        assert_actuals_zero(&r);
+        assert!(pick.actual_ms > 0.0);
+        assert_eq!(pick.actual_ms, unshared.actual_ms);
+        assert_eq!(pick, unshared);
+    }
+
     fn assert_actuals_filled(p: &PhysPlan) {
         // actual_rows of zero is legitimate (empty results) but the field
         // must be finite and non-negative everywhere.
         assert!(p.actual_rows >= 0.0 && p.actual_rows.is_finite());
-        for c in &p.children {
+        for c in p.children() {
             assert_actuals_filled(c);
         }
     }

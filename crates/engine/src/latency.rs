@@ -13,6 +13,8 @@
 //! operator- and machine-dependent, and corrupted by the optimizer's
 //! cardinality estimation error.
 
+use std::sync::Arc;
+
 use dace_catalog::Database;
 use dace_plan::{MachineId, NodeType, OpPayload};
 use rand::rngs::SmallRng;
@@ -130,6 +132,8 @@ impl MachineProfile {
     }
 
     /// Fill `actual_ms` (cumulative) on every node of an executed plan.
+    /// Children shared with other plans are copied on write first
+    /// ([`Arc::make_mut`]).
     ///
     /// `seed` individualizes the noise per plan; label collection derives it
     /// from the query index so datasets are reproducible.
@@ -143,8 +147,8 @@ impl MachineProfile {
     /// Recursively compute cumulative ms; returns the sub-plan total.
     fn annotate(&self, db: &Database, node: &mut PhysPlan, rng: &mut SmallRng) -> f64 {
         let mut children_ms = 0.0;
-        for c in &mut node.children {
-            children_ms += self.annotate(db, c, rng);
+        for c in node.children_mut() {
+            children_ms += self.annotate(db, Arc::make_mut(c), rng);
         }
         let own_ns = self.own_time_ns(db, node);
         let mut noise = (self.noise_sigma * standard_normal(rng)).exp();
@@ -157,7 +161,7 @@ impl MachineProfile {
         }
         let mut total_ms = children_ms + (own_ns * noise + self.node_startup_ns) / 1e6;
 
-        match node.node_type {
+        match node.node_type() {
             // A Gather ran its subtree across workers.
             NodeType::Gather => {
                 total_ms = children_ms / self.gather_workers
@@ -166,7 +170,7 @@ impl MachineProfile {
             // A Limit stopped its child early: it only pays for the
             // fraction of the child's output it consumed.
             NodeType::Limit => {
-                let child_rows = node.children[0].actual_rows.max(1.0);
+                let child_rows = node.children()[0].actual_rows.max(1.0);
                 let frac = (node.actual_rows / child_rows).clamp(0.0, 1.0).max(0.01);
                 total_ms = children_ms * frac + self.node_startup_ns / 1e6;
             }
@@ -206,8 +210,8 @@ impl MachineProfile {
     /// calibrated linear model cannot fit but a plan-aware model can.
     fn own_time_ns(&self, db: &Database, node: &PhysPlan) -> f64 {
         let out = node.actual_rows;
-        let in_rows: f64 = node.children.iter().map(|c| c.actual_rows).sum();
-        match node.node_type {
+        let in_rows: f64 = node.children().iter().map(|c| c.actual_rows).sum();
+        match node.node_type() {
             NodeType::SeqScan => {
                 let (rows, pages, n_preds) = scan_shape(db, node);
                 pages * self.seq_page_ns * self.mem_factor(rows)
@@ -234,12 +238,12 @@ impl MachineProfile {
             NodeType::HashJoin => {
                 // Probe side is child 0; the Hash child covered the build.
                 // Probes stall on the build table once it exceeds cache.
-                let probe = node.children[0].actual_rows;
-                let build = node.children[1].actual_rows.max(1.0);
+                let probe = node.children()[0].actual_rows;
+                let build = node.children()[1].actual_rows.max(1.0);
                 probe * self.hash_ns * 2.0 * self.mem_factor(build) + out * self.tuple_ns
             }
             NodeType::NestedLoop => {
-                let outer = node.children[0].actual_rows;
+                let outer = node.children()[0].actual_rows;
                 outer * self.op_ns * 4.0 + out * self.tuple_ns
             }
             NodeType::MergeJoin => in_rows * self.op_ns * 2.0 + out * self.tuple_ns,
@@ -306,14 +310,14 @@ mod tests {
     }
 
     fn check_cumulative(p: &PhysPlan) {
-        for c in &p.children {
-            if p.node_type != NodeType::Limit && p.node_type != NodeType::Gather {
+        for c in p.children() {
+            if p.node_type() != NodeType::Limit && p.node_type() != NodeType::Gather {
                 assert!(
                     p.actual_ms >= c.actual_ms,
                     "{:?} {} < child {:?} {}",
-                    p.node_type,
+                    p.node_type(),
                     p.actual_ms,
-                    c.node_type,
+                    c.node_type(),
                     c.actual_ms
                 );
             }
@@ -345,7 +349,7 @@ mod tests {
         let (_, m2) = labeled_plans(MachineId::M2, 0);
         // Same plans, different machines: the cost→time ratio distribution
         // must differ (otherwise across-more would be trivial).
-        let ratio = |p: &PhysPlan| p.actual_ms / p.est_cost.max(1e-9);
+        let ratio = |p: &PhysPlan| p.actual_ms / p.est_cost().max(1e-9);
         let mean1: f64 = m1.iter().map(&ratio).sum::<f64>() / m1.len() as f64;
         let mean2: f64 = m2.iter().map(ratio).sum::<f64>() / m2.len() as f64;
         assert!(
@@ -357,7 +361,7 @@ mod tests {
     #[test]
     fn cost_time_correlation_is_positive_but_imperfect() {
         let (_, plans) = labeled_plans(MachineId::M1, 0);
-        let xs: Vec<f64> = plans.iter().map(|p| p.est_cost.ln()).collect();
+        let xs: Vec<f64> = plans.iter().map(|p| p.est_cost().ln()).collect();
         let ys: Vec<f64> = plans.iter().map(|p| p.actual_ms.ln()).collect();
         let n = xs.len() as f64;
         let mx = xs.iter().sum::<f64>() / n;

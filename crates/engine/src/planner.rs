@@ -1,8 +1,10 @@
 //! Cost-based physical planning: scan selection, dynamic-programming join
 //! enumeration and plan-tree construction.
 
+use std::sync::Arc;
+
 use dace_catalog::{ColumnId, Database, TableId};
-use dace_core::FeatureNode;
+use dace_core::{log_feature, node_fingerprint};
 use dace_plan::{
     JoinInfo, NodeType, OpPayload, PlanNode, PlanTree, PredicateInfo, ScanInfo, TreeBuilder,
 };
@@ -118,14 +120,26 @@ pub enum ExecOp {
 /// This is the planner's and executor's working representation;
 /// [`PhysPlan::to_plan_tree`] converts it into the serializable
 /// [`dace_plan::PlanTree`] the models consume.
+///
+/// Plans are persistent trees: children sit behind [`Arc`], so a join
+/// candidate shares its input sub-plans with every other candidate built
+/// from them instead of copying them, and cloning a plan copies one node.
+/// Writers ([`crate::execute`], [`crate::MachineProfile::apply`]) go through
+/// [`Arc::make_mut`], which unshares exactly the nodes they fill in; a
+/// sub-plan another plan still holds is never changed.
+///
+/// The constructor (`PhysPlan::new`, private to the planner) caches what
+/// plan search reads per candidate: the node count, `ln(1 + est_cost)` and
+/// `ln(1 + est_rows)` (through [`dace_core::log_feature`]), and the node's
+/// featurizer-independent Merkle hash ([`dace_core::node_fingerprint`] over
+/// its children's cached hashes). The operator, the estimates and the
+/// children are therefore read-only; the actuals stay public for the
+/// executor and the latency model to fill in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysPlan {
-    /// Operator type.
-    pub node_type: NodeType,
-    /// Estimated output rows.
-    pub est_rows: f64,
-    /// Estimated *cumulative* cost (sub-plan total, abstract units).
-    pub est_cost: f64,
+    node_type: NodeType,
+    est_rows: f64,
+    est_cost: f64,
     /// Output tuple width in bytes.
     pub width: u32,
     /// Payload for the plan tree.
@@ -136,11 +150,20 @@ pub struct PhysPlan {
     pub actual_rows: f64,
     /// Actual cumulative elapsed ms, filled by the latency model.
     pub actual_ms: f64,
-    /// Children (outer/probe side first for joins).
-    pub children: Vec<PhysPlan>,
+    children: Vec<Arc<PhysPlan>>,
+    /// Nodes in this sub-plan.
+    len: usize,
+    /// `log_feature(est_cost)`.
+    log_cost: f64,
+    /// `log_feature(est_rows)`.
+    log_rows: f64,
+    /// Merkle hash of this sub-plan's operators and quantized logs.
+    merkle: u64,
 }
 
 impl PhysPlan {
+    /// The one constructor: clamps `est_rows` to at least one row and
+    /// caches the node count, the log features and the Merkle hash.
     fn new(
         node_type: NodeType,
         est_rows: f64,
@@ -148,24 +171,62 @@ impl PhysPlan {
         width: u32,
         payload: OpPayload,
         exec: ExecOp,
-        children: Vec<PhysPlan>,
+        children: Vec<Arc<PhysPlan>>,
     ) -> PhysPlan {
+        let est_rows = est_rows.max(1.0);
+        let log_cost = log_feature(est_cost);
+        let log_rows = log_feature(est_rows);
         PhysPlan {
             node_type,
-            est_rows: est_rows.max(1.0),
+            est_rows,
             est_cost,
             width,
             payload,
             exec,
             actual_rows: 0.0,
             actual_ms: 0.0,
+            len: 1 + children.iter().map(|c| c.len).sum::<usize>(),
+            log_cost,
+            log_rows,
+            merkle: node_fingerprint(
+                node_type,
+                log_cost,
+                log_rows,
+                children.iter().map(|c| c.merkle),
+            ),
             children,
         }
     }
 
+    /// Operator type.
+    pub fn node_type(&self) -> NodeType {
+        self.node_type
+    }
+
+    /// Estimated output rows.
+    pub fn est_rows(&self) -> f64 {
+        self.est_rows
+    }
+
+    /// Estimated *cumulative* cost (sub-plan total, abstract units).
+    pub fn est_cost(&self) -> f64 {
+        self.est_cost
+    }
+
+    /// Children (outer/probe side first for joins), shared between plans.
+    pub fn children(&self) -> &[Arc<PhysPlan>] {
+        &self.children
+    }
+
+    /// The children, for writers of actuals: each one goes through
+    /// [`Arc::make_mut`] before it is written.
+    pub(crate) fn children_mut(&mut self) -> &mut [Arc<PhysPlan>] {
+        &mut self.children
+    }
+
     /// Number of nodes in this sub-plan.
     pub fn len(&self) -> usize {
-        1 + self.children.iter().map(PhysPlan::len).sum::<usize>()
+        self.len
     }
 
     /// True iff the plan has no nodes (never; present for API symmetry).
@@ -173,21 +234,22 @@ impl PhysPlan {
         false
     }
 
-    /// Append this plan's nodes to `out` in DFS preorder: the featurizer's
-    /// view of [`PhysPlan::to_plan_tree`], without building the tree
-    /// (`Featurizer::encode_nodes` / `fingerprint_nodes` consume it).
-    pub fn feature_nodes_into(&self, out: &mut Vec<FeatureNode>) {
-        out.push(FeatureNode {
-            node_type: self.node_type,
-            children: self.children.len(),
-            est_cost: self.est_cost,
-            est_rows: self.est_rows,
-            actual_rows: self.actual_rows,
-            actual_ms: self.actual_ms,
-        });
-        for c in &self.children {
-            c.feature_nodes_into(out);
-        }
+    /// The cached `ln(1 + est_cost)`.
+    pub(crate) fn log_cost(&self) -> f64 {
+        self.log_cost
+    }
+
+    /// The cached `ln(1 + est_rows)`.
+    pub(crate) fn log_rows(&self) -> f64 {
+        self.log_rows
+    }
+
+    /// The cached Merkle hash of this sub-plan under estimated
+    /// cardinalities. `featurizer.salt() ^ merkle()` equals
+    /// `featurizer.fingerprint(&self.to_plan_tree())` for every featurizer
+    /// that reads estimated cardinalities.
+    pub(crate) fn merkle(&self) -> u64 {
+        self.merkle
     }
 
     /// Convert into a [`PlanTree`] (estimates and any filled-in actuals).
@@ -252,7 +314,11 @@ pub fn plan_with_strategy(
         JoinStrategy::Greedy => false,
     };
     let joined = if k == 1 {
-        base.into_iter().next().unwrap()
+        Arc::new(
+            base.into_iter()
+                .next()
+                .expect("one relation, one base plan"),
+        )
     } else if use_dp {
         dp_join(db, query, base, cost_model, &est)?
     } else {
@@ -263,7 +329,7 @@ pub fn plan_with_strategy(
     let with_agg = if query.aggregates.is_empty() {
         joined
     } else {
-        add_aggregate(db, query, joined, cost_model, &est)
+        Arc::new(add_aggregate(query, &joined, cost_model, &est))
     };
 
     // LIMIT.
@@ -273,7 +339,11 @@ pub fn plan_with_strategy(
 /// Wrap the plan in its LIMIT node, if the query has one. The LIMIT wrap is
 /// deterministic (no physical alternatives), so the learned search driver
 /// shares it verbatim.
-pub(crate) fn finish_limit(query: &Query, with_agg: PhysPlan, cost_model: &CostModel) -> PhysPlan {
+pub(crate) fn finish_limit(
+    query: &Query,
+    with_agg: Arc<PhysPlan>,
+    cost_model: &CostModel,
+) -> PhysPlan {
     match query.limit {
         Some(n) => {
             let child_rows = with_agg.est_rows;
@@ -290,7 +360,7 @@ pub(crate) fn finish_limit(query: &Query, with_agg: PhysPlan, cost_model: &CostM
                 vec![with_agg],
             )
         }
-        None => with_agg,
+        None => Arc::unwrap_or_clone(with_agg),
     }
 }
 
@@ -377,7 +447,7 @@ pub(crate) fn scan_candidates(
             width,
             OpPayload::Other,
             ExecOp::PassThrough,
-            vec![child],
+            vec![Arc::new(child)],
         ));
     }
 
@@ -440,7 +510,7 @@ pub(crate) fn scan_candidates(
             width,
             payload,
             exec,
-            vec![index_child],
+            vec![Arc::new(index_child)],
         ));
     }
     cands
@@ -484,12 +554,13 @@ fn dp_join(
     base: Vec<PhysPlan>,
     cm: &CostModel,
     est: &CardEstimator<'_>,
-) -> Result<PhysPlan, PlanError> {
+) -> Result<Arc<PhysPlan>, PlanError> {
     let k = query.tables.len();
+    let edges = masked_edges(query);
     let full: u32 = if k == 32 { u32::MAX } else { (1u32 << k) - 1 };
-    let mut dp: Vec<Option<PhysPlan>> = vec![None; (full as usize) + 1];
+    let mut dp: Vec<Option<Arc<PhysPlan>>> = vec![None; (full as usize) + 1];
     for (i, b) in base.into_iter().enumerate() {
-        dp[1 << i] = Some(b);
+        dp[1 << i] = Some(Arc::new(b));
     }
     for mask in 1..=full {
         if mask.count_ones() < 2 || dp[mask as usize].is_some() {
@@ -507,8 +578,8 @@ fn dp_join(
                 continue;
             }
             if let (Some(l), Some(r)) = (&dp[left as usize], &dp[right as usize]) {
-                if let Some(edge) = connecting_edge(query, left, right) {
-                    let candidate = best_join(db, query, l, r, edge, cm, est);
+                if let Some(edge) = connecting_edge(&edges, left, right) {
+                    let candidate = best_join(db, (left, l), (right, r), edge, cm, est);
                     if best
                         .as_ref()
                         .is_none_or(|b| candidate.est_cost < b.est_cost)
@@ -519,7 +590,7 @@ fn dp_join(
             }
             left = (left - 1) & mask;
         }
-        dp[mask as usize] = best;
+        dp[mask as usize] = best.map(Arc::new);
     }
     dp[full as usize]
         .take()
@@ -534,12 +605,13 @@ fn greedy_join(
     base: Vec<PhysPlan>,
     cm: &CostModel,
     est: &CardEstimator<'_>,
-) -> Result<PhysPlan, PlanError> {
+) -> Result<Arc<PhysPlan>, PlanError> {
+    let edges = masked_edges(query);
     // Each fragment tracks its table mask.
-    let mut frags: Vec<(u32, PhysPlan)> = base
+    let mut frags: Vec<(u32, Arc<PhysPlan>)> = base
         .into_iter()
         .enumerate()
-        .map(|(i, b)| (1u32 << i, b))
+        .map(|(i, b)| (1u32 << i, Arc::new(b)))
         .collect();
     while frags.len() > 1 {
         let mut best: Option<(usize, usize, PhysPlan)> = None;
@@ -548,8 +620,9 @@ fn greedy_join(
                 if i == j {
                     continue;
                 }
-                if let Some(edge) = connecting_edge(query, frags[i].0, frags[j].0) {
-                    let cand = best_join(db, query, &frags[i].1, &frags[j].1, edge, cm, est);
+                let ((lm, l), (rm, r)) = (&frags[i], &frags[j]);
+                if let Some(edge) = connecting_edge(&edges, *lm, *rm) {
+                    let cand = best_join(db, (*lm, l), (*rm, r), edge, cm, est);
                     if best.as_ref().is_none_or(|b| cand.est_cost < b.2.est_cost) {
                         best = Some((i, j, cand));
                     }
@@ -561,50 +634,78 @@ fn greedy_join(
         let (hi, lo) = if i > j { (i, j) } else { (j, i) };
         frags.swap_remove(hi);
         frags.swap_remove(lo);
-        frags.push((mask, joined));
+        frags.push((mask, Arc::new(joined)));
     }
     Ok(frags.pop().unwrap().1)
+}
+
+/// A join edge with the query-table bits of its two endpoints, so join
+/// enumeration tests fragment masks instead of walking sub-plans.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MaskedEdge {
+    edge: JoinEdge,
+    /// Bit of the FK (child) table.
+    child: u32,
+    /// Bit of the referenced (parent) table.
+    parent: u32,
+}
+
+/// Every join edge of `query` with its endpoint bits, in query order. An
+/// edge naming a table the query does not list connects nothing.
+pub(crate) fn masked_edges(query: &Query) -> Vec<MaskedEdge> {
+    let bit = |t: TableId| query.tables.iter().position(|&x| x == t).map(|i| 1u32 << i);
+    query
+        .joins
+        .iter()
+        .filter_map(|&edge| {
+            Some(MaskedEdge {
+                edge,
+                child: bit(edge.child)?,
+                parent: bit(edge.parent)?,
+            })
+        })
+        .collect()
 }
 
 /// The join edge connecting table subsets `left` and `right`, if any.
 /// Query join graphs are trees (the generators add one new table per edge),
 /// so at most one edge connects any two disjoint fragments.
-pub(crate) fn connecting_edge(query: &Query, left: u32, right: u32) -> Option<JoinEdge> {
-    let idx = |t: TableId| query.tables.iter().position(|&x| x == t).unwrap() as u32;
-    query.joins.iter().copied().find(|e| {
-        let c = 1u32 << idx(e.child);
-        let p = 1u32 << idx(e.parent);
-        (left & c != 0 && right & p != 0) || (left & p != 0 && right & c != 0)
+pub(crate) fn connecting_edge(edges: &[MaskedEdge], left: u32, right: u32) -> Option<MaskedEdge> {
+    edges.iter().copied().find(|e| {
+        (left & e.child != 0 && right & e.parent != 0)
+            || (left & e.parent != 0 && right & e.child != 0)
     })
 }
 
 /// Cheapest physical join of `l` and `r` along `edge`.
 fn best_join(
     db: &Database,
-    query: &Query,
-    l: &PhysPlan,
-    r: &PhysPlan,
-    edge: JoinEdge,
+    l: (u32, &Arc<PhysPlan>),
+    r: (u32, &Arc<PhysPlan>),
+    edge: MaskedEdge,
     cm: &CostModel,
     est: &CardEstimator<'_>,
 ) -> PhysPlan {
-    pick_min_cost(join_candidates(db, query, l, r, edge, cm, est))
+    pick_min_cost(join_candidates(db, l, r, edge, cm, est))
 }
 
 /// Enumerate every physical join of `l` and `r` along `edge`, in the
 /// historical consideration order (hash → NL-index both orientations →
 /// NL-materialize → sort-merge). [`pick_min_cost`] over this list is
 /// [`best_join`]; the learned driver batches the list for model scoring.
+///
+/// Each side is its fragment's table mask and sub-plan. Candidates share
+/// both sub-plans by `Arc`; only the operator nodes on top are new.
 pub(crate) fn join_candidates(
     db: &Database,
-    _query: &Query,
-    l: &PhysPlan,
-    r: &PhysPlan,
-    edge: JoinEdge,
+    (lmask, l): (u32, &Arc<PhysPlan>),
+    (rmask, r): (u32, &Arc<PhysPlan>),
+    masked: MaskedEdge,
     cm: &CostModel,
     est: &CardEstimator<'_>,
 ) -> Vec<PhysPlan> {
-    let left_has_child = plan_tables(l).contains(&edge.child);
+    let edge = masked.edge;
+    let left_has_child = lmask & masked.child != 0;
     let out_rows = est.join_rows(&edge, l.est_rows, r.est_rows, left_has_child);
     let width = l.width + r.width;
     let payload = join_payload(db, edge);
@@ -627,7 +728,7 @@ pub(crate) fn join_candidates(
         build.width,
         OpPayload::Other,
         ExecOp::PassThrough,
-        vec![build.clone()],
+        vec![Arc::clone(build)],
     );
     let mut cands = vec![PhysPlan::new(
         NodeType::HashJoin,
@@ -636,22 +737,27 @@ pub(crate) fn join_candidates(
         width,
         payload.clone(),
         exec.clone(),
-        vec![probe.clone(), hash_node],
+        vec![Arc::clone(probe), Arc::new(hash_node)],
     )];
 
     // Nested loop with an index lookup on the inner side: available when the
     // inner fragment is the single parent table (PK lookup per outer row).
-    for (outer, inner) in [(l, r), (r, l)] {
-        let inner_tables = plan_tables(inner);
-        if inner_tables.len() == 1 && inner_tables[0] == edge.parent && is_scan(inner) {
+    for (outer, inner, inner_mask) in [(l, r, rmask), (r, l, lmask)] {
+        if inner_mask == masked.parent && is_scan(inner) {
             let parent_rows = db.table_stats(edge.parent).row_count as f64;
             let per_probe = out_rows / outer.est_rows.max(1.0);
             let rescan = cm.index_scan(parent_rows, per_probe.max(1.0));
             let nl_cost = outer.est_cost + cm.nested_loop(outer.est_rows, rescan, out_rows);
-            let mut inner_idx = inner.clone();
-            inner_idx.node_type = NodeType::IndexScan;
-            inner_idx.est_cost = outer.est_rows.max(1.0) * rescan;
-            inner_idx.est_rows = per_probe.max(1.0);
+            // The inner access path, re-costed as a per-probe index scan.
+            let inner_idx = PhysPlan::new(
+                NodeType::IndexScan,
+                per_probe.max(1.0),
+                outer.est_rows.max(1.0) * rescan,
+                inner.width,
+                inner.payload.clone(),
+                inner.exec.clone(),
+                inner.children.clone(),
+            );
             cands.push(PhysPlan::new(
                 NodeType::NestedLoop,
                 out_rows,
@@ -659,7 +765,7 @@ pub(crate) fn join_candidates(
                 width,
                 payload.clone(),
                 exec.clone(),
-                vec![outer.clone(), inner_idx],
+                vec![Arc::clone(outer), Arc::new(inner_idx)],
             ));
         }
     }
@@ -683,7 +789,7 @@ pub(crate) fn join_candidates(
             inner.width,
             OpPayload::Other,
             ExecOp::PassThrough,
-            vec![inner.clone()],
+            vec![Arc::clone(inner)],
         );
         cands.push(PhysPlan::new(
             NodeType::NestedLoop,
@@ -692,7 +798,7 @@ pub(crate) fn join_candidates(
             width,
             payload.clone(),
             exec.clone(),
-            vec![outer.clone(), mat],
+            vec![Arc::clone(outer), Arc::new(mat)],
         ));
     }
 
@@ -705,16 +811,16 @@ pub(crate) fn join_candidates(
             + r.est_cost
             + sort_r
             + cm.merge_pass(l.est_rows, r.est_rows, out_rows);
-        let mk_sort = |side: &PhysPlan, sort_cost: f64| {
-            PhysPlan::new(
+        let mk_sort = |side: &Arc<PhysPlan>, sort_cost: f64| {
+            Arc::new(PhysPlan::new(
                 NodeType::Sort,
                 side.est_rows,
                 side.est_cost + sort_cost,
                 side.width,
                 OpPayload::Other,
                 ExecOp::PassThrough,
-                vec![side.clone()],
-            )
+                vec![Arc::clone(side)],
+            ))
         };
         cands.push(PhysPlan::new(
             NodeType::MergeJoin,
@@ -745,24 +851,6 @@ fn join_payload(db: &Database, edge: JoinEdge) -> OpPayload {
     })
 }
 
-/// Base tables covered by a sub-plan.
-pub(crate) fn plan_tables(p: &PhysPlan) -> Vec<TableId> {
-    let mut tables = Vec::new();
-    collect_tables(p, &mut tables);
-    tables.sort();
-    tables.dedup();
-    tables
-}
-
-fn collect_tables(p: &PhysPlan, out: &mut Vec<TableId>) {
-    if let ExecOp::Scan { table, .. } = p.exec {
-        out.push(table);
-    }
-    for c in &p.children {
-        collect_tables(c, out);
-    }
-}
-
 /// A leaf access path (possibly wrapped in Gather / bitmap pair).
 fn is_scan(p: &PhysPlan) -> bool {
     matches!(
@@ -777,13 +865,12 @@ fn is_scan(p: &PhysPlan) -> bool {
 /// Add the aggregation operator: hash aggregation vs. sort + group
 /// aggregation by cost; plain aggregation maps to GroupAggregate sans sort.
 fn add_aggregate(
-    db: &Database,
     query: &Query,
-    child: PhysPlan,
+    child: &Arc<PhysPlan>,
     cm: &CostModel,
     est: &CardEstimator<'_>,
 ) -> PhysPlan {
-    pick_min_cost(aggregate_candidates(db, query, &child, cm, est))
+    pick_min_cost(aggregate_candidates(query, child, cm, est))
 }
 
 /// Enumerate aggregation roots over `child`: hash aggregate first, then
@@ -791,9 +878,8 @@ fn add_aggregate(
 /// preference for hash equals first-wins argmin over this order). Grouping-
 /// free queries have exactly one candidate.
 pub(crate) fn aggregate_candidates(
-    db: &Database,
     query: &Query,
-    child: &PhysPlan,
+    child: &Arc<PhysPlan>,
     cm: &CostModel,
     est: &CardEstimator<'_>,
 ) -> Vec<PhysPlan> {
@@ -806,7 +892,6 @@ pub(crate) fn aggregate_candidates(
     let exec = ExecOp::Aggregate {
         group_by: query.group_by,
     };
-    let _ = db;
     if query.group_by.is_none() {
         // Plain aggregate: single pass.
         let cost = child.est_cost + cm.group_agg(in_rows, 1.0);
@@ -817,7 +902,7 @@ pub(crate) fn aggregate_candidates(
             width,
             OpPayload::Other,
             exec,
-            vec![child.clone()],
+            vec![Arc::clone(child)],
         )];
     }
     let hash_cost = child.est_cost + cm.hash_agg(in_rows, groups);
@@ -830,7 +915,7 @@ pub(crate) fn aggregate_candidates(
         child.width,
         OpPayload::Other,
         ExecOp::PassThrough,
-        vec![child.clone()],
+        vec![Arc::clone(child)],
     );
     vec![
         PhysPlan::new(
@@ -840,7 +925,7 @@ pub(crate) fn aggregate_candidates(
             width,
             OpPayload::Other,
             exec.clone(),
-            vec![child.clone()],
+            vec![Arc::clone(child)],
         ),
         PhysPlan::new(
             NodeType::GroupAggregate,
@@ -849,7 +934,7 @@ pub(crate) fn aggregate_candidates(
             width,
             OpPayload::Other,
             exec,
-            vec![sort],
+            vec![Arc::new(sort)],
         ),
     ]
 }
@@ -880,13 +965,30 @@ mod tests {
         let queries = ComplexWorkloadGen::default().generate(&db, 100);
         for q in &queries {
             let p = plan(&db, q, &CostModel::default()).unwrap();
-            let covered = plan_tables(&p);
+            let covered = scan_tables(&p);
             let mut expect = q.tables.clone();
             expect.sort();
             assert_eq!(covered, expect, "plan must cover all query tables");
             // Cumulative cost is monotone up the tree.
             check_cost_monotone(&p);
         }
+    }
+
+    /// Base tables a plan scans, sorted and deduplicated.
+    fn scan_tables(p: &PhysPlan) -> Vec<TableId> {
+        fn collect(p: &PhysPlan, out: &mut Vec<TableId>) {
+            if let ExecOp::Scan { table, .. } = p.exec {
+                out.push(table);
+            }
+            for c in &p.children {
+                collect(c, out);
+            }
+        }
+        let mut tables = Vec::new();
+        collect(p, &mut tables);
+        tables.sort();
+        tables.dedup();
+        tables
     }
 
     fn check_cost_monotone(p: &PhysPlan) {

@@ -17,6 +17,7 @@
 //! [`AnalyticScorer`]: crate::search::AnalyticScorer
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use dace_catalog::Database;
 use dace_obs::span;
@@ -25,8 +26,8 @@ use dace_query::Query;
 use crate::card::CardEstimator;
 use crate::cost::CostModel;
 use crate::planner::{
-    aggregate_candidates, connecting_edge, finish_limit, join_candidates, scan_candidates,
-    validate_query, JoinStrategy, PhysPlan, PlanError, DP_AUTO_MAX,
+    aggregate_candidates, connecting_edge, finish_limit, join_candidates, masked_edges,
+    scan_candidates, validate_query, JoinStrategy, PhysPlan, PlanError, DP_AUTO_MAX,
 };
 use crate::search::scorer::PlanScorer;
 
@@ -105,10 +106,7 @@ impl<'a> SearchSession<'a> {
                 groups.push(start..cands.len());
             }
             let picked = self.pick(scorer, &cands, &groups, &mut report);
-            picked
-                .into_iter()
-                .map(|i| cands[i].clone())
-                .collect::<Vec<_>>()
+            take_picked(cands, &picked)
         };
 
         // Join enumeration.
@@ -119,7 +117,11 @@ impl<'a> SearchSession<'a> {
             JoinStrategy::Greedy => false,
         };
         let joined = if k == 1 {
-            base.into_iter().next().unwrap()
+            Arc::new(
+                base.into_iter()
+                    .next()
+                    .expect("one relation, one base plan"),
+            )
         } else if use_dp {
             self.dp_join(query, base, &est, scorer, &mut report)?
         } else {
@@ -131,10 +133,14 @@ impl<'a> SearchSession<'a> {
             joined
         } else {
             let _span = span!("search_aggregate");
-            let cands = aggregate_candidates(self.db, query, &joined, self.cm, &est);
+            let cands = aggregate_candidates(query, &joined, self.cm, &est);
             let groups = whole_batch(cands.len());
             let picked = self.pick(scorer, &cands, &groups, &mut report);
-            cands[picked[0]].clone()
+            Arc::new(
+                take_picked(cands, &picked)
+                    .pop()
+                    .expect("one aggregate group, one pick"),
+            )
         };
 
         Ok((finish_limit(query, with_agg, self.cm), report))
@@ -178,13 +184,14 @@ impl<'a> SearchSession<'a> {
         est: &CardEstimator<'_>,
         scorer: &mut dyn PlanScorer,
         report: &mut SearchReport,
-    ) -> Result<PhysPlan, PlanError> {
+    ) -> Result<Arc<PhysPlan>, PlanError> {
         let _span = span!("search_dp_join");
         let k = query.tables.len();
+        let edges = masked_edges(query);
         let full: u32 = if k == 32 { u32::MAX } else { (1u32 << k) - 1 };
-        let mut dp: Vec<Option<PhysPlan>> = vec![None; (full as usize) + 1];
+        let mut dp: Vec<Option<Arc<PhysPlan>>> = vec![None; (full as usize) + 1];
         for (i, b) in base.into_iter().enumerate() {
-            dp[1 << i] = Some(b);
+            dp[1 << i] = Some(Arc::new(b));
         }
         for size in 2..=(k as u32) {
             report.join_levels += 1;
@@ -208,8 +215,15 @@ impl<'a> SearchSession<'a> {
                         continue;
                     }
                     if let (Some(l), Some(r)) = (&dp[left as usize], &dp[right as usize]) {
-                        if let Some(edge) = connecting_edge(query, left, right) {
-                            cands.extend(join_candidates(self.db, query, l, r, edge, self.cm, est));
+                        if let Some(edge) = connecting_edge(&edges, left, right) {
+                            cands.extend(join_candidates(
+                                self.db,
+                                (left, l),
+                                (right, r),
+                                edge,
+                                self.cm,
+                                est,
+                            ));
                         }
                     }
                     left = (left - 1) & mask;
@@ -223,8 +237,8 @@ impl<'a> SearchSession<'a> {
                 continue;
             }
             let picked = self.pick(scorer, &cands, &groups, report);
-            for (m, i) in masks.into_iter().zip(picked) {
-                dp[m as usize] = Some(cands[i].clone());
+            for (m, plan) in masks.into_iter().zip(take_picked(cands, &picked)) {
+                dp[m as usize] = Some(Arc::new(plan));
             }
         }
         dp[full as usize]
@@ -242,12 +256,13 @@ impl<'a> SearchSession<'a> {
         est: &CardEstimator<'_>,
         scorer: &mut dyn PlanScorer,
         report: &mut SearchReport,
-    ) -> Result<PhysPlan, PlanError> {
+    ) -> Result<Arc<PhysPlan>, PlanError> {
         let _span = span!("search_greedy_join");
-        let mut frags: Vec<(u32, PhysPlan)> = base
+        let edges = masked_edges(query);
+        let mut frags: Vec<(u32, Arc<PhysPlan>)> = base
             .into_iter()
             .enumerate()
-            .map(|(i, b)| (1u32 << i, b))
+            .map(|(i, b)| (1u32 << i, Arc::new(b)))
             .collect();
         while frags.len() > 1 {
             report.join_levels += 1;
@@ -258,13 +273,13 @@ impl<'a> SearchSession<'a> {
                     if i == j {
                         continue;
                     }
-                    if let Some(edge) = connecting_edge(query, frags[i].0, frags[j].0) {
+                    let ((lm, l), (rm, r)) = (&frags[i], &frags[j]);
+                    if let Some(edge) = connecting_edge(&edges, *lm, *rm) {
                         let start = cands.len();
                         cands.extend(join_candidates(
                             self.db,
-                            query,
-                            &frags[i].1,
-                            &frags[j].1,
+                            (*lm, l),
+                            (*rm, r),
                             edge,
                             self.cm,
                             est,
@@ -278,15 +293,30 @@ impl<'a> SearchSession<'a> {
             }
             let groups = whole_batch(cands.len());
             let picked = self.pick(scorer, &cands, &groups, report);
-            let best = picked[0];
-            let (i, j) = pair_of[best];
-            let joined = cands[best].clone();
+            let (i, j) = pair_of[picked[0]];
+            let joined = take_picked(cands, &picked)
+                .pop()
+                .expect("one greedy group, one pick");
             let mask = frags[i].0 | frags[j].0;
             let (hi, lo) = if i > j { (i, j) } else { (j, i) };
             frags.swap_remove(hi);
             frags.swap_remove(lo);
-            frags.push((mask, joined));
+            frags.push((mask, Arc::new(joined)));
         }
         Ok(frags.pop().unwrap().1)
     }
+}
+
+/// Move the picked candidates out of `cands`, in `picked` order. `picked`
+/// holds one index per decision group, so it is strictly ascending: the
+/// losers are dropped, releasing their holds on shared sub-plans.
+fn take_picked(cands: Vec<PhysPlan>, picked: &[usize]) -> Vec<PhysPlan> {
+    let mut next = picked.iter().peekable();
+    let kept: Vec<PhysPlan> = cands
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, c)| next.next_if_eq(&&i).map(|_| c))
+        .collect();
+    debug_assert_eq!(kept.len(), picked.len());
+    kept
 }

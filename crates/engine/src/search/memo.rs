@@ -4,11 +4,15 @@
 //! candidates share children with every later level that builds on them, and
 //! consecutive queries over the same schema produce recurring shapes. The
 //! memo keys on the structural fingerprint the serve feature cache already
-//! uses ([`Featurizer::fingerprint`]: FNV-1a over node types, child counts
-//! and log-quantized estimates, salted with the scaler parameters), so a
-//! memoized score can never outlive the model's featurization. Quantization
-//! means near-identical estimates (within ~1.6%) share a cell — the same
-//! by-design approximation the serve cache makes.
+//! uses ([`Featurizer::fingerprint`]): the featurizer's salt (its scaler
+//! parameters and config flags) XOR the plan's Merkle root, where each node
+//! hashes its operator, child count, log-quantized estimates and its
+//! children's hashes. A memoized score can therefore never outlive the
+//! model's featurization, and the planner computes a candidate's key in
+//! O(1) from the hash its `PhysPlan` node cached at construction. The
+//! quantization cells are unchanged from the flat preorder hash the Merkle
+//! key replaced: near-identical estimates (within ~1.6%) share a cell — the
+//! same by-design approximation the serve cache makes.
 //!
 //! Storage is the serve crate's [`ShardedLruCache`] — bounded, O(1), with
 //! lock-free hit/miss counters that become the experiment's memo hit-rate.

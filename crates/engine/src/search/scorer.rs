@@ -8,10 +8,11 @@
 //! abstract cost for groups it leaves to the analytic model — without ever
 //! comparing one against the other.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 
-use dace_core::{DaceEstimator, FeatureNode, PlanFeatures, ScoreSession};
+use dace_core::{DaceEstimator, Featurizer, ScoreSession, Tensor2, FEATURE_DIM};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,7 +43,7 @@ impl PlanScorer for AnalyticScorer {
     }
 
     fn score(&mut self, cands: &[PhysPlan], _groups: &[Range<usize>]) -> Vec<f64> {
-        cands.iter().map(|c| c.est_cost).collect()
+        cands.iter().map(|c| c.est_cost()).collect()
     }
 }
 
@@ -86,7 +87,7 @@ impl PlanScorer for ExplorationScorer {
                 let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
                 let u2: f64 = self.rng.gen();
                 let normal = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                c.est_cost * (self.sigma * normal).exp()
+                c.est_cost() * (self.sigma * normal).exp()
             })
             .collect()
     }
@@ -96,35 +97,66 @@ impl PlanScorer for ExplorationScorer {
 /// milliseconds. DACE predicts every sub-plan of a tree in parallel during
 /// training, so candidate sub-trees are exactly in-distribution.
 ///
-/// Each candidate is walked once in preorder; its node sequence feeds both
-/// the fingerprint and, on a miss, the features — no [`PlanTree`] is built.
-/// Each batch is deduplicated against the [`ScoreMemo`] (cross-batch
-/// sharing) and within itself (batch-local duplicates), so a shared sub-tree
-/// is featurized and scored once per memo lifetime.
+/// Nothing is re-walked to key a candidate: its memo key is the featurizer
+/// salt XOR the Merkle hash [`PhysPlan`] cached when the node was built —
+/// the value [`Featurizer::fingerprint`] computes from the candidate's
+/// [`PlanTree`]. Each batch is deduplicated against the [`ScoreMemo`]
+/// (cross-batch sharing) and within itself (batch-local duplicates), so a
+/// shared sub-tree is featurized and scored once per memo lifetime. Only
+/// the misses are encoded: one preorder walk per candidate writes its rows
+/// from the cached logs straight into a reused compact buffer, which the
+/// root-row forward reads as is — no per-candidate features, mask or
+/// [`PlanTree`].
+///
+/// Candidates are never executed, so a featurizer that reads *actual*
+/// cardinalities (DACE-A, `use_actual_cardinality`) has nothing to read;
+/// [`LearnedScorer::new`] rejects it.
 ///
 /// [`PlanTree`]: dace_plan::PlanTree
 #[derive(Debug)]
 pub struct LearnedScorer<'a> {
     session: ScoreSession<'a>,
     memo: ScoreMemo,
+    /// The featurizer's salt; a candidate's key is `salt ^ merkle`.
+    salt: u64,
     dedup_hits: u64,
-    /// Every candidate's preorder nodes of the current batch, back to back.
-    nodes: Vec<FeatureNode>,
-    /// Each candidate's range in `nodes`.
-    spans: Vec<Range<usize>>,
+    /// Batch-local dedup: key → slot among the batch's fresh candidates.
+    /// Cleared per batch; its allocation is kept.
+    slot_of: HashMap<u64, usize>,
+    /// The batch's fresh candidates, one per distinct missed key.
+    fresh: Vec<usize>,
+    /// Every missed candidate with its slot among `fresh`.
+    missed: Vec<(usize, usize)>,
+    /// Encoded rows of the candidates being scored, back to back.
+    rows: Tensor2,
+    /// Each encoded candidate's row count.
+    lens: Vec<usize>,
 }
 
 impl<'a> LearnedScorer<'a> {
     /// Scorer over `est` with a score memo of `memo_capacity` entries
     /// (0 disables memoization and batch-local dedup, scoring every
     /// candidate fresh).
+    ///
+    /// # Panics
+    /// Panics if `est` uses the DACE-A featurizer (`use_actual_cardinality`):
+    /// search candidates carry no actual cardinalities to feed it.
     pub fn new(est: &'a DaceEstimator, memo_capacity: usize) -> LearnedScorer<'a> {
+        assert!(
+            !est.featurizer.config.use_actual_cardinality,
+            "LearnedScorer cannot plan with a DACE-A (use_actual_cardinality) featurizer: \
+             search candidates are never executed, so they have no actual cardinalities"
+        );
         LearnedScorer {
             session: ScoreSession::new(est),
             memo: ScoreMemo::new(memo_capacity),
+            salt: est.featurizer.salt(),
             dedup_hits: 0,
-            nodes: Vec::new(),
-            spans: Vec::new(),
+            slot_of: HashMap::new(),
+            fresh: Vec::new(),
+            missed: Vec::new(),
+            rows: Tensor2::default(),
+            lens: Vec::new(),
         }
     }
 
@@ -144,62 +176,114 @@ impl<'a> LearnedScorer<'a> {
         self.dedup_hits
     }
 
+    /// `plan`'s memo key, in O(1): equal to the estimator featurizer's
+    /// [`Featurizer::fingerprint`] of `plan.to_plan_tree()`.
+    pub fn key(&self, plan: &PhysPlan) -> u64 {
+        self.salt ^ plan.merkle()
+    }
+
+    /// Encode `plan` into the row buffer exactly as a memo miss is encoded,
+    /// and return the rows: equal to the estimator featurizer's
+    /// [`Featurizer::encode`] of `plan.to_plan_tree()`, row for row.
+    pub fn encode(&mut self, plan: &PhysPlan) -> &Tensor2 {
+        let featurizer = &self.session.estimator().featurizer;
+        encode_rows(
+            featurizer,
+            [plan].into_iter(),
+            &mut self.rows,
+            &mut self.lens,
+        );
+        &self.rows
+    }
+
     /// Score a set of candidate sub-plans (by reference so [`HybridScorer`]
     /// can route a sub-batch here without cloning plans).
     pub(crate) fn score_refs(&mut self, cands: &[&PhysPlan]) -> Vec<f64> {
-        self.nodes.clear();
-        self.spans.clear();
-        for c in cands {
-            let start = self.nodes.len();
-            c.feature_nodes_into(&mut self.nodes);
-            self.spans.push(start..self.nodes.len());
-        }
         let featurizer = &self.session.estimator().featurizer;
-        let encode = |i: usize| featurizer.encode_nodes(&self.nodes[self.spans[i].clone()]);
         if !self.memo.enabled() {
             // Memo disabled: one batch over everything, no dedup. This is
             // the baseline the bit-identity test compares against.
-            let feats: Vec<PlanFeatures> = (0..cands.len()).map(encode).collect();
-            let refs: Vec<&PlanFeatures> = feats.iter().collect();
-            return self.session.score_features_ms(&refs).to_vec();
+            encode_rows(
+                featurizer,
+                cands.iter().copied(),
+                &mut self.rows,
+                &mut self.lens,
+            );
+            return self.session.score_rows_ms(&self.rows, &self.lens).to_vec();
         }
-        let fps: Vec<u64> = self
-            .spans
-            .iter()
-            .map(|r| featurizer.fingerprint_nodes(self.nodes[r.clone()].iter().copied()))
-            .collect();
         let mut scores = vec![0.0f64; cands.len()];
-        let mut miss_idx: Vec<usize> = Vec::new();
-        for i in 0..cands.len() {
-            match self.memo.get(fps[i]) {
-                Some(s) => scores[i] = s,
-                None => miss_idx.push(i),
+        // Look every candidate up before any insert, and score each
+        // distinct missed key once.
+        self.slot_of.clear();
+        self.fresh.clear();
+        self.missed.clear();
+        for (i, c) in cands.iter().enumerate() {
+            let key = self.salt ^ c.merkle();
+            if let Some(s) = self.memo.get(key) {
+                scores[i] = s;
+                continue;
             }
+            let slot = match self.slot_of.entry(key) {
+                Entry::Vacant(v) => {
+                    v.insert(self.fresh.len());
+                    self.fresh.push(i);
+                    self.fresh.len() - 1
+                }
+                Entry::Occupied(o) => {
+                    self.dedup_hits += 1;
+                    *o.get()
+                }
+            };
+            self.missed.push((i, slot));
         }
-        if miss_idx.is_empty() {
+        if self.fresh.is_empty() {
             return scores;
         }
-        // Batch-local dedup: score each distinct fingerprint once.
-        let mut slot_of: HashMap<u64, usize> = HashMap::with_capacity(miss_idx.len());
-        let mut unique: Vec<usize> = Vec::with_capacity(miss_idx.len());
-        for &i in &miss_idx {
-            if let std::collections::hash_map::Entry::Vacant(slot) = slot_of.entry(fps[i]) {
-                slot.insert(unique.len());
-                unique.push(i);
-            } else {
-                self.dedup_hits += 1;
-            }
+        encode_rows(
+            featurizer,
+            self.fresh.iter().map(|&i| cands[i]),
+            &mut self.rows,
+            &mut self.lens,
+        );
+        let fresh_scores = self.session.score_rows_ms(&self.rows, &self.lens);
+        for (&i, &score) in self.fresh.iter().zip(fresh_scores) {
+            self.memo.insert(self.salt ^ cands[i].merkle(), score);
         }
-        let feats: Vec<PlanFeatures> = unique.iter().map(|&i| encode(i)).collect();
-        let refs: Vec<&PlanFeatures> = feats.iter().collect();
-        let fresh = self.session.score_features_ms(&refs).to_vec();
-        for (slot, &i) in unique.iter().enumerate() {
-            self.memo.insert(fps[i], fresh[slot]);
-        }
-        for &i in &miss_idx {
-            scores[i] = fresh[slot_of[&fps[i]]];
+        for &(i, slot) in &self.missed {
+            scores[i] = fresh_scores[slot];
         }
         scores
+    }
+}
+
+/// Encode `plans` back to back into `rows` (zeroed, `FEATURE_DIM` wide) and
+/// their row counts into `lens`. Each plan is written in DFS preorder from
+/// the logs its nodes cached, through [`Featurizer::encode_row`].
+fn encode_rows<'p>(
+    featurizer: &Featurizer,
+    plans: impl Iterator<Item = &'p PhysPlan> + Clone,
+    rows: &mut Tensor2,
+    lens: &mut Vec<usize>,
+) {
+    lens.clear();
+    lens.extend(plans.clone().map(PhysPlan::len));
+    rows.resize_zeroed(lens.iter().sum(), FEATURE_DIM);
+    let mut next = 0;
+    for plan in plans {
+        write_preorder(featurizer, plan, rows, &mut next);
+    }
+}
+
+fn write_preorder(featurizer: &Featurizer, plan: &PhysPlan, rows: &mut Tensor2, next: &mut usize) {
+    featurizer.encode_row(
+        plan.node_type(),
+        plan.log_cost(),
+        plan.log_rows(),
+        rows.row_mut(*next),
+    );
+    *next += 1;
+    for child in plan.children() {
+        write_preorder(featurizer, child, rows, next);
     }
 }
 
@@ -264,12 +348,12 @@ impl PlanScorer for HybridScorer<'_> {
     }
 
     fn score(&mut self, cands: &[PhysPlan], groups: &[Range<usize>]) -> Vec<f64> {
-        let mut scores: Vec<f64> = cands.iter().map(|c| c.est_cost).collect();
+        let mut scores: Vec<f64> = cands.iter().map(|c| c.est_cost()).collect();
         let mut routed: Vec<usize> = Vec::new();
         for g in groups {
             let min_cost = cands[g.clone()]
                 .iter()
-                .map(|c| c.est_cost)
+                .map(|c| c.est_cost())
                 .fold(f64::INFINITY, f64::min);
             if min_cost >= self.threshold {
                 self.learned_groups += 1;

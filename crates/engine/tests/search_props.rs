@@ -2,20 +2,22 @@
 //! planner exactly under the analytic scorer, DP must dominate greedy under
 //! the analytic model, typed plan errors must replace panics, and the score
 //! memo must be invisible to search results while counting shared sub-trees
-//! correctly, and featurizing a candidate straight from its `PhysPlan` must
-//! match featurizing its `PlanTree` bit for bit.
+//! correctly, and keying and featurizing a candidate from what its
+//! `PhysPlan` cached must match fingerprinting and featurizing its
+//! `PlanTree` bit for bit.
 
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::OnceLock;
 
 use dace_catalog::{generate_database, suite_specs, Database, TableId};
-use dace_core::{DaceEstimator, FeatureConfig, Featurizer, TrainConfig, Trainer};
+use dace_core::{log_feature, DaceEstimator, FeatureConfig, TrainConfig, Trainer};
 use dace_engine::{
     collect_dataset, execute, plan, plan_with_strategy, AnalyticScorer, CostModel,
     CrossMachineRouter, HybridScorer, JoinStrategy, LearnedScorer, MachineProfile, PhysPlan,
     PlanError, PlanScorer, SearchSession, MAX_RELATIONS,
 };
-use dace_plan::MachineId;
+use dace_plan::{MachineId, NodeType};
 use dace_query::{ComplexWorkloadGen, Query};
 use dace_serve::ModelRegistry;
 use proptest::prelude::*;
@@ -152,9 +154,9 @@ proptest! {
             let dp = plan_with_strategy(db, &q, &cm, JoinStrategy::Dp).unwrap();
             let greedy = plan_with_strategy(db, &q, &cm, JoinStrategy::Greedy).unwrap();
             prop_assert!(
-                dp.est_cost <= greedy.est_cost * (1.0 + 1e-9),
+                dp.est_cost() <= greedy.est_cost() * (1.0 + 1e-9),
                 "DP plan cost {} exceeds greedy cost {} on {} tables",
-                dp.est_cost, greedy.est_cost, q.tables.len()
+                dp.est_cost(), greedy.est_cost(), q.tables.len()
             );
         }
     }
@@ -170,65 +172,187 @@ impl PlanScorer for Capture {
 
     fn score(&mut self, cands: &[PhysPlan], _groups: &[Range<usize>]) -> Vec<f64> {
         self.0.extend_from_slice(cands);
-        cands.iter().map(|c| c.est_cost).collect()
+        cands.iter().map(|c| c.est_cost()).collect()
     }
+}
+
+/// The test estimator's weights under another featurizer variant.
+fn variant_estimator(config: FeatureConfig) -> DaceEstimator {
+    let mut est = test_estimator().clone();
+    est.featurizer.config = config;
+    est
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The scorer featurizes candidates from one preorder walk of the
-    /// `PhysPlan`; that must give exactly the fingerprint and features of
-    /// the `PlanTree` path, under every featurizer variant, for planner
-    /// candidates and for executed picks (whose actuals are filled in). The
-    /// tree path's mask and heights must match the tree's own ancestor
-    /// matrix and heights.
+    /// The learned scorer keys a candidate by the Merkle hash its
+    /// `PhysPlan` cached and encodes it from the cached logs. For every
+    /// candidate of every DP level and greedy round, under every featurizer
+    /// variant the scorer accepts, that must be exactly the fingerprint and
+    /// the feature rows of the `PlanTree` path. Executed picks (actuals
+    /// filled in) go through the `PlanTree` path, whose mask and heights
+    /// must match the tree's own ancestor matrix and heights.
     #[test]
-    fn physplan_featurization_matches_plan_tree(seed in 0u64..1_000_000, variant in 0usize..3) {
+    fn physplan_featurization_matches_plan_tree(seed in 0u64..1_000_000, variant in 0usize..2) {
+        let disable_tree_attention = variant == 1;
         let db = test_db();
         let cm = CostModel::default();
-        let featurizer = Featurizer {
-            config: FeatureConfig {
-                use_actual_cardinality: variant == 1,
-                disable_tree_attention: variant == 2,
-            },
-            ..test_estimator().featurizer.clone()
-        };
+        let est = variant_estimator(FeatureConfig {
+            use_actual_cardinality: false,
+            disable_tree_attention,
+        });
+        let featurizer = &est.featurizer;
+        let mut scorer = LearnedScorer::new(&est, 0);
         let gen = ComplexWorkloadGen { seed, ..ComplexWorkloadGen::default() };
         let mut capture = Capture(Vec::new());
-        let mut plans = Vec::new();
+        let mut picks = Vec::new();
         for (i, q) in gen.generate(db, 3).iter().enumerate() {
-            let Ok((mut pick, _)) = SearchSession::new(db, &cm).plan(q, &mut capture) else {
-                continue;
-            };
-            execute(db, &mut pick);
-            MachineProfile::m1().apply(db, &mut pick, i as u64);
-            plans.push(pick);
+            for strategy in [JoinStrategy::Dp, JoinStrategy::Greedy] {
+                let Ok((mut pick, _)) =
+                    SearchSession::new(db, &cm).plan_with_strategy(q, &mut capture, strategy)
+                else {
+                    continue;
+                };
+                execute(db, &mut pick);
+                MachineProfile::m1().apply(db, &mut pick, i as u64);
+                picks.push(pick);
+            }
         }
-        plans.append(&mut capture.0);
-        prop_assert!(!plans.is_empty());
-        let mut nodes = Vec::new();
-        for p in &plans {
-            nodes.clear();
-            p.feature_nodes_into(&mut nodes);
-            let tree = p.to_plan_tree();
-            prop_assert_eq!(
-                featurizer.fingerprint_nodes(nodes.iter().copied()),
-                featurizer.fingerprint(&tree)
-            );
-            let direct = featurizer.encode_nodes(&nodes);
+        prop_assert!(!capture.0.is_empty());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for c in &capture.0 {
+            let tree = c.to_plan_tree();
+            prop_assert_eq!(scorer.key(c), featurizer.fingerprint(&tree));
             let via_tree = featurizer.encode(&tree);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(direct.x.as_slice()), bits(via_tree.x.as_slice()));
-            prop_assert_eq!(bits(&direct.targets), bits(&via_tree.targets));
-            prop_assert_eq!(&direct.mask, &via_tree.mask);
-            prop_assert_eq!(&direct.heights, &via_tree.heights);
-            prop_assert_eq!(&via_tree.heights, &tree.heights());
-            if variant != 2 {
-                prop_assert_eq!(&via_tree.mask, &tree.ancestor_matrix());
+            prop_assert_eq!(bits(scorer.encode(c).as_slice()), bits(via_tree.x.as_slice()));
+        }
+        for p in picks.iter().chain(&capture.0) {
+            let tree = p.to_plan_tree();
+            let feats = featurizer.encode(&tree);
+            prop_assert_eq!(&feats.heights, &tree.heights());
+            if disable_tree_attention {
+                prop_assert!(feats.mask.iter().all(|&m| m));
+            } else {
+                prop_assert_eq!(&feats.mask, &tree.ancestor_matrix());
             }
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "use_actual_cardinality")]
+fn learned_scorer_rejects_the_dace_a_featurizer() {
+    let est = variant_estimator(FeatureConfig {
+        use_actual_cardinality: true,
+        disable_tree_attention: false,
+    });
+    let _ = LearnedScorer::new(&est, 16);
+}
+
+/// Every node of `plan`, parents before children.
+fn all_nodes<'p>(plan: &'p PhysPlan, out: &mut Vec<&'p PhysPlan>) {
+    out.push(plan);
+    for c in plan.children() {
+        all_nodes(c, out);
+    }
+}
+
+/// A sub-plan as its fingerprint sees it: per node in preorder, the
+/// operator, the child count and both logs in their 1/64-nat cells.
+type Cells = Vec<(NodeType, usize, i64, i64)>;
+
+fn cells(plan: &PhysPlan, out: &mut Cells) {
+    let cell = |x: f64| (log_feature(x) * 64.0).round() as i64;
+    out.push((
+        plan.node_type(),
+        plan.children().len(),
+        cell(plan.est_cost()),
+        cell(plan.est_rows()),
+    ));
+    for c in plan.children() {
+        cells(c, out);
+    }
+}
+
+/// Pins the Merkle key's structural properties: swapping a join's inputs
+/// changes it, and across every node of every DP candidate the key is
+/// exactly the sub-plan's cells — equal sub-plans key equal wherever the
+/// enumeration rebuilt them (a `Hash` or `Sort` over the same DP entry
+/// under different splits), and distinct ones never share a key.
+#[test]
+fn merkle_keys_follow_child_order_and_share_equal_subtrees() {
+    let db = test_db();
+    let cm = CostModel::default();
+    let scorer = LearnedScorer::new(test_estimator(), 0);
+    let session = SearchSession::new(db, &cm);
+    let queries: Vec<Query> = ComplexWorkloadGen {
+        max_joins: 4,
+        ..ComplexWorkloadGen::default()
+    }
+    .generate(db, 40)
+    .into_iter()
+    .filter(|q| q.tables.len() >= 3)
+    .take(4)
+    .collect();
+    assert!(!queries.is_empty());
+
+    // Greedy rounds try every fragment pair in both orders, so their
+    // merge-join candidates come in child-swapped pairs.
+    let mut swapped = 0;
+    for q in &queries {
+        let mut capture = Capture(Vec::new());
+        session
+            .plan_with_strategy(q, &mut capture, JoinStrategy::Greedy)
+            .unwrap();
+        let merges: Vec<&PhysPlan> = capture
+            .0
+            .iter()
+            .filter(|c| c.node_type() == NodeType::MergeJoin)
+            .collect();
+        for a in &merges {
+            for b in &merges {
+                if a.children()[0] == b.children()[1]
+                    && a.children()[1] == b.children()[0]
+                    && a.children()[0] != a.children()[1]
+                {
+                    assert_ne!(scorer.key(a), scorer.key(b), "swapped join inputs");
+                    swapped += 1;
+                }
+            }
+        }
+    }
+    assert!(swapped > 0, "greedy enumeration must emit swapped joins");
+
+    let mut rebuilt = 0;
+    let mut first: HashMap<Cells, (u64, *const PhysPlan)> = HashMap::new();
+    let mut cells_of: HashMap<u64, Cells> = HashMap::new();
+    for q in &queries {
+        let mut capture = Capture(Vec::new());
+        session
+            .plan_with_strategy(q, &mut capture, JoinStrategy::Dp)
+            .unwrap();
+        let mut nodes = Vec::new();
+        for c in &capture.0 {
+            all_nodes(c, &mut nodes);
+        }
+        for n in nodes {
+            let mut c = Cells::new();
+            cells(n, &mut c);
+            let key = scorer.key(n);
+            let (seen_key, seen_at) = *first.entry(c.clone()).or_insert((key, n));
+            assert_eq!(seen_key, key, "equal sub-plans keyed apart");
+            if !std::ptr::eq(seen_at, n) {
+                rebuilt += 1;
+            }
+            assert_eq!(
+                cells_of.entry(key).or_insert_with(|| c.clone()),
+                &c,
+                "distinct sub-plans share a key"
+            );
+        }
+    }
+    assert!(rebuilt > 0, "DP must rebuild some equal sub-plans");
 }
 
 #[test]
@@ -329,7 +453,7 @@ fn hybrid_scorer_partitions_groups_and_plans_every_query() {
     let mut hybrid = HybridScorer::new(est, 1 << 14, 15.0);
     for q in &queries {
         let (p, _) = session.plan(q, &mut hybrid).unwrap();
-        assert!(p.est_cost > 0.0);
+        assert!(p.est_cost() > 0.0);
     }
     assert!(
         hybrid.learned_groups() > 0,

@@ -64,7 +64,7 @@ fn count_scans(p: &dace_engine::PhysPlan, count: &mut usize) {
     // Bitmap pairs nest a scan under a scan; count only leaf access paths
     // (no children that are themselves scan-typed).
     let is_access = matches!(
-        p.node_type,
+        p.node_type(),
         NodeType::SeqScan
             | NodeType::IndexScan
             | NodeType::IndexOnlyScan
@@ -74,7 +74,7 @@ fn count_scans(p: &dace_engine::PhysPlan, count: &mut usize) {
         *count += 1;
         return; // don't double-count a BitmapIndexScan child
     }
-    for c in &p.children {
+    for c in p.children() {
         count_scans(c, count);
     }
 }

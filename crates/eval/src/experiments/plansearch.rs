@@ -316,7 +316,7 @@ pub fn measure(
             .iter()
             .map(|q| plan(&db, q, &cm).expect("generated eval queries must plan"))
             .collect();
-        let roots: Vec<f64> = analytic_picks.iter().map(|p| p.est_cost).collect();
+        let roots: Vec<f64> = analytic_picks.iter().map(|p| p.est_cost()).collect();
         let hybrid_threshold = 0.5 * median(&roots);
         let mut hybrid = HybridScorer::new(&base, opts.memo_capacity, hybrid_threshold);
 

@@ -27,6 +27,17 @@ use crate::param::Param;
 use crate::tensor::Tensor2;
 use crate::workspace::AttnScratch;
 
+/// One plan's rows as the root-row fold reads them: rows
+/// `[start, start + len)` of `x`, root first, and the root's mask row over
+/// them (empty: the whole plan is attended).
+#[derive(Clone, Copy)]
+struct RootBlock<'a> {
+    x: &'a Tensor2,
+    start: usize,
+    len: usize,
+    mask_row: &'a [bool],
+}
+
 /// Additive value standing in for `-∞` in masked score positions.
 ///
 /// Kept finite so that a *real* node with every tree position masked would
@@ -300,34 +311,87 @@ impl MaskedSelfAttention {
         I: IntoIterator<Item = (&'a Tensor2, &'a [bool])>,
         I::IntoIter: Clone,
     {
-        let blocks = blocks.into_iter();
+        self.roots_into(
+            blocks.into_iter().map(|(x, mask)| {
+                let l = x.rows();
+                assert_eq!(mask.len(), l * l, "mask must be len² per block");
+                RootBlock {
+                    x,
+                    start: 0,
+                    len: l,
+                    mask_row: &mask[..l],
+                }
+            }),
+            ws,
+            out,
+        );
+    }
+
+    /// [`forward_roots_into`] over plans packed back to back in one compact
+    /// tensor from row `row0`: plan `b` is rows
+    /// `row0 + [Σ lens[..b], Σ lens[..=b])` of `xc`, root first (DFS order). No masks are read: a tree-masked root attends to
+    /// its whole plan, and so does every row of an unmasked plan, so the
+    /// root row is always one full interval. Outputs are bit-identical to
+    /// [`forward_roots_into`] on the same plans with either mask.
+    ///
+    /// [`forward_roots_into`]: MaskedSelfAttention::forward_roots_into
+    pub fn forward_roots_compact_into(
+        &self,
+        xc: &Tensor2,
+        row0: usize,
+        lens: &[usize],
+        ws: &mut AttnScratch,
+        out: &mut Tensor2,
+    ) {
+        let blocks = lens.iter().scan(row0, |next, &len| {
+            let start = *next;
+            *next += len;
+            Some(RootBlock {
+                x: xc,
+                start,
+                len,
+                mask_row: &[],
+            })
+        });
+        self.roots_into(blocks, ws, out);
+    }
+
+    /// The root-row fold behind both entries.
+    fn roots_into<'a, I>(&self, blocks: I, ws: &mut AttnScratch, out: &mut Tensor2)
+    where
+        I: Iterator<Item = RootBlock<'a>> + Clone,
+    {
         let d = self.wq.value.rows();
         let nb = blocks.clone().count();
         ws.roots.resize_for_overwrite(nb, d);
-        for (b, (x, _)) in blocks.clone().enumerate() {
-            assert!(x.rows() > 0, "a block needs a root row");
-            ws.roots.row_mut(b).copy_from_slice(x.row(0));
+        for (b, blk) in blocks.clone().enumerate() {
+            assert!(blk.len > 0, "a block needs a root row");
+            ws.roots.row_mut(b).copy_from_slice(blk.x.row(blk.start));
         }
         ws.roots.matmul_into(&self.wq.value, &mut ws.q0);
         self.wk.value.transpose_into(&mut ws.wk_t);
         ws.q0.matmul_into(&ws.wk_t, &mut ws.u);
         let scale = 1.0 / (self.d_k as f32).sqrt();
         ws.xbar.resize_zeroed(nb, d);
-        for (b, (x, mask)) in blocks.enumerate() {
-            let l = x.rows();
-            assert_eq!(mask.len(), l * l, "mask must be len² per block");
-            let mrow = &mask[..l];
-            // A fully masked row scores densely with every position masked,
-            // which softmaxes to uniform weights — as the bias path does.
-            let j0 = mrow.iter().position(|&b| b).unwrap_or(0);
-            let allowed = mrow[j0..].iter().take_while(|&&b| b).count();
-            let interval = allowed > 0 && !mrow[j0 + allowed..].iter().any(|&b| b);
-            let run = if interval { allowed } else { l - j0 };
+        for (b, blk) in blocks.enumerate() {
+            let mrow = blk.mask_row;
+            let (j0, run, interval) = if mrow.is_empty() {
+                (0, blk.len, true)
+            } else {
+                // A fully masked row scores densely with every position
+                // masked, which softmaxes to uniform weights — as the bias
+                // path does.
+                let j0 = mrow.iter().position(|&b| b).unwrap_or(0);
+                let allowed = mrow[j0..].iter().take_while(|&&b| b).count();
+                let interval = allowed > 0 && !mrow[j0 + allowed..].iter().any(|&b| b);
+                let run = if interval { allowed } else { blk.len - j0 };
+                (j0, run, interval)
+            };
             if ws.srow.len() < run {
                 ws.srow.resize(run, 0.0);
             }
             let s = &mut ws.srow[..run];
-            ws.u.row_dots_nt(b, x, j0, run, s);
+            ws.u.row_dots_nt(b, blk.x, blk.start + j0, run, s);
             for v in s.iter_mut() {
                 *v *= scale;
             }
@@ -347,7 +411,7 @@ impl MaskedSelfAttention {
             for v in s.iter_mut() {
                 *v /= sum;
             }
-            Tensor2::row_combine(s, x, j0, ws.xbar.row_mut(b));
+            Tensor2::row_combine(s, blk.x, blk.start + j0, ws.xbar.row_mut(b));
         }
         ws.xbar.matmul_into(&self.wv.value, out);
     }
@@ -484,5 +548,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn compact_roots_are_bit_identical_to_masked_blocks() {
+        let attn = MaskedSelfAttention::new(6, 8, 5, 21);
+        let xa = Tensor2::uniform(3, 6, 1.0, 23);
+        let xb = Tensor2::uniform(5, 6, 1.0, 24);
+        let (ma, mb) = (chain_mask(3), full_mask(5));
+        let mut ws = AttnScratch::default();
+        let mut want = Tensor2::default();
+        attn.forward_roots_into(
+            [(&xa, ma.as_slice()), (&xb, mb.as_slice())],
+            &mut ws,
+            &mut want,
+        );
+        let mut xc = Tensor2::zeros(8, 6);
+        xc.set_row_block(0, &xa);
+        xc.set_row_block(3, &xb);
+        let mut got = Tensor2::default();
+        attn.forward_roots_compact_into(&xc, 0, &[3, 5], &mut ws, &mut got);
+        let bits = |t: &Tensor2| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 }

@@ -41,7 +41,7 @@ use crate::tensor::Tensor2;
 ///
 /// Activations are quantized to **u8 with a +128 zero point** (`vpdpbusd`
 /// is unsigned×signed); the exact correction `128·Σ_k w[k,o]` is
-/// precomputed per channel in [`Self::wsum`] and subtracted after
+/// precomputed per channel (the private `wsum`) and subtracted after
 /// accumulation, so the result equals the symmetric i8·i8 dot bit for bit
 /// on every path.
 #[derive(Debug, Clone)]

@@ -1,5 +1,5 @@
 //! RAII tracing spans with thread-local nesting, feeding the global
-//! [`FlightRecorder`](crate::FlightRecorder).
+//! [`FlightRecorder`].
 //!
 //! Tracing is **off by default**: a disabled span costs one relaxed atomic
 //! load and nothing else, which is what lets `span!` live on hot paths
@@ -7,7 +7,7 @@
 //! without a measurable tax. Enable with [`set_tracing`], drain with
 //! [`FlightRecorder::snapshot_records`](crate::FlightRecorder::snapshot_records).
 //!
-//! Span names are interned once per call site: the [`span!`] macro keeps a
+//! Span names are interned once per call site: the [`span!`](crate::span!) macro keeps a
 //! `static OnceLock<u32>` next to the literal, so steady-state enter/exit
 //! never touches the intern table's lock.
 
@@ -40,7 +40,7 @@ fn intern_table() -> &'static Mutex<Vec<&'static str>> {
 }
 
 /// Intern `name`, returning its dense id. Idempotent per distinct string;
-/// the [`span!`] macro caches the result per call site so this runs once.
+/// the [`span!`](crate::span!) macro caches the result per call site so this runs once.
 pub fn intern_span_name(name: &'static str) -> u32 {
     let mut table = intern_table().lock().expect("span intern table poisoned");
     if let Some(i) = table.iter().position(|&n| n == name) {
@@ -73,7 +73,7 @@ fn current_thread_id() -> u32 {
     })
 }
 
-/// An RAII span: constructed by [`span!`], records one [`Event`] covering
+/// An RAII span: constructed by [`span!`](crate::span!), records one [`Event`] covering
 /// its lifetime into the global flight recorder on drop. When tracing is
 /// disabled at entry the guard is inert (no clock read, no event).
 #[derive(Debug)]
@@ -92,7 +92,7 @@ struct LiveSpan {
 
 impl SpanGuard {
     /// Enter a span for the call site owning `slot` (its cached intern id).
-    /// Prefer the [`span!`] macro, which supplies the slot. The thread's
+    /// Prefer the [`span!`](crate::span!) macro, which supplies the slot. The thread's
     /// current trace id (see [`crate::trace_scope`]) is captured at entry.
     #[inline]
     pub fn enter(name: &'static str, slot: &'static OnceLock<u32>) -> SpanGuard {

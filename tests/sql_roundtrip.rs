@@ -25,8 +25,8 @@ fn parsed_queries_plan_and_execute_identically() {
         execute(&db, &mut direct);
         execute(&db, &mut via_sql);
         // Identical logical queries ⇒ identical plans and identical counts.
-        assert_eq!(direct.node_type, via_sql.node_type, "sql: {sql}");
-        assert_eq!(direct.est_cost, via_sql.est_cost, "sql: {sql}");
+        assert_eq!(direct.node_type(), via_sql.node_type(), "sql: {sql}");
+        assert_eq!(direct.est_cost(), via_sql.est_cost(), "sql: {sql}");
         assert_eq!(direct.actual_rows, via_sql.actual_rows, "sql: {sql}");
         assert_eq!(direct.len(), via_sql.len(), "sql: {sql}");
     }
