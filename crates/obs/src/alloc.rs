@@ -1,13 +1,14 @@
-//! Heap-allocation probe: a process-global hook the benchmark harness can
+//! Heap-allocation probe: a process-global hook a counting binary can
 //! install so the trainer reports bytes allocated per epoch.
 //!
 //! `dace-obs` deliberately does *not* ship a global allocator — swapping the
 //! allocator is a whole-binary decision that belongs to the final artifact
-//! (the `train_alloc` bench installs a counting wrapper around `System`).
-//! Instead, any binary that *does* count allocations registers a probe here
-//! once at startup; library code (the trainer) samples it opportunistically
-//! and records the delta. When no probe is installed the cost is one
-//! `OnceLock` load and every reading is `None`.
+//! (the root `tests/train_alloc.rs` gate and `perfbench` each install a
+//! counting wrapper around `System`). Instead, any binary that *does* count
+//! allocations registers a probe here once at startup; library code (the
+//! trainer) samples it opportunistically and records the delta. When no
+//! probe is installed the cost is one `OnceLock` load and every reading is
+//! `None`.
 
 use std::sync::OnceLock;
 
@@ -25,7 +26,7 @@ pub fn set_alloc_probe(probe: fn() -> u64) {
 }
 
 /// Bytes allocated so far according to the installed probe, or `None` when
-/// no probe was registered (the common case outside the alloc bench).
+/// no probe was registered (the common case outside those binaries).
 pub fn alloc_probe_bytes() -> Option<u64> {
     PROBE.get().map(|probe| probe())
 }

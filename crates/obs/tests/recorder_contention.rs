@@ -66,10 +66,16 @@ fn producers_racing_snapshots_lose_nothing_silently() {
         for _ in 0..2 {
             let (recorder, drained, done) = (&recorder, &drained, &done);
             s.spawn(move || loop {
+                // Hold `drained` across the snapshot so append order is
+                // drain order: appending after the recorder's drain lock is
+                // released would let the other drainer's later batch land
+                // first and break the per-producer order check below.
+                let mut sink = drained.lock().unwrap();
                 let batch = recorder.snapshot();
-                if !batch.is_empty() {
-                    drained.lock().unwrap().extend(batch);
-                } else if done.load(Ordering::Acquire) {
+                let empty = batch.is_empty();
+                sink.extend(batch);
+                drop(sink);
+                if empty && done.load(Ordering::Acquire) {
                     return;
                 }
                 std::thread::yield_now();

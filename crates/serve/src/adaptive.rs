@@ -189,11 +189,13 @@ impl FeedbackBuffer {
         out
     }
 
-    /// Samples currently buffered (racy, advisory).
+    /// Samples currently buffered (racy, advisory; always in
+    /// `0..=capacity`). A drain can advance `tail` past the `head` read
+    /// first, so the difference saturates at zero instead of wrapping.
     pub fn len(&self) -> usize {
         let h = self.head.load(Ordering::Acquire);
         let t = self.tail.load(Ordering::Acquire);
-        h.wrapping_sub(t) as usize
+        h.saturating_sub(t) as usize
     }
 
     /// True when nothing is buffered (racy, advisory).
@@ -1118,6 +1120,40 @@ mod tests {
         });
         assert_eq!(buf.dropped(), 0);
         assert_eq!(buf.drain().len(), 4 * 128);
+    }
+
+    #[test]
+    fn len_stays_within_capacity_while_pushers_race_a_drainer() {
+        // `len` reads `head`, then `tail`. Whenever this thread is
+        // preempted between the two loads, the pusher and drainer move
+        // `tail` past the `head` it already read; a wrapping subtraction
+        // then reports ~2^64. First that torn read, forced:
+        let buf = FeedbackBuffer::with_capacity(8);
+        buf.head.store(3, Ordering::Release);
+        buf.tail.store(5, Ordering::Release);
+        assert_eq!(buf.len(), 0);
+        // Then the live race, polled until preemption lands in the gap.
+        let buf = FeedbackBuffer::with_capacity(8);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    buf.push(fb(1.0));
+                }
+            });
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    buf.drain();
+                }
+            });
+            // Stop the other threads before asserting, so a failure
+            // panics instead of leaving the scope waiting on them.
+            let over = (0..300_000_000)
+                .map(|_| buf.len())
+                .find(|&len| len > buf.capacity());
+            done.store(true, Ordering::Release);
+            assert_eq!(over, None, "len() exceeded capacity {}", buf.capacity());
+        });
     }
 
     #[test]

@@ -34,14 +34,15 @@
 //! soon as the batch is full, full *enough* (`min_fill`), or the wait
 //! window closes. The window is clamped by every held request's deadline,
 //! so batch-wait can never expire a request that arrived alive. Under load
-//! the window never opens because the backlog fills the batch instantly,
-//! so batching adds latency only when the system is idle enough not to
-//! care — and `min_fill` keeps closed-loop clients (all blocked on
-//! responses, so no arrivals are even possible) from paying the window at
-//! all. Admission control keeps tail latency degrading gracefully
-//! instead of collapsing: a full shard queue sheds the request immediately
-//! with [`ServeError::Overloaded`] (the client can retry against a
-//! replica), malformed or hostile plans are rejected up front with
+//! the window never opens because the backlog fills the batch instantly.
+//! `min_fill` ends the wait early only once the batch already holds that
+//! many requests. A closed loop with fewer than `min_fill` clients can
+//! never reach it — each client has at most one request outstanding — so
+//! every batch waits out the whole window (`max_wait`, less where a
+//! deadline clamps it). Admission control keeps tail latency degrading
+//! gracefully instead of collapsing: a full shard queue sheds the request
+//! immediately with [`ServeError::Overloaded`] (the client can retry
+//! against a replica), malformed or hostile plans are rejected up front with
 //! [`ServeError::InvalidPlan`], and requests whose deadline passed while
 //! queued are dropped with [`ServeError::DeadlineExceeded`] before any work
 //! is spent on them.
@@ -106,15 +107,16 @@ pub struct ServeConfig {
     /// micro-batching.
     pub max_batch: usize,
     /// How long a worker holding a partial batch waits for more requests.
-    /// Only ever paid on an idle system; a backlog fills batches instantly.
+    /// Paid by every batch that runs the queue dry below `min_fill`; a
+    /// backlog fills batches instantly.
     pub max_wait: Duration,
     /// Dispatch immediately once a drain holds this many requests instead
-    /// of waiting out the rest of the window. Without this, closed-loop
-    /// traffic collapses: every client is blocked on a response, so the
-    /// window is pure idle time (and it is spent holding the queue lock).
-    /// Lower toward 1 to always dispatch what is instantaneously queued;
-    /// raise toward `max_batch` for maximum forward efficiency under
-    /// open-loop load.
+    /// of waiting out the rest of the window. A drain holding fewer waits
+    /// until the window closes, so a closed loop with fewer than `min_fill`
+    /// clients (each with at most one request outstanding) pays the full
+    /// `max_wait` on every batch. Lower toward 1 to always dispatch what is
+    /// instantaneously queued; raise toward `max_batch` for maximum forward
+    /// efficiency under open-loop load.
     pub min_fill: usize,
     /// Bounded queue depth; submissions beyond it are shed with
     /// [`ServeError::Overloaded`].
