@@ -1,5 +1,6 @@
-//! The quantized fast tier: an int8 twin of [`DaceModel`] built once per
-//! registry swap, serving deadline-tight requests at reduced precision.
+//! An int8 twin of [`DaceModel`]. No serving path uses it: it is kept only
+//! for perfbench's `core.quantized.single_us` calibration figure and its
+//! own tests (`tests/quant_props.rs`), until that metric is retired.
 //!
 //! [`QuantizedModel::from_model`] folds each MLP layer's LoRA delta into its
 //! base weight and int8-quantizes everything (per-output-channel scales);
@@ -7,7 +8,6 @@
 //! over every row, gathers the root rows and runs the 3-layer MLP on them,
 //! so predictions differ from the full-precision
 //! [`DaceModel::predict_roots_timed_ws`] only by quantization error.
-//! Construction happens at swap time, never on the request path.
 
 use dace_nn::{QuantScratch, QuantizedAttention, QuantizedLinear, Relu, Tensor2};
 use std::time::Instant;
@@ -34,7 +34,7 @@ pub struct QuantWorkspace {
 
 /// Int8 twin of [`DaceModel`]: quantized attention projections plus three
 /// LoRA-folded quantized MLP layers. Holds no optimizer or training state —
-/// inference only, cheap to rebuild on every swap.
+/// inference only, cheap to rebuild.
 #[derive(Debug, Clone)]
 pub struct QuantizedModel {
     attention: QuantizedAttention,
@@ -112,11 +112,10 @@ impl QuantizedModel {
     }
 }
 
-/// The fast-tier serving artifact: a [`QuantizedModel`] plus the batch
-/// chunking knob, mirroring
-/// [`DaceEstimator::predict_features_batch_ms_timed_ws`]. Featurization is
-/// shared with the full-precision tier (the serve layer featurizes once and
-/// routes features to either tier), so no featurizer is duplicated here.
+/// A [`QuantizedModel`] plus the batch chunking knob, mirroring
+/// [`DaceEstimator::predict_features_batch_ms_timed_ws`]. It takes the
+/// full-precision estimator's features, so no featurizer is duplicated
+/// here.
 #[derive(Debug, Clone)]
 pub struct QuantizedEstimator {
     /// The int8 network.
@@ -125,8 +124,7 @@ pub struct QuantizedEstimator {
 }
 
 impl QuantizedEstimator {
-    /// Build the fast tier from a full-precision estimator — called at
-    /// every registry swap so the twin never lags the published weights.
+    /// Build the int8 twin of a full-precision estimator.
     pub fn from_estimator(est: &DaceEstimator) -> QuantizedEstimator {
         QuantizedEstimator {
             model: QuantizedModel::from_model(&est.model),
@@ -230,7 +228,7 @@ mod tests {
                 "quantized pred not positive: {a}"
             );
             let q_err = (a / b).max(b / a);
-            assert!(q_err < 1.25, "tier divergence too large: {a} vs {b}");
+            assert!(q_err < 1.25, "int8 vs f32 divergence too large: {a} vs {b}");
         }
     }
 

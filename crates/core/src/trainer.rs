@@ -539,29 +539,18 @@ impl DaceEstimator {
     /// featurization. Chunks by `config.batch_plans`; output order matches
     /// `feats`.
     pub fn predict_features_batch_ms(&self, feats: &[&PlanFeatures]) -> Vec<f64> {
-        self.predict_features_batch_ms_timed(feats).0
-    }
-
-    /// [`predict_features_batch_ms`] with the attention/MLP wall-time split
-    /// accumulated across chunks — the serve scheduler's stage-telemetry
-    /// entry point.
-    ///
-    /// [`predict_features_batch_ms`]: DaceEstimator::predict_features_batch_ms
-    pub fn predict_features_batch_ms_timed(
-        &self,
-        feats: &[&PlanFeatures],
-    ) -> (Vec<f64>, ForwardTimings) {
         let mut ws = Workspace::new();
         let mut roots = Vec::new();
         let mut out = Vec::new();
-        let timings = self.predict_features_batch_ms_timed_ws(feats, &mut ws, &mut roots, &mut out);
-        (out, timings)
+        self.predict_features_batch_ms_timed_ws(feats, &mut ws, &mut roots, &mut out);
+        out
     }
 
-    /// [`predict_features_batch_ms_timed`] over caller-owned scratch — the
-    /// serve worker's steady-state entry point. The workspace and the
-    /// `roots` staging vector are reused across calls (no allocation once
-    /// they reach the high-water batch size); millisecond predictions are
+    /// [`predict_features_batch_ms`] over caller-owned scratch, with the
+    /// attention/MLP wall-time split accumulated across chunks — the serve
+    /// worker's steady-state entry point. The workspace and the `roots`
+    /// staging vector are reused across calls (no allocation once they
+    /// reach the high-water batch size); millisecond predictions are
     /// appended to `out` (cleared first), aligned with `feats`.
     ///
     /// Chunks run root-row inference ([`DaceModel::predict_roots_timed_ws`]):
@@ -569,7 +558,7 @@ impl DaceEstimator {
     /// needs no size sorting — plain input-order chunks keep the output
     /// aligned for free.
     ///
-    /// [`predict_features_batch_ms_timed`]: DaceEstimator::predict_features_batch_ms_timed
+    /// [`predict_features_batch_ms`]: DaceEstimator::predict_features_batch_ms
     pub fn predict_features_batch_ms_timed_ws(
         &self,
         feats: &[&PlanFeatures],

@@ -1,4 +1,6 @@
-//! Int8 quantized inference kernels — the serving fast tier.
+//! Int8 quantized inference kernels. No serving path uses them: they are
+//! kept only for perfbench's `core.quantized.single_us` calibration figure
+//! and their own tests, until that metric is retired.
 //!
 //! Weight matrices are quantized **per output channel** ("per-row scale":
 //! the matrix is stored transposed, one row per output channel, each row
@@ -12,16 +14,12 @@
 //! weight** at quantization time (`W_eff = W + B·A`): the quantized forward
 //! is a single int8 matmul plus bias where the full-precision path runs
 //! three f32 matmuls — the fold is exact (done in f32 before quantizing)
-//! and is where most of the fast tier's speedup comes from.
+//! and is where most of the int8 path's speedup comes from.
 //!
 //! [`QuantizedAttention`] quantizes only the Q/K/V projections; scores,
 //! the interval-sparse masked softmax and the value combine stay in f32 —
 //! including the guard that a fully-masked (all `-inf` logits) row produces
 //! a **zero, finite** output row instead of `NaN`.
-//!
-//! Built once per registry swap (never on the request path), so
-//! quantization cost is amortized across every request a model version
-//! serves.
 
 use crate::attention::MaskedSelfAttention;
 use crate::linear::LoraLinear;

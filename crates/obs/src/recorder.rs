@@ -116,7 +116,10 @@ impl FlightRecorder {
         let cap = self.slots.len() as u64;
         loop {
             let h = self.head.load(Ordering::Acquire);
-            if h.wrapping_sub(self.tail.load(Ordering::Acquire)) >= cap {
+            // Saturating: a drainer may move `tail` past this stale `head`
+            // between the two loads. That is not a full ring; the CAS below
+            // fails on the stale `head` and the loop retries.
+            if h.saturating_sub(self.tail.load(Ordering::Acquire)) >= cap {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 return false;
             }

@@ -9,6 +9,9 @@
 //! - **Writers never block on readers.** Producers run to completion while
 //!   snapshot threads drain continuously; per-producer event order
 //!   survives as a subsequence.
+//! - **No spurious drops.** A ring that can hold every event never reports
+//!   a drop, however the drainer's frees interleave with the producers'
+//!   claims.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -137,4 +140,50 @@ fn producers_racing_snapshots_lose_nothing_silently() {
     // actually exercised both the overflow and the concurrent-drain paths.
     assert!(rejected > 0, "ring never filled; contention not exercised");
     assert!(accepted > CAPACITY as u64, "snapshots never freed space");
+}
+
+/// A ring sized to hold every event of a round can never be full, so
+/// `record` must never report a drop, even when a drainer moves `tail`
+/// past the `head` a producer loaded a moment earlier.
+#[test]
+fn a_ring_that_never_fills_drops_nothing() {
+    const ROUNDS: usize = 5;
+    const PRODUCERS: u64 = 3;
+    const PER_PRODUCER: u64 = 200_000;
+    for round in 0..ROUNDS {
+        let recorder = FlightRecorder::with_capacity((PRODUCERS * PER_PRODUCER) as usize);
+        let finished = AtomicU64::new(0);
+        let drained = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..PRODUCERS {
+                let (recorder, finished) = (&recorder, &finished);
+                s.spawn(move || {
+                    for seq in 0..PER_PRODUCER {
+                        recorder.record(Event {
+                            t_us: seq,
+                            dur_us: 0,
+                            name_id: 0,
+                            thread: t as u32,
+                            depth: 0,
+                            trace: 0,
+                        });
+                    }
+                    finished.fetch_add(1, Ordering::Release);
+                });
+            }
+            let (recorder, finished, drained) = (&recorder, &finished, &drained);
+            s.spawn(move || {
+                while finished.load(Ordering::Acquire) < PRODUCERS {
+                    drained.fetch_add(recorder.snapshot().len() as u64, Ordering::Relaxed);
+                }
+            });
+        });
+        let total = drained.into_inner() + recorder.snapshot().len() as u64;
+        assert_eq!(
+            recorder.dropped(),
+            0,
+            "round {round}: a ring with room for every event reported drops"
+        );
+        assert_eq!(total, PRODUCERS * PER_PRODUCER, "round {round}");
+    }
 }

@@ -6,9 +6,9 @@
 //!
 //! 1. **Observe** — callers feed `(plan, prediction, observed_ms)` back
 //!    through [`AdaptiveController::observe`]. Samples land in a bounded
-//!    [`FeedbackBuffer`] (ticket-CAS ring, drop-newest, counted drops — the
-//!    feedback path must never stall the caller) and their q-errors stream
-//!    into a [`DriftDetector`].
+//!    [`FeedbackBuffer`] (a short-held mutex over a queue, drop-newest,
+//!    counted drops — the feedback path must never stall the caller) and
+//!    their q-errors stream into a [`DriftDetector`].
 //! 2. **Detect** — the detector freezes a baseline q-error quantile over a
 //!    warmup window, then watches a sliding window of recent q-errors; when
 //!    the window quantile exceeds `baseline × ratio` it trips.
@@ -97,105 +97,51 @@ pub struct FeedbackSample {
     pub plan: LabeledPlan,
 }
 
-/// Slot protocol (mirrors the obs flight recorder): `seq == ticket + 1`
-/// publishes the slot; the payload mutex is uncontended by construction —
-/// only the ticket holder writes it, only a drainer that saw `seq` reads it.
-#[derive(Debug)]
-struct SampleSlot {
-    seq: AtomicU64,
-    sample: Mutex<Option<FeedbackSample>>,
-}
-
-/// Bounded MPSC feedback ring: producers claim a slot with a ticket CAS and
-/// never block or wait on readers; when full the sample is **dropped and
-/// counted** (feedback must never stall the caller it observes). Draining
-/// serializes consumers on a mutex producers never touch.
+/// Bounded feedback queue: when full the sample is **dropped and counted**
+/// (drop-newest; feedback must never stall the caller it observes).
+/// Producers and the drainer share one mutex, held only for a
+/// `push_back`, a `len` or a swap with an empty queue, so no caller waits
+/// behind a retrain or a long drain.
 #[derive(Debug)]
 pub struct FeedbackBuffer {
-    slots: Box<[SampleSlot]>,
-    /// Next ticket to hand out (monotone).
-    head: AtomicU64,
-    /// Next unconsumed ticket (monotone, advanced only under `drain`).
-    tail: AtomicU64,
+    samples: Mutex<VecDeque<FeedbackSample>>,
+    capacity: usize,
     dropped: AtomicU64,
-    drain: Mutex<()>,
 }
 
 impl FeedbackBuffer {
-    /// A ring holding up to `capacity` samples (rounded up to 1).
+    /// A buffer holding up to `capacity` samples (rounded up to 1).
     pub fn with_capacity(capacity: usize) -> FeedbackBuffer {
-        let capacity = capacity.max(1);
-        let slots = (0..capacity)
-            .map(|_| SampleSlot {
-                seq: AtomicU64::new(0),
-                sample: Mutex::new(None),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         FeedbackBuffer {
-            slots,
-            head: AtomicU64::new(0),
-            tail: AtomicU64::new(0),
+            samples: Mutex::new(VecDeque::new()),
+            capacity: capacity.max(1),
             dropped: AtomicU64::new(0),
-            drain: Mutex::new(()),
         }
     }
 
-    /// Publish one sample. Returns `false` (and counts the drop) when the
-    /// ring is full.
+    /// Enqueue one sample. Returns `false` (and counts the drop) when the
+    /// buffer is full.
     pub fn push(&self, sample: FeedbackSample) -> bool {
-        let cap = self.slots.len() as u64;
-        loop {
-            let h = self.head.load(Ordering::Acquire);
-            if h.wrapping_sub(self.tail.load(Ordering::Acquire)) >= cap {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            if self
-                .head
-                .compare_exchange_weak(h, h + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                let slot = &self.slots[(h % cap) as usize];
-                *lock_recover(&slot.sample) = Some(sample);
-                // Publish: drainers accept the slot only at seq == ticket+1.
-                slot.seq.store(h + 1, Ordering::Release);
-                return true;
-            }
+        let mut samples = lock_recover(&self.samples);
+        if samples.len() >= self.capacity {
+            drop(samples);
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
+        samples.push_back(sample);
+        true
     }
 
-    /// Drain every fully published sample, oldest first. An in-flight write
-    /// at the frontier ends the drain early; it surfaces next time.
+    /// Take every buffered sample, oldest first.
     pub fn drain(&self) -> Vec<FeedbackSample> {
-        let cap = self.slots.len() as u64;
-        let _g = lock_recover(&self.drain);
-        let mut out = Vec::new();
-        loop {
-            let t = self.tail.load(Ordering::Acquire);
-            if t == self.head.load(Ordering::Acquire) {
-                break;
-            }
-            let slot = &self.slots[(t % cap) as usize];
-            if slot.seq.load(Ordering::Acquire) != t + 1 {
-                break; // producer claimed but not yet published
-            }
-            let sample = lock_recover(&slot.sample).take();
-            self.tail.store(t + 1, Ordering::Release);
-            if let Some(s) = sample {
-                out.push(s);
-            }
-        }
-        out
+        let taken = std::mem::take(&mut *lock_recover(&self.samples));
+        taken.into()
     }
 
     /// Samples currently buffered (racy, advisory; always in
-    /// `0..=capacity`). A drain can advance `tail` past the `head` read
-    /// first, so the difference saturates at zero instead of wrapping.
+    /// `0..=capacity`).
     pub fn len(&self) -> usize {
-        let h = self.head.load(Ordering::Acquire);
-        let t = self.tail.load(Ordering::Acquire);
-        h.saturating_sub(t) as usize
+        lock_recover(&self.samples).len()
     }
 
     /// True when nothing is buffered (racy, advisory).
@@ -203,14 +149,14 @@ impl FeedbackBuffer {
         self.len() == 0
     }
 
-    /// Samples dropped because the ring was full.
+    /// Samples dropped because the buffer was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Ring capacity.
+    /// Buffer capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 }
 
@@ -1108,31 +1054,33 @@ mod tests {
     #[test]
     fn concurrent_producers_lose_nothing_within_capacity() {
         let buf = Arc::new(FeedbackBuffer::with_capacity(1024));
+        let producers_done = AtomicU64::new(0);
+        let drained = AtomicU64::new(0);
         std::thread::scope(|s| {
             for t in 0..4 {
-                let buf = Arc::clone(&buf);
+                let (buf, producers_done) = (Arc::clone(&buf), &producers_done);
                 s.spawn(move || {
                     for i in 0..128 {
                         buf.push(fb((t * 1000 + i) as f64 + 1.0));
                     }
+                    producers_done.fetch_add(1, Ordering::Release);
                 });
             }
+            // A drainer races the producers throughout.
+            let (buf, producers_done, drained) = (&buf, &producers_done, &drained);
+            s.spawn(move || {
+                while producers_done.load(Ordering::Acquire) < 4 {
+                    drained.fetch_add(buf.drain().len() as u64, Ordering::Relaxed);
+                }
+            });
         });
         assert_eq!(buf.dropped(), 0);
-        assert_eq!(buf.drain().len(), 4 * 128);
+        let total = drained.into_inner() + buf.drain().len() as u64;
+        assert_eq!(total, 4 * 128);
     }
 
     #[test]
     fn len_stays_within_capacity_while_pushers_race_a_drainer() {
-        // `len` reads `head`, then `tail`. Whenever this thread is
-        // preempted between the two loads, the pusher and drainer move
-        // `tail` past the `head` it already read; a wrapping subtraction
-        // then reports ~2^64. First that torn read, forced:
-        let buf = FeedbackBuffer::with_capacity(8);
-        buf.head.store(3, Ordering::Release);
-        buf.tail.store(5, Ordering::Release);
-        assert_eq!(buf.len(), 0);
-        // Then the live race, polled until preemption lands in the gap.
         let buf = FeedbackBuffer::with_capacity(8);
         let done = AtomicBool::new(false);
         std::thread::scope(|s| {

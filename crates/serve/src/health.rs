@@ -28,7 +28,6 @@ use dace_obs::{
 };
 
 use crate::fallback::BreakerState;
-use crate::scheduler::Tier;
 use crate::supervisor::lock_recover;
 
 /// How many journal records a diagnostic bundle captures.
@@ -69,10 +68,6 @@ pub struct HealthReport {
     pub journal_len: u64,
     /// Diagnostic bundles dumped so far.
     pub bundles_dumped: u64,
-    /// Requests answered through the full-precision tier.
-    pub tier_full: u64,
-    /// Requests answered through the quantized fast tier.
-    pub tier_quantized: u64,
 }
 
 type DropSource = (&'static str, Box<dyn Fn() -> u64 + Send + Sync>);
@@ -88,8 +83,6 @@ pub struct HealthPlane {
     bundles: AtomicU64,
     drop_sources: Mutex<Vec<DropSource>>,
     text_sources: Mutex<Vec<TextSource>>,
-    /// Answered requests per precision tier, indexed `[full, quantized]`.
-    tier_counts: [AtomicU64; 2],
 }
 
 impl std::fmt::Debug for HealthPlane {
@@ -124,7 +117,6 @@ impl HealthPlane {
             bundles: AtomicU64::new(0),
             drop_sources: Mutex::new(Vec::new()),
             text_sources: Mutex::new(Vec::new()),
-            tier_counts: [AtomicU64::new(0), AtomicU64::new(0)],
         })
     }
 
@@ -215,25 +207,6 @@ impl HealthPlane {
         lock_recover(&self.drop_sources).push((name, Box::new(source)));
     }
 
-    /// Count one answered request on `tier`. Called from the respond paths
-    /// (model and degraded alike — the split is on routed tier, not on
-    /// which engine produced the number).
-    pub fn count_tier(&self, tier: Tier) {
-        let idx = match tier {
-            Tier::Full => 0,
-            Tier::Quantized => 1,
-        };
-        self.tier_counts[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Answered-request counts as `(full, quantized)`.
-    pub fn tier_counts(&self) -> (u64, u64) {
-        (
-            self.tier_counts[0].load(Ordering::Relaxed),
-            self.tier_counts[1].load(Ordering::Relaxed),
-        )
-    }
-
     /// Register a closure whose output is appended verbatim to the
     /// Prometheus exposition. Used for families whose label sets live in
     /// structures the registry cannot see (per-shard queue depths, steal
@@ -246,22 +219,13 @@ impl HealthPlane {
 
     /// Render the full Prometheus exposition: refresh every registered
     /// drop gauge from its source, then concatenate the registry's series
-    /// with the per-tier request counters, every registered text source,
-    /// and the accuracy ledger's per-(version, db) q-error summaries.
+    /// with every registered text source and the accuracy ledger's
+    /// per-(version, db) q-error summaries.
     pub fn prometheus_text(&self, registry: &MetricsRegistry) -> String {
         for (name, source) in lock_recover(&self.drop_sources).iter() {
             registry.gauge(name).set(source());
         }
         let mut out = registry.prometheus_text();
-        let (full, quant) = self.tier_counts();
-        out.push_str("# HELP serve_tier_requests_total Requests answered per precision tier.\n");
-        out.push_str("# TYPE serve_tier_requests_total counter\n");
-        out.push_str(&format!(
-            "serve_tier_requests_total{{tier=\"full\"}} {full}\n"
-        ));
-        out.push_str(&format!(
-            "serve_tier_requests_total{{tier=\"quantized\"}} {quant}\n"
-        ));
         for source in lock_recover(&self.text_sources).iter() {
             out.push_str(&source());
         }
@@ -296,8 +260,6 @@ impl HealthPlane {
             deadline,
             journal_len: self.journal.len(),
             bundles_dumped: self.bundles.load(Ordering::Relaxed),
-            tier_full: self.tier_counts[0].load(Ordering::Relaxed),
-            tier_quantized: self.tier_counts[1].load(Ordering::Relaxed),
         }
     }
 

@@ -92,6 +92,6 @@ pub use paging::{AdapterPager, PagerConfig};
 pub use registry::{ModelRegistry, ModelVersion, RegistryConfig, RegistryError, ReloadError};
 pub use scheduler::{
     DaceServer, Prediction, PredictionHandle, ServeConfig, ServeError, ShardSnapshot,
-    StageBreakdown, Tier, FALLBACK_VERSION,
+    StageBreakdown, FALLBACK_VERSION,
 };
 pub use tenant::{validate_tenant_id, TenantConfig, TenantSnapshot, MAX_TENANT_ID_BYTES};

@@ -28,18 +28,13 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use dace_core::{AdapterError, CheckpointError, DaceEstimator, LoraAdapter, QuantizedEstimator};
+use dace_core::{AdapterError, CheckpointError, DaceEstimator, LoraAdapter};
 
 /// One immutable published model snapshot.
 #[derive(Debug)]
 pub struct ModelVersion {
     /// The inference-only estimator (optimizer state detached).
     pub estimator: DaceEstimator,
-    /// The int8 fast-tier twin, re-quantized from `estimator` at publish
-    /// time. Every path that creates a version funnels through
-    /// [`ModelVersion::new`], so the twin can never lag the f32 weights —
-    /// including adaptive-loop promotions and checkpoint reloads.
-    pub quantized: QuantizedEstimator,
     /// Registry-global monotone version id; recorded on every response
     /// served by this snapshot.
     pub version: u64,
@@ -49,15 +44,10 @@ pub struct ModelVersion {
 
 impl ModelVersion {
     /// The single construction path for published snapshots: detaches the
-    /// estimator for serving and builds the quantized twin. Quantization is
-    /// a swap-time cost (one pass over ~0.12 MB of weights), never paid on
-    /// the request path.
+    /// estimator for serving (optimizer state dropped).
     pub fn new(est: DaceEstimator, version: u64, adapter: Option<String>) -> ModelVersion {
-        let estimator = est.serving_clone();
-        let quantized = QuantizedEstimator::from_estimator(&estimator);
         ModelVersion {
-            estimator,
-            quantized,
+            estimator: est.serving_clone(),
             version,
             adapter,
         }

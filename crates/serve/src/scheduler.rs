@@ -11,8 +11,8 @@
 //! cache-line traffic on the hot path. An idle shard **steals bounded
 //! batches** from the deepest backlogged peer (`steal_threshold` /
 //! `steal_max`), so affinity skew cannot strand throughput; stolen jobs
-//! migrate whole — trace ids, deadlines, tiers, tenants and response
-//! channels intact.
+//! migrate whole — trace ids, deadlines, tenants and response channels
+//! intact.
 //!
 //! **Tenancy.** Requests may carry a tenant id
 //! ([`DaceServer::submit_for`]): admission validates the id
@@ -47,15 +47,11 @@
 //! queued are dropped with [`ServeError::DeadlineExceeded`] before any work
 //! is spent on them.
 //!
-//! Admission also picks a **precision tier** ([`Tier`]): requests whose
-//! deadline budget is at or under `fast_tier_deadline` route to the int8
-//! [`QuantizedEstimator`](dace_core::QuantizedEstimator) twin rebuilt at
-//! every registry swap; everything else runs full precision. Per batch,
-//! each request resolves its model through the lock-free
+//! Per batch, each request resolves its model through the lock-free
 //! [`ModelRegistry`], features come from the fingerprint-keyed shard-local
 //! [`FeatureCache`] (misses featurized through the same
 //! [`featurize_trees_sharded`] path training uses), and one block-diagonal
-//! forward serves each (adapter, tier) group.
+//! f32 forward serves each (tenant, adapter) group.
 //!
 //! **Failure model.** Workers are supervised (see [`crate::supervisor`]): a
 //! panic anywhere in the drain/forward path kills only that worker, which
@@ -79,7 +75,7 @@ use std::sync::mpsc::SyncSender;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dace_core::{featurize_trees_sharded, PlanFeatures, QuantWorkspace, Workspace};
+use dace_core::{featurize_trees_sharded, PlanFeatures, Workspace};
 use dace_obs::{mark, next_trace_id, span, trace_scope, LifecycleEvent, MetricsRegistry};
 use dace_plan::{validate_plan, PlanTree, PlanValidationError, DEFAULT_MAX_PLAN_DEPTH};
 use serde::Serialize;
@@ -162,11 +158,6 @@ pub struct ServeConfig {
     /// Most jobs one steal sweep moves (bounds how much affinity a single
     /// imbalance can destroy).
     pub steal_max: usize,
-    /// Requests whose effective deadline is at or under this duration are
-    /// served by the int8 quantized tier ([`Tier::Quantized`]) instead of
-    /// full precision. `None` (the default) disables tier routing: every
-    /// request runs full precision.
-    pub fast_tier_deadline: Option<Duration>,
     /// Pin each shard's workers to a CPU core (`shard index` modulo the
     /// core count), best effort: pinning failures are silently ignored and
     /// non-Linux hosts never attempt it.
@@ -197,31 +188,8 @@ impl Default for ServeConfig {
             shards: 1,
             steal_threshold: 4,
             steal_max: 8,
-            fast_tier_deadline: None,
             pin_cores: false,
             tenants: TenantConfig::default(),
-        }
-    }
-}
-
-/// Which precision tier served (or will serve) a request. Decided once, at
-/// admission, from the request's effective deadline against
-/// [`ServeConfig::fast_tier_deadline`]; stolen work keeps its tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Tier {
-    /// Full-precision f32 forward — the accuracy tier (default).
-    Full,
-    /// Int8 quantized forward — the deadline-tight fast tier.
-    Quantized,
-}
-
-impl Tier {
-    /// Stable label used in metrics (`serve_tier_requests_total{tier=...}`)
-    /// and ledgers.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Tier::Full => "full",
-            Tier::Quantized => "quantized",
         }
     }
 }
@@ -311,11 +279,6 @@ pub struct Prediction {
     /// served answer; joins against flight-recorder events, journal
     /// records, and retrain `EpochRecord`s.
     pub trace: u64,
-    /// Which precision tier this request was routed to at admission. A
-    /// degraded answer keeps the routed tier (the `degraded` flag already
-    /// says the model did not answer), so tier accounting stays consistent
-    /// across fallback episodes.
-    pub tier: Tier,
 }
 
 /// Where a served request's time went, stage by stage (all µs). Queue wait
@@ -348,7 +311,6 @@ pub(crate) struct Job {
     enqueued: Instant,
     deadline: Option<Instant>,
     trace: u64,
-    tier: Tier,
     resp: SyncSender<Result<Prediction, ServeError>>,
 }
 
@@ -807,13 +769,7 @@ impl DaceServer {
         // epochs) carries it.
         let trace = next_trace_id();
         mark!("serve_admit", trace);
-        // Tier routing happens here, before any queueing: a deadline at or
-        // under the fast-tier threshold buys the int8 forward.
         let budget = deadline.or(self.config.default_deadline);
-        let tier = match (self.config.fast_tier_deadline, budget) {
-            (Some(fast), Some(d)) if d <= fast => Tier::Quantized,
-            _ => Tier::Full,
-        };
         // Routing is salted per tenant (salt 0 = tenant-less, the legacy
         // route exactly): two tenants submitting the identical plan spread
         // across shards instead of contending for one, and the salt also
@@ -832,7 +788,6 @@ impl DaceServer {
             enqueued: now,
             deadline: budget.map(|d| now + d),
             trace,
-            tier,
             resp: tx,
         };
         match self.ctx.shards[shard].queue.push(&lane, weight, job) {
@@ -1055,7 +1010,7 @@ const DISPATCH_MARGIN: Duration = Duration::from_micros(200);
 /// at least `threshold`. Non-blocking: the victim's queue is popped
 /// through the same DRR discipline its own worker uses (`try_pop`), so
 /// even stolen service respects tenant fair shares. Stolen `Job`s move
-/// whole, so trace ids, deadlines, tiers, tenants and response channels
+/// whole, so trace ids, deadlines, tenants and response channels
 /// all survive the migration; the queue guarantees each job is popped
 /// exactly once no matter how many thieves race.
 fn steal_batch(ctx: &WorkerCtx, thief: usize, threshold: u64) -> Option<Vec<Job>> {
@@ -1202,14 +1157,12 @@ fn drain_batch(ctx: &WorkerCtx, shard: usize) -> Option<Vec<Job>> {
     Some(batch)
 }
 
-/// Per-worker reusable inference scratch: the f32 and int8 model
-/// workspaces plus the prediction staging vectors. Buffers grow to the
-/// high-water batch size and then the drain loop's forward path stops
-/// allocating entirely.
+/// Per-worker reusable inference scratch: the model workspace plus the
+/// prediction staging vectors. Buffers grow to the high-water batch size
+/// and then the drain loop's forward path stops allocating entirely.
 #[derive(Default)]
 struct WorkerScratch {
     ws: Workspace,
-    qws: QuantWorkspace,
     roots: Vec<f32>,
     ms: Vec<f64>,
 }
@@ -1308,9 +1261,9 @@ fn record_breaker_outcome(ctx: &WorkerCtx, tenant: Option<&TenantState>, ok: boo
     }
 }
 
-/// Execution-group key: jobs sharing (tenant, adapter, tier) run as one
-/// packed forward on one resolved snapshot through one precision tier.
-type GroupKey = (Option<Arc<str>>, Option<String>, Tier);
+/// Execution-group key: jobs sharing (tenant, adapter) run as one packed
+/// forward on one resolved snapshot.
+type GroupKey = (Option<Arc<str>>, Option<String>);
 
 fn process_batch(ctx: &WorkerCtx, shard: usize, batch: Vec<Job>, scratch: &mut WorkerScratch) {
     let _span = span!("serve_process_batch");
@@ -1319,10 +1272,9 @@ fn process_batch(ctx: &WorkerCtx, shard: usize, batch: Vec<Job>, scratch: &mut W
     metrics.batches.inc();
     metrics.batch_size.record(batch.len() as u64);
 
-    // Admission-side triage, then group survivors by (tenant, adapter,
-    // tier) so each group runs one packed forward on one resolved snapshot
-    // through one precision tier — and so one tenant's outcomes feed only
-    // its own breaker.
+    // Admission-side triage, then group survivors by (tenant, adapter) so
+    // each group runs one packed forward on one resolved snapshot — and so
+    // one tenant's outcomes feed only its own breaker.
     let mut groups: HashMap<GroupKey, Vec<Job>> = HashMap::new();
     let (mut missed, mut met) = (0u64, 0u64);
     let mut missed_trace = 0u64;
@@ -1351,7 +1303,6 @@ fn process_batch(ctx: &WorkerCtx, shard: usize, batch: Vec<Job>, scratch: &mut W
             .entry((
                 job.tenant.as_ref().map(|t| Arc::clone(&t.name)),
                 job.adapter.clone(),
-                job.tier,
             ))
             .or_default()
             .push(job);
@@ -1360,7 +1311,7 @@ fn process_batch(ctx: &WorkerCtx, shard: usize, batch: Vec<Job>, scratch: &mut W
     // stamped with the first expired request's trace.
     ctx.health.record_deadlines(missed, met, missed_trace);
 
-    for ((_, adapter, tier), jobs) in groups {
+    for ((_, adapter), jobs) in groups {
         let tenant = jobs.first().and_then(|j| j.tenant.clone());
         // Resolve the group's model. Tenant requests without an explicit
         // adapter go through the pager when one is configured: resident →
@@ -1427,7 +1378,7 @@ fn process_batch(ctx: &WorkerCtx, shard: usize, batch: Vec<Job>, scratch: &mut W
         let outcome = {
             let _trace = trace_scope(group_trace);
             catch_unwind(AssertUnwindSafe(|| {
-                forward_group(ctx, shard, &version, tier, &jobs, scratch)
+                forward_group(ctx, shard, &version, &jobs, scratch)
             }))
         };
         // Outcomes echo to the same breaker that gated (probe included).
@@ -1484,15 +1435,13 @@ struct GroupOutput {
     stages: StageBreakdown,
 }
 
-/// The model path for one (adapter, tier) group: featurize through the
-/// shard-local cache, one packed block-diagonal forward through the routed
-/// precision tier. May panic (that is the point — the caller catches it);
-/// must not consume the jobs.
+/// The model path for one (tenant, adapter) group: featurize through the
+/// shard-local cache, then one packed block-diagonal forward. May panic
+/// (that is the point — the caller catches it); must not consume the jobs.
 fn forward_group(
     ctx: &WorkerCtx,
     shard: usize,
     version: &ModelVersion,
-    tier: Tier,
     jobs: &[Job],
     scratch: &mut WorkerScratch,
 ) -> GroupOutput {
@@ -1507,9 +1456,7 @@ fn forward_group(
     // Featurize through the shard-local cache; misses go through the same
     // sharded path training uses (serial below 64 trees). `featurize_us`
     // keeps its historical meaning (probe + miss featurization); stage
-    // timing additionally splits out the probe cost. Both tiers share one
-    // cache: features are tier-independent (quantization happens inside
-    // the forward, not in the encoding).
+    // timing additionally splits out the probe cost.
     let t_feat = Instant::now();
     // Cache keys are salted with the job's tenant salt (0 for tenant-less
     // traffic, preserving historical keys): two tenants submitting the
@@ -1547,8 +1494,7 @@ fn forward_group(
         panic!("{INJECTED_PANIC}: batch forward panic");
     }
 
-    // One packed block-diagonal forward for the whole group, through the
-    // tier the requests were admitted to.
+    // One packed block-diagonal forward for the whole group.
     let t_fwd = Instant::now();
     let refs: Vec<&PlanFeatures> = feats.iter().map(Arc::as_ref).collect();
     let stages = {
@@ -1556,20 +1502,12 @@ fn forward_group(
         // Predictions land in the worker's reusable scratch
         // (`scratch.ms`, aligned with `jobs`): the steady-state forward
         // path allocates nothing.
-        let timings = match tier {
-            Tier::Full => est.predict_features_batch_ms_timed_ws(
-                &refs,
-                &mut scratch.ws,
-                &mut scratch.roots,
-                &mut scratch.ms,
-            ),
-            Tier::Quantized => version.quantized.predict_features_batch_ms_timed_ws(
-                &refs,
-                &mut scratch.qws,
-                &mut scratch.roots,
-                &mut scratch.ms,
-            ),
-        };
+        let timings = est.predict_features_batch_ms_timed_ws(
+            &refs,
+            &mut scratch.ws,
+            &mut scratch.roots,
+            &mut scratch.ms,
+        );
         metrics.cache_lookup_us.record(cache_lookup_us);
         metrics.attention_us.record(timings.attention_us);
         metrics.mlp_us.record(timings.mlp_us);
@@ -1623,7 +1561,6 @@ fn respond_predictions(
             }
         }
         ctx.shards[shard].completed.fetch_add(1, Ordering::Relaxed);
-        ctx.health.count_tier(job.tier);
         metrics
             .e2e_us
             .record(job.enqueued.elapsed().as_micros() as u64);
@@ -1641,7 +1578,6 @@ fn respond_predictions(
             degraded: cold,
             stages,
             trace: job.trace,
-            tier: job.tier,
         }));
     }
     metrics
@@ -1676,7 +1612,6 @@ fn respond_degraded(ctx: &WorkerCtx, shard: usize, version: &Arc<ModelVersion>, 
             t.counters.degraded.fetch_add(1, Ordering::Relaxed);
         }
         ctx.shards[shard].completed.fetch_add(1, Ordering::Relaxed);
-        ctx.health.count_tier(job.tier);
         metrics
             .e2e_us
             .record(job.enqueued.elapsed().as_micros() as u64);
@@ -1690,9 +1625,6 @@ fn respond_degraded(ctx: &WorkerCtx, shard: usize, version: &Arc<ModelVersion>, 
             degraded: true,
             stages: None,
             trace: job.trace,
-            // The answer keeps the tier the request was admitted to — the
-            // fallback served it, but the ledger splits on routed tier.
-            tier: job.tier,
         }));
     }
 }

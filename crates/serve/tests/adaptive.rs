@@ -159,7 +159,6 @@ fn model_prediction(registry: &ModelRegistry, tree: &dace_plan::PlanTree) -> Pre
         degraded: false,
         stages: None,
         trace: 0,
-        tier: dace_serve::Tier::Full,
     }
 }
 

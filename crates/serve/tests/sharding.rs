@@ -1,6 +1,6 @@
 //! Sharded-scheduler suite: affinity routing, bounded work-stealing,
-//! deadline-clamped batch waits, the quantized fast tier, and the shard /
-//! tier observability surface.
+//! deadline-clamped batch waits, version stamps across registry swaps, and
+//! the per-shard observability surface.
 
 mod common;
 
@@ -8,9 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dace_core::save_checkpoint;
-use dace_serve::{
-    silence_injected_panics, DaceServer, FaultConfig, ModelRegistry, ServeConfig, Tier,
-};
+use dace_serve::{silence_injected_panics, DaceServer, FaultConfig, ModelRegistry, ServeConfig};
 
 fn sharded_config(shards: usize) -> ServeConfig {
     ServeConfig {
@@ -36,7 +34,6 @@ fn sharded_server_answers_everything_and_spreads_load() {
     for h in handles {
         let pred = h.wait().expect("answered");
         assert!(pred.ms.is_finite() && pred.ms > 0.0);
-        assert_eq!(pred.tier, Tier::Full);
     }
     let snaps = server.shard_snapshot();
     assert_eq!(snaps.len(), 4);
@@ -159,96 +156,55 @@ fn near_deadline_requests_bypass_batch_wait() {
     server.shutdown();
 }
 
+/// Every promotion path funnels through `ModelVersion::new`, including the
+/// checkpoint-reload path the adaptive loop promotes through. After each
+/// swap the next answer carries the new version and is the new model's
+/// own prediction, bit for bit (root-row inference is batch-invariant).
 #[test]
-fn tight_deadlines_route_to_the_quantized_tier_within_qerror_bound() {
-    let (est, train) = common::quick_estimator(25);
-    let config = ServeConfig {
-        fast_tier_deadline: Some(Duration::from_millis(50)),
-        ..sharded_config(2)
-    };
-    let server = DaceServer::new(Arc::new(ModelRegistry::new(est)), config);
-    for plan in train.plans.iter().take(16) {
-        let full = server.predict(&plan.tree).expect("full tier");
-        let fast = server
-            .predict_with(&plan.tree, None, Some(Duration::from_millis(40)))
-            .expect("fast tier");
-        assert_eq!(full.tier, Tier::Full);
-        assert_eq!(fast.tier, Tier::Quantized);
-        let q = (full.ms / fast.ms).max(fast.ms / full.ms);
-        assert!(
-            q < 1.25,
-            "tiers diverged: full {} vs quantized {} (q={q})",
-            full.ms,
-            fast.ms
-        );
-    }
-    // A deadline above the fast-tier threshold stays on full precision.
-    let slow = server
-        .predict_with(&train.plans[0].tree, None, Some(Duration::from_millis(200)))
-        .unwrap();
-    assert_eq!(slow.tier, Tier::Full);
-    let report = server.health().health_report(None);
-    assert!(report.tier_full >= 17 && report.tier_quantized >= 16);
-    server.shutdown();
-}
-
-/// Every promotion path funnels through `ModelVersion::new`, so the int8
-/// twin is rebuilt on every swap — including the checkpoint-reload path the
-/// adaptive loop promotes through. The fast tier must answer from the new
-/// weights immediately.
-#[test]
-fn every_swap_rebuilds_the_quantized_twin() {
+fn every_swap_serves_the_new_weights() {
     let (est_a, train) = common::quick_estimator(26);
     let (est_b, _) = common::quick_estimator(99);
     let registry = Arc::new(ModelRegistry::new(est_a));
-    let config = ServeConfig {
-        fast_tier_deadline: Some(Duration::from_millis(50)),
-        ..sharded_config(2)
-    };
-    let server = DaceServer::new(Arc::clone(&registry), config);
+    let server = DaceServer::new(Arc::clone(&registry), sharded_config(2));
     let plan = &train.plans[0].tree;
-    let deadline = Some(Duration::from_millis(40));
 
-    let before = server.predict_with(plan, None, deadline).unwrap();
-    assert_eq!((before.tier, before.version), (Tier::Quantized, 0));
+    let before = server.predict(plan).unwrap();
+    assert_eq!(before.version, 0);
 
     // Direct swap (the manual path).
     let v1 = registry.swap_base(est_b.clone()).unwrap();
-    let full_b = registry.base().estimator.predict_ms(plan);
-    let after = server.predict_with(plan, None, deadline).unwrap();
+    let after = server.predict(plan).unwrap();
     assert_eq!(after.version, v1);
-    let q = (after.ms / full_b).max(full_b / after.ms);
-    assert!(
-        q < 1.25,
-        "fast tier still answering from stale weights: {} vs {}",
-        after.ms,
-        full_b
+    assert_eq!(
+        after.ms.to_bits(),
+        est_b.predict_batch_ms(&[plan])[0].to_bits(),
+        "served {} after swap, not the new model's answer",
+        after.ms
     );
 
     // Checkpoint-reload swap (the adaptive promotion path).
-    let dir = std::env::temp_dir().join(format!("dace-requant-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("dace-swap-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt = dir.join("candidate.dace");
     let (est_c, _) = common::quick_estimator(7);
     save_checkpoint(&ckpt, &est_c).unwrap();
     let v2 = registry.swap_base_from_checkpoint(&ckpt).unwrap();
-    let full_c = registry.base().estimator.predict_ms(plan);
-    let promoted = server.predict_with(plan, None, deadline).unwrap();
-    assert_eq!((promoted.tier, promoted.version), (Tier::Quantized, v2));
-    let q = (promoted.ms / full_c).max(full_c / promoted.ms);
-    assert!(q < 1.25, "twin not rebuilt on checkpoint promotion");
+    let promoted = server.predict(plan).unwrap();
+    assert_eq!(promoted.version, v2);
+    assert_eq!(
+        promoted.ms.to_bits(),
+        est_c.predict_batch_ms(&[plan])[0].to_bits(),
+        "served {} after checkpoint promotion, not the new model's answer",
+        promoted.ms
+    );
     std::fs::remove_dir_all(&dir).ok();
     server.shutdown();
 }
 
 #[test]
-fn shard_and_tier_metrics_round_trip_with_help() {
+fn shard_metrics_round_trip_with_help() {
     let (est, train) = common::quick_estimator(27);
-    let config = ServeConfig {
-        fast_tier_deadline: Some(Duration::from_millis(50)),
-        ..sharded_config(2)
-    };
-    let server = DaceServer::new(Arc::new(ModelRegistry::new(est)), config);
+    let server = DaceServer::new(Arc::new(ModelRegistry::new(est)), sharded_config(2));
     for plan in train.plans.iter().take(8) {
         server.predict(&plan.tree).unwrap();
         server
@@ -260,7 +216,6 @@ fn shard_and_tier_metrics_round_trip_with_help() {
         "serve_shard_queue_depth",
         "serve_shard_completed_total",
         "serve_steals_total",
-        "serve_tier_requests_total",
     ] {
         assert!(
             text.contains(&format!("# HELP {family} ")),
@@ -278,8 +233,6 @@ fn shard_and_tier_metrics_round_trip_with_help() {
     }
     assert!(parsed.contains_key("serve_steals_total{from=\"0\",to=\"1\"}"));
     assert!(parsed.contains_key("serve_steals_total{from=\"1\",to=\"0\"}"));
-    assert!(parsed["serve_tier_requests_total{tier=\"full\"}"] >= 8.0);
-    assert!(parsed["serve_tier_requests_total{tier=\"quantized\"}"] >= 8.0);
     let completed: f64 = (0..2)
         .map(|s| parsed[&format!("serve_shard_completed_total{{shard=\"{s}\"}}")])
         .sum();

@@ -409,7 +409,7 @@ fn adapter_paging_cold_start_quarantine_and_lru() {
     };
     wait_resident("t1");
     let warm = server.predict_for("t1", plan).unwrap();
-    assert!(!warm.degraded, "resident adapter must serve at full tier");
+    assert!(!warm.degraded, "resident adapter must serve non-degraded");
     assert!(warm.version >= 1, "paged-in adapter gets a fresh version");
 
     // Missing and torn checkpoints: still answered (degraded), then
