@@ -25,6 +25,7 @@ mod loss;
 mod model;
 mod persist;
 mod quantized;
+mod rootnet;
 mod scoring;
 mod trainer;
 
@@ -41,6 +42,7 @@ pub use persist::{
     CheckpointError, CHECKPOINT_MAGIC,
 };
 pub use quantized::{QuantWorkspace, QuantizedEstimator, QuantizedModel};
+pub use rootnet::RootNet;
 pub use scoring::ScoreSession;
 pub use trainer::{
     featurize_trees_sharded, quantile, DaceEstimator, TrainConfig, TrainError, Trainer,

@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::adapter::{AdapterError, LoraAdapter, LoraLayerWeights};
 use crate::featurize::{PackedBatch, PlanFeatures, FEATURE_DIM};
+use crate::rootnet::{RootBlock, RootCell, RootNet};
 
 /// Width of the penultimate hidden layer `h₂` — the encoding dimension the
 /// pre-trained-encoder interface exposes (Eq. 9: `w_E = h₂`).
@@ -20,16 +21,23 @@ const H1: usize = 128;
 const RANKS: [usize; 3] = [32, 16, 8];
 
 /// The DACE model (Sec. IV-C).
+///
+/// The layers are private so that every weight change goes through a
+/// method that also drops the cached [`RootNet`]: [`DaceModel::params_mut`]
+/// (every optimizer step) and [`DaceModel::apply_adapter`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DaceModel {
     /// Tree-masked single-head self-attention (Eq. 5).
-    pub attention: MaskedSelfAttention,
+    attention: MaskedSelfAttention,
     /// MLP layer 1 with LoRA rank 32.
-    pub l1: LoraLinear,
+    l1: LoraLinear,
     /// MLP layer 2 with LoRA rank 16.
-    pub l2: LoraLinear,
+    l2: LoraLinear,
     /// MLP layer 3 with LoRA rank 8.
-    pub l3: LoraLinear,
+    l3: LoraLinear,
+    /// The root-row twin of the weights above, folded on first use.
+    #[serde(skip)]
+    root: RootCell,
     /// Scratch arena for the compact batched forward/backward: activations
     /// and gradients live here and reuse capacity across mini-batches, so
     /// steady-state epochs stop allocating. Cloning a model (early-stopping
@@ -64,8 +72,27 @@ impl DaceModel {
             l1: LoraLinear::new(D_V, H1, RANKS[0], seed ^ 0x01),
             l2: LoraLinear::new(H1, ENCODING_DIM, RANKS[1], seed ^ 0x02),
             l3: LoraLinear::new(ENCODING_DIM, 1, RANKS[2], seed ^ 0x03),
+            root: RootCell::default(),
             ws: Workspace::new(),
         }
+    }
+
+    /// The tree-masked attention layer.
+    pub fn attention(&self) -> &MaskedSelfAttention {
+        &self.attention
+    }
+
+    /// The three LoRA MLP layers, input side first.
+    pub(crate) fn mlp(&self) -> [&LoraLinear; 3] {
+        [&self.l1, &self.l2, &self.l3]
+    }
+
+    /// The folded root-row twin of the current weights, built on first use
+    /// and cached until a weight changes. Serving builds it when a model
+    /// version is published, so no request pays for the fold.
+    pub fn root_net(&self) -> &RootNet {
+        self.root
+            .get_or_fold(|| RootNet::fold(&self.attention, self.mlp()))
     }
 
     /// The training forward pass, over a packed mini-batch's compact
@@ -146,11 +173,10 @@ impl DaceModel {
     /// per-plan *root* log-latency predictions, appended to `out` (cleared
     /// first), with the attention/MLP wall-time split returned.
     ///
-    /// Only what the root prediction needs is computed: root-row attention
-    /// ([`MaskedSelfAttention::forward_roots_into`], `O(d·d_k + n·d)` per
-    /// plan) feeds the root rows alone through the MLP. Every kernel is
-    /// row-independent, so a plan's prediction is bit-identical whatever
-    /// else shares its batch, and it matches the all-rows
+    /// Runs on the folded [`RootNet`] ([`DaceModel::root_net`]): root-row
+    /// attention and the MLP for the root rows alone, `O(d² + n·d)` for the
+    /// attention of an `n`-node plan. A plan's prediction is bit-identical
+    /// whatever else shares its batch, and it matches the all-rows
     /// [`DaceModel::predict_root`] to f32 rounding. Scratch lives in the
     /// caller's workspace: once its buffers reach the high-water batch size,
     /// repeated calls stop touching the allocator — the serve worker's and
@@ -165,20 +191,26 @@ impl DaceModel {
         if feats.is_empty() {
             return ForwardTimings::default();
         }
-        let t_attn = std::time::Instant::now();
-        self.attention.forward_roots_into(
-            feats.iter().map(|f| (&f.x, f.mask.as_slice())),
-            &mut ws.attn,
-            &mut ws.heads,
-        );
-        self.root_mlp_timed(t_attn, feats.len(), ws, out)
+        let blocks = feats.iter().map(|f| {
+            let l = f.x.rows();
+            assert_eq!(f.mask.len(), l * l, "mask must be len² per block");
+            RootBlock {
+                x: &f.x,
+                start: 0,
+                len: l,
+                mask_row: &f.mask[..l],
+            }
+        });
+        self.root_net().forward(blocks, ws, out)
     }
 
     /// [`DaceModel::predict_roots_timed_ws`] over plans whose encoded rows
     /// sit back to back in one compact tensor from row `row0` (`lens[b]`
-    /// rows per plan, root first), with no masks or per-plan [`PlanFeatures`]
-    /// ([`MaskedSelfAttention::forward_roots_compact_into`]): the plan-search
-    /// scorer's entry. Bit-identical to the masked entry on the same rows.
+    /// rows per plan, root first), with no masks or per-plan
+    /// [`PlanFeatures`]: the plan-search scorer's entry. No masks are read:
+    /// a tree-masked root attends to its whole plan, and so does every row
+    /// of an unmasked plan. Bit-identical to the masked entry on the same
+    /// rows with either mask.
     pub fn predict_roots_compact_timed_ws(
         &self,
         xc: &Tensor2,
@@ -191,38 +223,17 @@ impl DaceModel {
         if lens.is_empty() {
             return ForwardTimings::default();
         }
-        let t_attn = std::time::Instant::now();
-        self.attention
-            .forward_roots_compact_into(xc, row0, lens, &mut ws.attn, &mut ws.heads);
-        self.root_mlp_timed(t_attn, lens.len(), ws, out)
-    }
-
-    /// The MLP over the `plans` root rows attention left in `ws.heads`,
-    /// appending their log-latencies to `out`; attention is timed from
-    /// `t_attn`.
-    fn root_mlp_timed(
-        &self,
-        t_attn: std::time::Instant,
-        plans: usize,
-        ws: &mut Workspace,
-        out: &mut Vec<f32>,
-    ) -> ForwardTimings {
-        let attention_us = t_attn.elapsed().as_micros() as u64;
-        let t_mlp = std::time::Instant::now();
-        self.l1
-            .forward_ws(&ws.heads, &mut ws.h1, &mut ws.xb1, &mut ws.tmp);
-        Relu::relu_in_place(&mut ws.h1);
-        self.l2
-            .forward_ws(&ws.h1, &mut ws.h2, &mut ws.xb2, &mut ws.tmp);
-        Relu::relu_in_place(&mut ws.h2);
-        self.l3
-            .forward_ws(&ws.h2, &mut ws.preds, &mut ws.xb3, &mut ws.tmp);
-        let mlp_us = t_mlp.elapsed().as_micros() as u64;
-        out.extend((0..plans).map(|b| ws.preds.get(b, 0)));
-        ForwardTimings {
-            attention_us,
-            mlp_us,
-        }
+        let blocks = lens.iter().scan(row0, |next, &len| {
+            let start = *next;
+            *next += len;
+            Some(RootBlock {
+                x: xc,
+                start,
+                len,
+                mask_row: &[],
+            })
+        });
+        self.root_net().forward(blocks, ws, out)
     }
 
     /// Inference: per-node log-latency predictions without caching — the
@@ -254,8 +265,10 @@ impl DaceModel {
         h2
     }
 
-    /// All parameters (base + LoRA) for the optimizer.
+    /// All parameters (base + LoRA) for the optimizer. Handing out mutable
+    /// weights drops the cached [`RootNet`].
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.root.clear();
         let mut params = self.attention.params_mut();
         params.extend(self.l1.params_mut());
         params.extend(self.l2.params_mut());
@@ -320,6 +333,7 @@ impl DaceModel {
                 });
             }
         }
+        self.root.clear();
         for (layer, w) in [&mut self.l1, &mut self.l2, &mut self.l3]
             .into_iter()
             .zip(&adapter.layers)

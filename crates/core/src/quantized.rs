@@ -48,11 +48,12 @@ impl QuantizedModel {
     /// is folded into the MLP base weights, so the twin reflects exactly
     /// the weights the f32 path would serve.
     pub fn from_model(model: &DaceModel) -> QuantizedModel {
+        let [l1, l2, l3] = model.mlp();
         QuantizedModel {
-            attention: QuantizedAttention::from_attention(&model.attention),
-            l1: QuantizedLinear::from_lora(&model.l1),
-            l2: QuantizedLinear::from_lora(&model.l2),
-            l3: QuantizedLinear::from_lora(&model.l3),
+            attention: QuantizedAttention::from_attention(model.attention()),
+            l1: QuantizedLinear::from_lora(l1),
+            l2: QuantizedLinear::from_lora(l2),
+            l3: QuantizedLinear::from_lora(l3),
         }
     }
 

@@ -502,10 +502,12 @@ pub struct DaceEstimator {
 
 impl DaceEstimator {
     /// Predict a plan's latency in milliseconds (root node only — inference
-    /// has no sub-plan overhead, Sec. V-E).
+    /// has no sub-plan overhead, Sec. V-E). A batch of one through
+    /// [`DaceEstimator::predict_features_batch_ms`], so it returns exactly
+    /// what the batched and served paths return for the same plan.
     pub fn predict_ms(&self, tree: &PlanTree) -> f64 {
         let feats = self.featurizer.encode(tree);
-        Featurizer::to_ms(self.model.predict_root(&feats))
+        self.predict_features_batch_ms(&[&feats])[0]
     }
 
     /// Per-sub-plan latency predictions (ms), DFS order — the parallel
@@ -924,10 +926,11 @@ mod tests {
         let batch = est.predict_batch_ms(&trees);
         assert_eq!(batch.len(), trees.len());
         for (tree, &b) in trees.iter().zip(&batch) {
+            // One root-row path: a plan scores the same alone as in a batch.
             let single = est.predict_ms(tree);
-            // Same weights, same math up to padded-kernel summation order.
-            assert!(
-                ((b.ln() - single.ln()).abs()) < 1e-4,
+            assert_eq!(
+                single.to_bits(),
+                b.to_bits(),
                 "batched {b} vs single {single}"
             );
         }

@@ -157,7 +157,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let (est, _) = tiers();
-        let qattn = QuantizedAttention::from_attention(&est.model.attention);
+        let qattn = QuantizedAttention::from_attention(est.model.attention());
         let x = Tensor2::uniform(rows, dace_core::FEATURE_DIM, 1.0, seed);
         // Row 1 attends to nothing: every key masked out.
         let mut mask = vec![false; rows * rows];

@@ -1,10 +1,14 @@
 //! Root-row inference equivalence: the batched root-latency path
-//! (`DaceModel::predict_roots_timed_ws`, which folds attention to the root
-//! row) must agree with the all-rows reference (`DaceModel::predict_root`)
-//! to f32 rounding on arbitrary plan shapes and masks, and a plan's score
-//! must be bit-identical alone and inside any mixed-size batch — the search
-//! memo and the serve feature cache both reuse a score computed in one
-//! batch for a plan seen in another.
+//! (`DaceModel::predict_roots_timed_ws`, which runs the folded `RootNet`)
+//! must agree with the all-rows reference (`DaceModel::predict_root`) to
+//! f32 rounding on arbitrary plan shapes and masks, with and without LoRA
+//! adapters, and a plan's score must be bit-identical alone and inside any
+//! mixed-size batch — the search memo and the serve feature cache both
+//! reuse a score computed in one batch for a plan seen in another.
+//!
+//! The fold is cached inside the model, so the file also checks that every
+//! weight change (an adapter install, a fine-tuning step) drops it: the
+//! next prediction must equal that of a freshly deserialized copy.
 
 use std::sync::OnceLock;
 
@@ -13,7 +17,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use dace_core::{DaceEstimator, DaceModel, Featurizer, PlanFeatures, TrainConfig, Trainer};
-use dace_nn::Workspace;
+use dace_nn::{Tensor2, Workspace};
 use dace_plan::{
     Dataset, LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, PlanTree, TreeBuilder,
 };
@@ -79,6 +83,44 @@ fn estimator() -> &'static DaceEstimator {
     })
 }
 
+/// The trained fixture with non-zero LoRA adapters on all three layers.
+/// Training leaves every `A` at zero (pre-training freezes the adapters),
+/// so without this the merged `W + B·A` would never be exercised.
+fn adapted_estimator() -> &'static DaceEstimator {
+    static EST: OnceLock<DaceEstimator> = OnceLock::new();
+    EST.get_or_init(|| {
+        let mut adapter = estimator().extract_adapter();
+        for (i, layer) in adapter.layers.iter_mut().enumerate() {
+            let (rows, cols) = (layer.a.rows(), layer.a.cols());
+            layer.a = Tensor2::uniform(rows, cols, 0.05, 77 + i as u64);
+        }
+        estimator()
+            .with_adapter(&adapter)
+            .expect("extracted shapes fit")
+    })
+}
+
+/// Root predictions (ms bits) of `est` on a fixed set of plans, through the
+/// batched entry and the single-plan entry.
+fn probe(est: &DaceEstimator) -> Vec<u64> {
+    let trees: Vec<PlanTree> = (0..12)
+        .map(|i| random_tree(7000 + i, 1 + i as usize))
+        .collect();
+    let refs: Vec<&PlanTree> = trees.iter().collect();
+    let mut bits: Vec<u64> = est
+        .predict_batch_ms(&refs)
+        .iter()
+        .map(|m| m.to_bits())
+        .collect();
+    bits.extend(trees.iter().map(|t| est.predict_ms(t).to_bits()));
+    bits
+}
+
+/// A copy of `est` rebuilt from its serialized form: no cached state.
+fn fresh_copy(est: &DaceEstimator) -> DaceEstimator {
+    DaceEstimator::from_json(&est.to_json()).expect("estimator roundtrip")
+}
+
 /// Root log-latencies of `feats` scored as one root-row batch.
 fn root_row(model: &DaceModel, feats: &[&PlanFeatures]) -> Vec<f32> {
     let mut ws = Workspace::new();
@@ -105,53 +147,84 @@ proptest! {
         shapes in proptest::collection::vec((0u64..u64::MAX, 1usize..=24), 1..=40),
         rotate in 0usize..40,
     ) {
-        let est = estimator();
-        let full = Featurizer {
-            config: dace_core::FeatureConfig {
-                disable_tree_attention: true,
-                ..est.featurizer.config
-            },
-            ..est.featurizer.clone()
-        };
-        // Tree masks, full masks (DACE w/o tree attention) and one
-        // hand-built non-interval mask, interleaved into one mixed batch.
-        let mut feats: Vec<PlanFeatures> = Vec::new();
-        for (i, &(seed, nodes)) in shapes.iter().enumerate() {
-            let tree = random_tree(seed, nodes);
-            feats.push(if i % 3 == 1 {
-                full.encode(&tree)
-            } else {
-                est.featurizer.encode(&tree)
-            });
-        }
-        if let Some(f) = feats.iter().position(|f| f.x.rows() >= 3) {
-            feats[f] = non_interval(&feats[f]);
-        }
-        let len = feats.len();
-        feats.rotate_left(rotate % len);
-        let refs: Vec<&PlanFeatures> = feats.iter().collect();
+        for est in [estimator(), adapted_estimator()] {
+            let full = Featurizer {
+                config: dace_core::FeatureConfig {
+                    disable_tree_attention: true,
+                    ..est.featurizer.config
+                },
+                ..est.featurizer.clone()
+            };
+            // Tree masks, full masks (DACE w/o tree attention) and one
+            // hand-built non-interval mask, interleaved into one mixed batch.
+            let mut feats: Vec<PlanFeatures> = Vec::new();
+            for (i, &(seed, nodes)) in shapes.iter().enumerate() {
+                let tree = random_tree(seed, nodes);
+                feats.push(if i % 3 == 1 {
+                    full.encode(&tree)
+                } else {
+                    est.featurizer.encode(&tree)
+                });
+            }
+            if let Some(f) = feats.iter().position(|f| f.x.rows() >= 3) {
+                feats[f] = non_interval(&feats[f]);
+            }
+            let len = feats.len();
+            feats.rotate_left(rotate % len);
+            let refs: Vec<&PlanFeatures> = feats.iter().collect();
 
-        let batched = root_row(&est.model, &refs);
-        prop_assert_eq!(batched.len(), refs.len());
-        for (i, f) in refs.iter().enumerate() {
-            let reference = est.model.predict_root(f);
-            prop_assert!(
-                (batched[i] - reference).abs() <= LN_MS_TOLERANCE,
-                "plan {} ({} nodes): root-row {} vs all-rows {}",
-                i, f.x.rows(), batched[i], reference
-            );
-            let alone = root_row(&est.model, &[f])[0];
-            prop_assert_eq!(
-                alone.to_bits(),
-                batched[i].to_bits(),
-                "plan {} scored {} alone but {} in a batch of {}",
-                i, alone, batched[i], refs.len()
-            );
-        }
-        // The estimator's chunked entry point sees the same scores.
-        let ms = est.predict_features_batch_ms(&refs);
-        for (m, &r) in ms.iter().zip(&batched) {
-            prop_assert_eq!(m.to_bits(), Featurizer::to_ms(r).to_bits());
+            let batched = root_row(&est.model, &refs);
+            prop_assert_eq!(batched.len(), refs.len());
+            for (i, f) in refs.iter().enumerate() {
+                let reference = est.model.predict_root(f);
+                prop_assert!(
+                    (batched[i] - reference).abs() <= LN_MS_TOLERANCE,
+                    "plan {} ({} nodes): root-row {} vs all-rows {}",
+                    i, f.x.rows(), batched[i], reference
+                );
+                let alone = root_row(&est.model, &[f])[0];
+                prop_assert_eq!(
+                    alone.to_bits(),
+                    batched[i].to_bits(),
+                    "plan {} scored {} alone but {} in a batch of {}",
+                    i, alone, batched[i], refs.len()
+                );
+            }
+            // The estimator's chunked entry point sees the same scores.
+            let ms = est.predict_features_batch_ms(&refs);
+            for (m, &r) in ms.iter().zip(&batched) {
+                prop_assert_eq!(m.to_bits(), Featurizer::to_ms(r).to_bits());
+            }
         }
     }
+}
+
+#[test]
+fn installing_an_adapter_drops_the_folded_network() {
+    let mut est = estimator().clone();
+    let before = probe(&est);
+    est.model
+        .apply_adapter(&adapted_estimator().extract_adapter())
+        .expect("extracted shapes fit");
+    let after = probe(&est);
+    assert_ne!(after, before, "the adapter must change predictions");
+    assert_eq!(after, probe(&fresh_copy(&est)));
+}
+
+#[test]
+fn a_fine_tuning_step_drops_the_folded_network() {
+    let mut est = estimator().clone();
+    let before = probe(&est);
+    let plans = (0..16)
+        .map(|i| LabeledPlan {
+            tree: random_tree(9000 + i, 1 + i as usize % 6),
+            db_id: 1,
+            machine: MachineId::M2,
+        })
+        .collect();
+    est.fine_tune_lora(&Dataset::from_plans(plans), 1, 1e-2)
+        .expect("fine-tuning");
+    let after = probe(&est);
+    assert_ne!(after, before, "a fine-tuning step must change predictions");
+    assert_eq!(after, probe(&fresh_copy(&est)));
 }

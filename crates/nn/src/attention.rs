@@ -17,26 +17,14 @@
 //! points ([`MaskedSelfAttention::forward_bias`] and friends) are the
 //! degenerate case of one block, run through the same two functions.
 //!
-//! Batched root-latency inference takes a shortcut instead:
-//! [`MaskedSelfAttention::forward_roots_into`] computes only each plan's
-//! root row, folded to one weighted mean of the input rows.
+//! Batched root-latency inference does not run this layer at all: the
+//! model crate folds its weights, with the MLP's, into a root-row twin.
 
 use serde::{Deserialize, Serialize};
 
 use crate::param::Param;
 use crate::tensor::Tensor2;
 use crate::workspace::AttnScratch;
-
-/// One plan's rows as the root-row fold reads them: rows
-/// `[start, start + len)` of `x`, root first, and the root's mask row over
-/// them (empty: the whole plan is attended).
-#[derive(Clone, Copy)]
-struct RootBlock<'a> {
-    x: &'a Tensor2,
-    start: usize,
-    len: usize,
-    mask_row: &'a [bool],
-}
 
 /// Additive value standing in for `-∞` in masked score positions.
 ///
@@ -89,7 +77,7 @@ impl MaskedSelfAttention {
     }
 
     /// Query/key width (`d_k`) — the softmax scale denominator. Exposed so
-    /// the quantized twin reproduces the exact scaling.
+    /// the folded and quantized inference twins reproduce the exact scaling.
     pub fn dk(&self) -> usize {
         self.d_k
     }
@@ -276,146 +264,6 @@ impl MaskedSelfAttention {
         }
     }
 
-    /// Root-row inference: each block's attention output for its **root**
-    /// (row 0) only — the one row a root-latency prediction reads.
-    /// `blocks` yields one `(x, mask)` pair per plan: its `l × d` node
-    /// rows and row-major `l × l` boolean mask. Output row `b` of `out`
-    /// (`B × d_v`) is block `b`'s root attention output.
-    ///
-    /// With no biases and a single head, the root output folds exactly:
-    /// `s_j = (x₀·W_Q)·(x_j·W_K) = x_j·u` with `u = W_K·(x₀·W_Q)ᵀ`, so
-    /// `out_0 = Σ_j p_j·(x_j·W_V) = x̄·W_V` with `x̄ = Σ_j p_j·x_j` and
-    /// `p = softmax_j(s_j/√d_k)` over the root's mask row. That costs
-    /// `O(d·d_k + n·d)` per plan instead of three `n`-row projections plus
-    /// every node's subtree scores. The fold reassociates float sums, so
-    /// results match the all-rows pass ([`forward_inference`]) to f32
-    /// rounding, not bit for bit.
-    ///
-    /// Every step is row-independent — batched [`Tensor2::matmul_into`]
-    /// (against a `W_Kᵀ` transposed once per call) for the root query,
-    /// the folded key and the value projection, and per-plan
-    /// [`Tensor2::row_dots_nt`] / [`Tensor2::row_combine`] calls for the
-    /// scores and `x̄` — so a plan's output is bit-identical whatever
-    /// else shares its batch. The search memo and the serve feature cache
-    /// rely on that.
-    ///
-    /// Tree masks over DFS-ordered nodes make the root row one interval
-    /// (the whole plan), scored without a bias buffer; a non-interval row
-    /// (hand-built features only) is scored densely from its first allowed
-    /// position with [`MASK_NEG`] added at masked positions, exactly as in
-    /// the bias path.
-    ///
-    /// [`forward_inference`]: MaskedSelfAttention::forward_inference
-    pub fn forward_roots_into<'a, I>(&self, blocks: I, ws: &mut AttnScratch, out: &mut Tensor2)
-    where
-        I: IntoIterator<Item = (&'a Tensor2, &'a [bool])>,
-        I::IntoIter: Clone,
-    {
-        self.roots_into(
-            blocks.into_iter().map(|(x, mask)| {
-                let l = x.rows();
-                assert_eq!(mask.len(), l * l, "mask must be len² per block");
-                RootBlock {
-                    x,
-                    start: 0,
-                    len: l,
-                    mask_row: &mask[..l],
-                }
-            }),
-            ws,
-            out,
-        );
-    }
-
-    /// [`forward_roots_into`] over plans packed back to back in one compact
-    /// tensor from row `row0`: plan `b` is rows
-    /// `row0 + [Σ lens[..b], Σ lens[..=b])` of `xc`, root first (DFS order). No masks are read: a tree-masked root attends to
-    /// its whole plan, and so does every row of an unmasked plan, so the
-    /// root row is always one full interval. Outputs are bit-identical to
-    /// [`forward_roots_into`] on the same plans with either mask.
-    ///
-    /// [`forward_roots_into`]: MaskedSelfAttention::forward_roots_into
-    pub fn forward_roots_compact_into(
-        &self,
-        xc: &Tensor2,
-        row0: usize,
-        lens: &[usize],
-        ws: &mut AttnScratch,
-        out: &mut Tensor2,
-    ) {
-        let blocks = lens.iter().scan(row0, |next, &len| {
-            let start = *next;
-            *next += len;
-            Some(RootBlock {
-                x: xc,
-                start,
-                len,
-                mask_row: &[],
-            })
-        });
-        self.roots_into(blocks, ws, out);
-    }
-
-    /// The root-row fold behind both entries.
-    fn roots_into<'a, I>(&self, blocks: I, ws: &mut AttnScratch, out: &mut Tensor2)
-    where
-        I: Iterator<Item = RootBlock<'a>> + Clone,
-    {
-        let d = self.wq.value.rows();
-        let nb = blocks.clone().count();
-        ws.roots.resize_for_overwrite(nb, d);
-        for (b, blk) in blocks.clone().enumerate() {
-            assert!(blk.len > 0, "a block needs a root row");
-            ws.roots.row_mut(b).copy_from_slice(blk.x.row(blk.start));
-        }
-        ws.roots.matmul_into(&self.wq.value, &mut ws.q0);
-        self.wk.value.transpose_into(&mut ws.wk_t);
-        ws.q0.matmul_into(&ws.wk_t, &mut ws.u);
-        let scale = 1.0 / (self.d_k as f32).sqrt();
-        ws.xbar.resize_zeroed(nb, d);
-        for (b, blk) in blocks.enumerate() {
-            let mrow = blk.mask_row;
-            let (j0, run, interval) = if mrow.is_empty() {
-                (0, blk.len, true)
-            } else {
-                // A fully masked row scores densely with every position
-                // masked, which softmaxes to uniform weights — as the bias
-                // path does.
-                let j0 = mrow.iter().position(|&b| b).unwrap_or(0);
-                let allowed = mrow[j0..].iter().take_while(|&&b| b).count();
-                let interval = allowed > 0 && !mrow[j0 + allowed..].iter().any(|&b| b);
-                let run = if interval { allowed } else { blk.len - j0 };
-                (j0, run, interval)
-            };
-            if ws.srow.len() < run {
-                ws.srow.resize(run, 0.0);
-            }
-            let s = &mut ws.srow[..run];
-            ws.u.row_dots_nt(b, blk.x, blk.start + j0, run, s);
-            for v in s.iter_mut() {
-                *v *= scale;
-            }
-            if !interval {
-                for (v, &ok) in s.iter_mut().zip(&mrow[j0..]) {
-                    if !ok {
-                        *v += MASK_NEG;
-                    }
-                }
-            }
-            let max = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for v in s.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            for v in s.iter_mut() {
-                *v /= sum;
-            }
-            Tensor2::row_combine(s, blk.x, blk.start + j0, ws.xbar.row_mut(b));
-        }
-        ws.xbar.matmul_into(&self.wv.value, out);
-    }
-
     /// Mutable references to the projection parameters.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.wq, &mut self.wk, &mut self.wv]
@@ -522,53 +370,5 @@ mod tests {
                 assert!((out.get(2 + r, c) - out_b.get(r, c)).abs() < 1e-5);
             }
         }
-    }
-
-    #[test]
-    fn root_row_fold_matches_all_rows_row_zero() {
-        let attn = MaskedSelfAttention::new(6, 8, 5, 21);
-        let x = Tensor2::uniform(4, 6, 1.0, 22);
-        // Tree, full, non-interval and fully masked root rows.
-        let mut gap = chain_mask(4);
-        gap[1] = false;
-        let mut blind = chain_mask(4);
-        blind[..4].fill(false);
-        let masks = [chain_mask(4), full_mask(4), gap, blind];
-        let mut ws = AttnScratch::default();
-        let mut out = Tensor2::default();
-        attn.forward_roots_into(masks.iter().map(|m| (&x, m.as_slice())), &mut ws, &mut out);
-        assert_eq!((out.rows(), out.cols()), (masks.len(), 5));
-        for (b, m) in masks.iter().enumerate() {
-            let want = attn.forward_inference(&x, m);
-            for c in 0..5 {
-                let (got, want) = (out.get(b, c), want.get(0, c));
-                assert!(
-                    (got - want).abs() < 1e-5,
-                    "mask {b} col {c}: {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn compact_roots_are_bit_identical_to_masked_blocks() {
-        let attn = MaskedSelfAttention::new(6, 8, 5, 21);
-        let xa = Tensor2::uniform(3, 6, 1.0, 23);
-        let xb = Tensor2::uniform(5, 6, 1.0, 24);
-        let (ma, mb) = (chain_mask(3), full_mask(5));
-        let mut ws = AttnScratch::default();
-        let mut want = Tensor2::default();
-        attn.forward_roots_into(
-            [(&xa, ma.as_slice()), (&xb, mb.as_slice())],
-            &mut ws,
-            &mut want,
-        );
-        let mut xc = Tensor2::zeros(8, 6);
-        xc.set_row_block(0, &xa);
-        xc.set_row_block(3, &xb);
-        let mut got = Tensor2::default();
-        attn.forward_roots_compact_into(&xc, 0, &[3, 5], &mut ws, &mut got);
-        let bits = |t: &Tensor2| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got), bits(&want));
     }
 }

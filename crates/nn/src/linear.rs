@@ -201,6 +201,14 @@ impl LoraLinear {
         y
     }
 
+    /// The base weight with the adapter merged in, `W + B·A` (`in × out`):
+    /// the single matrix an inference-only twin multiplies by.
+    pub fn merged_weight(&self) -> Tensor2 {
+        let mut w = self.w.value.clone();
+        w.add_assign(&self.lora_b.value.matmul(&self.lora_a.value));
+        w
+    }
+
     /// Mutable references to all parameters (frozen ones included; the
     /// optimizer honours `trainable`).
     pub fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -447,13 +447,8 @@ pub struct QuantizedLinear {
 impl QuantizedLinear {
     /// Quantize `layer` with its LoRA delta folded in.
     pub fn from_lora(layer: &LoraLinear) -> QuantizedLinear {
-        let (lora_b, lora_a) = layer.lora_weights();
-        let mut folded = layer.w.value.clone();
-        if lora_b.cols() > 0 {
-            folded.add_assign(&lora_b.matmul(lora_a));
-        }
         QuantizedLinear {
-            w: QuantizedMatrix::from_f32(&folded),
+            w: QuantizedMatrix::from_f32(&layer.merged_weight()),
             bias: layer.b.value.row(0).to_vec(),
         }
     }

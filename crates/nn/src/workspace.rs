@@ -51,11 +51,8 @@ pub struct AttnScratch {
     pub gtmp: Tensor2,
     /// Root-row inference: each block's root input row (`B × d`).
     pub roots: Tensor2,
-    /// Root-row inference: root queries `x₀·W_Q` (`B × d_k`).
-    pub q0: Tensor2,
-    /// Root-row inference: `W_Kᵀ`, transposed once per call (`d_k × d`).
-    pub wk_t: Tensor2,
-    /// Root-row inference: folded keys `u = (x₀·W_Q)·W_Kᵀ` (`B × d`).
+    /// Root-row inference: folded keys `u = x₀·M` (`B × d`), where
+    /// `M = W_Q·W_Kᵀ/√d_k`.
     pub u: Tensor2,
     /// Root-row inference: attention-weighted input means `x̄` (`B × d`).
     pub xbar: Tensor2,
@@ -101,8 +98,6 @@ pub struct Workspace {
     pub dxb: Tensor2,
     /// Parameter-gradient product scratch (backward).
     pub gtmp: Tensor2,
-    /// Root attention outputs of root-row inference (the MLP's input).
-    pub heads: Tensor2,
 }
 
 impl Workspace {

@@ -1095,8 +1095,10 @@ mod tests {
                 }
             });
             // Stop the other threads before asserting, so a failure
-            // panics instead of leaving the scope waiting on them.
-            let over = (0..300_000_000)
+            // panics instead of leaving the scope waiting on them. Every
+            // poll takes the buffer's mutex, so 100k polls already
+            // interleave with many pushes and drains.
+            let over = (0..100_000)
                 .map(|_| buf.len())
                 .find(|&len| len > buf.capacity());
             done.store(true, Ordering::Release);

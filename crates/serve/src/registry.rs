@@ -44,10 +44,14 @@ pub struct ModelVersion {
 
 impl ModelVersion {
     /// The single construction path for published snapshots: detaches the
-    /// estimator for serving (optimizer state dropped).
+    /// estimator for serving (optimizer state dropped) and folds its
+    /// root-row network ([`dace_core::DaceModel::root_net`]), so no request
+    /// pays for the fold.
     pub fn new(est: DaceEstimator, version: u64, adapter: Option<String>) -> ModelVersion {
+        let estimator = est.serving_clone();
+        estimator.model.root_net();
         ModelVersion {
-            estimator: est.serving_clone(),
+            estimator,
             version,
             adapter,
         }

@@ -1,0 +1,103 @@
+#!/usr/bin/env bash
+# A/B benchmark of the working tree against a parent revision: alternating
+# pairs of perfbench runs, the protocol every performance claim uses.
+#
+#   scripts/ab.sh <parent-rev> <workload> <pairs> <first-seed> [seconds]
+#
+# Builds perfbench twice, into separate directories under $AB_DIR (default:
+# a fresh temporary directory): once from a `git archive` copy of
+# <parent-rev>, once from the working tree (uncommitted edits included).
+# Then it runs <pairs> pairs of untraced <seconds>-second runs (default 10)
+# of <workload>; pair i uses seed <first-seed>+i for both sides, and the
+# side that runs first flips every pair. Each pair's end-to-end metrics come
+# from perfbench's final JSON line. The summary gives, per metric, each
+# side's median and quartiles, the median ratio, and the number of pairs the
+# change won in the metric's `better` direction (BENCHMARK.json).
+#
+# Example: scripts/ab.sh HEAD plan_search 10 1001
+set -euo pipefail
+
+if [[ $# -lt 4 || $# -gt 5 ]]; then
+    echo "usage: $0 <parent-rev> <workload> <pairs> <first-seed> [seconds]" >&2
+    exit 2
+fi
+rev=$1 workload=$2 pairs=$3 seed0=$4 seconds=${5:-10}
+root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+dir=${AB_DIR:-$(mktemp -d "${TMPDIR:-/tmp}/dace-ab.XXXXXX")}
+mkdir -p "$dir/parent" "$dir/runs"
+echo "ab: work directory $dir"
+
+echo "ab: building perfbench at $rev"
+rm -rf "$dir/parent"/*
+git -C "$root" archive "$rev" | tar -x -C "$dir/parent"
+CARGO_TARGET_DIR="$dir/parent-target" cargo build --release --offline --quiet \
+    --manifest-path "$dir/parent/perfbench/Cargo.toml"
+echo "ab: building perfbench from the working tree"
+CARGO_TARGET_DIR="$dir/change-target" cargo build --release --offline --quiet \
+    --manifest-path "$root/perfbench/Cargo.toml"
+declare -A bin=(
+    [parent]="$dir/parent-target/release/dace-perfbench"
+    [change]="$dir/change-target/release/dace-perfbench"
+)
+
+# Metric name and better direction (higher|lower), one per line.
+metrics=$(jq -r '.end_to_end[] | "\(.name) \(.better)"' "$root/BENCHMARK.json")
+
+# One run: prints perfbench's final JSON line, or exits on a failed check.
+run() {
+    local side=$1 seed=$2 log="$dir/runs/$1-$2.txt"
+    (cd "$root" && "${bin[$side]}" --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace 0) >"$log" 2>&1 || {
+        echo "ab: $side run failed on seed $seed (log: $log)" >&2
+        tail -5 "$log" >&2
+        exit 1
+    }
+    grep '^{' "$log" | tail -1
+}
+
+: >"$dir/pairs.tsv"
+for ((i = 0; i < pairs; i++)); do
+    seed=$((seed0 + i))
+    if ((i % 2 == 0)); then order=(parent change); else order=(change parent); fi
+    declare -A json=()
+    for side in "${order[@]}"; do
+        json[$side]=$(run "$side" "$seed")
+    done
+    line="pair $((i + 1)) seed $seed (${order[0]} first):"
+    while read -r name better; do
+        p=$(jq -r ".metrics.\"$name\".value" <<<"${json[parent]}")
+        c=$(jq -r ".metrics.\"$name\".value" <<<"${json[change]}")
+        printf '%s\t%s\t%s\t%s\n' "$name" "$better" "$p" "$c" >>"$dir/pairs.tsv"
+        line+=$(printf ' %s %.4g -> %.4g;' "$name" "$p" "$c")
+    done <<<"$metrics"
+    for side in parent change; do
+        line+=$(jq -r '" \(.failed)/\(.attempted) failed"' <<<"${json[$side]}")
+    done
+    echo "$line"
+done
+
+# Median, first and third quartile (linear interpolation) of the numbers
+# on stdin.
+quartiles() {
+    sort -g | awk '{ v[n++] = $1 }
+        function q(p,    h, lo) {
+            h = (n - 1) * p; lo = int(h)
+            return lo + 1 < n ? v[lo] + (h - lo) * (v[lo + 1] - v[lo]) : v[lo]
+        }
+        END { printf "%.6g %.6g %.6g\n", q(0.5), q(0.25), q(0.75) }'
+}
+
+echo
+echo "ab: $workload over $pairs pairs, $seconds s runs, parent $rev vs working tree"
+printf '%-12s %30s %30s %7s %6s\n' metric "parent median [q1, q3]" \
+    "change median [q1, q3]" ratio wins
+while read -r name better; do
+    read -r pm p1 p3 < <(awk -F'\t' -v m="$name" '$1 == m { print $3 }' "$dir/pairs.tsv" | quartiles)
+    read -r cm c1 c3 < <(awk -F'\t' -v m="$name" '$1 == m { print $4 }' "$dir/pairs.tsv" | quartiles)
+    wins=$(awk -F'\t' -v m="$name" -v better="$better" '$1 == m {
+            if ((better == "higher" && $4 > $3) || (better == "lower" && $4 < $3)) w++
+        } END { print w + 0 }' "$dir/pairs.tsv")
+    ratio=$(awk -v p="$pm" -v c="$cm" 'BEGIN { printf "%.3f", p != 0 ? c / p : 0 }')
+    printf '%-12s %30s %30s %7s %6s\n' "$name" "$pm [$p1, $p3]" "$cm [$c1, $c3]" \
+        "$ratio" "$wins/$pairs"
+done <<<"$metrics"
