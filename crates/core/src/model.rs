@@ -1,7 +1,7 @@
 //! The DACE network: one tree-masked attention layer feeding a three-layer
 //! LoRA MLP that predicts every sub-plan's log-latency in parallel.
 
-use dace_nn::{LoraLinear, LoraMode, MaskedSelfAttention, Param, Relu, Tensor2, Workspace};
+use dace_nn::{LoraLinear, LoraMode, MaskedSelfAttention, Param, Tensor2, Workspace};
 use serde::{Deserialize, Serialize};
 
 use crate::adapter::{AdapterError, LoraAdapter, LoraLayerWeights};
@@ -22,9 +22,10 @@ const RANKS: [usize; 3] = [32, 16, 8];
 
 /// The DACE model (Sec. IV-C).
 ///
-/// The layers are private so that every weight change goes through a
-/// method that also drops the cached [`RootNet`]: [`DaceModel::params_mut`]
-/// (every optimizer step) and [`DaceModel::apply_adapter`].
+/// Every pass runs on the folded [`RootNet`] of the current weights. The
+/// layers are private so that every weight change goes through a method
+/// that also marks the cached fold stale: [`DaceModel::params_mut`] (every
+/// optimizer step) and [`DaceModel::apply_adapter`]. The next pass refolds.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DaceModel {
     /// Tree-masked single-head self-attention (Eq. 5).
@@ -35,10 +36,10 @@ pub struct DaceModel {
     l2: LoraLinear,
     /// MLP layer 3 with LoRA rank 8.
     l3: LoraLinear,
-    /// The root-row twin of the weights above, folded on first use.
+    /// The folded twin of the weights above, folded on first use.
     #[serde(skip)]
     root: RootCell,
-    /// Scratch arena for the compact batched forward/backward: activations
+    /// Scratch arena for the training forward/backward: activations
     /// and gradients live here and reuse capacity across mini-batches, so
     /// steady-state epochs stop allocating. Cloning a model (early-stopping
     /// snapshots) resets the arena instead of copying it.
@@ -87,8 +88,8 @@ impl DaceModel {
         [&self.l1, &self.l2, &self.l3]
     }
 
-    /// The folded root-row twin of the current weights, built on first use
-    /// and cached until a weight changes. Serving builds it when a model
+    /// The folded twin of the current weights, built on first use and
+    /// cached until a weight changes. Serving builds it when a model
     /// version is published, so no request pays for the fold.
     pub fn root_net(&self) -> &RootNet {
         self.root
@@ -96,34 +97,17 @@ impl DaceModel {
     }
 
     /// The training forward pass, over a packed mini-batch's compact
-    /// layout (one block-diagonal attention call for the whole batch):
-    /// every activation (attention Q/K/V/probs, MLP hiddens, LoRA
-    /// intermediates, ReLU masks) lands in the model's workspace arena,
-    /// reusing capacity from the previous mini-batch. Predictions are left
-    /// in the workspace — read them with [`DaceModel::batch_preds`] — in
-    /// compact row order (`Σ lens[b] × 1`). Pair with
+    /// layout: the all-rows pass on the fold ([`RootNet`]), refolded in
+    /// place first if a weight changed since the last pass. Every
+    /// activation lands in the model's workspace arena, reusing capacity
+    /// from the previous mini-batch. Predictions are left in the
+    /// workspace — read them with [`DaceModel::batch_preds`] — in compact
+    /// row order (`Σ lens[b] × 1`). Pair with
     /// [`DaceModel::backward_compact`].
     pub fn forward_batch_compact(&mut self, batch: &PackedBatch) {
-        let ws = &mut self.ws;
-        ws.xc.copy_from(&batch.xc);
-        ws.lens.clear();
-        ws.lens.extend_from_slice(&batch.lens);
-        self.attention.forward_packed_ws(
-            &ws.xc,
-            &ws.lens,
-            batch.n_max,
-            &batch.bias,
-            &mut ws.attn,
-            &mut ws.attn_out,
-        );
-        self.l1
-            .forward_ws(&ws.attn_out, &mut ws.h1, &mut ws.xb1, &mut ws.tmp);
-        Relu::forward_in_place(&mut ws.h1, &mut ws.mask1);
-        self.l2
-            .forward_ws(&ws.h1, &mut ws.h2, &mut ws.xb2, &mut ws.tmp);
-        Relu::forward_in_place(&mut ws.h2, &mut ws.mask2);
-        self.l3
-            .forward_ws(&ws.h2, &mut ws.preds, &mut ws.xb3, &mut ws.tmp);
+        self.root
+            .get_or_refold(&self.attention, [&self.l1, &self.l2, &self.l3])
+            .forward_rows(batch, &mut self.ws);
     }
 
     /// The compact predictions of the last
@@ -134,39 +118,18 @@ impl DaceModel {
 
     /// The training backward pass, from compact per-row prediction
     /// gradients (`Σ lens[b] × 1`, matching [`DaceModel::batch_preds`]):
-    /// the entire chain runs on workspace buffers, accumulating parameter
-    /// gradients.
+    /// runs on workspace buffers and accumulates the exact gradients of the
+    /// attention projections and the LoRA layers through the fold. Several
+    /// calls between two weight changes accumulate, as with any backward.
     pub fn backward_compact(&mut self, d_pred: &Tensor2) {
-        let ws = &mut self.ws;
-        self.l3.backward_ws(
-            d_pred,
-            &ws.h2,
-            &ws.xb3,
-            &mut ws.d1,
-            &mut ws.dxb,
-            &mut ws.gtmp,
-        );
-        Relu::backward_in_place(&mut ws.d1, &ws.mask2);
-        self.l2.backward_ws(
-            &ws.d1,
-            &ws.h1,
-            &ws.xb2,
-            &mut ws.d2,
-            &mut ws.dxb,
-            &mut ws.gtmp,
-        );
-        Relu::backward_in_place(&mut ws.d2, &ws.mask1);
-        self.l1.backward_ws(
-            &ws.d2,
-            &ws.attn_out,
-            &ws.xb1,
-            &mut ws.d1,
-            &mut ws.dxb,
-            &mut ws.gtmp,
-        );
-        // Attention is the first layer: only parameter gradients remain.
-        self.attention
-            .backward_params_ws(&ws.d1, &ws.xc, &ws.lens, &mut ws.attn);
+        self.root
+            .get_or_refold(&self.attention, [&self.l1, &self.l2, &self.l3])
+            .backward_rows(
+                d_pred,
+                &mut self.ws,
+                &mut self.attention,
+                [&mut self.l1, &mut self.l2, &mut self.l3],
+            );
     }
 
     /// Batched root-latency inference over already-featurized plans:
@@ -236,11 +199,11 @@ impl DaceModel {
         self.root_net().forward(blocks, ws, out)
     }
 
-    /// Inference: per-node log-latency predictions without caching — the
-    /// all-rows pass every sub-plan reader (and every equivalence test of
-    /// the root-row path) goes through.
+    /// Inference: per-node log-latency predictions — the all-rows pass on
+    /// the cached fold, which every sub-plan reader (and every equivalence
+    /// test of the root-row path) goes through.
     pub fn predict(&self, feats: &PlanFeatures) -> Tensor2 {
-        self.l3.forward_inference(&self.hidden(feats))
+        std::mem::take(&mut self.all_rows(feats).preds)
     }
 
     /// Root-node log-latency (node 0 in DFS order).
@@ -251,22 +214,19 @@ impl DaceModel {
     /// The pre-trained-encoder output: the root's `h₂` activations
     /// (`ENCODING_DIM` values), the paper's `w_E` (Eq. 9).
     pub fn encode(&self, feats: &PlanFeatures) -> Vec<f32> {
-        self.hidden(feats).row(0).to_vec()
+        self.all_rows(feats).h2.row(0).to_vec()
     }
 
-    /// Every node's `h₂` activations: the all-rows attention pass through
-    /// the first two MLP layers.
-    fn hidden(&self, feats: &PlanFeatures) -> Tensor2 {
-        let a = self.attention.forward_inference(&feats.x, &feats.mask);
-        let mut h1 = self.l1.forward_inference(&a);
-        Relu::relu_in_place(&mut h1);
-        let mut h2 = self.l2.forward_inference(&h1);
-        Relu::relu_in_place(&mut h2);
-        h2
+    /// One plan through the all-rows pass, in a fresh workspace.
+    fn all_rows(&self, feats: &PlanFeatures) -> Workspace {
+        let batch = PackedBatch::pack(&[feats]).expect("a one-plan batch is never empty");
+        let mut ws = Workspace::new();
+        self.root_net().forward_rows(&batch, &mut ws);
+        ws
     }
 
     /// All parameters (base + LoRA) for the optimizer. Handing out mutable
-    /// weights drops the cached [`RootNet`].
+    /// weights marks the cached [`RootNet`] stale.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         self.root.clear();
         let mut params = self.attention.params_mut();

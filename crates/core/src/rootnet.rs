@@ -1,30 +1,40 @@
-//! The folded root-row network: the one forward path of batched inference.
+//! The folded network: DACE's one set of forward (and backward) matrices.
 //!
-//! Inference reads only the root's prediction (Sec. V-E). DACE's attention
-//! is a single bias-free head (Eq. 5) whose output feeds `l1` with no
-//! nonlinearity in between, so for the root row the whole network collapses
+//! DACE's attention is a single bias-free head (Eq. 5) whose output feeds
+//! `l1` with no nonlinearity in between, so the whole network collapses
 //! exactly into a few small matrices over the `d = 18` input features:
 //!
-//! * `M = W_Q·W_Kᵀ/√d_k` (`d × d`): the root's score for node `j` is
-//!   `s_j = (x₀·W_Q)·(x_j·W_K)/√d_k = (x₀·M)·x_j`;
-//! * `W_V·W₁'` (`d × 128`) with `W₁' = W₁ + B₁A₁`: the root's attention
-//!   output is `x̄·W_V` with `x̄ = Σ_j p_j·x_j`, and it reaches the first
-//!   ReLU only through `l1`, so `x̄·(W_V·W₁') + b₁` is exact;
+//! * `M = W_Q·W_Kᵀ/√d_k` (`d × d`): node `i`'s score for node `j` is
+//!   `s_ij = (x_i·W_Q)·(x_j·W_K)/√d_k = (x_i·M)·x_j`;
+//! * `W_V·W₁'` (`d × 128`) with `W₁' = W₁ + B₁A₁`: node `i`'s attention
+//!   output is `x̄_i·W_V` with `x̄_i = Σ_j p_ij·x_j`, and it reaches the
+//!   first ReLU only through `l1`, so `x̄_i·(W_V·W₁') + b₁` is exact;
 //! * `W₂' = W₂ + B₂A₂` and `W₃' = W₃ + B₃A₃`: each LoRA adapter merged
 //!   into its base weight once instead of applied on every call.
 //!
-//! A plan then costs `d² + 128·d + 64·128 + 64` ≈ 10.9k multiply-adds plus
-//! `2d` per node (its score and its share of `x̄`), against ≈43.3k plus `2d`
-//! per node for the unfolded projections and LoRA layers. The fold
-//! reassociates float sums, so predictions match the all-rows
-//! [`DaceModel::predict_root`] to f32 rounding, not bit for bit.
+//! [`RootNet::refold`] is the one fold routine. Two passes run on it:
 //!
-//! [`DaceModel::predict_root`]: crate::DaceModel::predict_root
+//! * **Root rows** ([`RootNet::forward`]): inference reads only the root's
+//!   prediction (Sec. V-E), so a plan costs `d² + 128·d + 64·128 + 64` ≈
+//!   10.9k multiply-adds plus `2d` per node, against ≈43.3k plus `2d` per
+//!   node for the unfolded projections and LoRA layers.
+//! * **All rows** ([`RootNet::forward_rows`] / [`RootNet::backward_rows`]):
+//!   training scores every sub-plan (Eq. 6–7), and sub-plan inference reads
+//!   every row. The same ≈10.9k per row forward, ≈21k per row backward, and
+//!   ~`4d` per attended pair. The parameter gradients follow from the folded
+//!   ones by the chain rule once per backward (see
+//!   [`RootNet::backward_rows`]), so training moves the paper's parameters
+//!   and Adam state exactly as the unfolded network would.
+//!
+//! The fold reassociates float sums, so results match the unfolded network
+//! to f32 rounding, not bit for bit.
 
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use dace_nn::{AttnScratch, LoraLinear, MaskedSelfAttention, Relu, Tensor2, Workspace, MASK_NEG};
+
+use crate::featurize::PackedBatch;
 
 use crate::model::ForwardTimings;
 
@@ -39,13 +49,19 @@ pub(crate) struct RootBlock<'a> {
     pub(crate) mask_row: &'a [bool],
 }
 
-/// The root-row twin of a [`DaceModel`](crate::DaceModel)'s weights, folded
-/// once per set of weights (see the module docs). Built and cached by
-/// [`DaceModel::root_net`](crate::DaceModel::root_net).
-#[derive(Debug)]
+/// The folded twin of a [`DaceModel`](crate::DaceModel)'s weights (see the
+/// module docs). Folded once per set of weights and cached by the model:
+/// [`DaceModel::root_net`](crate::DaceModel::root_net) for inference, and
+/// refolded in place by the training forward after every optimizer step.
+#[derive(Debug, Default)]
 pub struct RootNet {
     /// `W_Q·W_Kᵀ/√d_k`, `d × d`.
     m: Tensor2,
+    /// `1/√d_k`, the score scale folded into `m`.
+    scale: f32,
+    /// `W₁ + B₁A₁`, `128 × 128`: not read by any forward, but the backward
+    /// needs it for `dW_V`.
+    w1: Tensor2,
     /// `W_V·(W₁ + B₁A₁)`, `d × 128`.
     wv1: Tensor2,
     b1: Vec<f32>,
@@ -60,18 +76,31 @@ pub struct RootNet {
 impl RootNet {
     /// Fold an attention layer and the three LoRA MLP layers it feeds.
     pub(crate) fn fold(attention: &MaskedSelfAttention, layers: [&LoraLinear; 3]) -> RootNet {
+        let mut net = RootNet::default();
+        net.refold(attention, layers);
+        net
+    }
+
+    /// The one fold routine: recompute every folded matrix from the current
+    /// weights into this net's buffers, reusing their capacity, so the
+    /// training loop's refold after every optimizer step allocates nothing.
+    /// About 1M multiply-adds, dominated by the `128 × 32 × 128` adapter
+    /// product of `l1`.
+    pub(crate) fn refold(&mut self, attention: &MaskedSelfAttention, layers: [&LoraLinear; 3]) {
         let [l1, l2, l3] = layers;
-        let mut m = attention.wq.value.matmul_nt(&attention.wk.value);
-        m.scale(1.0 / (attention.dk() as f32).sqrt());
-        let bias = |l: &LoraLinear| l.b.value.row(0).to_vec();
-        RootNet {
-            m,
-            wv1: attention.wv.value.matmul(&l1.merged_weight()),
-            b1: bias(l1),
-            w2: l2.merged_weight(),
-            b2: bias(l2),
-            w3: l3.merged_weight(),
-            b3: bias(l3),
+        attention
+            .wq
+            .value
+            .matmul_nt_into(&attention.wk.value, &mut self.m);
+        self.scale = 1.0 / (attention.dk() as f32).sqrt();
+        self.m.scale(self.scale);
+        l1.merged_weight_into(&mut self.w1);
+        attention.wv.value.matmul_into(&self.w1, &mut self.wv1);
+        l2.merged_weight_into(&mut self.w2);
+        l3.merged_weight_into(&mut self.w3);
+        for (b, l) in [(&mut self.b1, l1), (&mut self.b2, l2), (&mut self.b3, l3)] {
+            b.clear();
+            b.extend_from_slice(l.b.value.row(0));
         }
     }
 
@@ -172,6 +201,136 @@ impl RootNet {
             Tensor2::row_combine(s, blk.x, blk.start + j0, ws.xbar.row_mut(b));
         }
     }
+
+    /// The all-rows forward over a packed mini-batch's compact layout:
+    /// every node's log-latency into `ws.preds` (`Σ lens[b] × 1`, compact
+    /// row order), with everything [`RootNet::backward_rows`] reads left in
+    /// `ws`: the input and block lengths, the attention probabilities and
+    /// means `x̄`, both hidden layers and their ReLU masks.
+    ///
+    /// Node `i` of a block scores the block's nodes `j` as `u_i·x_j` with
+    /// `u = X·M`, plus the batch's mask bias, and softmaxes exactly as the
+    /// unfolded attention does, so non-interval and fully masked rows
+    /// behave as there. The 128-wide attention output is never formed: the
+    /// first layer is `x̄·(W_V·W₁') + b₁`.
+    pub(crate) fn forward_rows(&self, batch: &PackedBatch, ws: &mut Workspace) {
+        ws.xc.copy_from(&batch.xc);
+        ws.lens.clear();
+        ws.lens.extend_from_slice(&batch.lens);
+        let (x, a, stride) = (&ws.xc, &mut ws.attn, batch.n_max);
+        x.matmul_into(&self.m, &mut a.u);
+        a.xbar.resize_zeroed(x.rows(), x.cols());
+        a.probs.clear();
+        let mut start = 0;
+        for (b, &l) in batch.lens.iter().enumerate() {
+            let bias = &batch.bias[b * stride * stride..(b + 1) * stride * stride];
+            a.scores.resize_zeroed(l, l);
+            for i in 0..l {
+                let row = a.scores.row_mut(i);
+                a.u.row_dots_nt(start + i, x, start, l, row);
+                for (s, &bv) in row.iter_mut().zip(&bias[i * stride..i * stride + l]) {
+                    *s += bv;
+                }
+            }
+            a.scores.softmax_rows();
+            a.probs.extend_from_slice(a.scores.as_slice());
+            for i in 0..l {
+                Tensor2::row_combine(a.scores.row(i), x, start, a.xbar.row_mut(start + i));
+            }
+            start += l;
+        }
+        a.xbar.matmul_into(&self.wv1, &mut ws.h1);
+        ws.h1.add_row_broadcast(&self.b1);
+        Relu::forward_in_place(&mut ws.h1, &mut ws.mask1);
+        ws.h1.matmul_into(&self.w2, &mut ws.h2);
+        ws.h2.add_row_broadcast(&self.b2);
+        Relu::forward_in_place(&mut ws.h2, &mut ws.mask2);
+        ws.h2.matmul_into(&self.w3, &mut ws.preds);
+        ws.preds.add_row_broadcast(&self.b3);
+    }
+
+    /// The all-rows backward of the last [`RootNet::forward_rows`] run on
+    /// `ws`, from per-row prediction gradients `d_pred` (`Σ lens[b] × 1`):
+    /// accumulates the gradient of every trainable parameter of the layers
+    /// this net was folded from, which must still hold the folded weights.
+    ///
+    /// The folded gradients map back by the chain rule, once per call:
+    /// * each merged layer gets `dW' = xᵀ·dy`, split by
+    ///   [`LoraLinear::backward_merged`] (`dW = dW'` in pre-training,
+    ///   `dB = dW'·Aᵀ` and `dA = Bᵀ·dW'` in fine-tuning);
+    /// * `G = X̄ᵀ·dH₁` is the gradient of `W_V·W₁'`, so `dW₁' = W_Vᵀ·G` and
+    ///   `dW_V = G·W₁'ᵀ`;
+    /// * `dX̄ = dH₁·(W_V·W₁')ᵀ` gives `dP_i = dX̄_i·X_bᵀ`, the softmax
+    ///   backward gives `dS`, and `dM = Σ_b X_bᵀ·dS_b·X_b`, so
+    ///   `dW_Q = dM·W_K/√d_k` and `dW_K = dMᵀ·W_Q/√d_k`.
+    ///
+    /// Fine-tuning freezes the attention, so the score backward is skipped.
+    pub(crate) fn backward_rows(
+        &self,
+        d_pred: &Tensor2,
+        ws: &mut Workspace,
+        attention: &mut MaskedSelfAttention,
+        layers: [&mut LoraLinear; 3],
+    ) {
+        let [l1, l2, l3] = layers;
+        assert_eq!(
+            d_pred.rows(),
+            ws.xc.rows(),
+            "d_pred must match forward rows"
+        );
+        ws.h2.matmul_tn_into(d_pred, &mut ws.gw);
+        l3.backward_merged(&ws.gw, d_pred, &mut ws.gtmp);
+        d_pred.matmul_nt_into(&self.w3, &mut ws.d1);
+        Relu::backward_in_place(&mut ws.d1, &ws.mask2);
+        ws.h1.matmul_tn_into(&ws.d1, &mut ws.gw);
+        l2.backward_merged(&ws.gw, &ws.d1, &mut ws.gtmp);
+        ws.d1.matmul_nt_into(&self.w2, &mut ws.d2);
+        Relu::backward_in_place(&mut ws.d2, &ws.mask1);
+
+        ws.attn.xbar.matmul_tn_into(&ws.d2, &mut ws.gfold);
+        attention.wv.value.matmul_tn_into(&ws.gfold, &mut ws.gw);
+        l1.backward_merged(&ws.gw, &ws.d2, &mut ws.gtmp);
+        if attention.wv.trainable {
+            ws.gfold.matmul_nt_into(&self.w1, &mut ws.gtmp);
+            attention.wv.grad.add_assign(&ws.gtmp);
+        }
+        if !(attention.wq.trainable || attention.wk.trainable) {
+            return;
+        }
+
+        ws.d2.matmul_nt_into(&self.wv1, &mut ws.dxbar);
+        let x = &ws.xc;
+        ws.dsx.resize_zeroed(x.rows(), x.cols());
+        let (mut start, mut p0) = (0, 0);
+        for &l in &ws.lens {
+            if ws.attn.srow.len() < l {
+                ws.attn.srow.resize(l, 0.0);
+            }
+            for i in 0..l {
+                let ds = &mut ws.attn.srow[..l];
+                ws.dxbar.row_dots_nt(start + i, x, start, l, ds);
+                let p = &ws.attn.probs[p0 + i * l..p0 + (i + 1) * l];
+                let dot: f32 = p.iter().zip(ds.iter()).map(|(a, b)| a * b).sum();
+                for (g, &pj) in ds.iter_mut().zip(p) {
+                    *g = pj * (*g - dot);
+                }
+                Tensor2::row_combine(ds, x, start, ws.dsx.row_mut(start + i));
+            }
+            start += l;
+            p0 += l * l;
+        }
+        x.matmul_tn_into(&ws.dsx, &mut ws.gfold);
+        if attention.wq.trainable {
+            ws.gfold.matmul_into(&attention.wk.value, &mut ws.gtmp);
+            ws.gtmp.scale(self.scale);
+            attention.wq.grad.add_assign(&ws.gtmp);
+        }
+        if attention.wk.trainable {
+            ws.gfold.matmul_tn_into(&attention.wq.value, &mut ws.gtmp);
+            ws.gtmp.scale(self.scale);
+            attention.wk.grad.add_assign(&ws.gtmp);
+        }
+    }
 }
 
 /// A model's lazily folded [`RootNet`]. `Default`, `Clone` and
@@ -179,17 +338,41 @@ impl RootNet {
 /// weights on first use, and the owning model empties it on every path
 /// that can change a weight.
 #[derive(Debug, Default)]
-pub(crate) struct RootCell(OnceLock<RootNet>);
+pub(crate) struct RootCell {
+    net: OnceLock<RootNet>,
+    /// The last emptied net, kept for its buffers: the next
+    /// [`RootCell::get_or_refold`] refolds into them instead of allocating.
+    spare: Option<RootNet>,
+}
 
 impl RootCell {
     /// The cached twin, folded by `fold` on first use.
     pub(crate) fn get_or_fold(&self, fold: impl FnOnce() -> RootNet) -> &RootNet {
-        self.0.get_or_init(fold)
+        self.net.get_or_init(fold)
     }
 
-    /// Drop the cached twin: its weights are about to change.
+    /// The cached twin, refolded in place from the given weights when the
+    /// cell is empty — the training forward's entry, allocation-free once
+    /// the spare exists.
+    pub(crate) fn get_or_refold(
+        &mut self,
+        attention: &MaskedSelfAttention,
+        layers: [&LoraLinear; 3],
+    ) -> &RootNet {
+        let spare = &mut self.spare;
+        self.net.get_or_init(|| {
+            let mut net = spare.take().unwrap_or_default();
+            net.refold(attention, layers);
+            net
+        })
+    }
+
+    /// Mark the twin stale: its weights are about to change. Its buffers
+    /// are kept for the next refold.
     pub(crate) fn clear(&mut self) {
-        self.0.take();
+        if let Some(net) = self.net.take() {
+            self.spare = Some(net);
+        }
     }
 }
 

@@ -194,30 +194,35 @@ fn alloc_delta(start: Option<u64>) -> Option<u64> {
     Some(alloc_probe_bytes()?.saturating_sub(start?))
 }
 
-/// Mean per-plan validation loss on a held-out index set, plus each held-out
-/// plan's root Q-error (`max(pred/actual, actual/pred)` in ms space) for
-/// telemetry quantiles.
+/// Mean per-plan validation loss over the packed held-out batches, plus each
+/// held-out plan's root Q-error (`max(pred/actual, actual/pred)` in ms
+/// space) for telemetry quantiles. The batches run through the training
+/// forward and the training loss ([`packed_grad`], its gradient written to
+/// the reused `d_buf` and ignored), so validation scores the same fold the
+/// next epoch trains.
 fn validation_stats(
-    model: &DaceModel,
+    model: &mut DaceModel,
     adjuster: &LossAdjuster,
-    feats: &[PlanFeatures],
-    val_idx: &[usize],
+    batches: &[PackedBatch],
+    d_buf: &mut Tensor2,
 ) -> (f32, Vec<f64>) {
     let _span = span!("validate");
     let mut total = 0.0f32;
-    let mut qerrs = Vec::with_capacity(val_idx.len());
-    for &i in val_idx {
-        let f = &feats[i];
-        let preds = model.predict(f);
-        let pred_slice: Vec<f32> = (0..preds.rows()).map(|r| preds.get(r, 0)).collect();
-        let (loss, _) = adjuster.loss_and_grad(&pred_slice, &f.targets, &f.heights);
-        total += loss;
-        // Root is row 0 in DFS order; Q-error compares in ms space.
-        let pred_ms = Featurizer::to_ms(pred_slice[0]).max(1e-6);
-        let actual_ms = Featurizer::to_ms(f.targets[0]).max(1e-6);
-        qerrs.push((pred_ms / actual_ms).max(actual_ms / pred_ms));
+    let mut qerrs = Vec::new();
+    for batch in batches {
+        model.forward_batch_compact(batch);
+        total += packed_grad(adjuster, model.batch_preds(), batch, d_buf) * batch.count as f32;
+        let preds = model.batch_preds().as_slice();
+        let mut row = 0;
+        for (b, &n) in batch.lens.iter().enumerate() {
+            // Root is the plan's first row; Q-error compares in ms space.
+            let pred_ms = Featurizer::to_ms(preds[row]).max(1e-6);
+            let actual_ms = Featurizer::to_ms(batch.targets[b * batch.n_max]).max(1e-6);
+            qerrs.push((pred_ms / actual_ms).max(actual_ms / pred_ms));
+            row += n;
+        }
     }
-    (total / val_idx.len().max(1) as f32, qerrs)
+    (total / qerrs.len().max(1) as f32, qerrs)
 }
 
 /// Quantile of an unsorted sample set by exact rank (`ceil(p·n)`-th order
@@ -305,16 +310,20 @@ fn run_epochs(
         ((0..feats.len()).collect(), Vec::new())
     };
 
-    // Pack every mini-batch once, before the first epoch. Plan membership
-    // of each batch is frozen from here on; epochs permute the batch order.
+    // Pack every mini-batch (and the validation split) once, before the
+    // first epoch. Plan membership of each batch is frozen from here on;
+    // epochs permute the batch order.
     order.shuffle(&mut rng);
-    let batches: Vec<PackedBatch> = order
-        .chunks(batch_plans.max(1))
-        .map(|chunk| {
-            let refs: Vec<&PlanFeatures> = chunk.iter().map(|&i| &feats[i]).collect();
-            PackedBatch::pack(&refs).expect("mini-batch chunks are non-empty")
-        })
-        .collect();
+    let pack = |idx: &[usize]| -> Vec<PackedBatch> {
+        idx.chunks(batch_plans.max(1))
+            .map(|chunk| {
+                let refs: Vec<&PlanFeatures> = chunk.iter().map(|&i| &feats[i]).collect();
+                PackedBatch::pack(&refs).expect("mini-batch chunks are non-empty")
+            })
+            .collect()
+    };
+    let batches = pack(&order);
+    let val_batches = pack(&val_idx);
     let mut batch_order: Vec<usize> = (0..batches.len()).collect();
     // Reused gradient buffer: with the packs hoisted and the model running
     // on its workspace arena, the batch loop's steady state is
@@ -369,7 +378,7 @@ fn run_epochs(
         let mut val_loss = None;
         let mut qerrs: Vec<f64> = Vec::new();
         let decision = if early_stop {
-            let (val, q) = validation_stats(model, adjuster, feats, &val_idx);
+            let (val, q) = validation_stats(model, adjuster, &val_batches, &mut d_buf);
             val_loss = Some(f64::from(val));
             qerrs = q;
             if val < best_val {

@@ -1,0 +1,340 @@
+//! Training on the fold is exact: the all-rows forward and backward that
+//! `DaceModel::forward_batch_compact` / `backward_compact` run in the
+//! 18-dimensional folded algebra must match the unfolded network — 128-wide
+//! Q/K/V attention (`MaskedSelfAttention::forward_packed_ws` /
+//! `backward_params_ws`) feeding three LoRA layers applied as
+//! `x·W + (x·B)·A + b` — to f32 rounding, in predictions and in every
+//! parameter gradient, in both LoRA modes.
+//!
+//! The fold is cached inside the model, so the file also checks that the
+//! training forward refolds after an optimizer step and after a
+//! fine-tuning run: its next predictions must equal, bit for bit, those of
+//! a freshly deserialized copy.
+
+use dace_core::{
+    DaceEstimator, DaceModel, PackedBatch, PlanFeatures, TrainConfig, Trainer, FEATURE_DIM,
+};
+use dace_nn::{Adam, AttnScratch, LoraMode, MaskedSelfAttention, Param, Tensor2};
+use dace_plan::{Dataset, LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, TreeBuilder};
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// Largest allowed |Δ ln ms| between folded and unfolded predictions.
+const LN_MS_TOLERANCE: f32 = 1e-5;
+/// Largest allowed max-norm gradient error, relative to the reference
+/// gradient's max-norm, per parameter tensor.
+const GRAD_RELATIVE_TOLERANCE: f32 = 1e-4;
+/// A hidden ReLU pre-activation this close to zero (relative to its
+/// layer's largest) may fall on either side of the kink under the two
+/// summation orders, which moves a whole row's gradient through that unit;
+/// such cases are skipped. Over 1000 sampled cases, the only two beyond
+/// 1e-5 relative error had a pre-activation within 1e-7 of zero.
+const RELU_MARGIN: f32 = 1e-6;
+
+/// A random plan: a genuine tree over `n` nodes (random parent pointers)
+/// with its ancestor-or-self mask, random features and targets. `shape`
+/// optionally breaks one row's mask: 1 makes it non-interval (every other
+/// position), 2 masks it fully.
+fn random_plan(n: usize, seed: u64, shape: u8) -> PlanFeatures {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let x = Tensor2::uniform(n, FEATURE_DIM, 1.5, seed ^ 0xFEA7);
+    let mut parent = vec![usize::MAX; n];
+    for (i, p) in parent.iter_mut().enumerate().skip(1) {
+        *p = rng.gen_range(0..i);
+    }
+    let mut mask = vec![false; n * n];
+    let mut heights = vec![0u32; n];
+    for j in 0..n {
+        let mut a = j;
+        loop {
+            mask[a * n + j] = true;
+            if a == 0 {
+                break;
+            }
+            a = parent[a];
+            heights[j] += 1;
+        }
+    }
+    let row = rng.gen_range(0..n);
+    match shape {
+        1 => (0..n).for_each(|j| mask[row * n + j] = j % 2 == 0),
+        2 => mask[row * n..(row + 1) * n].fill(false),
+        _ => {}
+    }
+    PlanFeatures {
+        x,
+        mask,
+        heights,
+        targets: (0..n).map(|_| rng.gen_range(-2.0f32..6.0)).collect(),
+    }
+}
+
+/// A seeded model in `mode` with non-zero LoRA `A` and biases on every
+/// layer, so each merged weight and each bias path carries signal.
+fn model(seed: u64, mode: LoraMode) -> DaceModel {
+    let mut m = DaceModel::new(seed);
+    m.set_mode(mode);
+    // params_mut order: W_Q, W_K, W_V, then (W, bias, B, A) per MLP layer.
+    for (i, p) in m.params_mut().into_iter().enumerate().skip(3) {
+        if matches!((i - 3) % 4, 1 | 3) {
+            let (r, c) = (p.value.rows(), p.value.cols());
+            p.value = Tensor2::uniform(r, c, 0.1, seed ^ (0xB1A5 + i as u64));
+        }
+    }
+    m
+}
+
+/// The unfolded network the fold replaces: the attention layer and the
+/// three LoRA layers' `(W, bias, B, A)` as separate parameters.
+struct Unfolded {
+    attention: MaskedSelfAttention,
+    mlp: Vec<Param>,
+    ws: AttnScratch,
+    attn_out: Tensor2,
+    /// Per layer: its input `x`, the LoRA intermediate `x·B`, and its
+    /// pre-activation (the ReLU gate of the two hidden layers).
+    cache: Vec<(Tensor2, Tensor2, Tensor2)>,
+}
+
+impl Unfolded {
+    /// Copy `model`'s weights and trainability, with zeroed gradients.
+    fn of(model: &mut DaceModel) -> Unfolded {
+        let mut params: Vec<Param> = model.params_mut().into_iter().map(|p| p.clone()).collect();
+        for p in &mut params {
+            p.zero_grad();
+        }
+        let mlp = params.split_off(3);
+        let mut attention = model.attention().clone();
+        for (dst, src) in attention.params_mut().into_iter().zip(params) {
+            *dst = src;
+        }
+        Unfolded {
+            attention,
+            mlp,
+            ws: AttnScratch::default(),
+            attn_out: Tensor2::default(),
+            cache: Vec::new(),
+        }
+    }
+
+    /// Per-row predictions: 128-wide block-diagonal attention, then each
+    /// LoRA layer unmerged.
+    fn forward(&mut self, batch: &PackedBatch) -> Tensor2 {
+        self.attention.forward_packed_ws(
+            &batch.xc,
+            &batch.lens,
+            batch.n_max,
+            &batch.bias,
+            &mut self.ws,
+            &mut self.attn_out,
+        );
+        self.cache.clear();
+        let mut x = self.attn_out.clone();
+        for (l, p) in self.mlp.chunks(4).enumerate() {
+            let xb = x.matmul(&p[2].value);
+            let mut y = x.matmul(&p[0].value);
+            y.add_assign(&xb.matmul(&p[3].value));
+            y.add_row_broadcast(p[1].value.row(0));
+            let pre = y.clone();
+            if l < 2 {
+                y.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
+            }
+            self.cache.push((x, xb, pre));
+            x = y;
+        }
+        x
+    }
+
+    /// Whether some hidden pre-activation of the last forward sits within
+    /// [`RELU_MARGIN`] of zero, relative to its layer's largest.
+    fn near_relu_kink(&self) -> bool {
+        self.cache[..2].iter().any(|(_, _, pre)| {
+            let top = max_abs(pre);
+            pre.as_slice().iter().any(|v| v.abs() < RELU_MARGIN * top)
+        })
+    }
+
+    /// Accumulate every trainable parameter's gradient from `d_pred`.
+    fn backward(&mut self, d_pred: &Tensor2, batch: &PackedBatch) {
+        let mut dy = d_pred.clone();
+        for l in (0..3).rev() {
+            let (x, xb, _) = &self.cache[l];
+            let p = &mut self.mlp[4 * l..4 * l + 4];
+            if p[0].trainable {
+                p[0].grad.add_assign(&x.matmul_tn(&dy));
+            }
+            if p[1].trainable {
+                dy.col_sums_acc(p[1].grad.row_mut(0));
+            }
+            if p[3].trainable {
+                p[3].grad.add_assign(&xb.matmul_tn(&dy));
+            }
+            let dxb = dy.matmul_nt(&p[3].value);
+            if p[2].trainable {
+                p[2].grad.add_assign(&x.matmul_tn(&dxb));
+            }
+            let mut dx = dy.matmul_nt(&p[0].value);
+            dx.add_assign(&dxb.matmul_nt(&p[2].value));
+            if l > 0 {
+                let pre = &self.cache[l - 1].2;
+                for (d, &z) in dx.as_mut_slice().iter_mut().zip(pre.as_slice()) {
+                    if z <= 0.0 {
+                        *d = 0.0;
+                    }
+                }
+            }
+            dy = dx;
+        }
+        self.attention
+            .backward_params_ws(&dy, &batch.xc, &batch.lens, &mut self.ws);
+    }
+
+    /// Every parameter's gradient, in `DaceModel::params_mut` order.
+    fn grads(&mut self) -> Vec<Tensor2> {
+        let attn = self
+            .attention
+            .params_mut()
+            .into_iter()
+            .map(|p| p.grad.clone());
+        attn.chain(self.mlp.iter().map(|p| p.grad.clone()))
+            .collect()
+    }
+}
+
+fn max_abs(t: &Tensor2) -> f32 {
+    t.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn folded_training_matches_the_unfolded_network(
+        plans in proptest::collection::vec((1usize..=12, 0u64..1_000_000, 0u8..6), 1..=20),
+        seed in 0u64..1_000,
+        finetune in 0u8..2,
+    ) {
+        let mode = if finetune == 1 { LoraMode::Finetune } else { LoraMode::Pretrain };
+        let feats: Vec<PlanFeatures> = plans
+            .iter()
+            .map(|&(n, s, shape)| random_plan(n, s, shape))
+            .collect();
+        let refs: Vec<&PlanFeatures> = feats.iter().collect();
+        let batch = PackedBatch::pack(&refs).unwrap();
+
+        let mut folded = model(seed, mode);
+        let mut reference = Unfolded::of(&mut folded);
+        let want = reference.forward(&batch);
+        if reference.near_relu_kink() {
+            continue;
+        }
+        folded.forward_batch_compact(&batch);
+        let got = folded.batch_preds().clone();
+        prop_assert_eq!(got.rows(), want.rows());
+        for (r, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            prop_assert!(
+                (g - w).abs() <= LN_MS_TOLERANCE,
+                "row {}: folded {} vs unfolded {}", r, g, w
+            );
+        }
+
+        let d_pred = Tensor2::uniform(want.rows(), 1, 1.0, seed ^ 0xD0D0);
+        folded.backward_compact(&d_pred);
+        reference.backward(&d_pred, &batch);
+        let want = reference.grads();
+        let got: Vec<Tensor2> = folded.params_mut().iter().map(|p| p.grad.clone()).collect();
+        prop_assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            let mut diff = g.clone();
+            diff.scale(-1.0);
+            diff.add_assign(w);
+            let (err, scale) = (max_abs(&diff), max_abs(w));
+            prop_assert!(
+                err <= GRAD_RELATIVE_TOLERANCE * scale,
+                "{:?} param {}: max error {} against max gradient {}", mode, i, err, scale
+            );
+        }
+    }
+}
+
+fn node(ty: NodeType, cost: f64, ms: f64) -> PlanNode {
+    let mut n = PlanNode::new(ty, OpPayload::Other);
+    n.est_cost = cost;
+    n.est_rows = cost * 3.0;
+    n.actual_ms = ms;
+    n
+}
+
+/// Two-node plans whose latency tracks the scan's estimated cost.
+fn dataset(n: usize, seed: u64) -> Dataset {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let plans = (0..n)
+        .map(|_| {
+            let cost = rng.gen_range(10.0..10_000.0f64);
+            let mut b = TreeBuilder::new();
+            let scan = b.leaf(node(NodeType::SeqScan, cost, cost * 0.004));
+            let root = b.internal(node(NodeType::Sort, cost * 1.5, cost * 0.006), vec![scan]);
+            LabeledPlan {
+                tree: b.finish(root),
+                db_id: 0,
+                machine: MachineId::M1,
+            }
+        })
+        .collect();
+    Dataset::from_plans(plans)
+}
+
+/// `model`'s training-forward predictions on `batch`, as bits.
+fn forward_bits(model: &mut DaceModel, batch: &PackedBatch) -> Vec<u32> {
+    model.forward_batch_compact(batch);
+    model
+        .batch_preds()
+        .as_slice()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// A copy of `model` rebuilt from its serialized form: no cached fold.
+fn fresh(model: &DaceModel) -> DaceModel {
+    serde_json::from_str(&serde_json::to_string(model).unwrap()).unwrap()
+}
+
+#[test]
+fn the_training_forward_refolds_after_every_weight_change() {
+    let feats: Vec<PlanFeatures> = (0..6)
+        .map(|i| random_plan(1 + i * 2, 40 + i as u64, 0))
+        .collect();
+    let refs: Vec<&PlanFeatures> = feats.iter().collect();
+    let batch = PackedBatch::pack(&refs).unwrap();
+
+    // One Adam step on a bare model, after a forward cached the fold.
+    let mut m = model(11, LoraMode::Pretrain);
+    let before = forward_bits(&mut m, &batch);
+    let d_pred = m.batch_preds().clone();
+    m.backward_compact(&d_pred);
+    Adam::new(1e-2).step(&mut m.params_mut());
+    let after = forward_bits(&mut m, &batch);
+    assert_eq!(
+        after,
+        forward_bits(&mut fresh(&m), &batch),
+        "stale fold after an Adam step"
+    );
+    assert_ne!(after, before, "an Adam step must change predictions");
+
+    // A fine-tuning run on a trained estimator, after a forward cached the
+    // fold of the pre-trained weights.
+    let mut est: DaceEstimator = Trainer::new(TrainConfig {
+        epochs: 1,
+        ..Default::default()
+    })
+    .fit(&dataset(24, 1))
+    .unwrap();
+    let before = forward_bits(&mut est.model, &batch);
+    est.fine_tune_lora(&dataset(8, 2), 1, 1e-2).unwrap();
+    let after = forward_bits(&mut est.model, &batch);
+    let want = forward_bits(&mut fresh(&est.model), &batch);
+    assert_eq!(after, want, "stale fold after fine-tuning");
+    assert_ne!(after, before, "a fine-tuning step must change predictions");
+}

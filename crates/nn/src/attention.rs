@@ -8,17 +8,15 @@
 //! The attention math lives in one forward/backward pair over a
 //! **block-diagonal** layout: the input is stacked blocks of rows,
 //! attention scores are computed only *within* each block, and rows never
-//! attend across block boundaries. A packed training mini-batch supplies
-//! one variable-length block per plan
-//! ([`MaskedSelfAttention::forward_packed_ws`] /
-//! [`MaskedSelfAttention::backward_params_ws`]), giving one set of large
-//! Q/K/V projections per batch instead of one per plan and per-block score
-//! work proportional to each plan's *real* size. The single-plan entry
-//! points ([`MaskedSelfAttention::forward_bias`] and friends) are the
-//! degenerate case of one block, run through the same two functions.
+//! attend across block boundaries ([`MaskedSelfAttention::forward_packed_ws`] /
+//! [`MaskedSelfAttention::backward_params_ws`]). The single-plan entry
+//! points ([`MaskedSelfAttention::forward_bias`] and friends), which
+//! QueryFormer trains through, are the degenerate case of one block, run
+//! through the same two functions.
 //!
-//! Batched root-latency inference does not run this layer at all: the
-//! model crate folds its weights, with the MLP's, into a root-row twin.
+//! DACE runs neither: its attention output feeds `l1` with no nonlinearity
+//! in between, so the model crate folds these weights, with the MLP's, into
+//! an 18-dimensional twin for training and inference alike.
 
 use serde::{Deserialize, Serialize};
 

@@ -141,72 +141,54 @@ impl LoraLinear {
         self.lora_b.trainable = finetune;
     }
 
-    /// Forward pass `y = x @ W + (x @ B) @ A + b` written into caller-owned
-    /// buffers (`y`, the LoRA intermediate `xb`, and a matmul temporary),
-    /// with the caller keeping `x`/`xb` alive as the backward cache.
-    /// Nothing allocates once the buffers reach capacity.
-    pub fn forward_ws(&self, x: &Tensor2, y: &mut Tensor2, xb: &mut Tensor2, tmp: &mut Tensor2) {
-        x.matmul_into(&self.w.value, y);
-        x.matmul_into(&self.lora_b.value, xb);
-        xb.matmul_into(&self.lora_a.value, tmp);
-        y.add_assign(tmp);
-        y.add_row_broadcast(self.b.value.row(0));
-    }
-
-    /// Backward pass over the activations a [`LoraLinear::forward_ws`]
-    /// call left in the caller's buffers: accumulates gradients only on the
-    /// parameters the current mode marks trainable (frozen weight gradients
-    /// are skipped entirely — this is what makes LoRA tuning cheaper than
-    /// full training, Sec. V-C) and writes dx into `dx`. `dxb`/`gtmp` are
-    /// reusable scratch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_ws(
-        &mut self,
-        dy: &Tensor2,
-        x: &Tensor2,
-        xb: &Tensor2,
-        dx: &mut Tensor2,
-        dxb: &mut Tensor2,
-        gtmp: &mut Tensor2,
-    ) {
-        if self.w.trainable {
-            x.matmul_tn_into(dy, gtmp);
-            self.w.grad.add_assign(gtmp);
-        }
-        if self.b.trainable {
-            dy.col_sums_acc(self.b.grad.row_mut(0));
-        }
-        // dA = (xB)ᵀ @ dy ; d(xB) = dy @ Aᵀ ; dB = xᵀ @ d(xB)
-        if self.lora_a.trainable {
-            xb.matmul_tn_into(dy, gtmp);
-            self.lora_a.grad.add_assign(gtmp);
-        }
-        dy.matmul_nt_into(&self.lora_a.value, dxb);
-        if self.lora_b.trainable {
-            x.matmul_tn_into(dxb, gtmp);
-            self.lora_b.grad.add_assign(gtmp);
-        }
-
-        // dx = dy @ Wᵀ + d(xB) @ Bᵀ
-        dy.matmul_nt_into(&self.w.value, dx);
-        dxb.matmul_nt_into(&self.lora_b.value, gtmp);
-        dx.add_assign(gtmp);
-    }
-
-    /// Forward pass without caching (inference): [`LoraLinear::forward_ws`]
-    /// into fresh buffers.
+    /// Forward pass without caching (inference), the layer's definition:
+    /// `y = x @ W + (x @ B) @ A + b`, the adapter applied unmerged.
     pub fn forward_inference(&self, x: &Tensor2) -> Tensor2 {
-        let (mut y, mut xb, mut tmp) = (Tensor2::default(), Tensor2::default(), Tensor2::default());
-        self.forward_ws(x, &mut y, &mut xb, &mut tmp);
+        let mut y = x.matmul(&self.w.value);
+        y.add_assign(&x.matmul(&self.lora_b.value).matmul(&self.lora_a.value));
+        y.add_row_broadcast(self.b.value.row(0));
         y
     }
 
     /// The base weight with the adapter merged in, `W + B·A` (`in × out`):
     /// the single matrix an inference-only twin multiplies by.
     pub fn merged_weight(&self) -> Tensor2 {
-        let mut w = self.w.value.clone();
-        w.add_assign(&self.lora_b.value.matmul(&self.lora_a.value));
+        let mut w = Tensor2::default();
+        self.merged_weight_into(&mut w);
         w
+    }
+
+    /// [`LoraLinear::merged_weight`] into a caller-owned buffer, reusing its
+    /// capacity: `B·A` first, then `W` added (float addition commutes, so
+    /// the bits match `W + B·A`).
+    pub fn merged_weight_into(&self, out: &mut Tensor2) {
+        self.lora_b.value.matmul_into(&self.lora_a.value, out);
+        out.add_assign(&self.w.value);
+    }
+
+    /// Backward pass of a layer run through its merged weight
+    /// `W' = W + B·A`, given `dw = xᵀ·dy` (the gradient of `W'`) and the
+    /// upstream gradient `dy`: accumulates only on the parameters the
+    /// current mode marks trainable (frozen gradients are skipped entirely,
+    /// which is what makes LoRA tuning cheaper than full training, Sec.
+    /// V-C). Pre-training takes `dW = dw` and the
+    /// bias `Σ dy`; fine-tuning takes `dB = dw·Aᵀ` and `dA = Bᵀ·dw`.
+    /// `scratch` is reusable product space.
+    pub fn backward_merged(&mut self, dw: &Tensor2, dy: &Tensor2, scratch: &mut Tensor2) {
+        if self.w.trainable {
+            self.w.grad.add_assign(dw);
+        }
+        if self.b.trainable {
+            dy.col_sums_acc(self.b.grad.row_mut(0));
+        }
+        if self.lora_b.trainable {
+            dw.matmul_nt_into(&self.lora_a.value, scratch);
+            self.lora_b.grad.add_assign(scratch);
+        }
+        if self.lora_a.trainable {
+            self.lora_b.value.matmul_tn_into(dw, scratch);
+            self.lora_a.grad.add_assign(scratch);
+        }
     }
 
     /// Mutable references to all parameters (frozen ones included; the
@@ -332,13 +314,11 @@ mod tests {
             // Nonzero A so every gradient path is exercised.
             layer.lora_a.value = Tensor2::uniform(2, 3, 0.5, 21);
             let x = Tensor2::uniform(3, 4, 1.0, 13);
-            let (mut y, mut xb, mut tmp) =
-                (Tensor2::default(), Tensor2::default(), Tensor2::default());
-            layer.forward_ws(&x, &mut y, &mut xb, &mut tmp);
-            let (mut dx, mut dxb, mut gtmp) =
-                (Tensor2::default(), Tensor2::default(), Tensor2::default());
-            // Loss = sum(y²)/2 so dy = y.
-            layer.backward_ws(&y, &x, &xb, &mut dx, &mut dxb, &mut gtmp);
+            // Loss = sum(y²)/2 so dy = y; dW' = xᵀ·dy and dx = dy·W'ᵀ.
+            let y = layer.forward_inference(&x);
+            let dx = y.matmul_nt(&layer.merged_weight());
+            let mut scratch = Tensor2::default();
+            layer.backward_merged(&x.matmul_tn(&y), &y, &mut scratch);
 
             let eps = 1e-3f32;
             let loss = |layer: &LoraLinear, x: &Tensor2| 0.5 * layer.forward_inference(x).norm_sq();

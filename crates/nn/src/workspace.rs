@@ -4,14 +4,18 @@
 //! [`Tensor2::resize_zeroed`] and friends: the first pass grows each buffer
 //! to its high-water capacity, after which steady-state training epochs and
 //! serving batches stop touching the allocator entirely. The arena doubles
-//! as the layer-activation cache — forward passes leave Q/K/V/probs and the
-//! MLP activations here and backward passes read them back instead of
-//! per-layer `x.clone()` caches.
+//! as the layer-activation cache — forward passes leave attention state
+//! (Q/K/V and probabilities for [`crate::MaskedSelfAttention`], `x̄` and
+//! probabilities for DACE's folded pass) and the MLP activations here, and
+//! backward passes read them back instead of per-layer `x.clone()` caches.
 
 use crate::tensor::Tensor2;
 
 /// Attention-layer scratch: projections and per-block temporaries that
 /// persist from a packed forward pass to the matching backward pass.
+/// [`crate::MaskedSelfAttention`]'s packed passes use the Q/K/V fields;
+/// DACE's folded passes use only `probs`, `scores`, `roots`, `u`, `xbar`
+/// and `srow`.
 #[derive(Debug, Clone, Default)]
 pub struct AttnScratch {
     /// Query projection of the whole packed input (forward → backward).
@@ -51,17 +55,22 @@ pub struct AttnScratch {
     pub gtmp: Tensor2,
     /// Root-row inference: each block's root input row (`B × d`).
     pub roots: Tensor2,
-    /// Root-row inference: folded keys `u = x₀·M` (`B × d`), where
-    /// `M = W_Q·W_Kᵀ/√d_k`.
+    /// Folded keys `u = x·M`, where `M = W_Q·W_Kᵀ/√d_k`: one row per root
+    /// (root-row inference, `B × d`) or per node (the all-rows pass,
+    /// `n × d`).
     pub u: Tensor2,
-    /// Root-row inference: attention-weighted input means `x̄` (`B × d`).
+    /// Attention-weighted input means `x̄ = Σ_j p_j·x_j`, one row per root
+    /// or per node like `u` (all rows: forward → backward).
     pub xbar: Tensor2,
-    /// Root-row inference: one plan's root score row.
+    /// Root-row inference: one plan's root score row. The all-rows
+    /// backward reuses it for one row's `dP`.
     pub srow: Vec<f32>,
 }
 
-/// The full model scratch arena threaded through the batched compact
-/// forward/backward and the per-worker serving forward path.
+/// The full model scratch arena threaded through DACE's folded passes: the
+/// all-rows training forward/backward and the serving root-row forward.
+/// The all-rows pass keeps its attention state (`x̄`, probabilities) in
+/// [`AttnScratch`] and the MLP activations here.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Attention sub-arena.
@@ -70,32 +79,28 @@ pub struct Workspace {
     pub xc: Tensor2,
     /// Block lengths of the last batched forward.
     pub lens: Vec<usize>,
-    /// Attention output (the MLP's input).
-    pub attn_out: Tensor2,
     /// First hidden activation (post-ReLU; the sign lives in `mask1`).
     pub h1: Tensor2,
     /// Second hidden activation (post-ReLU).
     pub h2: Tensor2,
     /// Final predictions of the last forward pass.
     pub preds: Tensor2,
-    /// LoRA intermediate `x @ B` of layer 1 (forward → backward).
-    pub xb1: Tensor2,
-    /// LoRA intermediate of layer 2.
-    pub xb2: Tensor2,
-    /// LoRA intermediate of layer 3.
-    pub xb3: Tensor2,
     /// ReLU sign mask after layer 1.
     pub mask1: Vec<bool>,
     /// ReLU sign mask after layer 2.
     pub mask2: Vec<bool>,
-    /// Shared matmul temporary for the LoRA forward/backward.
-    pub tmp: Tensor2,
-    /// Gradient ping buffer.
+    /// Gradient at the second hidden layer, `dH₂` (backward).
     pub d1: Tensor2,
-    /// Gradient pong buffer.
+    /// Gradient at the first hidden layer, `dH₁` (backward).
     pub d2: Tensor2,
-    /// `d(x @ B)` scratch (backward).
-    pub dxb: Tensor2,
+    /// Gradient at the attention means, `dX̄ = dH₁·(W_V·W₁')ᵀ` (backward).
+    pub dxbar: Tensor2,
+    /// Per-row `dS·X` products, stacked (backward): `dM = Xᵀ·(dS·X)`.
+    pub dsx: Tensor2,
+    /// Gradient of a folded matrix: `X̄ᵀ·dH₁`, then `dM` (backward).
+    pub gfold: Tensor2,
+    /// Gradient of a merged layer weight `W' = W + B·A` (backward).
+    pub gw: Tensor2,
     /// Parameter-gradient product scratch (backward).
     pub gtmp: Tensor2,
 }

@@ -1,10 +1,11 @@
 //! Property-based gradient checks: for random shapes, inputs and parameter
 //! values, every module's analytic backward pass must match central finite
 //! differences. This is the trust anchor of the from-scratch NN library.
-//! Attention and LoRA are checked through the kernels DACE's training pass
-//! runs: `MaskedSelfAttention::backward` is a thin wrapper over
-//! `forward_packed_ws`/`backward_params_ws`, and `LoraLinear` has only its
-//! workspace forward/backward.
+//! Attention is checked through `MaskedSelfAttention::backward`, a thin
+//! wrapper over `forward_packed_ws`/`backward_params_ws` (QueryFormer's
+//! training path). LoRA is checked through the merged-weight gradient DACE's
+//! folded training pass runs: `LoraLinear::backward_merged` from
+//! `dW' = xᵀ·dy`.
 
 use dace_nn::{Linear, LoraLinear, MaskedSelfAttention, Relu, RobustScaler, Tensor2, MASK_NEG};
 use proptest::prelude::*;
@@ -56,10 +57,9 @@ proptest! {
         layer.set_mode(dace_nn::LoraMode::Finetune);
         layer.lora_a.value = Tensor2::uniform(rank, dim, 0.5, seed ^ 0xA);
         let x = Tensor2::uniform(rows, dim, 1.0, seed ^ 0xB);
-        let (mut y, mut xb, mut tmp) = (Tensor2::default(), Tensor2::default(), Tensor2::default());
-        layer.forward_ws(&x, &mut y, &mut xb, &mut tmp);
-        let (mut dx, mut dxb, mut gtmp) = (Tensor2::default(), Tensor2::default(), Tensor2::default());
-        layer.backward_ws(&y, &x, &xb, &mut dx, &mut dxb, &mut gtmp); // loss = ||y||²/2
+        let y = layer.forward_inference(&x);
+        let mut scratch = Tensor2::default();
+        layer.backward_merged(&x.matmul_tn(&y), &y, &mut scratch); // loss = ||y||²/2
         let loss = |l: &LoraLinear| 0.5 * l.forward_inference(&x).norm_sq();
         // params_mut order: W, bias, B, A — fine-tuning trains the last two.
         for which in [2usize, 3] {

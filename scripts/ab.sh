@@ -14,6 +14,12 @@
 # side's median and quartiles, the median ratio, and the number of pairs the
 # change won in the metric's `better` direction (BENCHMARK.json).
 #
+# Each run also records the host's steal share: the `steal` column of the
+# `cpu` line in /proc/stat, read before and after the run, as a percentage
+# of all CPU time in between. A pair whose two sides differ by more than
+# 5 points is marked `steal-skewed`: its latency tails say more about the
+# hypervisor than about the code. The summary adds each side's median steal.
+#
 # Example: scripts/ab.sh HEAD plan_search 10 1001
 set -euo pipefail
 
@@ -43,19 +49,31 @@ declare -A bin=(
 # Metric name and better direction (higher|lower), one per line.
 metrics=$(jq -r '.end_to_end[] | "\(.name) \(.better)"' "$root/BENCHMARK.json")
 
+# Cumulative steal and total jiffies of the host's `cpu` line (user nice
+# system idle iowait irq softirq steal; guest time is inside user).
+cpu_jiffies() {
+    awk '$1 == "cpu" { t = 0; for (i = 2; i <= 9; i++) t += $i; print $9, t; exit }' /proc/stat
+}
+
 # One run: prints perfbench's final JSON line, or exits on a failed check.
+# The run's steal share (percent) goes to runs/<side>-<seed>.steal.
 run() {
-    local side=$1 seed=$2 log="$dir/runs/$1-$2.txt"
+    local side=$1 seed=$2 log="$dir/runs/$1-$2.txt" s0 t0 s1 t1
+    read -r s0 t0 < <(cpu_jiffies)
     (cd "$root" && "${bin[$side]}" --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace 0) >"$log" 2>&1 || {
         echo "ab: $side run failed on seed $seed (log: $log)" >&2
         tail -5 "$log" >&2
         exit 1
     }
+    read -r s1 t1 < <(cpu_jiffies)
+    awk -v s=$((s1 - s0)) -v t=$((t1 - t0)) \
+        'BEGIN { printf "%.2f\n", (t > 0 ? 100 * s / t : 0) }' >"$dir/runs/$side-$seed.steal"
     grep '^{' "$log" | tail -1
 }
 
 : >"$dir/pairs.tsv"
+: >"$dir/steal.tsv"
 for ((i = 0; i < pairs; i++)); do
     seed=$((seed0 + i))
     if ((i % 2 == 0)); then order=(parent change); else order=(change parent); fi
@@ -73,6 +91,10 @@ for ((i = 0; i < pairs; i++)); do
     for side in parent change; do
         line+=$(jq -r '" \(.failed)/\(.attempted) failed"' <<<"${json[$side]}")
     done
+    sp=$(<"$dir/runs/parent-$seed.steal") sc=$(<"$dir/runs/change-$seed.steal")
+    printf '%s\t%s\n' "$sp" "$sc" >>"$dir/steal.tsv"
+    line+=" steal $sp% -> $sc%"
+    line+=$(awk -v p="$sp" -v c="$sc" 'BEGIN { d = p - c; if (d > 5 || d < -5) printf " steal-skewed" }')
     echo "$line"
 done
 
@@ -101,3 +123,9 @@ while read -r name better; do
     printf '%-12s %30s %30s %7s %6s\n' "$name" "$pm [$p1, $p3]" "$cm [$c1, $c3]" \
         "$ratio" "$wins/$pairs"
 done <<<"$metrics"
+read -r pm p1 p3 < <(cut -f1 "$dir/steal.tsv" | quartiles)
+read -r cm c1 c3 < <(cut -f2 "$dir/steal.tsv" | quartiles)
+skewed=$(awk -F'\t' '{ d = $1 - $2 } d > 5 || d < -5 { n++ } END { print n + 0 }' "$dir/steal.tsv")
+printf '%-12s %30s %30s %7s %6s\n' "steal_pct" "$pm [$p1, $p3]" "$cm [$c1, $c3]" "-" \
+    "$skewed/$pairs"
+echo "(steal_pct: the host's steal share of CPU time during each run; its last column counts steal-skewed pairs)"

@@ -1,6 +1,6 @@
 //! Allocation gate for the training loop: once the warm-up epochs have grown
 //! the reused workspace to its high-water mark, a training epoch must stay
-//! (near) off the heap.
+//! (near) off the heap — in pre-training and in LoRA fine-tuning alike.
 //!
 //! The binary installs a byte-counting `#[global_allocator]` and wires it
 //! into the trainer's per-epoch `alloc_bytes` through
@@ -118,6 +118,23 @@ fn synthetic_training_set(n: usize, seed: u64) -> Dataset {
     Dataset::from_plans(plans)
 }
 
+/// Steady-state per-epoch allocation of one phase's records: the largest
+/// after the warm-up epochs, plus every epoch's bytes.
+fn steady_max(sink: &MemorySink, phase: &str) -> (u64, Vec<u64>) {
+    let per_epoch: Vec<u64> = sink
+        .records()
+        .iter()
+        .filter(|r| r.phase == phase)
+        .filter_map(|r| r.alloc_bytes)
+        .collect();
+    assert!(
+        per_epoch.len() >= EPOCHS,
+        "expected >= {EPOCHS} {phase} epoch records with alloc_bytes, got {}",
+        per_epoch.len()
+    );
+    (*per_epoch[WARMUP_EPOCHS..].iter().max().unwrap(), per_epoch)
+}
+
 #[test]
 fn steady_state_training_epoch_stays_under_the_allocation_ceiling() {
     dace_obs::set_alloc_probe(bytes_allocated);
@@ -127,30 +144,35 @@ fn steady_state_training_epoch_stays_under_the_allocation_ceiling() {
         ..TrainConfig::default()
     };
     let sink = Arc::new(MemorySink::new());
-    Trainer::with_sink(config, sink.clone() as Arc<dyn RunSink>)
+    let est = Trainer::with_sink(config, sink.clone() as Arc<dyn RunSink>)
         .fit(&train)
         .unwrap();
+    // LoRA fine-tuning of the fitted model runs the same loop with the
+    // other half of the parameters trainable.
+    let lora_sink = MemorySink::new();
+    est.clone()
+        .fine_tune_lora_with_sink(
+            &synthetic_training_set(PLANS / 4, 43),
+            EPOCHS,
+            config.lr,
+            Some(&lora_sink),
+        )
+        .unwrap();
 
-    let per_epoch: Vec<u64> = sink
-        .records()
-        .iter()
-        .filter_map(|r| r.alloc_bytes)
-        .collect();
-    assert!(
-        per_epoch.len() >= EPOCHS,
-        "expected >= {EPOCHS} epoch records with alloc_bytes, got {}",
-        per_epoch.len()
-    );
-    let steady_max = *per_epoch[WARMUP_EPOCHS..].iter().max().unwrap();
+    let (pretrain_max, pretrain) = steady_max(&sink, "pretrain");
+    let (lora_max, lora) = steady_max(&lora_sink, "lora");
     // Straight to stderr, past libtest's capture, so `cargo test -q` shows
     // the measurement on a passing run too.
     let _ = writeln!(
         std::io::stderr(),
-        "train_alloc: steady-state epoch allocated {steady_max} B \
-         (ceiling {STEADY_EPOCH_ALLOC_CEILING} B, per epoch {per_epoch:?})"
+        "train_alloc: steady-state epoch allocated {pretrain_max} B pretraining, \
+         {lora_max} B fine-tuning (ceiling {STEADY_EPOCH_ALLOC_CEILING} B; \
+         per epoch {pretrain:?} / {lora:?})"
     );
-    assert!(
-        steady_max <= STEADY_EPOCH_ALLOC_CEILING,
-        "steady-state epoch allocated {steady_max} B > ceiling {STEADY_EPOCH_ALLOC_CEILING} B"
-    );
+    for (phase, bytes) in [("pretraining", pretrain_max), ("fine-tuning", lora_max)] {
+        assert!(
+            bytes <= STEADY_EPOCH_ALLOC_CEILING,
+            "steady-state {phase} epoch allocated {bytes} B > ceiling {STEADY_EPOCH_ALLOC_CEILING} B"
+        );
+    }
 }
