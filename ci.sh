@@ -5,8 +5,9 @@
 #   ./ci.sh         # full gate: build, tests, clippy, fmt, rustdoc, plansearch and perfbench smoke
 #   ./ci.sh quick   # tier-1 only: release build + root test suite
 #
-# The root suite includes the training-epoch allocation gate
-# (tests/train_alloc.rs, a counting global allocator).
+# The root suite includes two allocation gates, each a counting global
+# allocator: the training-epoch gate (tests/train_alloc.rs) and the
+# plan-search gate on allocations per planned query (tests/search_alloc.rs).
 #
 # The serving system's gates (closed-loop serving, observability, health
 # plane, chaos, sharding, tenant isolation, adaptation, and the wall-clock

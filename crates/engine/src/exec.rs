@@ -47,7 +47,8 @@ impl Intermediate {
 }
 
 fn run(db: &Database, plan: &mut PhysPlan) -> Intermediate {
-    let result = match plan.exec.clone() {
+    let exec = Arc::clone(&plan.exec);
+    let result = match &*exec {
         ExecOp::Scan { table, predicates } => {
             // Bitmap pairs nest a Scan under a Scan; execute the index child
             // for its own count, then compute this node's result directly.
@@ -55,7 +56,7 @@ fn run(db: &Database, plan: &mut PhysPlan) -> Intermediate {
                 let _ = run(db, Arc::make_mut(c));
             }
             let _span = span!("exec_scan");
-            scan(db, table, &predicates)
+            scan(db, *table, predicates)
         }
         ExecOp::Join { edge } => {
             debug_assert_eq!(plan.children().len(), 2);
@@ -66,7 +67,7 @@ fn run(db: &Database, plan: &mut PhysPlan) -> Intermediate {
             let l = run(db, left);
             let r = run(db, right);
             let _span = span!("exec_join");
-            let out = hash_join(db, l, r, edge);
+            let out = hash_join(db, l, r, *edge);
             // Inner index scans of a nested loop report total fetched rows
             // across all probes.
             if nested_loop && right.node_type() == dace_plan::NodeType::IndexScan {
@@ -78,11 +79,11 @@ fn run(db: &Database, plan: &mut PhysPlan) -> Intermediate {
         ExecOp::Aggregate { group_by } => {
             let child = run(db, Arc::make_mut(&mut plan.children_mut()[0]));
             let _span = span!("exec_aggregate");
-            aggregate(db, child, group_by)
+            aggregate(db, child, *group_by)
         }
         ExecOp::Limit { n } => {
             let mut child = run(db, Arc::make_mut(&mut plan.children_mut()[0]));
-            let keep = (n as usize).min(child.rows());
+            let keep = (*n as usize).min(child.rows());
             for col in &mut child.rowids {
                 col.truncate(keep);
             }
@@ -245,7 +246,7 @@ mod tests {
     use crate::cost::CostModel;
     use crate::latency::MachineProfile;
     use crate::planner::{
-        connecting_edge, join_candidates, masked_edges, pick_min_cost, plan, scan_candidates,
+        connecting_edge, join_candidates, masked_edges, pick_min_cost, plan, scan_candidates, Side,
     };
     use dace_catalog::{generate_database, suite_specs};
     use dace_query::{Aggregate, ComplexWorkloadGen, Query};
@@ -437,10 +438,16 @@ mod tests {
         .into_iter()
         .find(|q| q.joins.len() == 1 && q.tables.len() == 2)
         .expect("a two-table join");
-        let scan = |t| Arc::new(pick_min_cost(scan_candidates(&db, &q, t, &cm, &est)));
-        let (l, r) = (scan(q.tables[0]), scan(q.tables[1]));
-        let edge = connecting_edge(&masked_edges(&q), 1, 2).expect("joined tables");
-        let cands = join_candidates(&db, (1, &l), (2, &r), edge, &cm, &est);
+        let scan = |t, mask| {
+            let mut cands = Vec::new();
+            scan_candidates(&db, &q, t, &cm, &est, &mut cands);
+            Side::new(mask, Arc::new(pick_min_cost(cands)))
+        };
+        let (l, r) = (scan(q.tables[0], 1), scan(q.tables[1], 2));
+        let edges = masked_edges(&db, &q);
+        let edge = connecting_edge(&edges, 1, 2).expect("joined tables");
+        let mut cands = Vec::new();
+        join_candidates(&db, &l, &r, edge, &cm, &est, &mut cands);
         // The hash join and the merge join both hold both scans.
         let mut pick = cands[0].clone();
         let other = cands.last().unwrap().clone();
@@ -459,8 +466,8 @@ mod tests {
 
         assert_actuals_zero(&other);
         assert_eq!(other, snapshot);
-        assert_actuals_zero(&l);
-        assert_actuals_zero(&r);
+        assert_actuals_zero(&l.plan);
+        assert_actuals_zero(&r.plan);
         assert!(pick.actual_ms > 0.0);
         assert_eq!(pick.actual_ms, unshared.actual_ms);
         assert_eq!(pick, unshared);

@@ -266,7 +266,7 @@ impl MachineProfile {
 
 /// (base rows, pages, predicate count) of a scan node.
 fn scan_shape(db: &Database, node: &PhysPlan) -> (f64, f64, f64) {
-    match &node.payload {
+    match &*node.payload {
         OpPayload::Scan(info) => {
             let stats = db.table_stats(dace_catalog::TableId(info.table_id));
             let rows = stats.row_count as f64;

@@ -1,7 +1,8 @@
 //! Cost-based physical planning: scan selection, dynamic-programming join
 //! enumeration and plan-tree construction.
 
-use std::sync::Arc;
+use std::cell::OnceCell;
+use std::sync::{Arc, LazyLock};
 
 use dace_catalog::{ColumnId, Database, TableId};
 use dace_core::{log_feature, node_fingerprint};
@@ -124,6 +125,11 @@ pub enum ExecOp {
 /// Plans are persistent trees: children sit behind [`Arc`], so a join
 /// candidate shares its input sub-plans with every other candidate built
 /// from them instead of copying them, and cloning a plan copies one node.
+/// The payload and the execution instruction are shared the same way: a
+/// table's access paths share one scan payload, a join edge's candidates
+/// share one join payload, and every pass-through node shares one static
+/// `Other`/`PassThrough` pair. Children are stored inline (no operator has
+/// more than two), so building a candidate node allocates nothing.
 /// Writers ([`crate::execute`], [`crate::MachineProfile::apply`]) go through
 /// [`Arc::make_mut`], which unshares exactly the nodes they fill in; a
 /// sub-plan another plan still holds is never changed.
@@ -142,15 +148,15 @@ pub struct PhysPlan {
     est_cost: f64,
     /// Output tuple width in bytes.
     pub width: u32,
-    /// Payload for the plan tree.
-    pub payload: OpPayload,
-    /// Execution instruction.
-    pub exec: ExecOp,
+    /// Payload for the plan tree, shared with the node's sibling candidates.
+    pub payload: Arc<OpPayload>,
+    /// Execution instruction, shared like the payload.
+    pub exec: Arc<ExecOp>,
     /// Actual output rows, filled by the executor.
     pub actual_rows: f64,
     /// Actual cumulative elapsed ms, filled by the latency model.
     pub actual_ms: f64,
-    children: Vec<Arc<PhysPlan>>,
+    children: Children,
     /// Nodes in this sub-plan.
     len: usize,
     /// `log_feature(est_cost)`.
@@ -161,6 +167,51 @@ pub struct PhysPlan {
     merkle: u64,
 }
 
+/// A node's children, inline: no physical operator has more than two.
+#[derive(Clone, PartialEq)]
+enum Children {
+    Zero([Arc<PhysPlan>; 0]),
+    One([Arc<PhysPlan>; 1]),
+    Two([Arc<PhysPlan>; 2]),
+}
+
+impl Children {
+    fn as_slice(&self) -> &[Arc<PhysPlan>] {
+        match self {
+            Children::Zero(c) => c,
+            Children::One(c) => c,
+            Children::Two(c) => c,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Arc<PhysPlan>] {
+        match self {
+            Children::Zero(c) => c,
+            Children::One(c) => c,
+            Children::Two(c) => c,
+        }
+    }
+}
+
+impl std::fmt::Debug for Children {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+/// The payload of every node that is neither a table scan nor a join.
+static OTHER: LazyLock<Arc<OpPayload>> = LazyLock::new(|| Arc::new(OpPayload::Other));
+/// The execution instruction of every Hash, Sort, Materialize and Gather.
+static PASS_THROUGH: LazyLock<Arc<ExecOp>> = LazyLock::new(|| Arc::new(ExecOp::PassThrough));
+
+fn other() -> Arc<OpPayload> {
+    Arc::clone(&OTHER)
+}
+
+fn pass_through() -> Arc<ExecOp> {
+    Arc::clone(&PASS_THROUGH)
+}
+
 impl PhysPlan {
     /// The one constructor: clamps `est_rows` to at least one row and
     /// caches the node count, the log features and the Merkle hash.
@@ -169,13 +220,14 @@ impl PhysPlan {
         est_rows: f64,
         est_cost: f64,
         width: u32,
-        payload: OpPayload,
-        exec: ExecOp,
-        children: Vec<Arc<PhysPlan>>,
+        payload: Arc<OpPayload>,
+        exec: Arc<ExecOp>,
+        children: Children,
     ) -> PhysPlan {
         let est_rows = est_rows.max(1.0);
         let log_cost = log_feature(est_cost);
         let log_rows = log_feature(est_rows);
+        let kids = children.as_slice();
         PhysPlan {
             node_type,
             est_rows,
@@ -185,15 +237,10 @@ impl PhysPlan {
             exec,
             actual_rows: 0.0,
             actual_ms: 0.0,
-            len: 1 + children.iter().map(|c| c.len).sum::<usize>(),
+            len: 1 + kids.iter().map(|c| c.len).sum::<usize>(),
             log_cost,
             log_rows,
-            merkle: node_fingerprint(
-                node_type,
-                log_cost,
-                log_rows,
-                children.iter().map(|c| c.merkle),
-            ),
+            merkle: node_fingerprint(node_type, log_cost, log_rows, kids.iter().map(|c| c.merkle)),
             children,
         }
     }
@@ -215,13 +262,13 @@ impl PhysPlan {
 
     /// Children (outer/probe side first for joins), shared between plans.
     pub fn children(&self) -> &[Arc<PhysPlan>] {
-        &self.children
+        self.children.as_slice()
     }
 
     /// The children, for writers of actuals: each one goes through
     /// [`Arc::make_mut`] before it is written.
     pub(crate) fn children_mut(&mut self) -> &mut [Arc<PhysPlan>] {
-        &mut self.children
+        self.children.as_mut_slice()
     }
 
     /// Number of nodes in this sub-plan.
@@ -261,11 +308,11 @@ impl PhysPlan {
 
     fn build_into(&self, builder: &mut TreeBuilder) -> dace_plan::NodeId {
         let children: Vec<dace_plan::NodeId> = self
-            .children
+            .children()
             .iter()
             .map(|c| c.build_into(builder))
             .collect();
-        let mut node = PlanNode::new(self.node_type, self.payload.clone());
+        let mut node = PlanNode::new(self.node_type, OpPayload::clone(&self.payload));
         node.est_rows = self.est_rows;
         node.est_cost = self.est_cost;
         node.width = self.width;
@@ -298,12 +345,17 @@ pub fn plan_with_strategy(
 ) -> Result<PhysPlan, PlanError> {
     validate_query(query)?;
     let est = CardEstimator::new(db);
+    let mut cands = Vec::new();
 
     // Best access path per base relation.
-    let base: Vec<PhysPlan> = query
+    let mut base: Vec<Side> = query
         .tables
         .iter()
-        .map(|&t| best_scan(db, query, t, cost_model, &est))
+        .enumerate()
+        .map(|(i, &t)| {
+            scan_candidates(db, query, t, cost_model, &est, &mut cands);
+            Side::new(1 << i, Arc::new(pick_min_cost(cands.drain(..))))
+        })
         .collect();
 
     // Join enumeration.
@@ -314,22 +366,19 @@ pub fn plan_with_strategy(
         JoinStrategy::Greedy => false,
     };
     let joined = if k == 1 {
-        Arc::new(
-            base.into_iter()
-                .next()
-                .expect("one relation, one base plan"),
-        )
+        base.pop().expect("one relation, one base plan").plan
     } else if use_dp {
-        dp_join(db, query, base, cost_model, &est)?
+        dp_join(db, query, base, cost_model, &est, &mut cands)?
     } else {
-        greedy_join(db, query, base, cost_model, &est)?
+        greedy_join(db, query, base, cost_model, &est, &mut cands)?
     };
 
     // Aggregation.
     let with_agg = if query.aggregates.is_empty() {
         joined
     } else {
-        Arc::new(add_aggregate(query, &joined, cost_model, &est))
+        aggregate_candidates(query, &joined, cost_model, &est, &mut cands);
+        Arc::new(pick_min_cost(cands.drain(..)))
     };
 
     // LIMIT.
@@ -355,9 +404,9 @@ pub(crate) fn finish_limit(
                 out,
                 cost,
                 with_agg.width,
-                OpPayload::Other,
-                ExecOp::Limit { n },
-                vec![with_agg],
+                other(),
+                Arc::new(ExecOp::Limit { n }),
+                Children::One([with_agg]),
             )
         }
         None => Arc::unwrap_or_clone(with_agg),
@@ -368,7 +417,7 @@ pub(crate) fn finish_limit(
 /// historical `if cand.est_cost < best.est_cost { best = cand }` chains
 /// exactly (ties keep the earlier candidate), so splitting generation from
 /// selection changes no plan the analytic planner picks.
-pub(crate) fn pick_min_cost(cands: Vec<PhysPlan>) -> PhysPlan {
+pub(crate) fn pick_min_cost(cands: impl IntoIterator<Item = PhysPlan>) -> PhysPlan {
     cands
         .into_iter()
         .reduce(|best, c| if c.est_cost < best.est_cost { c } else { best })
@@ -380,110 +429,83 @@ const GATHER_MIN_ROWS: f64 = 15_000.0;
 /// Simulated parallel workers.
 const GATHER_WORKERS: f64 = 2.0;
 
-/// Pick the cheapest access path for `table`.
-fn best_scan(
-    db: &Database,
-    query: &Query,
-    table: TableId,
-    cm: &CostModel,
-    est: &CardEstimator<'_>,
-) -> PhysPlan {
-    pick_min_cost(scan_candidates(db, query, table, cm, est))
-}
-
-/// Enumerate every viable access path for `table`, cheapest-analytic-first
-/// semantics left to the caller. Generation order matches the historical
-/// replace-if-strictly-cheaper chain (seq → gather → index → index-only →
-/// bitmap), so [`pick_min_cost`] over this list reproduces [`best_scan`]
-/// exactly; the learned search driver instead scores the whole list.
+/// Append every viable access path for `table` to `out`, cheapest-analytic-
+/// first semantics left to the caller. Generation order matches the
+/// historical replace-if-strictly-cheaper chain (seq → gather → index →
+/// index-only → bitmap), so [`pick_min_cost`] over the appended run is the
+/// analytic planner's pick; the learned search driver instead scores it.
+///
+/// The table's scan payload and `Scan` instruction are built once and
+/// shared by every path that reads the table.
 pub(crate) fn scan_candidates(
     db: &Database,
     query: &Query,
     table: TableId,
     cm: &CostModel,
     est: &CardEstimator<'_>,
-) -> Vec<PhysPlan> {
+    out: &mut Vec<PhysPlan>,
+) {
     let stats = db.table_stats(table);
     let rows = stats.row_count as f64;
     let n_cols = db.schema.table(table).columns.len();
     let width = (n_cols * 8) as u32;
-    let preds: Vec<Predicate> = query.predicates_on(table).into_iter().cloned().collect();
-    let sel = est.scan_selectivity(query, table);
+    let preds = query.predicates_on(table);
+    let sel = est.conjunction_selectivity(&preds);
     let out_rows = (rows * sel).max(1.0);
-    let payload = scan_payload(db, table, &preds, est);
-    let exec = ExecOp::Scan {
-        table,
-        predicates: preds.clone(),
-    };
-
-    // Sequential scan (always available).
-    let seq_cost = cm.seq_scan(rows, width as f64, preds.len());
-    let mut cands = vec![PhysPlan::new(
-        NodeType::SeqScan,
-        out_rows,
-        seq_cost,
-        width,
-        payload.clone(),
-        exec.clone(),
-        vec![],
-    )];
-
-    // Parallel alternative for big sequential scans.
-    if rows > GATHER_MIN_ROWS {
-        let gather_cost = cm.gather(seq_cost, out_rows, GATHER_WORKERS);
-        let child = PhysPlan::new(
-            NodeType::SeqScan,
-            out_rows,
-            seq_cost / GATHER_WORKERS,
-            width,
-            payload.clone(),
-            exec.clone(),
-            vec![],
-        );
-        cands.push(PhysPlan::new(
-            NodeType::Gather,
-            out_rows,
-            gather_cost,
-            width,
-            OpPayload::Other,
-            ExecOp::PassThrough,
-            vec![Arc::new(child)],
-        ));
-    }
-
+    let payload = Arc::new(scan_payload(db, table, &preds, est));
     // Index paths need an indexed predicate column; drive the index with the
     // most selective indexed predicate.
     let indexed: Option<(&Predicate, f64)> = preds
         .iter()
         .filter(|p| db.schema.column(p.column).indexed)
-        .map(|p| (p, est.predicate_selectivity(p)))
+        .map(|&p| (p, est.predicate_selectivity(p)))
         .min_by(|a, b| a.1.total_cmp(&b.1));
+    let exec = Arc::new(ExecOp::Scan {
+        table,
+        predicates: preds.iter().map(|&p| p.clone()).collect(),
+    });
+    let leaf = |node_type, cost| {
+        PhysPlan::new(
+            node_type,
+            out_rows,
+            cost,
+            width,
+            Arc::clone(&payload),
+            Arc::clone(&exec),
+            Children::Zero([]),
+        )
+    };
+
+    // Sequential scan (always available).
+    let seq_cost = cm.seq_scan(rows, width as f64, preds.len());
+    out.push(leaf(NodeType::SeqScan, seq_cost));
+
+    // Parallel alternative for big sequential scans.
+    if rows > GATHER_MIN_ROWS {
+        let gather_cost = cm.gather(seq_cost, out_rows, GATHER_WORKERS);
+        let child = leaf(NodeType::SeqScan, seq_cost / GATHER_WORKERS);
+        out.push(PhysPlan::new(
+            NodeType::Gather,
+            out_rows,
+            gather_cost,
+            width,
+            other(),
+            pass_through(),
+            Children::One([Arc::new(child)]),
+        ));
+    }
+
     if let Some((index_pred, index_sel)) = indexed {
         let fetched = (rows * index_sel).max(1.0);
 
         // Plain index scan.
-        let idx_cost = cm.index_scan(rows, fetched);
-        cands.push(PhysPlan::new(
-            NodeType::IndexScan,
-            out_rows,
-            idx_cost,
-            width,
-            payload.clone(),
-            exec.clone(),
-            vec![],
-        ));
+        out.push(leaf(NodeType::IndexScan, cm.index_scan(rows, fetched)));
 
         // Index-only scan when the predicate is on the primary key.
         if index_pred.column.column() == 0 {
-            let io_cost = cm.index_only_scan(rows, fetched);
-            cands.push(PhysPlan::new(
+            out.push(leaf(
                 NodeType::IndexOnlyScan,
-                out_rows,
-                io_cost,
-                width,
-                payload.clone(),
-                exec.clone(),
-                vec![],
+                cm.index_only_scan(rows, fetched),
             ));
         }
 
@@ -496,30 +518,29 @@ pub(crate) fn scan_candidates(
             fetched,
             bis_cost,
             8,
-            OpPayload::Other,
-            ExecOp::Scan {
+            other(),
+            Arc::new(ExecOp::Scan {
                 table,
                 predicates: vec![index_pred.clone()],
-            },
-            vec![],
+            }),
+            Children::Zero([]),
         );
-        cands.push(PhysPlan::new(
+        out.push(PhysPlan::new(
             NodeType::BitmapHeapScan,
             out_rows,
             bhs_cost,
             width,
             payload,
             exec,
-            vec![Arc::new(index_child)],
+            Children::One([Arc::new(index_child)]),
         ));
     }
-    cands
 }
 
 fn scan_payload(
     db: &Database,
     table: TableId,
-    preds: &[Predicate],
+    preds: &[&Predicate],
     est: &CardEstimator<'_>,
 ) -> OpPayload {
     let infos = preds
@@ -547,23 +568,127 @@ fn scan_payload(
     })
 }
 
+/// A join input — a DP entry or a greedy fragment: its table mask, its
+/// chosen sub-plan, and the pass-through wrappers join candidates put over
+/// that sub-plan. A wrapper depends on the sub-plan alone, so each one is
+/// built the first time a candidate needs it and then shared by every
+/// later candidate over this input.
+#[derive(Debug)]
+pub(crate) struct Side {
+    pub(crate) mask: u32,
+    pub(crate) plan: Arc<PhysPlan>,
+    hash: OnceCell<Arc<PhysPlan>>,
+    sort: OnceCell<Arc<PhysPlan>>,
+    materialize: OnceCell<Arc<PhysPlan>>,
+}
+
+impl Side {
+    pub(crate) fn new(mask: u32, plan: Arc<PhysPlan>) -> Side {
+        Side {
+            mask,
+            plan,
+            hash: OnceCell::new(),
+            sort: OnceCell::new(),
+            materialize: OnceCell::new(),
+        }
+    }
+
+    /// The `node_type` wrapper cached in `cell`, costing `extra` on top of
+    /// the sub-plan.
+    fn wrapper<'s>(
+        &'s self,
+        cell: &'s OnceCell<Arc<PhysPlan>>,
+        node_type: NodeType,
+        extra: impl FnOnce(&PhysPlan) -> f64,
+    ) -> &'s Arc<PhysPlan> {
+        cell.get_or_init(|| {
+            let p = &self.plan;
+            Arc::new(PhysPlan::new(
+                node_type,
+                p.est_rows,
+                p.est_cost + extra(p),
+                p.width,
+                other(),
+                pass_through(),
+                Children::One([Arc::clone(p)]),
+            ))
+        })
+    }
+
+    fn hash(&self, cm: &CostModel) -> &Arc<PhysPlan> {
+        self.wrapper(&self.hash, NodeType::Hash, |p| {
+            cm.hash_build(p.est_rows, p.width as f64)
+        })
+    }
+
+    fn sort(&self, cm: &CostModel) -> &Arc<PhysPlan> {
+        self.wrapper(&self.sort, NodeType::Sort, |p| {
+            cm.sort(p.est_rows, p.width as f64)
+        })
+    }
+
+    fn materialize(&self, cm: &CostModel) -> &Arc<PhysPlan> {
+        self.wrapper(&self.materialize, NodeType::Materialize, |p| {
+            cm.materialize(p.est_rows, p.width as f64)
+        })
+    }
+}
+
+/// The DP table: the [`Side`] chosen for each table mask, if any. The
+/// sides live in an arena and the table maps every mask to an index into
+/// it, so an empty entry costs four bytes.
+pub(crate) struct DpTable {
+    sides: Vec<Side>,
+    index: Vec<u32>,
+}
+
+/// A mask with no side; past the end of any arena.
+const NO_SIDE: u32 = u32::MAX;
+
+impl DpTable {
+    /// A table over masks `0..=full` holding the base relations' sides.
+    pub(crate) fn new(base: Vec<Side>, full: u32) -> DpTable {
+        let mut index = vec![NO_SIDE; full as usize + 1];
+        for (i, side) in base.iter().enumerate() {
+            index[side.mask as usize] = i as u32;
+        }
+        DpTable { sides: base, index }
+    }
+
+    pub(crate) fn get(&self, mask: u32) -> Option<&Side> {
+        self.sides.get(self.index[mask as usize] as usize)
+    }
+
+    pub(crate) fn insert(&mut self, mask: u32, plan: PhysPlan) {
+        self.index[mask as usize] = self.sides.len() as u32;
+        self.sides.push(Side::new(mask, Arc::new(plan)));
+    }
+
+    /// The plan chosen for `mask`; the join graph is disconnected if none
+    /// was.
+    pub(crate) fn into_plan(mut self, mask: u32) -> Result<Arc<PhysPlan>, PlanError> {
+        match self.index[mask as usize] {
+            NO_SIDE => Err(PlanError::DisconnectedJoinGraph),
+            i => Ok(self.sides.swap_remove(i as usize).plan),
+        }
+    }
+}
+
 /// Dynamic programming over connected table subsets (DPsub).
 fn dp_join(
     db: &Database,
     query: &Query,
-    base: Vec<PhysPlan>,
+    base: Vec<Side>,
     cm: &CostModel,
     est: &CardEstimator<'_>,
+    cands: &mut Vec<PhysPlan>,
 ) -> Result<Arc<PhysPlan>, PlanError> {
     let k = query.tables.len();
-    let edges = masked_edges(query);
+    let edges = masked_edges(db, query);
     let full: u32 = if k == 32 { u32::MAX } else { (1u32 << k) - 1 };
-    let mut dp: Vec<Option<Arc<PhysPlan>>> = vec![None; (full as usize) + 1];
-    for (i, b) in base.into_iter().enumerate() {
-        dp[1 << i] = Some(Arc::new(b));
-    }
+    let mut dp = DpTable::new(base, full);
     for mask in 1..=full {
-        if mask.count_ones() < 2 || dp[mask as usize].is_some() {
+        if mask.count_ones() < 2 || dp.get(mask).is_some() {
             continue;
         }
         let mut best: Option<PhysPlan> = None;
@@ -577,9 +702,10 @@ fn dp_join(
                 left = (left - 1) & mask;
                 continue;
             }
-            if let (Some(l), Some(r)) = (&dp[left as usize], &dp[right as usize]) {
+            if let (Some(l), Some(r)) = (dp.get(left), dp.get(right)) {
                 if let Some(edge) = connecting_edge(&edges, left, right) {
-                    let candidate = best_join(db, (left, l), (right, r), edge, cm, est);
+                    join_candidates(db, l, r, edge, cm, est, cands);
+                    let candidate = pick_min_cost(cands.drain(..));
                     if best
                         .as_ref()
                         .is_none_or(|b| candidate.est_cost < b.est_cost)
@@ -590,11 +716,11 @@ fn dp_join(
             }
             left = (left - 1) & mask;
         }
-        dp[mask as usize] = best.map(Arc::new);
+        if let Some(best) = best {
+            dp.insert(mask, best);
+        }
     }
-    dp[full as usize]
-        .take()
-        .ok_or(PlanError::DisconnectedJoinGraph)
+    dp.into_plan(full)
 }
 
 /// Greedy fallback for very wide queries: repeatedly join the pair with the
@@ -602,17 +728,12 @@ fn dp_join(
 fn greedy_join(
     db: &Database,
     query: &Query,
-    base: Vec<PhysPlan>,
+    mut frags: Vec<Side>,
     cm: &CostModel,
     est: &CardEstimator<'_>,
+    cands: &mut Vec<PhysPlan>,
 ) -> Result<Arc<PhysPlan>, PlanError> {
-    let edges = masked_edges(query);
-    // Each fragment tracks its table mask.
-    let mut frags: Vec<(u32, Arc<PhysPlan>)> = base
-        .into_iter()
-        .enumerate()
-        .map(|(i, b)| (1u32 << i, Arc::new(b)))
-        .collect();
+    let edges = masked_edges(db, query);
     while frags.len() > 1 {
         let mut best: Option<(usize, usize, PhysPlan)> = None;
         for i in 0..frags.len() {
@@ -620,9 +741,10 @@ fn greedy_join(
                 if i == j {
                     continue;
                 }
-                let ((lm, l), (rm, r)) = (&frags[i], &frags[j]);
-                if let Some(edge) = connecting_edge(&edges, *lm, *rm) {
-                    let cand = best_join(db, (*lm, l), (*rm, r), edge, cm, est);
+                let (l, r) = (&frags[i], &frags[j]);
+                if let Some(edge) = connecting_edge(&edges, l.mask, r.mask) {
+                    join_candidates(db, l, r, edge, cm, est, cands);
+                    let cand = pick_min_cost(cands.drain(..));
                     if best.as_ref().is_none_or(|b| cand.est_cost < b.2.est_cost) {
                         best = Some((i, j, cand));
                     }
@@ -630,29 +752,38 @@ fn greedy_join(
             }
         }
         let (i, j, joined) = best.ok_or(PlanError::DisconnectedJoinGraph)?;
-        let mask = frags[i].0 | frags[j].0;
-        let (hi, lo) = if i > j { (i, j) } else { (j, i) };
-        frags.swap_remove(hi);
-        frags.swap_remove(lo);
-        frags.push((mask, Arc::new(joined)));
+        merge_fragments(&mut frags, i, j, joined);
     }
-    Ok(frags.pop().unwrap().1)
+    Ok(frags.pop().unwrap().plan)
+}
+
+/// Replace greedy fragments `i` and `j` by their join `joined`.
+pub(crate) fn merge_fragments(frags: &mut Vec<Side>, i: usize, j: usize, joined: PhysPlan) {
+    let mask = frags[i].mask | frags[j].mask;
+    let (hi, lo) = if i > j { (i, j) } else { (j, i) };
+    frags.swap_remove(hi);
+    frags.swap_remove(lo);
+    frags.push(Side::new(mask, Arc::new(joined)));
 }
 
 /// A join edge with the query-table bits of its two endpoints, so join
-/// enumeration tests fragment masks instead of walking sub-plans.
-#[derive(Debug, Clone, Copy)]
+/// enumeration tests fragment masks instead of walking sub-plans, and the
+/// payload and `Join` instruction every candidate along the edge shares.
+#[derive(Debug, Clone)]
 pub(crate) struct MaskedEdge {
     edge: JoinEdge,
     /// Bit of the FK (child) table.
     child: u32,
     /// Bit of the referenced (parent) table.
     parent: u32,
+    payload: Arc<OpPayload>,
+    exec: Arc<ExecOp>,
 }
 
-/// Every join edge of `query` with its endpoint bits, in query order. An
-/// edge naming a table the query does not list connects nothing.
-pub(crate) fn masked_edges(query: &Query) -> Vec<MaskedEdge> {
+/// Every join edge of `query` with its endpoint bits and shared payload, in
+/// query order. An edge naming a table the query does not list connects
+/// nothing.
+pub(crate) fn masked_edges(db: &Database, query: &Query) -> Vec<MaskedEdge> {
     let bit = |t: TableId| query.tables.iter().position(|&x| x == t).map(|i| 1u32 << i);
     query
         .joins
@@ -662,6 +793,8 @@ pub(crate) fn masked_edges(query: &Query) -> Vec<MaskedEdge> {
                 edge,
                 child: bit(edge.child)?,
                 parent: bit(edge.parent)?,
+                payload: Arc::new(join_payload(db, edge)),
+                exec: Arc::new(ExecOp::Join { edge }),
             })
         })
         .collect()
@@ -670,169 +803,117 @@ pub(crate) fn masked_edges(query: &Query) -> Vec<MaskedEdge> {
 /// The join edge connecting table subsets `left` and `right`, if any.
 /// Query join graphs are trees (the generators add one new table per edge),
 /// so at most one edge connects any two disjoint fragments.
-pub(crate) fn connecting_edge(edges: &[MaskedEdge], left: u32, right: u32) -> Option<MaskedEdge> {
-    edges.iter().copied().find(|e| {
+pub(crate) fn connecting_edge(edges: &[MaskedEdge], left: u32, right: u32) -> Option<&MaskedEdge> {
+    edges.iter().find(|e| {
         (left & e.child != 0 && right & e.parent != 0)
             || (left & e.parent != 0 && right & e.child != 0)
     })
 }
 
-/// Cheapest physical join of `l` and `r` along `edge`.
-fn best_join(
-    db: &Database,
-    l: (u32, &Arc<PhysPlan>),
-    r: (u32, &Arc<PhysPlan>),
-    edge: MaskedEdge,
-    cm: &CostModel,
-    est: &CardEstimator<'_>,
-) -> PhysPlan {
-    pick_min_cost(join_candidates(db, l, r, edge, cm, est))
-}
-
-/// Enumerate every physical join of `l` and `r` along `edge`, in the
-/// historical consideration order (hash → NL-index both orientations →
-/// NL-materialize → sort-merge). [`pick_min_cost`] over this list is
-/// [`best_join`]; the learned driver batches the list for model scoring.
+/// Append every physical join of `l` and `r` along `masked` to `out`, in
+/// the historical consideration order (hash → NL-index both orientations →
+/// NL-materialize → sort-merge). [`pick_min_cost`] over the appended run is
+/// the analytic planner's pick; the learned driver batches it for model
+/// scoring.
 ///
-/// Each side is its fragment's table mask and sub-plan. Candidates share
-/// both sub-plans by `Arc`; only the operator nodes on top are new.
+/// Candidates share both sub-plans, their pass-through wrappers (built once
+/// per [`Side`]) and the edge's payload by `Arc`; only the join nodes on top
+/// are new, and they are stored by value in `out`. The one per-pair
+/// allocation left is an index nested loop's re-costed inner scan.
 pub(crate) fn join_candidates(
     db: &Database,
-    (lmask, l): (u32, &Arc<PhysPlan>),
-    (rmask, r): (u32, &Arc<PhysPlan>),
-    masked: MaskedEdge,
+    l: &Side,
+    r: &Side,
+    masked: &MaskedEdge,
     cm: &CostModel,
     est: &CardEstimator<'_>,
-) -> Vec<PhysPlan> {
+    out: &mut Vec<PhysPlan>,
+) {
     let edge = masked.edge;
-    let left_has_child = lmask & masked.child != 0;
-    let out_rows = est.join_rows(&edge, l.est_rows, r.est_rows, left_has_child);
-    let width = l.width + r.width;
-    let payload = join_payload(db, edge);
-    let exec = ExecOp::Join { edge };
+    let left_has_child = l.mask & masked.child != 0;
+    let (lp, rp) = (&l.plan, &r.plan);
+    let out_rows = est.join_rows(&edge, lp.est_rows, rp.est_rows, left_has_child);
+    let width = lp.width + rp.width;
+    let join = |node_type, cost, outer: &Arc<PhysPlan>, inner: &Arc<PhysPlan>| {
+        PhysPlan::new(
+            node_type,
+            out_rows,
+            cost,
+            width,
+            Arc::clone(&masked.payload),
+            Arc::clone(&masked.exec),
+            Children::Two([Arc::clone(outer), Arc::clone(inner)]),
+        )
+    };
 
     // Hash join: build on the smaller side, probe from the larger.
-    let (probe, build) = if l.est_rows >= r.est_rows {
+    let (probe, build) = if lp.est_rows >= rp.est_rows {
         (l, r)
     } else {
         (r, l)
     };
-    let hash_cost = build.est_cost
-        + probe.est_cost
-        + cm.hash_build(build.est_rows, build.width as f64)
-        + cm.hash_probe(probe.est_rows, out_rows);
-    let hash_node = PhysPlan::new(
-        NodeType::Hash,
-        build.est_rows,
-        build.est_cost + cm.hash_build(build.est_rows, build.width as f64),
-        build.width,
-        OpPayload::Other,
-        ExecOp::PassThrough,
-        vec![Arc::clone(build)],
-    );
-    let mut cands = vec![PhysPlan::new(
-        NodeType::HashJoin,
-        out_rows,
-        hash_cost,
-        width,
-        payload.clone(),
-        exec.clone(),
-        vec![Arc::clone(probe), Arc::new(hash_node)],
-    )];
+    let (probe_p, build_p) = (&probe.plan, &build.plan);
+    let hash_cost = build_p.est_cost
+        + probe_p.est_cost
+        + cm.hash_build(build_p.est_rows, build_p.width as f64)
+        + cm.hash_probe(probe_p.est_rows, out_rows);
+    out.push(join(NodeType::HashJoin, hash_cost, probe_p, build.hash(cm)));
 
     // Nested loop with an index lookup on the inner side: available when the
     // inner fragment is the single parent table (PK lookup per outer row).
-    for (outer, inner, inner_mask) in [(l, r, rmask), (r, l, lmask)] {
-        if inner_mask == masked.parent && is_scan(inner) {
+    for (outer, inner) in [(l, r), (r, l)] {
+        let (outer, inner_p) = (&outer.plan, &inner.plan);
+        if inner.mask == masked.parent && is_scan(inner_p) {
             let parent_rows = db.table_stats(edge.parent).row_count as f64;
             let per_probe = out_rows / outer.est_rows.max(1.0);
             let rescan = cm.index_scan(parent_rows, per_probe.max(1.0));
             let nl_cost = outer.est_cost + cm.nested_loop(outer.est_rows, rescan, out_rows);
             // The inner access path, re-costed as a per-probe index scan.
-            let inner_idx = PhysPlan::new(
+            let inner_idx = Arc::new(PhysPlan::new(
                 NodeType::IndexScan,
                 per_probe.max(1.0),
                 outer.est_rows.max(1.0) * rescan,
-                inner.width,
-                inner.payload.clone(),
-                inner.exec.clone(),
-                inner.children.clone(),
-            );
-            cands.push(PhysPlan::new(
-                NodeType::NestedLoop,
-                out_rows,
-                nl_cost,
-                width,
-                payload.clone(),
-                exec.clone(),
-                vec![Arc::clone(outer), Arc::new(inner_idx)],
+                inner_p.width,
+                Arc::clone(&inner_p.payload),
+                Arc::clone(&inner_p.exec),
+                inner_p.children.clone(),
             ));
+            out.push(join(NodeType::NestedLoop, nl_cost, outer, &inner_idx));
         }
     }
 
     // Nested loop over a materialized inner (wins only for tiny inputs).
     {
-        let (outer, inner) = if l.est_rows <= r.est_rows {
+        let (outer, inner) = if lp.est_rows <= rp.est_rows {
             (l, r)
         } else {
             (r, l)
         };
-        let mat_cost = inner.est_cost + cm.materialize(inner.est_rows, inner.width as f64);
-        let rescan = cm.materialize_rescan(inner.est_rows);
-        let nl_cost = outer.est_cost
-            + mat_cost
-            + cm.nested_loop((outer.est_rows - 1.0).max(0.0), rescan, out_rows);
-        let mat = PhysPlan::new(
-            NodeType::Materialize,
-            inner.est_rows,
-            mat_cost,
-            inner.width,
-            OpPayload::Other,
-            ExecOp::PassThrough,
-            vec![Arc::clone(inner)],
-        );
-        cands.push(PhysPlan::new(
-            NodeType::NestedLoop,
-            out_rows,
-            nl_cost,
-            width,
-            payload.clone(),
-            exec.clone(),
-            vec![Arc::clone(outer), Arc::new(mat)],
-        ));
+        let (outer_p, inner_p) = (&outer.plan, &inner.plan);
+        let mat = inner.materialize(cm);
+        let rescan = cm.materialize_rescan(inner_p.est_rows);
+        let nl_cost = outer_p.est_cost
+            + mat.est_cost
+            + cm.nested_loop((outer_p.est_rows - 1.0).max(0.0), rescan, out_rows);
+        out.push(join(NodeType::NestedLoop, nl_cost, outer_p, mat));
     }
 
     // Sort-merge join.
     {
-        let sort_l = cm.sort(l.est_rows, l.width as f64);
-        let sort_r = cm.sort(r.est_rows, r.width as f64);
-        let merge_cost = l.est_cost
+        let sort_l = cm.sort(lp.est_rows, lp.width as f64);
+        let sort_r = cm.sort(rp.est_rows, rp.width as f64);
+        let merge_cost = lp.est_cost
             + sort_l
-            + r.est_cost
+            + rp.est_cost
             + sort_r
-            + cm.merge_pass(l.est_rows, r.est_rows, out_rows);
-        let mk_sort = |side: &Arc<PhysPlan>, sort_cost: f64| {
-            Arc::new(PhysPlan::new(
-                NodeType::Sort,
-                side.est_rows,
-                side.est_cost + sort_cost,
-                side.width,
-                OpPayload::Other,
-                ExecOp::PassThrough,
-                vec![Arc::clone(side)],
-            ))
-        };
-        cands.push(PhysPlan::new(
+            + cm.merge_pass(lp.est_rows, rp.est_rows, out_rows);
+        out.push(join(
             NodeType::MergeJoin,
-            out_rows,
             merge_cost,
-            width,
-            payload,
-            exec,
-            vec![mk_sort(l, sort_l), mk_sort(r, sort_r)],
+            l.sort(cm),
+            r.sort(cm),
         ));
     }
-    cands
 }
 
 fn join_payload(db: &Database, edge: JoinEdge) -> OpPayload {
@@ -862,48 +943,42 @@ fn is_scan(p: &PhysPlan) -> bool {
     )
 }
 
-/// Add the aggregation operator: hash aggregation vs. sort + group
-/// aggregation by cost; plain aggregation maps to GroupAggregate sans sort.
-fn add_aggregate(
-    query: &Query,
-    child: &Arc<PhysPlan>,
-    cm: &CostModel,
-    est: &CardEstimator<'_>,
-) -> PhysPlan {
-    pick_min_cost(aggregate_candidates(query, child, cm, est))
-}
-
-/// Enumerate aggregation roots over `child`: hash aggregate first, then
-/// sort + group aggregate (the historical `hash_cost <= sorted_cost` tie
-/// preference for hash equals first-wins argmin over this order). Grouping-
-/// free queries have exactly one candidate.
+/// Append the aggregation roots over `child` to `out`: hash aggregate
+/// first, then sort + group aggregate (the historical
+/// `hash_cost <= sorted_cost` tie preference for hash equals first-wins
+/// argmin over this order). Grouping-free queries have exactly one
+/// candidate, a plain single-pass group aggregate.
 pub(crate) fn aggregate_candidates(
     query: &Query,
     child: &Arc<PhysPlan>,
     cm: &CostModel,
     est: &CardEstimator<'_>,
-) -> Vec<PhysPlan> {
+    out: &mut Vec<PhysPlan>,
+) {
     let in_rows = child.est_rows;
     let groups = match query.group_by {
         Some(col) => est.group_count(col, in_rows),
         None => 1.0,
     };
     let width = (query.aggregates.len() as u32 + 1) * 8;
-    let exec = ExecOp::Aggregate {
+    let exec = Arc::new(ExecOp::Aggregate {
         group_by: query.group_by,
-    };
-    if query.group_by.is_none() {
-        // Plain aggregate: single pass.
-        let cost = child.est_cost + cm.group_agg(in_rows, 1.0);
-        return vec![PhysPlan::new(
-            NodeType::GroupAggregate,
-            1.0,
+    });
+    let agg = |node_type, rows, cost, input: Arc<PhysPlan>| {
+        PhysPlan::new(
+            node_type,
+            rows,
             cost,
             width,
-            OpPayload::Other,
-            exec,
-            vec![Arc::clone(child)],
-        )];
+            other(),
+            Arc::clone(&exec),
+            Children::One([input]),
+        )
+    };
+    if query.group_by.is_none() {
+        let cost = child.est_cost + cm.group_agg(in_rows, 1.0);
+        out.push(agg(NodeType::GroupAggregate, 1.0, cost, Arc::clone(child)));
+        return;
     }
     let hash_cost = child.est_cost + cm.hash_agg(in_rows, groups);
     let sorted_cost =
@@ -913,30 +988,22 @@ pub(crate) fn aggregate_candidates(
         in_rows,
         child.est_cost + cm.sort(in_rows, child.width as f64),
         child.width,
-        OpPayload::Other,
-        ExecOp::PassThrough,
-        vec![Arc::clone(child)],
+        other(),
+        pass_through(),
+        Children::One([Arc::clone(child)]),
     );
-    vec![
-        PhysPlan::new(
-            NodeType::HashAggregate,
-            groups,
-            hash_cost,
-            width,
-            OpPayload::Other,
-            exec.clone(),
-            vec![Arc::clone(child)],
-        ),
-        PhysPlan::new(
-            NodeType::GroupAggregate,
-            groups,
-            sorted_cost,
-            width,
-            OpPayload::Other,
-            exec,
-            vec![Arc::new(sort)],
-        ),
-    ]
+    out.push(agg(
+        NodeType::HashAggregate,
+        groups,
+        hash_cost,
+        Arc::clone(child),
+    ));
+    out.push(agg(
+        NodeType::GroupAggregate,
+        groups,
+        sorted_cost,
+        Arc::new(sort),
+    ));
 }
 
 #[cfg(test)]
@@ -977,10 +1044,10 @@ mod tests {
     /// Base tables a plan scans, sorted and deduplicated.
     fn scan_tables(p: &PhysPlan) -> Vec<TableId> {
         fn collect(p: &PhysPlan, out: &mut Vec<TableId>) {
-            if let ExecOp::Scan { table, .. } = p.exec {
+            if let ExecOp::Scan { table, .. } = *p.exec {
                 out.push(table);
             }
-            for c in &p.children {
+            for c in p.children() {
                 collect(c, out);
             }
         }
@@ -992,7 +1059,7 @@ mod tests {
     }
 
     fn check_cost_monotone(p: &PhysPlan) {
-        for c in &p.children {
+        for c in p.children() {
             // Limit nodes legitimately cost less than their children;
             // everything else accumulates.
             if p.node_type != NodeType::Limit && p.node_type != NodeType::Gather {
@@ -1020,7 +1087,7 @@ mod tests {
             }
             let p = plan(&db, q, &CostModel::default()).unwrap();
             let root_ty = match q.limit {
-                Some(_) => p.children[0].node_type,
+                Some(_) => p.children()[0].node_type,
                 None => p.node_type,
             };
             assert!(
@@ -1086,7 +1153,7 @@ mod tests {
 
     fn collect_types(p: &PhysPlan, out: &mut std::collections::HashSet<NodeType>) {
         out.insert(p.node_type);
-        for c in &p.children {
+        for c in p.children() {
             collect_types(c, out);
         }
     }

@@ -27,15 +27,10 @@ use crate::card::CardEstimator;
 use crate::cost::CostModel;
 use crate::planner::{
     aggregate_candidates, connecting_edge, finish_limit, join_candidates, masked_edges,
-    scan_candidates, validate_query, JoinStrategy, PhysPlan, PlanError, DP_AUTO_MAX,
+    merge_fragments, scan_candidates, validate_query, DpTable, JoinStrategy, PhysPlan, PlanError,
+    Side, DP_AUTO_MAX,
 };
 use crate::search::scorer::PlanScorer;
-
-/// One scoring group covering the whole candidate batch.
-#[allow(clippy::single_range_in_vec_init)]
-fn whole_batch(n: usize) -> [Range<usize>; 1] {
-    [0..n]
-}
 
 /// Counters from one driven search (per-query; sum across a workload for
 /// the experiment report).
@@ -60,6 +55,64 @@ pub struct SearchReport {
 pub struct SearchSession<'a> {
     db: &'a Database,
     cm: &'a CostModel,
+}
+
+/// One decision level's batch: the candidates, the decision groups
+/// partitioning them, and the index each group picked. One `Level` serves
+/// every level of a query, so its buffers are allocated once per query.
+#[derive(Default)]
+struct Level {
+    cands: Vec<PhysPlan>,
+    groups: Vec<Range<usize>>,
+    picked: Vec<usize>,
+}
+
+impl Level {
+    fn clear(&mut self) {
+        self.cands.clear();
+        self.groups.clear();
+    }
+
+    /// Close the decision group of the candidates pushed since `start`;
+    /// an empty group is dropped. Returns whether the group was kept.
+    fn close_group(&mut self, start: usize) -> bool {
+        let kept = self.cands.len() > start;
+        if kept {
+            self.groups.push(start..self.cands.len());
+        }
+        kept
+    }
+
+    /// Score the batch and record the first-wins argmin index per group.
+    fn pick(&mut self, scorer: &mut dyn PlanScorer, report: &mut SearchReport) {
+        let _span = span!("search_score");
+        let scores = scorer.score(&self.cands, &self.groups);
+        debug_assert_eq!(scores.len(), self.cands.len());
+        report.candidates_scored += self.cands.len();
+        report.score_batches += 1;
+        report.decision_groups += self.groups.len();
+        self.picked.clear();
+        self.picked.extend(self.groups.iter().map(|g| {
+            let mut best = g.start;
+            for i in g.clone() {
+                if scores[i] < scores[best] {
+                    best = i;
+                }
+            }
+            best
+        }));
+    }
+
+    /// Move the picked candidates out, one per group in group order, and
+    /// drop the losers (releasing their holds on shared sub-plans). The
+    /// candidate buffer keeps its allocation.
+    fn drain_picked(&mut self) -> impl Iterator<Item = PhysPlan> + '_ {
+        let mut next = self.picked.iter().peekable();
+        self.cands
+            .drain(..)
+            .enumerate()
+            .filter_map(move |(i, c)| next.next_if_eq(&&i).map(|_| c))
+    }
 }
 
 impl<'a> SearchSession<'a> {
@@ -93,20 +146,23 @@ impl<'a> SearchSession<'a> {
             .then(|| dace_obs::trace_scope(dace_obs::next_trace_id()));
         let est = CardEstimator::new(self.db);
         let mut report = SearchReport::default();
+        let mut level = Level::default();
 
         // Level 0: every table's access paths, one batch, one group per
         // table.
-        let base = {
+        let mut base: Vec<Side> = {
             let _span = span!("search_scan");
-            let mut cands: Vec<PhysPlan> = Vec::new();
-            let mut groups: Vec<Range<usize>> = Vec::new();
             for &t in &query.tables {
-                let start = cands.len();
-                cands.extend(scan_candidates(self.db, query, t, self.cm, &est));
-                groups.push(start..cands.len());
+                let start = level.cands.len();
+                scan_candidates(self.db, query, t, self.cm, &est, &mut level.cands);
+                level.close_group(start);
             }
-            let picked = self.pick(scorer, &cands, &groups, &mut report);
-            take_picked(cands, &picked)
+            level.pick(scorer, &mut report);
+            level
+                .drain_picked()
+                .enumerate()
+                .map(|(i, p)| Side::new(1 << i, Arc::new(p)))
+                .collect()
         };
 
         // Join enumeration.
@@ -117,15 +173,11 @@ impl<'a> SearchSession<'a> {
             JoinStrategy::Greedy => false,
         };
         let joined = if k == 1 {
-            Arc::new(
-                base.into_iter()
-                    .next()
-                    .expect("one relation, one base plan"),
-            )
+            base.pop().expect("one relation, one base plan").plan
         } else if use_dp {
-            self.dp_join(query, base, &est, scorer, &mut report)?
+            self.dp_join(query, base, &est, scorer, &mut level, &mut report)?
         } else {
-            self.greedy_join(query, base, &est, scorer, &mut report)?
+            self.greedy_join(query, base, &est, scorer, &mut level, &mut report)?
         };
 
         // Aggregation.
@@ -133,45 +185,19 @@ impl<'a> SearchSession<'a> {
             joined
         } else {
             let _span = span!("search_aggregate");
-            let cands = aggregate_candidates(query, &joined, self.cm, &est);
-            let groups = whole_batch(cands.len());
-            let picked = self.pick(scorer, &cands, &groups, &mut report);
+            level.clear();
+            aggregate_candidates(query, &joined, self.cm, &est, &mut level.cands);
+            level.close_group(0);
+            level.pick(scorer, &mut report);
             Arc::new(
-                take_picked(cands, &picked)
-                    .pop()
+                level
+                    .drain_picked()
+                    .next()
                     .expect("one aggregate group, one pick"),
             )
         };
 
         Ok((finish_limit(query, with_agg, self.cm), report))
-    }
-
-    /// Score one batch and return the first-wins argmin index per group.
-    fn pick(
-        &self,
-        scorer: &mut dyn PlanScorer,
-        cands: &[PhysPlan],
-        groups: &[Range<usize>],
-        report: &mut SearchReport,
-    ) -> Vec<usize> {
-        let _span = span!("search_score");
-        let scores = scorer.score(cands, groups);
-        debug_assert_eq!(scores.len(), cands.len());
-        report.candidates_scored += cands.len();
-        report.score_batches += 1;
-        report.decision_groups += groups.len();
-        groups
-            .iter()
-            .map(|g| {
-                let mut best = g.start;
-                for i in g.clone() {
-                    if scores[i] < scores[best] {
-                        best = i;
-                    }
-                }
-                best
-            })
-            .collect()
     }
 
     /// DPsub join enumeration, level-batched: all candidate joins of all
@@ -180,29 +206,28 @@ impl<'a> SearchSession<'a> {
     fn dp_join(
         &self,
         query: &Query,
-        base: Vec<PhysPlan>,
+        base: Vec<Side>,
         est: &CardEstimator<'_>,
         scorer: &mut dyn PlanScorer,
+        level: &mut Level,
         report: &mut SearchReport,
     ) -> Result<Arc<PhysPlan>, PlanError> {
         let _span = span!("search_dp_join");
         let k = query.tables.len();
-        let edges = masked_edges(query);
+        let edges = masked_edges(self.db, query);
         let full: u32 = if k == 32 { u32::MAX } else { (1u32 << k) - 1 };
-        let mut dp: Vec<Option<Arc<PhysPlan>>> = vec![None; (full as usize) + 1];
-        for (i, b) in base.into_iter().enumerate() {
-            dp[1 << i] = Some(Arc::new(b));
-        }
+        let mut dp = DpTable::new(base, full);
+        // The mask each decision group of the current level decides.
+        let mut masks: Vec<u32> = Vec::new();
         for size in 2..=(k as u32) {
             report.join_levels += 1;
-            let mut cands: Vec<PhysPlan> = Vec::new();
-            let mut groups: Vec<Range<usize>> = Vec::new();
-            let mut masks: Vec<u32> = Vec::new();
+            level.clear();
+            masks.clear();
             for mask in 1..=full {
                 if mask.count_ones() != size {
                     continue;
                 }
-                let start = cands.len();
+                let start = level.cands.len();
                 // Proper submasks, descending — the analytic planner's
                 // enumeration order.
                 let mut left = (mask - 1) & mask;
@@ -214,36 +239,26 @@ impl<'a> SearchSession<'a> {
                         left = (left - 1) & mask;
                         continue;
                     }
-                    if let (Some(l), Some(r)) = (&dp[left as usize], &dp[right as usize]) {
+                    if let (Some(l), Some(r)) = (dp.get(left), dp.get(right)) {
                         if let Some(edge) = connecting_edge(&edges, left, right) {
-                            cands.extend(join_candidates(
-                                self.db,
-                                (left, l),
-                                (right, r),
-                                edge,
-                                self.cm,
-                                est,
-                            ));
+                            join_candidates(self.db, l, r, edge, self.cm, est, &mut level.cands);
                         }
                     }
                     left = (left - 1) & mask;
                 }
-                if cands.len() > start {
-                    groups.push(start..cands.len());
+                if level.close_group(start) {
                     masks.push(mask);
                 }
             }
-            if cands.is_empty() {
+            if level.cands.is_empty() {
                 continue;
             }
-            let picked = self.pick(scorer, &cands, &groups, report);
-            for (m, plan) in masks.into_iter().zip(take_picked(cands, &picked)) {
-                dp[m as usize] = Some(Arc::new(plan));
+            level.pick(scorer, report);
+            for (&m, plan) in masks.iter().zip(level.drain_picked()) {
+                dp.insert(m, plan);
             }
         }
-        dp[full as usize]
-            .take()
-            .ok_or(PlanError::DisconnectedJoinGraph)
+        dp.into_plan(full)
     }
 
     /// Greedy join for wide queries: each round batches every joinable
@@ -252,71 +267,44 @@ impl<'a> SearchSession<'a> {
     fn greedy_join(
         &self,
         query: &Query,
-        base: Vec<PhysPlan>,
+        mut frags: Vec<Side>,
         est: &CardEstimator<'_>,
         scorer: &mut dyn PlanScorer,
+        level: &mut Level,
         report: &mut SearchReport,
     ) -> Result<Arc<PhysPlan>, PlanError> {
         let _span = span!("search_greedy_join");
-        let edges = masked_edges(query);
-        let mut frags: Vec<(u32, Arc<PhysPlan>)> = base
-            .into_iter()
-            .enumerate()
-            .map(|(i, b)| (1u32 << i, Arc::new(b)))
-            .collect();
+        let edges = masked_edges(self.db, query);
+        // The fragment pair each candidate of the current round joins.
+        let mut pair_of: Vec<(usize, usize)> = Vec::new();
         while frags.len() > 1 {
             report.join_levels += 1;
-            let mut cands: Vec<PhysPlan> = Vec::new();
-            let mut pair_of: Vec<(usize, usize)> = Vec::new();
+            level.clear();
+            pair_of.clear();
             for i in 0..frags.len() {
                 for j in 0..frags.len() {
                     if i == j {
                         continue;
                     }
-                    let ((lm, l), (rm, r)) = (&frags[i], &frags[j]);
-                    if let Some(edge) = connecting_edge(&edges, *lm, *rm) {
-                        let start = cands.len();
-                        cands.extend(join_candidates(
-                            self.db,
-                            (*lm, l),
-                            (*rm, r),
-                            edge,
-                            self.cm,
-                            est,
-                        ));
-                        pair_of.extend(std::iter::repeat_n((i, j), cands.len() - start));
+                    let (l, r) = (&frags[i], &frags[j]);
+                    if let Some(edge) = connecting_edge(&edges, l.mask, r.mask) {
+                        let start = level.cands.len();
+                        join_candidates(self.db, l, r, edge, self.cm, est, &mut level.cands);
+                        pair_of.extend(std::iter::repeat_n((i, j), level.cands.len() - start));
                     }
                 }
             }
-            if cands.is_empty() {
+            if !level.close_group(0) {
                 return Err(PlanError::DisconnectedJoinGraph);
             }
-            let groups = whole_batch(cands.len());
-            let picked = self.pick(scorer, &cands, &groups, report);
-            let (i, j) = pair_of[picked[0]];
-            let joined = take_picked(cands, &picked)
-                .pop()
+            level.pick(scorer, report);
+            let (i, j) = pair_of[level.picked[0]];
+            let joined = level
+                .drain_picked()
+                .next()
                 .expect("one greedy group, one pick");
-            let mask = frags[i].0 | frags[j].0;
-            let (hi, lo) = if i > j { (i, j) } else { (j, i) };
-            frags.swap_remove(hi);
-            frags.swap_remove(lo);
-            frags.push((mask, Arc::new(joined)));
+            merge_fragments(&mut frags, i, j, joined);
         }
-        Ok(frags.pop().unwrap().1)
+        Ok(frags.pop().unwrap().plan)
     }
-}
-
-/// Move the picked candidates out of `cands`, in `picked` order. `picked`
-/// holds one index per decision group, so it is strictly ascending: the
-/// losers are dropped, releasing their holds on shared sub-plans.
-fn take_picked(cands: Vec<PhysPlan>, picked: &[usize]) -> Vec<PhysPlan> {
-    let mut next = picked.iter().peekable();
-    let kept: Vec<PhysPlan> = cands
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, c)| next.next_if_eq(&&i).map(|_| c))
-        .collect();
-    debug_assert_eq!(kept.len(), picked.len());
-    kept
 }

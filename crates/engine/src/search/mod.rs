@@ -13,13 +13,14 @@
 //!   the analytic planner bit-for-bit), [`LearnedScorer`] (batched DACE
 //!   predictions, lower predicted ms wins) and [`HybridScorer`] (learned
 //!   for expensive decision groups, analytic below a cost threshold).
-//! * [`ScoreMemo`] — a sharded LRU over sub-plan fingerprints
+//! * [`ScoreMemo`] — a single-owner sharded LRU over sub-plan fingerprints
 //!   ([`dace_core::Featurizer::fingerprint`], the same salted Merkle key
 //!   the serve feature cache uses) so shared sub-trees are featurized and
 //!   scored exactly once across the enumeration. Candidates share their
-//!   sub-plans by `Arc` and carry their Merkle hash and log features from
-//!   construction, so keying a candidate costs O(1) and encoding a miss
-//!   reads no tree but its own.
+//!   sub-plans, wrappers and payloads by `Arc`, store their children inline
+//!   and carry their Merkle hash and log features from construction, so
+//!   building a losing candidate allocates nothing, keying one costs O(1)
+//!   and encoding a miss reads no tree but its own.
 //! * [`CrossMachineRouter`] — scores the finished plan under M1- and
 //!   M2-tuned adapters resolved from the serve [`ModelRegistry`] and
 //!   reports the cheaper machine.

@@ -2,9 +2,9 @@
 //!
 //! The paper fine-tunes DACE per machine with LoRA adapters (M1/M2 differ in
 //! hardware, so the same plan has different latency on each). Given a
-//! registry holding machine-tuned adapters, routing is one batched forward:
-//! score the finished plan under each machine's model and run it where the
-//! predicted latency is lower. This is the learned-cost cross-engine
+//! registry holding machine-tuned adapters, routing is two single-plan
+//! forwards, one per machine's model (`predict_ms`): score the finished plan
+//! under each and run it where the predicted latency is lower. This is the learned-cost cross-engine
 //! decision of "A Learned Cost Model-based Cross-engine Optimizer"
 //! (PAPERS.md), applied to machine selection.
 

@@ -9,7 +9,6 @@
 //! comparing one against the other.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::ops::Range;
 
 use dace_core::{DaceEstimator, Featurizer, ScoreSession, Tensor2, FEATURE_DIM};
@@ -17,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::planner::PhysPlan;
-use crate::search::memo::ScoreMemo;
+use crate::search::memo::{KeyMap, ScoreMemo};
 
 /// A strategy for ranking candidate sub-plans; lower score wins.
 pub trait PlanScorer {
@@ -121,8 +120,8 @@ pub struct LearnedScorer<'a> {
     salt: u64,
     dedup_hits: u64,
     /// Batch-local dedup: key → slot among the batch's fresh candidates.
-    /// Cleared per batch; its allocation is kept.
-    slot_of: HashMap<u64, usize>,
+    /// Cleared per batch; its allocation is kept, like every buffer below.
+    slot_of: KeyMap<usize>,
     /// The batch's fresh candidates, one per distinct missed key.
     fresh: Vec<usize>,
     /// Every missed candidate with its slot among `fresh`.
@@ -152,7 +151,7 @@ impl<'a> LearnedScorer<'a> {
             memo: ScoreMemo::new(memo_capacity),
             salt: est.featurizer.salt(),
             dedup_hits: 0,
-            slot_of: HashMap::new(),
+            slot_of: KeyMap::default(),
             fresh: Vec::new(),
             missed: Vec::new(),
             rows: Tensor2::default(),
@@ -196,29 +195,38 @@ impl<'a> LearnedScorer<'a> {
         &self.rows
     }
 
-    /// Score a set of candidate sub-plans (by reference so [`HybridScorer`]
-    /// can route a sub-batch here without cloning plans).
-    pub(crate) fn score_refs(&mut self, cands: &[&PhysPlan]) -> Vec<f64> {
+    /// Score the candidates `subset` names (indices into `cands`)
+    /// and write each score to its candidate's index in `scores`, so
+    /// [`HybridScorer`] routes a sub-batch here without collecting it.
+    pub(crate) fn score_into(
+        &mut self,
+        cands: &[PhysPlan],
+        subset: impl Iterator<Item = usize> + Clone,
+        scores: &mut [f64],
+    ) {
         let featurizer = &self.session.estimator().featurizer;
         if !self.memo.enabled() {
             // Memo disabled: one batch over everything, no dedup. This is
             // the baseline the bit-identity test compares against.
             encode_rows(
                 featurizer,
-                cands.iter().copied(),
+                subset.clone().map(|i| &cands[i]),
                 &mut self.rows,
                 &mut self.lens,
             );
-            return self.session.score_rows_ms(&self.rows, &self.lens).to_vec();
+            let fresh_scores = self.session.score_rows_ms(&self.rows, &self.lens);
+            for (i, &score) in subset.zip(fresh_scores) {
+                scores[i] = score;
+            }
+            return;
         }
-        let mut scores = vec![0.0f64; cands.len()];
         // Look every candidate up before any insert, and score each
         // distinct missed key once.
         self.slot_of.clear();
         self.fresh.clear();
         self.missed.clear();
-        for (i, c) in cands.iter().enumerate() {
-            let key = self.salt ^ c.merkle();
+        for i in subset {
+            let key = self.salt ^ cands[i].merkle();
             if let Some(s) = self.memo.get(key) {
                 scores[i] = s;
                 continue;
@@ -237,11 +245,11 @@ impl<'a> LearnedScorer<'a> {
             self.missed.push((i, slot));
         }
         if self.fresh.is_empty() {
-            return scores;
+            return;
         }
         encode_rows(
             featurizer,
-            self.fresh.iter().map(|&i| cands[i]),
+            self.fresh.iter().map(|&i| &cands[i]),
             &mut self.rows,
             &mut self.lens,
         );
@@ -252,7 +260,6 @@ impl<'a> LearnedScorer<'a> {
         for &(i, slot) in &self.missed {
             scores[i] = fresh_scores[slot];
         }
-        scores
     }
 }
 
@@ -293,8 +300,9 @@ impl PlanScorer for LearnedScorer<'_> {
     }
 
     fn score(&mut self, cands: &[PhysPlan], _groups: &[Range<usize>]) -> Vec<f64> {
-        let refs: Vec<&PhysPlan> = cands.iter().collect();
-        self.score_refs(&refs)
+        let mut scores = vec![0.0; cands.len()];
+        self.score_into(cands, 0..cands.len(), &mut scores);
+        scores
     }
 }
 
@@ -312,6 +320,9 @@ pub struct HybridScorer<'a> {
     threshold: f64,
     learned_groups: u64,
     analytic_groups: u64,
+    /// The batch's candidates in groups routed to the model; cleared per
+    /// batch, its allocation kept.
+    routed: Vec<usize>,
 }
 
 impl<'a> HybridScorer<'a> {
@@ -323,6 +334,7 @@ impl<'a> HybridScorer<'a> {
             threshold,
             learned_groups: 0,
             analytic_groups: 0,
+            routed: Vec::new(),
         }
     }
 
@@ -349,7 +361,7 @@ impl PlanScorer for HybridScorer<'_> {
 
     fn score(&mut self, cands: &[PhysPlan], groups: &[Range<usize>]) -> Vec<f64> {
         let mut scores: Vec<f64> = cands.iter().map(|c| c.est_cost()).collect();
-        let mut routed: Vec<usize> = Vec::new();
+        self.routed.clear();
         for g in groups {
             let min_cost = cands[g.clone()]
                 .iter()
@@ -357,17 +369,14 @@ impl PlanScorer for HybridScorer<'_> {
                 .fold(f64::INFINITY, f64::min);
             if min_cost >= self.threshold {
                 self.learned_groups += 1;
-                routed.extend(g.clone());
+                self.routed.extend(g.clone());
             } else {
                 self.analytic_groups += 1;
             }
         }
-        if !routed.is_empty() {
-            let refs: Vec<&PhysPlan> = routed.iter().map(|&i| &cands[i]).collect();
-            let learned_scores = self.learned.score_refs(&refs);
-            for (k, &i) in routed.iter().enumerate() {
-                scores[i] = learned_scores[k];
-            }
+        if !self.routed.is_empty() {
+            self.learned
+                .score_into(cands, self.routed.iter().copied(), &mut scores);
         }
         scores
     }
