@@ -20,6 +20,7 @@
 //!   feeds knowledge integration into within-database models (Eq. 9).
 
 mod adapter;
+mod crew;
 mod featurize;
 mod loss;
 mod model;

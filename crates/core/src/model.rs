@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::adapter::{AdapterError, LoraAdapter, LoraLayerWeights};
 use crate::featurize::{PackedBatch, PlanFeatures, FEATURE_DIM};
-use crate::rootnet::{RootBlock, RootCell, RootNet};
+use crate::rootnet::{FoldGrads, RootBlock, RootCell, RootNet};
 
 /// Width of the penultimate hidden layer `h₂` — the encoding dimension the
 /// pre-trained-encoder interface exposes (Eq. 9: `w_E = h₂`).
@@ -127,9 +127,74 @@ impl DaceModel {
             .backward_rows(
                 d_pred,
                 &mut self.ws,
+                &mut FoldGrads::default(),
                 &mut self.attention,
                 [&mut self.l1, &mut self.l2, &mut self.l3],
             );
+    }
+
+    /// The data-parallel training backward, run serially: for each plan
+    /// shard of one mini-batch, the all-rows forward and the backward's
+    /// row pass from that shard's prediction gradients `d_preds[s]`
+    /// (already scaled for the whole batch); then the shards' fold-space
+    /// gradients summed in shard order and projected onto the parameters
+    /// once. [`Trainer::fit`](crate::Trainer::fit) runs the same steps with
+    /// the shards spread over its worker threads, so a batch's gradient
+    /// does not depend on how many threads computed it. Accumulates like
+    /// [`DaceModel::backward_compact`].
+    pub fn backward_shards(&mut self, shards: &[PackedBatch], d_preds: &[Tensor2]) {
+        assert_eq!(shards.len(), d_preds.len(), "one gradient per shard");
+        let scores = self.scores_trainable();
+        let net = self
+            .root
+            .get_or_refold(&self.attention, [&self.l1, &self.l2, &self.l3]);
+        let (mut total, mut part) = (FoldGrads::default(), FoldGrads::default());
+        for (s, (shard, d_pred)) in shards.iter().zip(d_preds).enumerate() {
+            net.forward_rows(shard, &mut self.ws);
+            let out = if s == 0 { &mut total } else { &mut part };
+            net.row_grads(d_pred, &mut self.ws, scores, out);
+            if s > 0 {
+                total.add_assign(&part);
+            }
+        }
+        if !shards.is_empty() {
+            net.apply_grads(
+                &total,
+                &mut self.ws,
+                &mut self.attention,
+                [&mut self.l1, &mut self.l2, &mut self.l3],
+            );
+        }
+    }
+
+    /// Whether the attention projections train, so the backward's row pass
+    /// must compute the score gradient `dM` (pre-training, not LoRA
+    /// fine-tuning).
+    pub(crate) fn scores_trainable(&self) -> bool {
+        self.attention.wq.trainable || self.attention.wk.trainable
+    }
+
+    /// Fold the current weights into `net`, reusing its buffers: the
+    /// trainer's own copy of the fold, which its worker threads share.
+    pub(crate) fn refold_into(&self, net: &mut RootNet) {
+        net.refold(&self.attention, self.mlp());
+    }
+
+    /// Project fold-space gradients onto the trainable parameters
+    /// ([`RootNet::apply_grads`]). `net` must be the fold of the current
+    /// weights; `ws` lends only its projection scratch.
+    pub(crate) fn apply_fold_grads(
+        &mut self,
+        net: &RootNet,
+        grads: &FoldGrads,
+        ws: &mut Workspace,
+    ) {
+        net.apply_grads(
+            grads,
+            ws,
+            &mut self.attention,
+            [&mut self.l1, &mut self.l2, &mut self.l3],
+        );
     }
 
     /// Batched root-latency inference over already-featurized plans:

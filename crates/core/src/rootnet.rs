@@ -21,10 +21,14 @@
 //! * **All rows** ([`RootNet::forward_rows`] / [`RootNet::backward_rows`]):
 //!   training scores every sub-plan (Eq. 6–7), and sub-plan inference reads
 //!   every row. The same ≈10.9k per row forward, ≈21k per row backward, and
-//!   ~`4d` per attended pair. The parameter gradients follow from the folded
-//!   ones by the chain rule once per backward (see
-//!   [`RootNet::backward_rows`]), so training moves the paper's parameters
-//!   and Adam state exactly as the unfolded network would.
+//!   ~`4d` per attended pair. The backward is two steps: a row pass
+//!   ([`RootNet::row_grads`]) that reduces a batch's rows to the gradients
+//!   of the folded matrices ([`FoldGrads`], ≈11k floats whatever the batch
+//!   size), and a projection ([`RootNet::apply_grads`]) that maps those to
+//!   the parameter gradients by the chain rule once per optimizer step. So
+//!   training moves the paper's parameters and Adam state exactly as the
+//!   unfolded network would, and the trainer can run the row pass on plan
+//!   shards in parallel and sum their [`FoldGrads`] before one projection.
 //!
 //! The fold reassociates float sums, so results match the unfolded network
 //! to f32 rounding, not bit for bit.
@@ -65,12 +69,77 @@ pub struct RootNet {
     /// `W_V·(W₁ + B₁A₁)`, `d × 128`.
     wv1: Tensor2,
     b1: Vec<f32>,
+    /// `(W_V·W₁')ᵀ`, `128 × d`: the row pass's `dX̄ = dH₁·(W_V·W₁')ᵀ`.
+    wv1_t: Tensor2,
     /// `W₂ + B₂A₂`, `128 × 64`.
     w2: Tensor2,
+    /// `W₂'ᵀ`, `64 × 128`: the row pass's `dH₁ = dH₂·W₂'ᵀ`.
+    w2_t: Tensor2,
     b2: Vec<f32>,
     /// `W₃ + B₃A₃`, `64 × 1`.
     w3: Tensor2,
+    /// `W₃'ᵀ`, `1 × 64`: the row pass's `dH₂ = dŷ·W₃'ᵀ`.
+    w3_t: Tensor2,
     b3: Vec<f32>,
+}
+
+/// One batch's (or one shard's) gradients in the fold's coordinates, as
+/// [`RootNet::row_grads`] leaves them: the merged layers' `dW₃'`, `db₃`,
+/// `dW₂'`, `db₂`, `G = X̄ᵀ·dH₁` (the gradient of `W_V·W₁'`), `db₁` and
+/// `dM`, ≈11k floats however many rows produced them. Gradients are sums
+/// over rows, so shards' [`FoldGrads`] add up to the batch's.
+#[derive(Debug, Default)]
+pub(crate) struct FoldGrads {
+    dw3: Tensor2,
+    /// Bias gradients are `1 × width` rows.
+    db3: Tensor2,
+    dw2: Tensor2,
+    db2: Tensor2,
+    g: Tensor2,
+    db1: Tensor2,
+    /// `Σ_b X_bᵀ·dS_b·X_b`; `0 × 0` when the row pass skipped the scores
+    /// (frozen attention).
+    dm: Tensor2,
+}
+
+impl FoldGrads {
+    /// Become a copy of `other`, reusing capacity.
+    pub(crate) fn copy_from(&mut self, other: &FoldGrads) {
+        for (dst, src) in self.parts_mut().into_iter().zip(other.parts()) {
+            dst.copy_from(src);
+        }
+    }
+
+    /// Add `other` element by element.
+    pub(crate) fn add_assign(&mut self, other: &FoldGrads) {
+        for (dst, src) in self.parts_mut().into_iter().zip(other.parts()) {
+            dst.add_assign(src);
+        }
+    }
+
+    fn parts(&self) -> [&Tensor2; 7] {
+        [
+            &self.dw3, &self.db3, &self.dw2, &self.db2, &self.g, &self.db1, &self.dm,
+        ]
+    }
+
+    fn parts_mut(&mut self) -> [&mut Tensor2; 7] {
+        [
+            &mut self.dw3,
+            &mut self.db3,
+            &mut self.dw2,
+            &mut self.db2,
+            &mut self.g,
+            &mut self.db1,
+            &mut self.dm,
+        ]
+    }
+}
+
+/// `db = Σ_r dy[r, ·]` into a reused `1 × cols` buffer.
+fn col_sums_into(dy: &Tensor2, db: &mut Tensor2) {
+    db.resize_zeroed(1, dy.cols());
+    dy.col_sums_acc(db.row_mut(0));
 }
 
 impl RootNet {
@@ -85,7 +154,9 @@ impl RootNet {
     /// weights into this net's buffers, reusing their capacity, so the
     /// training loop's refold after every optimizer step allocates nothing.
     /// About 1M multiply-adds, dominated by the `128 × 32 × 128` adapter
-    /// product of `l1`.
+    /// product of `l1`. The transposes the row pass multiplies by are
+    /// written here too, once per set of weights rather than once per
+    /// backward.
     pub(crate) fn refold(&mut self, attention: &MaskedSelfAttention, layers: [&LoraLinear; 3]) {
         let [l1, l2, l3] = layers;
         attention
@@ -98,6 +169,9 @@ impl RootNet {
         attention.wv.value.matmul_into(&self.w1, &mut self.wv1);
         l2.merged_weight_into(&mut self.w2);
         l3.merged_weight_into(&mut self.w3);
+        self.wv1.transpose_into(&mut self.wv1_t);
+        self.w2.transpose_into(&mut self.w2_t);
+        self.w3.transpose_into(&mut self.w3_t);
         for (b, l) in [(&mut self.b1, l1), (&mut self.b2, l2), (&mut self.b3, l3)] {
             b.clear();
             b.extend_from_slice(l.b.value.row(0));
@@ -253,52 +327,63 @@ impl RootNet {
     /// `ws`, from per-row prediction gradients `d_pred` (`Σ lens[b] × 1`):
     /// accumulates the gradient of every trainable parameter of the layers
     /// this net was folded from, which must still hold the folded weights.
-    ///
-    /// The folded gradients map back by the chain rule, once per call:
-    /// * each merged layer gets `dW' = xᵀ·dy`, split by
-    ///   [`LoraLinear::backward_merged`] (`dW = dW'` in pre-training,
-    ///   `dB = dW'·Aᵀ` and `dA = Bᵀ·dW'` in fine-tuning);
-    /// * `G = X̄ᵀ·dH₁` is the gradient of `W_V·W₁'`, so `dW₁' = W_Vᵀ·G` and
-    ///   `dW_V = G·W₁'ᵀ`;
-    /// * `dX̄ = dH₁·(W_V·W₁')ᵀ` gives `dP_i = dX̄_i·X_bᵀ`, the softmax
-    ///   backward gives `dS`, and `dM = Σ_b X_bᵀ·dS_b·X_b`, so
-    ///   `dW_Q = dM·W_K/√d_k` and `dW_K = dMᵀ·W_Q/√d_k`.
-    ///
-    /// Fine-tuning freezes the attention, so the score backward is skipped.
+    /// The row pass ([`RootNet::row_grads`]) into `grads`, then the
+    /// projection ([`RootNet::apply_grads`]).
     pub(crate) fn backward_rows(
         &self,
         d_pred: &Tensor2,
         ws: &mut Workspace,
+        grads: &mut FoldGrads,
         attention: &mut MaskedSelfAttention,
         layers: [&mut LoraLinear; 3],
     ) {
-        let [l1, l2, l3] = layers;
+        let scores = attention.wq.trainable || attention.wk.trainable;
+        self.row_grads(d_pred, ws, scores, grads);
+        self.apply_grads(grads, ws, attention, layers);
+    }
+
+    /// The row pass of the backward: from the last
+    /// [`RootNet::forward_rows`] run on `ws` and per-row prediction
+    /// gradients `d_pred` (`Σ lens[b] × 1`), the gradients of the folded
+    /// matrices into `out`, overwriting it. Reads only `self` and `ws`, so
+    /// plan shards of one batch can run it on separate threads, each with
+    /// its own workspace.
+    ///
+    /// * each merged layer gets `dW' = xᵀ·dy` and `db = Σ dy`;
+    /// * `G = X̄ᵀ·dH₁` is the gradient of `W_V·W₁'`;
+    /// * with `scores`, `dX̄ = dH₁·(W_V·W₁')ᵀ` gives `dP_i = dX̄_i·X_bᵀ`, the
+    ///   softmax backward gives `dS`, and `dM = Σ_b X_bᵀ·dS_b·X_b`.
+    ///
+    /// Fine-tuning freezes the attention, so it passes `scores = false`
+    /// and the score backward is skipped.
+    pub(crate) fn row_grads(
+        &self,
+        d_pred: &Tensor2,
+        ws: &mut Workspace,
+        scores: bool,
+        out: &mut FoldGrads,
+    ) {
         assert_eq!(
             d_pred.rows(),
             ws.xc.rows(),
             "d_pred must match forward rows"
         );
-        ws.h2.matmul_tn_into(d_pred, &mut ws.gw);
-        l3.backward_merged(&ws.gw, d_pred, &mut ws.gtmp);
-        d_pred.matmul_nt_into(&self.w3, &mut ws.d1);
+        ws.h2.matmul_tn_into(d_pred, &mut out.dw3);
+        col_sums_into(d_pred, &mut out.db3);
+        d_pred.matmul_into(&self.w3_t, &mut ws.d1);
         Relu::backward_in_place(&mut ws.d1, &ws.mask2);
-        ws.h1.matmul_tn_into(&ws.d1, &mut ws.gw);
-        l2.backward_merged(&ws.gw, &ws.d1, &mut ws.gtmp);
-        ws.d1.matmul_nt_into(&self.w2, &mut ws.d2);
+        ws.h1.matmul_tn_into(&ws.d1, &mut out.dw2);
+        col_sums_into(&ws.d1, &mut out.db2);
+        ws.d1.matmul_into(&self.w2_t, &mut ws.d2);
         Relu::backward_in_place(&mut ws.d2, &ws.mask1);
-
-        ws.attn.xbar.matmul_tn_into(&ws.d2, &mut ws.gfold);
-        attention.wv.value.matmul_tn_into(&ws.gfold, &mut ws.gw);
-        l1.backward_merged(&ws.gw, &ws.d2, &mut ws.gtmp);
-        if attention.wv.trainable {
-            ws.gfold.matmul_nt_into(&self.w1, &mut ws.gtmp);
-            attention.wv.grad.add_assign(&ws.gtmp);
-        }
-        if !(attention.wq.trainable || attention.wk.trainable) {
+        ws.attn.xbar.matmul_tn_into(&ws.d2, &mut out.g);
+        col_sums_into(&ws.d2, &mut out.db1);
+        if !scores {
+            out.dm.resize_zeroed(0, 0);
             return;
         }
 
-        ws.d2.matmul_nt_into(&self.wv1, &mut ws.dxbar);
+        ws.d2.matmul_into(&self.wv1_t, &mut ws.dxbar);
         let x = &ws.xc;
         ws.dsx.resize_zeroed(x.rows(), x.cols());
         let (mut start, mut p0) = (0, 0);
@@ -319,14 +404,51 @@ impl RootNet {
             start += l;
             p0 += l * l;
         }
-        x.matmul_tn_into(&ws.dsx, &mut ws.gfold);
+        x.matmul_tn_into(&ws.dsx, &mut out.dm);
+    }
+
+    /// The projection step of the backward: maps fold-space gradients
+    /// (one batch's, or its shards' summed) onto the trainable parameters
+    /// of the layers this net was folded from, by the chain rule:
+    /// * each merged layer's `dW'` and `db` go through
+    ///   [`LoraLinear::backward_merged`] (`dW = dW'` in pre-training,
+    ///   `dB = dW'·Aᵀ` and `dA = Bᵀ·dW'` in fine-tuning);
+    /// * `dW₁' = W_Vᵀ·G` and `dW_V = G·W₁'ᵀ`;
+    /// * `dW_Q = dM·W_K/√d_k` and `dW_K = dMᵀ·W_Q/√d_k`.
+    ///
+    /// Only `ws.gw` and `ws.gtmp` are written, so a workspace still holding
+    /// a forward can lend them.
+    pub(crate) fn apply_grads(
+        &self,
+        grads: &FoldGrads,
+        ws: &mut Workspace,
+        attention: &mut MaskedSelfAttention,
+        layers: [&mut LoraLinear; 3],
+    ) {
+        let [l1, l2, l3] = layers;
+        l3.backward_merged(&grads.dw3, grads.db3.row(0), &mut ws.gtmp);
+        l2.backward_merged(&grads.dw2, grads.db2.row(0), &mut ws.gtmp);
+        attention.wv.value.matmul_tn_into(&grads.g, &mut ws.gw);
+        l1.backward_merged(&ws.gw, grads.db1.row(0), &mut ws.gtmp);
+        if attention.wv.trainable {
+            grads.g.matmul_nt_into(&self.w1, &mut ws.gtmp);
+            attention.wv.grad.add_assign(&ws.gtmp);
+        }
+        if !(attention.wq.trainable || attention.wk.trainable) {
+            return;
+        }
+        assert_eq!(
+            grads.dm.rows(),
+            self.m.rows(),
+            "the row pass skipped the scores of a trainable attention"
+        );
         if attention.wq.trainable {
-            ws.gfold.matmul_into(&attention.wk.value, &mut ws.gtmp);
+            grads.dm.matmul_into(&attention.wk.value, &mut ws.gtmp);
             ws.gtmp.scale(self.scale);
             attention.wq.grad.add_assign(&ws.gtmp);
         }
         if attention.wk.trainable {
-            ws.gfold.matmul_tn_into(&attention.wq.value, &mut ws.gtmp);
+            grads.dm.matmul_tn_into(&attention.wq.value, &mut ws.gtmp);
             ws.gtmp.scale(self.scale);
             attention.wk.grad.add_assign(&ws.gtmp);
         }

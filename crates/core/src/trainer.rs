@@ -2,14 +2,20 @@
 //!
 //! Both [`Trainer::fit`] and [`DaceEstimator::fine_tune_lora`] run through
 //! one shared mini-batch loop ([`run_epochs`]): each mini-batch is packed
-//! once ([`PackedBatch`]) and trained with **one** block-diagonal
-//! forward/backward pass instead of one pass per plan. The gradient is
-//! mathematically identical to accumulating one pass per plan (the
-//! attention bias is block-diagonal), differing only in floating-point
+//! once, as a fixed list of plan shards ([`PackedBatch`]es of at most
+//! [`SHARD_PLANS`] plans), and trained with one block-diagonal
+//! forward/backward pass per shard instead of one pass per plan. The
+//! gradient is mathematically identical to accumulating one pass per plan
+//! (the attention bias is block-diagonal), differing only in floating-point
 //! summation order; `tests/batch_props.rs` asserts agreement to 1e-4
 //! against one-plan batches through the same passes.
+//!
+//! The shards of a batch run on [`TrainConfig::threads`] threads, and their
+//! fold-space gradients are summed in shard order before one projection
+//! and one optimizer step, so the trained weights are bit-identical at any
+//! thread count.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use dace_nn::{Adam, LoraMode, Tensor2, Workspace};
@@ -21,9 +27,11 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::adapter::{AdapterError, LoraAdapter};
+use crate::crew::Crew;
 use crate::featurize::{FeatureConfig, Featurizer, PackedBatch, PlanFeatures};
 use crate::loss::LossAdjuster;
 use crate::model::{DaceModel, ForwardTimings};
+use crate::rootnet::{FoldGrads, RootNet};
 
 /// Why training or fine-tuning could not run. An automated retrain loop
 /// (the serving layer's drift-triggered fine-tune) feeds whatever its
@@ -71,11 +79,13 @@ pub struct TrainConfig {
     /// disables early stopping.
     #[serde(default)]
     pub patience: usize,
-    /// Threads for data-sharded featurization (`0` = all available cores).
-    /// Featurization is pure per-plan work, so the result is identical at
-    /// any thread count.
-    #[serde(default)]
-    pub featurize_threads: usize,
+    /// Worker threads for both data-parallel stages, featurization and the
+    /// training shards (`0` = all available cores). Featurization is pure
+    /// per-plan work, and a batch's shard gradients are summed in shard
+    /// order, so the result is bit-identical at any thread count. Loads
+    /// from the field's old name, `featurize_threads`, too.
+    #[serde(default, alias = "featurize_threads")]
+    pub threads: usize,
     /// Stderr progress during training ([`Verbosity::Quiet`] by default —
     /// telemetry sinks receive every epoch regardless).
     #[serde(default)]
@@ -93,7 +103,7 @@ impl Default for TrainConfig {
             features: FeatureConfig::default(),
             validation_fraction: 0.0,
             patience: 0,
-            featurize_threads: 0,
+            threads: 0,
             verbosity: Verbosity::Quiet,
         }
     }
@@ -111,14 +121,7 @@ pub fn featurize_trees_sharded(
     threads: usize,
 ) -> Vec<PlanFeatures> {
     let _span = span!("featurize");
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    let threads = threads.min(trees.len().max(1));
+    let threads = worker_count(threads).min(trees.len().max(1));
     if threads <= 1 || trees.len() < 64 {
         return trees.iter().map(|t| featurizer.encode(t)).collect();
     }
@@ -141,6 +144,17 @@ pub fn featurize_trees_sharded(
     .collect()
 }
 
+/// A thread setting resolved: `0` means every available core.
+fn worker_count(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        threads
+    }
+}
+
 /// [`featurize_trees_sharded`] over labeled plans.
 fn featurize_sharded(
     featurizer: &Featurizer,
@@ -153,20 +167,22 @@ fn featurize_sharded(
 
 /// Per-row loss gradient for a packed batch, matching the per-plan loss:
 /// each plan's weighted squared-log-error is normalized by its own weight
-/// sum, then scaled by `1 / batch_size`. `preds` has one row per *real*
-/// node (`Σ lens[b]`), targets and heights are read through the batch's
-/// padded index, and the gradient is written into the caller's reusable
-/// buffer — no allocation once `d_pred` reaches capacity. Returns the
-/// batch's mean per-plan weighted loss (the quantity the gradient
+/// sum, then scaled by `1 / plans`, the plan count of the whole mini-batch
+/// (`batch` may be one shard of it). `preds` has one row per *real* node
+/// (`Σ lens[b]`), targets and heights are read through the batch's padded
+/// index, and the gradient is written into the caller's reusable buffer —
+/// no allocation once `d_pred` reaches capacity. Returns `batch`'s share of
+/// the mini-batch's mean per-plan weighted loss (the quantity the gradient
 /// descends), which telemetry reports per epoch.
 fn packed_grad(
     adjuster: &LossAdjuster,
     preds: &Tensor2,
     batch: &PackedBatch,
+    plans: usize,
     d_pred: &mut Tensor2,
 ) -> f32 {
     d_pred.resize_zeroed(preds.rows(), 1);
-    let inv_batch = 1.0 / batch.count as f32;
+    let inv_batch = 1.0 / plans as f32;
     let mut loss = 0.0f32;
     let mut row = 0usize;
     for b in 0..batch.count {
@@ -211,7 +227,8 @@ fn validation_stats(
     let mut qerrs = Vec::new();
     for batch in batches {
         model.forward_batch_compact(batch);
-        total += packed_grad(adjuster, model.batch_preds(), batch, d_buf) * batch.count as f32;
+        let loss = packed_grad(adjuster, model.batch_preds(), batch, batch.count, d_buf);
+        total += loss * batch.count as f32;
         let preds = model.batch_preds().as_slice();
         let mut row = 0;
         for (b, &n) in batch.lens.iter().enumerate() {
@@ -262,15 +279,124 @@ impl RunTelemetry<'_> {
     }
 }
 
+/// Plans per training shard. Fixed, so a batch's shard boundaries, and
+/// with them the order in which its gradient is summed, never depend on
+/// the thread count. 16 plans keep a shard's row matrices tall enough for
+/// the matmul kernels while a 64-plan batch still splits four ways.
+const SHARD_PLANS: usize = 16;
+
+const SLOT_POISONED: &str = "a training thread panicked while writing a shard's gradients";
+const FOLD_POISONED: &str = "the training thread panicked while refolding";
+
+/// One frozen mini-batch, packed once as its fixed plan shards.
+struct ShardedBatch {
+    /// Plans in the whole batch: every shard's loss gradient is scaled by
+    /// `1 / plans`, so the shards' gradients sum to the batch's.
+    plans: usize,
+    shards: Vec<PackedBatch>,
+}
+
+impl ShardedBatch {
+    fn pack(feats: &[PlanFeatures], idx: &[usize]) -> ShardedBatch {
+        let shards = idx
+            .chunks(SHARD_PLANS)
+            .map(|chunk| {
+                let refs: Vec<&PlanFeatures> = chunk.iter().map(|&i| &feats[i]).collect();
+                PackedBatch::pack(&refs).expect("shard chunks are non-empty")
+            })
+            .collect();
+        ShardedBatch {
+            plans: idx.len(),
+            shards,
+        }
+    }
+}
+
+/// One shard's result: its fold-space gradients and its share of the
+/// batch's loss.
+#[derive(Default)]
+struct ShardOut {
+    grads: FoldGrads,
+    loss: f32,
+}
+
+/// One training thread's scratch, kept for a whole [`run_epochs`] call:
+/// the workspace its shards' forward and row pass run in, and the loss
+/// gradient buffer. Once both reach the high-water shard, a batch
+/// allocates nothing.
+#[derive(Default)]
+struct ShardWorker {
+    ws: Workspace,
+    d_pred: Tensor2,
+}
+
+/// What every training thread of one [`run_epochs`] call shares: the
+/// frozen batches, one result slot per shard of the largest batch, the
+/// loss, whether the attention scores train, and the thread count.
+struct ShardJob<'a> {
+    batches: &'a [ShardedBatch],
+    slots: &'a [Mutex<ShardOut>],
+    adjuster: &'a LossAdjuster,
+    scores: bool,
+    threads: usize,
+}
+
+impl ShardJob<'_> {
+    /// Thread `t`'s shards of batch `bi` — `t`, `t + threads`, … — on the
+    /// fold `net`: for each, the all-rows forward, the loss gradient and
+    /// the backward's row pass, written to the shard's slot. Which thread
+    /// runs a shard changes nothing in its slot.
+    fn run(&self, t: usize, bi: usize, net: &RootNet, worker: &mut ShardWorker) {
+        let batch = &self.batches[bi];
+        for s in (t..batch.shards.len()).step_by(self.threads) {
+            let shard = &batch.shards[s];
+            let mut out = self.slots[s].lock().expect(SLOT_POISONED);
+            net.forward_rows(shard, &mut worker.ws);
+            out.loss = packed_grad(
+                self.adjuster,
+                &worker.ws.preds,
+                shard,
+                batch.plans,
+                &mut worker.d_pred,
+            );
+            net.row_grads(&worker.d_pred, &mut worker.ws, self.scores, &mut out.grads);
+        }
+    }
+
+    /// Batch `bi`'s gradients, its slots summed in shard order whatever
+    /// order the shards finished in, into `total`; returns its loss.
+    fn reduce(&self, bi: usize, total: &mut FoldGrads) -> f32 {
+        let mut loss = 0.0f32;
+        let shards = self.batches[bi].shards.len();
+        for (s, slot) in self.slots[..shards].iter().enumerate() {
+            let out = slot.lock().expect(SLOT_POISONED);
+            if s == 0 {
+                total.copy_from(&out.grads);
+            } else {
+                total.add_assign(&out.grads);
+            }
+            loss += out.loss;
+        }
+        loss
+    }
+}
+
 /// The shared mini-batch loop behind [`Trainer::fit`] and
 /// [`DaceEstimator::fine_tune_lora`]: shuffle the plan order once, pack
-/// every mini-batch once, then per epoch reshuffle only the *batch order*
-/// and run one allocation-free block-diagonal forward/backward per batch
-/// (workspace-compact path), one optimizer step per batch.
+/// every mini-batch once as its fixed plan shards, then per epoch
+/// reshuffle only the *batch order* and run one optimizer step per batch.
 ///
 /// Batches are packed once (epoch-persistent packing): each epoch is a
 /// seeded-random permutation of the same fixed batches, so every batch is
 /// visited exactly once per epoch and no epoch re-packs anything.
+///
+/// A batch's shards run on `threads` threads (`0` = all cores, never more
+/// than a batch has shards): this one and helpers that live for the whole
+/// call ([`Crew`]), each with its own [`ShardWorker`] ([`ShardJob::run`]).
+/// This thread then sums the shards' fold-space gradients in shard order
+/// ([`ShardJob::reduce`]), projects the sum onto the parameters once,
+/// steps Adam and refolds. Shards and the summation order are fixed, so
+/// one thread gives the same bits as many.
 ///
 /// When `validation_fraction > 0` and `patience > 0`, a seeded validation
 /// split (drawn from its own RNG stream so the shuffle stream is unchanged)
@@ -287,6 +413,7 @@ fn run_epochs(
     shuffle_seed: u64,
     validation_fraction: f32,
     patience: usize,
+    threads: usize,
     telemetry: RunTelemetry<'_>,
 ) {
     // A serving snapshot (DaceModel::detach) has no optimizer state;
@@ -310,116 +437,144 @@ fn run_epochs(
         ((0..feats.len()).collect(), Vec::new())
     };
 
-    // Pack every mini-batch (and the validation split) once, before the
-    // first epoch. Plan membership of each batch is frozen from here on;
-    // epochs permute the batch order.
+    // Pack every mini-batch (as shards) and the validation split once,
+    // before the first epoch. Plan membership of each batch and shard is
+    // frozen from here on; epochs permute the batch order.
     order.shuffle(&mut rng);
-    let pack = |idx: &[usize]| -> Vec<PackedBatch> {
-        idx.chunks(batch_plans.max(1))
-            .map(|chunk| {
-                let refs: Vec<&PlanFeatures> = chunk.iter().map(|&i| &feats[i]).collect();
-                PackedBatch::pack(&refs).expect("mini-batch chunks are non-empty")
-            })
-            .collect()
-    };
-    let batches = pack(&order);
-    let val_batches = pack(&val_idx);
+    let batches: Vec<ShardedBatch> = order
+        .chunks(batch_plans.max(1))
+        .map(|chunk| ShardedBatch::pack(feats, chunk))
+        .collect();
+    let val_batches: Vec<PackedBatch> = val_idx
+        .chunks(batch_plans.max(1))
+        .map(|chunk| {
+            let refs: Vec<&PlanFeatures> = chunk.iter().map(|&i| &feats[i]).collect();
+            PackedBatch::pack(&refs).expect("mini-batch chunks are non-empty")
+        })
+        .collect();
     let mut batch_order: Vec<usize> = (0..batches.len()).collect();
-    // Reused gradient buffer: with the packs hoisted and the model running
-    // on its workspace arena, the batch loop's steady state is
-    // allocation-free.
+
+    let max_shards = batches.iter().map(|b| b.shards.len()).max().unwrap_or(0);
+    let slots: Vec<Mutex<ShardOut>> = (0..max_shards).map(|_| Mutex::default()).collect();
+    let job = ShardJob {
+        batches: &batches,
+        slots: &slots,
+        adjuster,
+        scores: model.scores_trainable(),
+        threads: worker_count(threads).min(max_shards).max(1),
+    };
+    // The trainer's own fold of the current weights: helpers read it
+    // during a round, this thread refolds it between rounds.
+    let fold = RwLock::new(RootNet::default());
+    let crew = Crew::new(job.threads - 1);
+    // Reused buffers: with the packs hoisted and every thread on its own
+    // workspace, the batch loop's steady state is allocation-free.
+    let mut own = ShardWorker::default();
+    let mut total = FoldGrads::default();
     let mut d_buf = Tensor2::default();
 
     let telemetry_on = telemetry.active();
     let mut best_val = f32::INFINITY;
     let mut best_model: Option<DaceModel> = None;
     let mut bad_epochs = 0usize;
-    for epoch in 0..epochs {
-        let _span = span!("train_epoch");
-        let epoch_started = Instant::now();
-        batch_order.shuffle(&mut rng);
-        let alloc_start = if telemetry_on {
-            alloc_probe_bytes()
-        } else {
-            None
-        };
-        let mut loss_sum = 0.0f64;
-        let mut batches_done = 0usize;
-        let mut grad_norm = 0.0f64;
-        for &bi in &batch_order {
-            let packed = &batches[bi];
-            model.forward_batch_compact(packed);
-            let loss = packed_grad(adjuster, model.batch_preds(), packed, &mut d_buf);
-            loss_sum += f64::from(loss);
-            batches_done += 1;
-            model.backward_compact(&d_buf);
-            if telemetry_on {
-                // Gradient norm over the parameters the optimizer will
-                // actually move (mirrors Adam's clip-norm accounting).
-                let g: f32 = model
-                    .params_mut()
-                    .iter()
-                    .filter(|p| p.trainable)
-                    .map(|p| p.grad.norm_sq())
-                    .sum();
-                grad_norm = f64::from(g).sqrt();
-            }
-            opt.step(&mut model.params_mut());
-        }
-        // Sampled around the batch loop only: validation and snapshotting
-        // below are allowed to allocate without polluting the metric.
-        let alloc_bytes = alloc_delta(alloc_start);
-        if let Some(bytes) = alloc_bytes {
-            MetricsRegistry::global()
-                .histogram("train_epoch_alloc_bytes")
-                .record(bytes);
-        }
-
-        let mut val_loss = None;
-        let mut qerrs: Vec<f64> = Vec::new();
-        let decision = if early_stop {
-            let (val, q) = validation_stats(model, adjuster, &val_batches, &mut d_buf);
-            val_loss = Some(f64::from(val));
-            qerrs = q;
-            if val < best_val {
-                best_val = val;
-                best_model = Some(model.clone());
-                bad_epochs = 0;
-                "improved".to_string()
-            } else {
-                bad_epochs += 1;
-                if bad_epochs >= patience {
-                    "stop".to_string()
-                } else {
-                    format!("patience {bad_epochs}/{patience}")
-                }
-            }
-        } else {
-            "continue".to_string()
-        };
-
-        if telemetry_on {
-            telemetry.emit(&EpochRecord {
-                phase: telemetry.phase.to_string(),
-                epoch,
-                epochs_planned: epochs,
-                train_loss: loss_sum / batches_done.max(1) as f64,
-                grad_norm,
-                lr: f64::from(lr),
-                epoch_ms: epoch_started.elapsed().as_secs_f64() * 1e3,
-                val_loss,
-                val_qerr_p50: quantile(&mut qerrs, 0.50),
-                val_qerr_p90: quantile(&mut qerrs, 0.90),
-                val_qerr_p99: quantile(&mut qerrs, 0.99),
-                early_stop: decision,
-                alloc_bytes,
-                trace: dace_obs::current_trace(),
+    std::thread::scope(|scope| {
+        for t in 1..job.threads {
+            let (crew, fold, job) = (&crew, &fold, &job);
+            scope.spawn(move || {
+                let mut worker = ShardWorker::default();
+                crew.serve(|bi| job.run(t, bi, &fold.read().expect(FOLD_POISONED), &mut worker));
             });
         }
-        if early_stop && bad_epochs >= patience {
-            break;
+        let _stop = crew.stop_guard();
+        for epoch in 0..epochs {
+            let _span = span!("train_epoch");
+            let epoch_started = Instant::now();
+            batch_order.shuffle(&mut rng);
+            let alloc_start = if telemetry_on {
+                alloc_probe_bytes()
+            } else {
+                None
+            };
+            let mut loss_sum = 0.0f64;
+            let mut batches_done = 0usize;
+            let mut grad_norm = 0.0f64;
+            for &bi in &batch_order {
+                model.refold_into(&mut fold.write().expect(FOLD_POISONED));
+                let net = fold.read().expect(FOLD_POISONED);
+                crew.round(bi, || job.run(0, bi, &net, &mut own));
+                let loss = job.reduce(bi, &mut total);
+                model.apply_fold_grads(&net, &total, &mut own.ws);
+                loss_sum += f64::from(loss);
+                batches_done += 1;
+                if telemetry_on {
+                    // Gradient norm over the parameters the optimizer will
+                    // actually move (mirrors Adam's clip-norm accounting).
+                    let g: f32 = model
+                        .params_mut()
+                        .iter()
+                        .filter(|p| p.trainable)
+                        .map(|p| p.grad.norm_sq())
+                        .sum();
+                    grad_norm = f64::from(g).sqrt();
+                }
+                opt.step(&mut model.params_mut());
+            }
+            // Sampled around the batch loop only: validation and
+            // snapshotting below are allowed to allocate without polluting
+            // the metric.
+            let alloc_bytes = alloc_delta(alloc_start);
+            if let Some(bytes) = alloc_bytes {
+                MetricsRegistry::global()
+                    .histogram("train_epoch_alloc_bytes")
+                    .record(bytes);
+            }
+
+            let mut val_loss = None;
+            let mut qerrs: Vec<f64> = Vec::new();
+            let decision = if early_stop {
+                let (val, q) = validation_stats(model, adjuster, &val_batches, &mut d_buf);
+                val_loss = Some(f64::from(val));
+                qerrs = q;
+                if val < best_val {
+                    best_val = val;
+                    best_model = Some(model.clone());
+                    bad_epochs = 0;
+                    "improved".to_string()
+                } else {
+                    bad_epochs += 1;
+                    if bad_epochs >= patience {
+                        "stop".to_string()
+                    } else {
+                        format!("patience {bad_epochs}/{patience}")
+                    }
+                }
+            } else {
+                "continue".to_string()
+            };
+
+            if telemetry_on {
+                telemetry.emit(&EpochRecord {
+                    phase: telemetry.phase.to_string(),
+                    epoch,
+                    epochs_planned: epochs,
+                    train_loss: loss_sum / batches_done.max(1) as f64,
+                    grad_norm,
+                    lr: f64::from(lr),
+                    epoch_ms: epoch_started.elapsed().as_secs_f64() * 1e3,
+                    val_loss,
+                    val_qerr_p50: quantile(&mut qerrs, 0.50),
+                    val_qerr_p90: quantile(&mut qerrs, 0.90),
+                    val_qerr_p99: quantile(&mut qerrs, 0.99),
+                    early_stop: decision,
+                    alloc_bytes,
+                    trace: dace_obs::current_trace(),
+                });
+            }
+            if early_stop && bad_epochs >= patience {
+                break;
+            }
         }
-    }
+    });
     if let Some(best) = best_model {
         *model = best;
     }
@@ -470,7 +625,7 @@ impl Trainer {
         let adjuster = LossAdjuster::new(cfg.alpha);
 
         // Featurize once; features are static during training.
-        let feats = featurize_sharded(&featurizer, &train.plans, cfg.featurize_threads);
+        let feats = featurize_sharded(&featurizer, &train.plans, cfg.threads);
         run_epochs(
             &mut model,
             &adjuster,
@@ -481,6 +636,7 @@ impl Trainer {
             cfg.seed ^ 0x5417,
             cfg.validation_fraction,
             cfg.patience,
+            cfg.threads,
             RunTelemetry {
                 phase: "pretrain",
                 sink: self.sink.as_deref(),
@@ -540,7 +696,7 @@ impl DaceEstimator {
     /// threads, same code path as training) and run root-row inference in
     /// chunks of `config.batch_plans`. Output order matches `trees`.
     pub fn predict_batch_ms(&self, trees: &[&PlanTree]) -> Vec<f64> {
-        let feats = featurize_trees_sharded(&self.featurizer, trees, self.config.featurize_threads);
+        let feats = featurize_trees_sharded(&self.featurizer, trees, self.config.threads);
         let refs: Vec<&PlanFeatures> = feats.iter().collect();
         self.predict_features_batch_ms(&refs)
     }
@@ -645,7 +801,7 @@ impl DaceEstimator {
             return Err(TrainError::EmptyDataset);
         }
         self.model.set_mode(LoraMode::Finetune);
-        let feats = featurize_sharded(&self.featurizer, &data.plans, self.config.featurize_threads);
+        let feats = featurize_sharded(&self.featurizer, &data.plans, self.config.threads);
         run_epochs(
             &mut self.model,
             &self.adjuster,
@@ -656,6 +812,7 @@ impl DaceEstimator {
             self.config.seed ^ 0xF17E,
             self.config.validation_fraction,
             self.config.patience,
+            self.config.threads,
             RunTelemetry {
                 phase: "lora",
                 sink,
@@ -841,6 +998,19 @@ mod tests {
         let t = &train.plans[0].tree;
         assert!((est.predict_ms(t) - restored.predict_ms(t)).abs() < 1e-9);
         assert_eq!(est.encode(t), restored.encode(t));
+    }
+
+    #[test]
+    fn configs_saved_with_featurize_threads_load_it_as_threads() {
+        let config = TrainConfig {
+            threads: 3,
+            ..Default::default()
+        };
+        let json = serde_json::to_string(&config).unwrap();
+        assert!(json.contains("\"threads\":3"), "{json}");
+        let old = json.replace("\"threads\"", "\"featurize_threads\"");
+        let loaded: TrainConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(loaded, config);
     }
 
     #[test]

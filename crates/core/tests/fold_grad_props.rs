@@ -6,6 +6,12 @@
 //! `x·W + (x·B)·A + b` — to f32 rounding, in predictions and in every
 //! parameter gradient, in both LoRA modes.
 //!
+//! The trainer computes a mini-batch's gradient as plan shards, each one's
+//! fold-space gradients summed in shard order before one projection onto
+//! the parameters (`DaceModel::backward_shards` runs the same steps
+//! serially). That sum must match the unfolded network's gradient over the
+//! whole batch to the same tolerance.
+//!
 //! The fold is cached inside the model, so the file also checks that the
 //! training forward refolds after an optimizer step and after a
 //! fine-tuning run: its next predictions must equal, bit for bit, those of
@@ -206,6 +212,28 @@ fn max_abs(t: &Tensor2) -> f32 {
     t.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()))
 }
 
+/// Every parameter gradient of `folded` within [`GRAD_RELATIVE_TOLERANCE`]
+/// of the reference's, relative to the reference's max-norm.
+fn assert_grads_match(folded: &mut DaceModel, reference: &mut Unfolded, mode: LoraMode) {
+    let want = reference.grads();
+    let got: Vec<Tensor2> = folded.params_mut().iter().map(|p| p.grad.clone()).collect();
+    prop_assert_eq!(got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        let mut diff = g.clone();
+        diff.scale(-1.0);
+        diff.add_assign(w);
+        let (err, scale) = (max_abs(&diff), max_abs(w));
+        prop_assert!(
+            err <= GRAD_RELATIVE_TOLERANCE * scale,
+            "{:?} param {}: max error {} against max gradient {}",
+            mode,
+            i,
+            err,
+            scale
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -242,19 +270,49 @@ proptest! {
         let d_pred = Tensor2::uniform(want.rows(), 1, 1.0, seed ^ 0xD0D0);
         folded.backward_compact(&d_pred);
         reference.backward(&d_pred, &batch);
-        let want = reference.grads();
-        let got: Vec<Tensor2> = folded.params_mut().iter().map(|p| p.grad.clone()).collect();
-        prop_assert_eq!(got.len(), want.len());
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            let mut diff = g.clone();
-            diff.scale(-1.0);
-            diff.add_assign(w);
-            let (err, scale) = (max_abs(&diff), max_abs(w));
-            prop_assert!(
-                err <= GRAD_RELATIVE_TOLERANCE * scale,
-                "{:?} param {}: max error {} against max gradient {}", mode, i, err, scale
-            );
+        assert_grads_match(&mut folded, &mut reference, mode);
+    }
+
+    #[test]
+    fn sharded_gradients_match_the_unfolded_network(
+        plans in proptest::collection::vec((1usize..=12, 0u64..1_000_000, 0u8..6), 1..=20),
+        shard_plans in 1usize..=6,
+        seed in 0u64..1_000,
+        finetune in 0u8..2,
+    ) {
+        let mode = if finetune == 1 { LoraMode::Finetune } else { LoraMode::Pretrain };
+        let feats: Vec<PlanFeatures> = plans
+            .iter()
+            .map(|&(n, s, shape)| random_plan(n, s, shape))
+            .collect();
+        let refs: Vec<&PlanFeatures> = feats.iter().collect();
+        let batch = PackedBatch::pack(&refs).unwrap();
+        let shards: Vec<PackedBatch> = refs
+            .chunks(shard_plans)
+            .map(|c| PackedBatch::pack(c).unwrap())
+            .collect();
+
+        let mut folded = model(seed, mode);
+        let mut reference = Unfolded::of(&mut folded);
+        let rows = reference.forward(&batch).rows();
+        if reference.near_relu_kink() {
+            continue;
         }
+        // The shards' compact rows, back to back, are the batch's rows.
+        let d_pred = Tensor2::uniform(rows, 1, 1.0, seed ^ 0x5A4D);
+        let mut start = 0;
+        let d_preds: Vec<Tensor2> = shards
+            .iter()
+            .map(|s| {
+                let n = s.xc.rows();
+                start += n;
+                d_pred.row_block(start - n, n)
+            })
+            .collect();
+        prop_assert_eq!(start, rows);
+        folded.backward_shards(&shards, &d_preds);
+        reference.backward(&d_pred, &batch);
+        assert_grads_match(&mut folded, &mut reference, mode);
     }
 }
 

@@ -168,18 +168,22 @@ impl LoraLinear {
 
     /// Backward pass of a layer run through its merged weight
     /// `W' = W + B·A`, given `dw = xᵀ·dy` (the gradient of `W'`) and the
-    /// upstream gradient `dy`: accumulates only on the parameters the
-    /// current mode marks trainable (frozen gradients are skipped entirely,
-    /// which is what makes LoRA tuning cheaper than full training, Sec.
-    /// V-C). Pre-training takes `dW = dw` and the
-    /// bias `Σ dy`; fine-tuning takes `dB = dw·Aᵀ` and `dA = Bᵀ·dw`.
-    /// `scratch` is reusable product space.
-    pub fn backward_merged(&mut self, dw: &Tensor2, dy: &Tensor2, scratch: &mut Tensor2) {
+    /// bias gradient `db = Σ dy` (the upstream gradient's column sums):
+    /// accumulates only on the parameters the current mode marks trainable
+    /// (frozen gradients are skipped entirely, which is what makes LoRA
+    /// tuning cheaper than full training, Sec. V-C). Pre-training takes
+    /// `dW = dw` and the bias `db`; fine-tuning takes `dB = dw·Aᵀ` and
+    /// `dA = Bᵀ·dw`. `scratch` is reusable product space.
+    pub fn backward_merged(&mut self, dw: &Tensor2, db: &[f32], scratch: &mut Tensor2) {
         if self.w.trainable {
             self.w.grad.add_assign(dw);
         }
         if self.b.trainable {
-            dy.col_sums_acc(self.b.grad.row_mut(0));
+            let grad = self.b.grad.row_mut(0);
+            assert_eq!(grad.len(), db.len(), "bias gradient width mismatch");
+            for (g, &d) in grad.iter_mut().zip(db) {
+                *g += d;
+            }
         }
         if self.lora_b.trainable {
             dw.matmul_nt_into(&self.lora_a.value, scratch);
@@ -318,7 +322,7 @@ mod tests {
             let y = layer.forward_inference(&x);
             let dx = y.matmul_nt(&layer.merged_weight());
             let mut scratch = Tensor2::default();
-            layer.backward_merged(&x.matmul_tn(&y), &y, &mut scratch);
+            layer.backward_merged(&x.matmul_tn(&y), &y.col_sums(), &mut scratch);
 
             let eps = 1e-3f32;
             let loss = |layer: &LoraLinear, x: &Tensor2| 0.5 * layer.forward_inference(x).norm_sq();

@@ -97,9 +97,7 @@ pub struct Workspace {
     pub dxbar: Tensor2,
     /// Per-row `dS·X` products, stacked (backward): `dM = Xᵀ·(dS·X)`.
     pub dsx: Tensor2,
-    /// Gradient of a folded matrix: `X̄ᵀ·dH₁`, then `dM` (backward).
-    pub gfold: Tensor2,
-    /// Gradient of a merged layer weight `W' = W + B·A` (backward).
+    /// Gradient of `l1`'s merged weight, `W_Vᵀ·G` (backward).
     pub gw: Tensor2,
     /// Parameter-gradient product scratch (backward).
     pub gtmp: Tensor2,

@@ -5,7 +5,7 @@
 //! wrapper over `forward_packed_ws`/`backward_params_ws` (QueryFormer's
 //! training path). LoRA is checked through the merged-weight gradient DACE's
 //! folded training pass runs: `LoraLinear::backward_merged` from
-//! `dW' = xᵀ·dy`.
+//! `dW' = xᵀ·dy` and `db = Σ dy`.
 
 use dace_nn::{Linear, LoraLinear, MaskedSelfAttention, Relu, RobustScaler, Tensor2, MASK_NEG};
 use proptest::prelude::*;
@@ -59,7 +59,7 @@ proptest! {
         let x = Tensor2::uniform(rows, dim, 1.0, seed ^ 0xB);
         let y = layer.forward_inference(&x);
         let mut scratch = Tensor2::default();
-        layer.backward_merged(&x.matmul_tn(&y), &y, &mut scratch); // loss = ||y||²/2
+        layer.backward_merged(&x.matmul_tn(&y), &y.col_sums(), &mut scratch); // loss = ||y||²/2
         let loss = |l: &LoraLinear| 0.5 * l.forward_inference(&x).norm_sq();
         // params_mut order: W, bias, B, A — fine-tuning trains the last two.
         for which in [2usize, 3] {

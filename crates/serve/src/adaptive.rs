@@ -15,9 +15,9 @@
 //! 3. **Retrain** — a trip spawns one background thread (an `AtomicBool`
 //!    latch guarantees at most one in flight) that drains the buffer,
 //!    splits it deterministically into train/holdback slices, and LoRA
-//!    fine-tunes a **clone** of the serving model
-//!    ([`DaceEstimator::fine_tuned_clone`] — the serving weights are never
-//!    mutated in place).
+//!    fine-tunes a **clone** of the serving model (the serving weights are
+//!    never mutated in place) on that one thread: the retrain runs beside
+//!    the serve workers, so it never takes a second core.
 //! 4. **Shadow-eval + swap** — the candidate is scored against the current
 //!    model on the held-back slice; it is promoted through the
 //!    [`ModelRegistry`] only if its q-error quantile is no worse. Promotion
@@ -47,7 +47,6 @@
 //! [`FaultSite::RetrainCrash`]: crate::FaultSite::RetrainCrash
 //! [`FaultSite::CandidateSabotage`]: crate::FaultSite::CandidateSabotage
 //! [`FaultSite::CheckpointCorrupt`]: crate::FaultSite::CheckpointCorrupt
-//! [`DaceEstimator::fine_tuned_clone`]: dace_core::DaceEstimator::fine_tuned_clone
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -715,12 +714,14 @@ impl AdaptiveController {
             panic!("{INJECTED_PANIC}: retrain crash (site RetrainCrash)");
         }
         let base = self.registry.base();
-        let mut candidate = match base.estimator.fine_tuned_clone(
+        let mut candidate = base.estimator.clone();
+        match fine_tune_on_one_thread(
+            &mut candidate,
             &train,
             self.config.retrain_epochs,
             self.config.retrain_lr,
         ) {
-            Ok(c) => c,
+            Ok(()) => {}
             Err(e) => {
                 self.metrics.retrains_failed.inc();
                 self.emit(
@@ -736,7 +737,7 @@ impl AdaptiveController {
             // Deterministic sabotage through the public API: one fine-tune
             // step at an absurd learning rate turns the adapter to garbage.
             // Shadow eval must catch this — the whole point of the site.
-            let _ = candidate.fine_tune_lora(&train, 1, 1e9);
+            let _ = fine_tune_on_one_thread(&mut candidate, &train, 1, 1e9);
         }
         let (cand_q, curr_q) = {
             let _span = span!("adaptive_shadow_eval");
@@ -876,6 +877,22 @@ impl AdaptiveController {
             }
         }
     }
+}
+
+/// LoRA fine-tune `est` in place with one training thread, whatever its
+/// config's `threads` (restored afterwards, so a promoted candidate
+/// carries the serving model's setting): a retrain runs beside the serve
+/// workers and keeps to the one core its own thread occupies.
+fn fine_tune_on_one_thread(
+    est: &mut dace_core::DaceEstimator,
+    data: &Dataset,
+    epochs: usize,
+    lr: f32,
+) -> Result<(), dace_core::TrainError> {
+    let threads = std::mem::replace(&mut est.config.threads, 1);
+    let tuned = est.fine_tune_lora(data, epochs, lr);
+    est.config.threads = threads;
+    tuned
 }
 
 /// Q-error quantile of `est` over the held-back samples.
