@@ -5,7 +5,7 @@
 //! deliberately ignores predicates, tables and literals (Insight I): the
 //! model must work on databases it has never seen.
 
-use dace_nn::{RobustScaler, Tensor2, MASK_NEG};
+use dace_nn::{RobustScaler, Tensor2};
 use dace_obs::splitmix64;
 use dace_plan::{Dataset, NodeId, NodeType, PlanNode, PlanTree, NODE_TYPE_COUNT};
 use serde::{Deserialize, Serialize};
@@ -19,8 +19,8 @@ pub struct FeatureConfig {
     /// Use the *actual* cardinality instead of the optimizer estimate —
     /// the DACE-A upper-bound variant of Fig. 12.
     pub use_actual_cardinality: bool,
-    /// Disable the tree-structured attention mask (DACE w/o TA, Fig. 10):
-    /// every node attends to every node.
+    /// Disable tree-structured attention (DACE w/o TA, Fig. 10): every
+    /// node attends to every node.
     pub disable_tree_attention: bool,
 }
 
@@ -53,9 +53,11 @@ fn subtree_sizes(child_counts: &[usize]) -> Vec<usize> {
 pub struct PlanFeatures {
     /// Node encodings in DFS order, `n × FEATURE_DIM`.
     pub x: Tensor2,
-    /// Tree-structured attention mask (`n × n`, row-major): node `i` may
-    /// attend to node `j` iff `i` is an ancestor-or-self of `j`.
-    pub mask: Vec<bool>,
+    /// Attention span of each node in DFS order: node `i` attends to plan
+    /// rows `[start, end)`. Under tree attention that is its own sub-plan,
+    /// `[i, i + subtree size)`: in DFS preorder, exactly the nodes it is an
+    /// ancestor-or-self of. Without it, every node's span is `[0, n)`.
+    pub spans: Vec<(usize, usize)>,
     /// Node heights in DFS order (root = 0).
     pub heights: Vec<u32>,
     /// Training target per node: `ln(actual_ms)` of the sub-plan.
@@ -137,81 +139,71 @@ pub fn node_fingerprint(
 }
 
 /// A mini-batch of featurized plans packed for a single block-diagonal
-/// forward/backward pass.
-///
-/// Node features are compact (`xc`: plan `b`'s `lens[b]` rows follow plan
-/// `b − 1`'s, DFS order, no padding). Everything indexed per node slot is
-/// padded to the batch's largest plan: plan `b` owns slots
-/// `[b·n_max, (b+1)·n_max)` of `targets` and `heights` (zeros past its
-/// real nodes), and `bias` holds one `n_max × n_max` additive score matrix
-/// per plan, concatenated: `0.0` where the tree mask allows attention,
-/// [`MASK_NEG`] where it forbids it, and `-∞` in the padded corner a
-/// shorter plan never reads.
+/// forward/backward pass. Everything is compact and indexed by batch row:
+/// plan `b`'s `lens[b]` rows follow plan `b − 1`'s, in DFS order, with no
+/// padding.
 #[derive(Debug, Clone)]
 pub struct PackedBatch {
-    /// Compact node features: the plans concatenated *without* padding
-    /// rows (`Σ lens[b] × FEATURE_DIM`), plan `b`'s rows contiguous in order.
-    /// This is the layout the training forward/backward passes consume —
-    /// packing it once here is what lets the epoch loop skip any per-batch
-    /// gather.
+    /// Compact node features (`Σ lens[b] × FEATURE_DIM`), the layout the
+    /// training forward/backward passes consume — packing it once here is
+    /// what lets the epoch loop skip any per-batch gather.
     pub xc: Tensor2,
-    /// Padded rows per plan slot.
-    pub n_max: usize,
-    /// Number of plans packed.
-    pub count: usize,
-    /// Real node count of each plan.
+    /// Node count of each plan.
     pub lens: Vec<usize>,
-    /// Concatenated per-plan additive attention biases (`count · n_max²`).
-    pub bias: Vec<f32>,
-    /// Per-row training targets (`ln` ms; `0.0` at padding rows).
+    /// Per-row attention spans `(start, end)` in batch rows: each plan's
+    /// [`PlanFeatures::spans`] shifted by the plan's first row.
+    pub spans: Vec<(usize, usize)>,
+    /// Per-row training targets (`ln` ms).
     pub targets: Vec<f32>,
-    /// Per-row node heights (`0` at padding rows).
+    /// Per-row node heights.
     pub heights: Vec<u32>,
 }
 
 impl PackedBatch {
-    /// Pack a mini-batch, padding every plan to the batch's largest plan.
-    /// An empty batch is a typed [`TrainError::EmptyDataset`], not a panic:
-    /// automated retrain paths chunk whatever a feedback window drained, and
-    /// a degenerate window must not kill the trainer thread.
+    /// Pack a mini-batch. An empty batch is a typed
+    /// [`TrainError::EmptyDataset`], not a panic: automated retrain paths
+    /// chunk whatever a feedback window drained, and a degenerate window
+    /// must not kill the trainer thread.
+    ///
+    /// # Panics
+    /// Panics unless every plan has one span, target and height per node
+    /// and node `i` of an `n`-node plan has a span `(start, end)` with
+    /// `start ≤ i < end ≤ n`, as [`Featurizer::encode`] always emits.
     ///
     /// [`TrainError::EmptyDataset`]: crate::TrainError::EmptyDataset
     pub fn pack(plans: &[&PlanFeatures]) -> Result<PackedBatch, crate::trainer::TrainError> {
         if plans.is_empty() {
             return Err(crate::trainer::TrainError::EmptyDataset);
         }
-        let n_max = plans.iter().map(|p| p.x.rows()).max().unwrap();
-        let count = plans.len();
         let total: usize = plans.iter().map(|p| p.x.rows()).sum();
-        let mut xc = Tensor2::zeros(total, FEATURE_DIM);
-        let mut xc_row = 0;
-        let mut bias = vec![f32::NEG_INFINITY; count * n_max * n_max];
-        let mut targets = vec![0.0f32; count * n_max];
-        let mut heights = vec![0u32; count * n_max];
-        let mut lens = Vec::with_capacity(count);
-        for (b, p) in plans.iter().enumerate() {
+        let mut batch = PackedBatch {
+            xc: Tensor2::zeros(total, FEATURE_DIM),
+            lens: Vec::with_capacity(plans.len()),
+            spans: Vec::with_capacity(total),
+            targets: Vec::with_capacity(total),
+            heights: Vec::with_capacity(total),
+        };
+        let mut row0 = 0;
+        for p in plans {
             let n = p.x.rows();
-            lens.push(n);
-            xc.set_row_block(xc_row, &p.x);
-            xc_row += n;
-            let bias_b = &mut bias[b * n_max * n_max..(b + 1) * n_max * n_max];
-            for i in 0..n {
-                for j in 0..n {
-                    bias_b[i * n_max + j] = if p.mask[i * n + j] { 0.0 } else { MASK_NEG };
-                }
+            assert!(
+                p.spans.len() == n && p.targets.len() == n && p.heights.len() == n,
+                "a plan needs one span, target and height per node"
+            );
+            batch.xc.set_row_block(row0, &p.x);
+            for (i, &(start, end)) in p.spans.iter().enumerate() {
+                assert!(
+                    start <= i && i < end && end <= n,
+                    "node {i}'s span [{start}, {end}) must hold it within its {n}-node plan"
+                );
+                batch.spans.push((row0 + start, row0 + end));
             }
-            targets[b * n_max..b * n_max + n].copy_from_slice(&p.targets);
-            heights[b * n_max..b * n_max + n].copy_from_slice(&p.heights);
+            batch.lens.push(n);
+            batch.targets.extend_from_slice(&p.targets);
+            batch.heights.extend_from_slice(&p.heights);
+            row0 += n;
         }
-        Ok(PackedBatch {
-            xc,
-            n_max,
-            count,
-            lens,
-            bias,
-            targets,
-            heights,
-        })
+        Ok(batch)
     }
 }
 
@@ -253,7 +245,7 @@ impl Featurizer {
 
     /// Featurize one plan (targets come from the plan's actual labels; they
     /// are zeros for unlabeled inference plans). Rows follow DFS preorder;
-    /// the attention mask and node heights come from the child counts.
+    /// the attention spans and node heights come from the child counts.
     pub fn encode(&self, tree: &PlanTree) -> PlanFeatures {
         let order = tree.dfs();
         let n = order.len();
@@ -283,19 +275,20 @@ impl Featurizer {
             heights.push(ends.len() as u32);
             ends.push(i + size);
         }
-        let mask = if self.config.disable_tree_attention {
-            vec![true; n * n]
-        } else {
-            // The ancestor matrix: row `i` allows its subtree interval.
-            let mut m = vec![false; n * n];
-            for (i, &size) in sizes.iter().enumerate() {
-                m[i * n + i..i * n + i + size].fill(true);
-            }
-            m
-        };
+        let spans = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &size)| {
+                if self.config.disable_tree_attention {
+                    (0, n)
+                } else {
+                    (i, i + size)
+                }
+            })
+            .collect();
         PlanFeatures {
             x,
-            mask,
+            spans,
             heights,
             targets,
         }
@@ -348,7 +341,7 @@ impl Featurizer {
     /// its operator type, child count, log cost and log cardinality (the
     /// one this featurizer reads) and its children's hashes in plan order.
     /// Operators, child counts and order fix the tree shape, hence the
-    /// attention mask. The quantization cells are those of the flat
+    /// attention spans. The quantization cells are those of the flat
     /// preorder hash this replaced: both logs are rounded to 1/64 nat
     /// (~1.6%), so plans within a cell share a cache line by design — the
     /// scaled features differ by far less than model noise at that
@@ -459,7 +452,8 @@ mod tests {
             assert_eq!(ones, 1);
         }
         assert_eq!(feats.heights, vec![0, 1]);
-        assert_eq!(feats.mask, vec![true, true, false, true]);
+        // The root attends to both rows, the leaf only to itself.
+        assert_eq!(feats.spans, vec![(0, 2), (1, 2)]);
     }
 
     #[test]
@@ -494,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn no_tree_attention_gives_full_mask() {
+    fn no_tree_attention_gives_full_spans() {
         let ds = toy_dataset();
         let f = Featurizer::fit(
             &ds,
@@ -504,7 +498,7 @@ mod tests {
             },
         );
         let feats = f.encode(&ds.plans[0].tree);
-        assert!(feats.mask.iter().all(|&b| b));
+        assert_eq!(feats.spans, vec![(0, 2), (0, 2)]);
     }
 
     #[test]
@@ -522,65 +516,58 @@ mod tests {
     }
 
     #[test]
-    fn packed_batch_layout_and_bias() {
+    fn packed_batch_is_compact_with_shifted_spans() {
         let ds = toy_dataset();
         let f = Featurizer::fit(&ds, FeatureConfig::default());
-        let a = f.encode(&ds.plans[3].tree); // 2 nodes
-                                             // Single-node plan: just the root of a one-leaf tree won't happen
-                                             // with toy plans, so pack two 2-node plans plus a padded slot check
-                                             // via differing n_max from a hand-built 1-node comparison below.
-        let b = f.encode(&ds.plans[7].tree); // 2 nodes
-        let batch = PackedBatch::pack(&[&a, &b]).unwrap();
-        assert_eq!(batch.count, 2);
-        assert_eq!(batch.n_max, 2);
-        assert_eq!(batch.lens, vec![2, 2]);
-        assert_eq!(batch.targets.len(), 4);
-        // Rows mirror the per-plan features.
-        for i in 0..2 {
-            for c in 0..FEATURE_DIM {
-                assert_eq!(batch.xc.get(i, c), a.x.get(i, c));
-                assert_eq!(batch.xc.get(2 + i, c), b.x.get(i, c));
-            }
-        }
-        assert_eq!(&batch.targets[..2], &a.targets[..]);
-        assert_eq!(&batch.targets[2..], &b.targets[..]);
-        // Bias encodes the tree mask: root row attends to both nodes, leaf
-        // row only to itself (mask = [t, t, f, t] per toy plan).
-        assert_eq!(batch.bias[0], 0.0);
-        assert_eq!(batch.bias[1], 0.0);
-        assert_eq!(batch.bias[2], MASK_NEG);
-        assert_eq!(batch.bias[3], 0.0);
-    }
-
-    #[test]
-    fn packed_batch_pads_shorter_plans() {
-        let ds = toy_dataset();
-        let f = Featurizer::fit(&ds, FeatureConfig::default());
-        let two = f.encode(&ds.plans[0].tree);
-        // Truncate to a single-node plan by re-encoding a subtree: build a
-        // 1-row PlanFeatures by hand from the leaf row.
+        let two = f.encode(&ds.plans[3].tree);
+        // A one-node plan: the leaf row of a two-node plan, by hand.
         let one = PlanFeatures {
             x: two.x.row_block(1, 1),
-            mask: vec![true],
+            spans: vec![(0, 1)],
             heights: vec![0],
             targets: vec![two.targets[1]],
         };
-        let batch = PackedBatch::pack(&[&one, &two]).unwrap();
-        assert_eq!(batch.n_max, 2);
-        assert_eq!(batch.lens, vec![1, 2]);
-        // Plan 0's padding slot has a zero target.
-        assert_eq!(batch.targets[1], 0.0);
-        // Plan 0's bias: real self-attention cell is 0.0; every cell that
-        // touches the padding row/column is -inf.
-        let inf = f32::NEG_INFINITY;
-        assert_eq!(&batch.bias[..4], &[0.0, inf, inf, inf]);
-        // The compact layout drops the padding row entirely: 1 + 2 rows.
-        assert_eq!(batch.xc.rows(), 3);
-        for c in 0..FEATURE_DIM {
-            assert_eq!(batch.xc.get(0, c), one.x.get(0, c));
-            assert_eq!(batch.xc.get(1, c), two.x.get(0, c));
-            assert_eq!(batch.xc.get(2, c), two.x.get(1, c));
+        let batch = PackedBatch::pack(&[&one, &two, &two]).unwrap();
+        assert_eq!(batch.lens, vec![1, 2, 2]);
+        // Every per-row field is in batch row order, with no padding.
+        assert_eq!(batch.xc.rows(), 5);
+        for (row, (p, i)) in [(&one, 0), (&two, 0), (&two, 1), (&two, 0), (&two, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(batch.xc.row(row), p.x.row(i));
+            assert_eq!(batch.targets[row], p.targets[i]);
+            assert_eq!(batch.heights[row], p.heights[i]);
         }
+        // Each plan's spans are shifted to its first batch row.
+        assert_eq!(batch.spans, vec![(0, 1), (1, 3), (2, 3), (3, 5), (4, 5)]);
+    }
+
+    /// A two-node plan with node `i`'s span replaced by `span`, packed.
+    fn pack_with_span(i: usize, span: (usize, usize)) {
+        let ds = toy_dataset();
+        let f = Featurizer::fit(&ds, FeatureConfig::default());
+        let mut feats = f.encode(&ds.plans[0].tree);
+        feats.spans[i] = span;
+        let _ = PackedBatch::pack(&[&feats]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must hold it within its 2-node plan")]
+    fn pack_rejects_a_span_past_the_plan() {
+        pack_with_span(1, (1, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "must hold it within its 2-node plan")]
+    fn pack_rejects_a_span_that_misses_its_node() {
+        pack_with_span(0, (1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "must hold it within its 2-node plan")]
+    fn pack_rejects_an_empty_span() {
+        pack_with_span(1, (1, 1));
     }
 
     /// A node with distinct estimates, so every node hashes differently.

@@ -209,6 +209,10 @@ impl DaceModel {
     /// caller's workspace: once its buffers reach the high-water batch size,
     /// repeated calls stop touching the allocator — the serve worker's and
     /// the search scorer's steady-state forward path.
+    ///
+    /// # Panics
+    /// Panics unless each plan's root span is its whole plan, as
+    /// [`Featurizer::encode`](crate::Featurizer::encode) always emits.
     pub fn predict_roots_timed_ws(
         &self,
         feats: &[&PlanFeatures],
@@ -220,13 +224,16 @@ impl DaceModel {
             return ForwardTimings::default();
         }
         let blocks = feats.iter().map(|f| {
-            let l = f.x.rows();
-            assert_eq!(f.mask.len(), l * l, "mask must be len² per block");
+            let len = f.x.rows();
+            assert_eq!(
+                f.spans.first(),
+                Some(&(0, len)),
+                "the root must attend to its whole plan"
+            );
             RootBlock {
                 x: &f.x,
                 start: 0,
-                len: l,
-                mask_row: &f.mask[..l],
+                len,
             }
         });
         self.root_net().forward(blocks, ws, out)
@@ -234,11 +241,10 @@ impl DaceModel {
 
     /// [`DaceModel::predict_roots_timed_ws`] over plans whose encoded rows
     /// sit back to back in one compact tensor from row `row0` (`lens[b]`
-    /// rows per plan, root first), with no masks or per-plan
-    /// [`PlanFeatures`]: the plan-search scorer's entry. No masks are read:
-    /// a tree-masked root attends to its whole plan, and so does every row
-    /// of an unmasked plan. Bit-identical to the masked entry on the same
-    /// rows with either mask.
+    /// rows per plan, root first), with no spans or per-plan
+    /// [`PlanFeatures`]: the plan-search scorer's entry. A root's span is
+    /// its whole plan, with tree attention or without, so none is read.
+    /// Bit-identical to the [`PlanFeatures`] entry on the same rows.
     pub fn predict_roots_compact_timed_ws(
         &self,
         xc: &Tensor2,
@@ -254,12 +260,7 @@ impl DaceModel {
         let blocks = lens.iter().scan(row0, |next, &len| {
             let start = *next;
             *next += len;
-            Some(RootBlock {
-                x: xc,
-                start,
-                len,
-                mask_row: &[],
-            })
+            Some(RootBlock { x: xc, start, len })
         });
         self.root_net().forward(blocks, ws, out)
     }
@@ -510,6 +511,26 @@ mod tests {
         model.backward_compact(&preds);
         let grad_norm: f32 = model.params_mut().iter().map(|p| p.grad.norm_sq()).sum();
         assert!(grad_norm > 0.0, "no gradient flowed");
+    }
+
+    /// The root-row entry on the toy plan with the root's span replaced.
+    fn predict_root_with_span(span: (usize, usize)) {
+        let mut feats = toy_features();
+        feats.spans[0] = span;
+        let (mut ws, mut out) = (Workspace::new(), Vec::new());
+        DaceModel::new(8).predict_roots_timed_ws(&[&feats], &mut ws, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "the root must attend to its whole plan")]
+    fn the_root_row_entry_rejects_a_span_that_misses_the_root() {
+        predict_root_with_span((1, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "the root must attend to its whole plan")]
+    fn the_root_row_entry_rejects_a_partial_root_span() {
+        predict_root_with_span((0, 2));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! [`QuantizedModel::from_model`] folds each MLP layer's LoRA delta into its
 //! base weight and int8-quantizes everything (per-output-channel scales);
-//! the forward pass packs the plans, runs block-diagonal masked attention
+//! the forward pass packs the plans, runs block-diagonal tree attention
 //! over every row, gathers the root rows and runs the 3-layer MLP on them,
 //! so predictions differ from the full-precision
 //! [`DaceModel::predict_roots_timed_ws`] only by quantization error.
@@ -84,9 +84,9 @@ impl QuantizedModel {
             row += f.x.rows();
         }
         let t_attn = Instant::now();
-        self.attention.forward_masks_into(
+        self.attention.forward_spans_into(
             &ws.xc,
-            feats.iter().map(|f| (f.x.rows(), f.mask.as_slice())),
+            feats.iter().map(|f| f.spans.as_slice()),
             &mut ws.qs,
             &mut ws.attn_out,
         );

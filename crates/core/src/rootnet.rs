@@ -36,21 +36,22 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use dace_nn::{AttnScratch, LoraLinear, MaskedSelfAttention, Relu, Tensor2, Workspace, MASK_NEG};
+use dace_nn::{
+    softmax_in_place, AttnScratch, LoraLinear, MaskedSelfAttention, Relu, Tensor2, Workspace,
+};
 
 use crate::featurize::PackedBatch;
 
 use crate::model::ForwardTimings;
 
 /// One plan's rows as the root-row pass reads them: rows
-/// `[start, start + len)` of `x`, root first, and the root's mask row over
-/// them (empty: the whole plan is attended).
+/// `[start, start + len)` of `x`, root first. The root attends to all of
+/// them: its span is the whole plan, with tree attention or without.
 #[derive(Clone, Copy)]
 pub(crate) struct RootBlock<'a> {
     pub(crate) x: &'a Tensor2,
     pub(crate) start: usize,
     pub(crate) len: usize,
-    pub(crate) mask_row: &'a [bool],
 }
 
 /// The folded twin of a [`DaceModel`](crate::DaceModel)'s weights (see the
@@ -218,15 +219,8 @@ impl RootNet {
     }
 
     /// Each block's attention-weighted input mean `x̄` into `ws.xbar`
-    /// (`B × d`): scores `s_j = (x₀·M)·x_j` over the root's mask row, then
+    /// (`B × d`): scores `s_j = (x₀·M)·x_j` over the whole block, then
     /// `x̄ = Σ_j softmax(s)_j·x_j`.
-    ///
-    /// Tree masks over DFS-ordered nodes make the root row one interval
-    /// (the whole plan), scored without a bias buffer. A non-interval row
-    /// (hand-built features only) is scored densely from its first allowed
-    /// position with [`MASK_NEG`] added at masked positions, exactly as in
-    /// the all-rows bias path; a fully masked row softmaxes to uniform
-    /// weights, as it does there.
     fn root_means<'a, I>(&self, blocks: I, ws: &mut AttnScratch)
     where
         I: Iterator<Item = RootBlock<'a>> + Clone,
@@ -241,77 +235,40 @@ impl RootNet {
         ws.roots.matmul_into(&self.m, &mut ws.u);
         ws.xbar.resize_zeroed(nb, d);
         for (b, blk) in blocks.enumerate() {
-            let mrow = blk.mask_row;
-            let (j0, run, interval) = if mrow.is_empty() {
-                (0, blk.len, true)
-            } else {
-                let j0 = mrow.iter().position(|&b| b).unwrap_or(0);
-                let allowed = mrow[j0..].iter().take_while(|&&b| b).count();
-                let interval = allowed > 0 && !mrow[j0 + allowed..].iter().any(|&b| b);
-                let run = if interval { allowed } else { blk.len - j0 };
-                (j0, run, interval)
-            };
-            if ws.srow.len() < run {
-                ws.srow.resize(run, 0.0);
+            if ws.srow.len() < blk.len {
+                ws.srow.resize(blk.len, 0.0);
             }
-            let s = &mut ws.srow[..run];
-            ws.u.row_dots_nt(b, blk.x, blk.start + j0, run, s);
-            if !interval {
-                for (v, &ok) in s.iter_mut().zip(&mrow[j0..]) {
-                    if !ok {
-                        *v += MASK_NEG;
-                    }
-                }
-            }
-            let max = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for v in s.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            for v in s.iter_mut() {
-                *v /= sum;
-            }
-            Tensor2::row_combine(s, blk.x, blk.start + j0, ws.xbar.row_mut(b));
+            let p = &mut ws.srow[..blk.len];
+            ws.u.row_dots_nt(b, blk.x, blk.start, blk.len, p);
+            softmax_in_place(p);
+            Tensor2::row_combine(p, blk.x, blk.start, ws.xbar.row_mut(b));
         }
     }
 
     /// The all-rows forward over a packed mini-batch's compact layout:
     /// every node's log-latency into `ws.preds` (`Σ lens[b] × 1`, compact
     /// row order), with everything [`RootNet::backward_rows`] reads left in
-    /// `ws`: the input and block lengths, the attention probabilities and
+    /// `ws`: the input and the row spans, the attention probabilities and
     /// means `x̄`, both hidden layers and their ReLU masks.
     ///
-    /// Node `i` of a block scores the block's nodes `j` as `u_i·x_j` with
-    /// `u = X·M`, plus the batch's mask bias, and softmaxes exactly as the
-    /// unfolded attention does, so non-interval and fully masked rows
-    /// behave as there. The 128-wide attention output is never formed: the
-    /// first layer is `x̄·(W_V·W₁') + b₁`.
+    /// Node `i` scores only the rows `j` of its span, as `u_i·x_j` with
+    /// `u = X·M`, and softmaxes over them; its probabilities are stored
+    /// back to back, one per span position. The 128-wide attention output
+    /// is never formed: the first layer is `x̄·(W_V·W₁') + b₁`.
     pub(crate) fn forward_rows(&self, batch: &PackedBatch, ws: &mut Workspace) {
         ws.xc.copy_from(&batch.xc);
-        ws.lens.clear();
-        ws.lens.extend_from_slice(&batch.lens);
-        let (x, a, stride) = (&ws.xc, &mut ws.attn, batch.n_max);
+        ws.spans.clone_from(&batch.spans);
+        let (x, a) = (&ws.xc, &mut ws.attn);
         x.matmul_into(&self.m, &mut a.u);
         a.xbar.resize_zeroed(x.rows(), x.cols());
         a.probs.clear();
-        let mut start = 0;
-        for (b, &l) in batch.lens.iter().enumerate() {
-            let bias = &batch.bias[b * stride * stride..(b + 1) * stride * stride];
-            a.scores.resize_zeroed(l, l);
-            for i in 0..l {
-                let row = a.scores.row_mut(i);
-                a.u.row_dots_nt(start + i, x, start, l, row);
-                for (s, &bv) in row.iter_mut().zip(&bias[i * stride..i * stride + l]) {
-                    *s += bv;
-                }
-            }
-            a.scores.softmax_rows();
-            a.probs.extend_from_slice(a.scores.as_slice());
-            for i in 0..l {
-                Tensor2::row_combine(a.scores.row(i), x, start, a.xbar.row_mut(start + i));
-            }
-            start += l;
+        for (i, &(start, end)) in batch.spans.iter().enumerate() {
+            let p0 = a.probs.len();
+            a.probs.resize(p0 + end - start, 0.0);
+            let p = &mut a.probs[p0..];
+            a.u.row_dots_nt(i, x, start, end - start, p);
+            softmax_in_place(p);
+            Tensor2::row_combine(p, x, start, a.xbar.row_mut(i));
         }
         a.xbar.matmul_into(&self.wv1, &mut ws.h1);
         ws.h1.add_row_broadcast(&self.b1);
@@ -351,8 +308,9 @@ impl RootNet {
     ///
     /// * each merged layer gets `dW' = xᵀ·dy` and `db = Σ dy`;
     /// * `G = X̄ᵀ·dH₁` is the gradient of `W_V·W₁'`;
-    /// * with `scores`, `dX̄ = dH₁·(W_V·W₁')ᵀ` gives `dP_i = dX̄_i·X_bᵀ`, the
-    ///   softmax backward gives `dS`, and `dM = Σ_b X_bᵀ·dS_b·X_b`.
+    /// * with `scores`, `dX̄ = dH₁·(W_V·W₁')ᵀ` gives `dP_i = dX̄_i·X_{span i}ᵀ`
+    ///   over row `i`'s span, the softmax backward gives `dS`, and
+    ///   `dM = Xᵀ·(dS·X)`.
     ///
     /// Fine-tuning freezes the attention, so it passes `scores = false`
     /// and the score backward is skipped.
@@ -386,23 +344,21 @@ impl RootNet {
         ws.d2.matmul_into(&self.wv1_t, &mut ws.dxbar);
         let x = &ws.xc;
         ws.dsx.resize_zeroed(x.rows(), x.cols());
-        let (mut start, mut p0) = (0, 0);
-        for &l in &ws.lens {
+        let mut p0 = 0;
+        for (i, &(start, end)) in ws.spans.iter().enumerate() {
+            let l = end - start;
             if ws.attn.srow.len() < l {
                 ws.attn.srow.resize(l, 0.0);
             }
-            for i in 0..l {
-                let ds = &mut ws.attn.srow[..l];
-                ws.dxbar.row_dots_nt(start + i, x, start, l, ds);
-                let p = &ws.attn.probs[p0 + i * l..p0 + (i + 1) * l];
-                let dot: f32 = p.iter().zip(ds.iter()).map(|(a, b)| a * b).sum();
-                for (g, &pj) in ds.iter_mut().zip(p) {
-                    *g = pj * (*g - dot);
-                }
-                Tensor2::row_combine(ds, x, start, ws.dsx.row_mut(start + i));
+            let ds = &mut ws.attn.srow[..l];
+            ws.dxbar.row_dots_nt(i, x, start, l, ds);
+            let p = &ws.attn.probs[p0..p0 + l];
+            let dot: f32 = p.iter().zip(ds.iter()).map(|(a, b)| a * b).sum();
+            for (g, &pj) in ds.iter_mut().zip(p) {
+                *g = pj * (*g - dot);
             }
-            start += l;
-            p0 += l * l;
+            Tensor2::row_combine(ds, x, start, ws.dsx.row_mut(i));
+            p0 += l;
         }
         x.matmul_tn_into(&ws.dsx, &mut out.dm);
     }
@@ -508,16 +464,6 @@ impl Clone for RootCell {
 mod tests {
     use super::*;
 
-    fn chain_mask(n: usize) -> Vec<bool> {
-        let mut m = vec![false; n * n];
-        for i in 0..n {
-            for j in i..n {
-                m[i * n + j] = true;
-            }
-        }
-        m
-    }
-
     fn layers(seed: u64) -> [LoraLinear; 3] {
         let mut ls = [
             LoraLinear::new(5, 128, 4, seed),
@@ -533,10 +479,12 @@ mod tests {
         ls
     }
 
-    /// The unfolded reference: all-rows attention, then the three LoRA
-    /// layers on row 0.
-    fn unfolded(attn: &MaskedSelfAttention, ls: &[LoraLinear; 3], x: &Tensor2, m: &[bool]) -> f32 {
-        let a = attn.forward_inference(x, m).row_block(0, 1);
+    /// The unfolded reference: all-rows attention over a chain's
+    /// ancestor mask, then the three LoRA layers on the root row.
+    fn unfolded(attn: &MaskedSelfAttention, ls: &[LoraLinear; 3], x: &Tensor2) -> f32 {
+        let n = x.rows();
+        let chain: Vec<bool> = (0..n * n).map(|c| c / n <= c % n).collect();
+        let a = attn.forward_inference(x, &chain).row_block(0, 1);
         let mut h1 = ls[0].forward_inference(&a);
         Relu::relu_in_place(&mut h1);
         let mut h2 = ls[1].forward_inference(&h1);
@@ -544,65 +492,51 @@ mod tests {
         ls[2].forward_inference(&h2).get(0, 0)
     }
 
-    fn masked_blocks<'a>(
-        items: &'a [(Tensor2, Vec<bool>)],
-    ) -> impl Iterator<Item = RootBlock<'a>> + Clone {
-        items.iter().map(|(x, m)| RootBlock {
+    fn blocks(xs: &[Tensor2]) -> impl Iterator<Item = RootBlock<'_>> + Clone {
+        xs.iter().map(|x| RootBlock {
             x,
             start: 0,
             len: x.rows(),
-            mask_row: &m[..x.rows()],
         })
     }
 
     #[test]
-    fn fold_matches_the_unfolded_network_on_every_mask_shape() {
+    fn fold_matches_the_unfolded_network() {
         let attn = MaskedSelfAttention::new(6, 8, 5, 21);
         let ls = layers(31);
         let net = RootNet::fold(&attn, [&ls[0], &ls[1], &ls[2]]);
-        let x = Tensor2::uniform(4, 6, 1.0, 22);
-        // Tree, full, non-interval and fully masked root rows.
-        let mut gap = chain_mask(4);
-        gap[1] = false;
-        let mut blind = chain_mask(4);
-        blind[..4].fill(false);
-        let items: Vec<_> = [chain_mask(4), vec![true; 16], gap, blind]
+        let xs: Vec<Tensor2> = [1, 4, 7]
             .into_iter()
-            .map(|m| (x.clone(), m))
+            .map(|n| Tensor2::uniform(n, 6, 1.0, 22 + n as u64))
             .collect();
         let (mut ws, mut out) = (Workspace::new(), Vec::new());
-        net.forward(masked_blocks(&items), &mut ws, &mut out);
-        assert_eq!(out.len(), items.len());
-        for (b, (x, m)) in items.iter().enumerate() {
-            let want = unfolded(&attn, &ls, x, m);
+        net.forward(blocks(&xs), &mut ws, &mut out);
+        assert_eq!(out.len(), xs.len());
+        for (b, x) in xs.iter().enumerate() {
+            let want = unfolded(&attn, &ls, x);
             assert!(
                 (out[b] - want).abs() < 1e-5,
-                "mask {b}: folded {} vs unfolded {want}",
+                "block {b}: folded {} vs unfolded {want}",
                 out[b]
             );
         }
     }
 
     #[test]
-    fn compact_blocks_are_bit_identical_to_masked_blocks() {
+    fn compact_blocks_are_bit_identical_to_separate_blocks() {
         let attn = MaskedSelfAttention::new(6, 8, 5, 21);
         let ls = layers(32);
         let net = RootNet::fold(&attn, [&ls[0], &ls[1], &ls[2]]);
-        let items = vec![
-            (Tensor2::uniform(3, 6, 1.0, 23), chain_mask(3)),
-            (Tensor2::uniform(5, 6, 1.0, 24), vec![true; 25]),
+        let xs = [
+            Tensor2::uniform(3, 6, 1.0, 23),
+            Tensor2::uniform(5, 6, 1.0, 24),
         ];
         let (mut ws, mut want, mut got) = (Workspace::new(), Vec::new(), Vec::new());
-        net.forward(masked_blocks(&items), &mut ws, &mut want);
+        net.forward(blocks(&xs), &mut ws, &mut want);
         let mut xc = Tensor2::zeros(8, 6);
-        xc.set_row_block(0, &items[0].0);
-        xc.set_row_block(3, &items[1].0);
-        let compact = [(0, 3), (3, 5)].map(|(start, len)| RootBlock {
-            x: &xc,
-            start,
-            len,
-            mask_row: &[],
-        });
+        xc.set_row_block(0, &xs[0]);
+        xc.set_row_block(3, &xs[1]);
+        let compact = [(0, 3), (3, 5)].map(|(start, len)| RootBlock { x: &xc, start, len });
         net.forward(compact.into_iter(), &mut ws, &mut got);
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));

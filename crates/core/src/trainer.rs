@@ -6,9 +6,9 @@
 //! [`SHARD_PLANS`] plans), and trained with one block-diagonal
 //! forward/backward pass per shard instead of one pass per plan. The
 //! gradient is mathematically identical to accumulating one pass per plan
-//! (the attention bias is block-diagonal), differing only in floating-point
-//! summation order; `tests/batch_props.rs` asserts agreement to 1e-4
-//! against one-plan batches through the same passes.
+//! (each node attends only within its own plan), differing only in
+//! floating-point summation order; `tests/batch_props.rs` asserts agreement
+//! to 1e-4 against one-plan batches through the same passes.
 //!
 //! The shards of a batch run on [`TrainConfig::threads`] threads, and their
 //! fold-space gradients are summed in shard order before one projection
@@ -168,12 +168,12 @@ fn featurize_sharded(
 /// Per-row loss gradient for a packed batch, matching the per-plan loss:
 /// each plan's weighted squared-log-error is normalized by its own weight
 /// sum, then scaled by `1 / plans`, the plan count of the whole mini-batch
-/// (`batch` may be one shard of it). `preds` has one row per *real* node
-/// (`Σ lens[b]`), targets and heights are read through the batch's padded
-/// index, and the gradient is written into the caller's reusable buffer —
-/// no allocation once `d_pred` reaches capacity. Returns `batch`'s share of
-/// the mini-batch's mean per-plan weighted loss (the quantity the gradient
-/// descends), which telemetry reports per epoch.
+/// (`batch` may be one shard of it). `preds`, the batch's targets and
+/// heights and the gradient, written into the caller's reusable buffer —
+/// no allocation once `d_pred` reaches capacity — all have one row per
+/// node (`Σ lens[b]`). Returns `batch`'s share of the mini-batch's mean
+/// per-plan weighted loss (the quantity the gradient descends), which
+/// telemetry reports per epoch.
 fn packed_grad(
     adjuster: &LossAdjuster,
     preds: &Tensor2,
@@ -184,22 +184,21 @@ fn packed_grad(
     d_pred.resize_zeroed(preds.rows(), 1);
     let inv_batch = 1.0 / plans as f32;
     let mut loss = 0.0f32;
-    let mut row = 0usize;
-    for b in 0..batch.count {
-        let base = b * batch.n_max;
-        let n = batch.lens[b];
+    let mut start = 0usize;
+    for &n in &batch.lens {
+        let rows = start..start + n;
         let mut wsum = 0.0f32;
-        for i in 0..n {
-            wsum += adjuster.weight(batch.heights[base + i]);
+        for &h in &batch.heights[rows.clone()] {
+            wsum += adjuster.weight(h);
         }
         let wsum = wsum.max(1e-12);
-        for i in 0..n {
-            let w = adjuster.weight(batch.heights[base + i]);
-            let err = preds.get(row, 0) - batch.targets[base + i];
+        for row in rows {
+            let w = adjuster.weight(batch.heights[row]);
+            let err = preds.get(row, 0) - batch.targets[row];
             loss += w * err * err / wsum * inv_batch;
             d_pred.set(row, 0, 2.0 * w * err / wsum * inv_batch);
-            row += 1;
         }
+        start += n;
     }
     loss
 }
@@ -227,14 +226,15 @@ fn validation_stats(
     let mut qerrs = Vec::new();
     for batch in batches {
         model.forward_batch_compact(batch);
-        let loss = packed_grad(adjuster, model.batch_preds(), batch, batch.count, d_buf);
-        total += loss * batch.count as f32;
+        let plans = batch.lens.len();
+        let loss = packed_grad(adjuster, model.batch_preds(), batch, plans, d_buf);
+        total += loss * plans as f32;
         let preds = model.batch_preds().as_slice();
         let mut row = 0;
-        for (b, &n) in batch.lens.iter().enumerate() {
+        for &n in &batch.lens {
             // Root is the plan's first row; Q-error compares in ms space.
             let pred_ms = Featurizer::to_ms(preds[row]).max(1e-6);
-            let actual_ms = Featurizer::to_ms(batch.targets[b * batch.n_max]).max(1e-6);
+            let actual_ms = Featurizer::to_ms(batch.targets[row]).max(1e-6);
             qerrs.push((pred_ms / actual_ms).max(actual_ms / pred_ms));
             row += n;
         }
@@ -1189,7 +1189,7 @@ mod tests {
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.x, b.x);
             assert_eq!(a.targets, b.targets);
-            assert_eq!(a.mask, b.mask);
+            assert_eq!(a.spans, b.spans);
         }
     }
 

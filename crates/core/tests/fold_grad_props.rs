@@ -9,8 +9,12 @@
 //! The trainer computes a mini-batch's gradient as plan shards, each one's
 //! fold-space gradients summed in shard order before one projection onto
 //! the parameters (`DaceModel::backward_shards` runs the same steps
-//! serially). That sum must match the unfolded network's gradient over the
-//! whole batch to the same tolerance.
+//! serially). That sum must match the unfolded network's gradient to the
+//! same tolerance. The unfolded network is block-diagonal per plan, so its
+//! whole-batch gradient is the sum of its shards' gradients. The reference
+//! sums them in shard order, as the trainer does: a bias gradient is a
+//! plain sum of signed rows that can cancel to a tiny value, and regrouping
+//! that sum alone can move it by more than 1e-4 of itself.
 //!
 //! The fold is cached inside the model, so the file also checks that the
 //! training forward refolds after an optimizer step and after a
@@ -20,7 +24,7 @@
 use dace_core::{
     DaceEstimator, DaceModel, PackedBatch, PlanFeatures, TrainConfig, Trainer, FEATURE_DIM,
 };
-use dace_nn::{Adam, AttnScratch, LoraMode, MaskedSelfAttention, Param, Tensor2};
+use dace_nn::{Adam, AttnScratch, LoraMode, MaskedSelfAttention, Param, Tensor2, MASK_NEG};
 use dace_plan::{Dataset, LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, TreeBuilder};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -38,42 +42,52 @@ const GRAD_RELATIVE_TOLERANCE: f32 = 1e-4;
 /// 1e-5 relative error had a pre-activation within 1e-7 of zero.
 const RELU_MARGIN: f32 = 1e-6;
 
-/// A random plan: a genuine tree over `n` nodes (random parent pointers)
-/// with its ancestor-or-self mask, random features and targets. `shape`
-/// optionally breaks one row's mask: 1 makes it non-interval (every other
-/// position), 2 masks it fully.
-fn random_plan(n: usize, seed: u64, shape: u8) -> PlanFeatures {
+/// A random plan: a tree over `n` nodes in DFS preorder, with each node's
+/// sub-plan as its span, its depth as its height, and random features and
+/// targets.
+fn random_plan(n: usize, seed: u64) -> PlanFeatures {
     let mut rng = SmallRng::seed_from_u64(seed);
     let x = Tensor2::uniform(n, FEATURE_DIM, 1.5, seed ^ 0xFEA7);
-    let mut parent = vec![usize::MAX; n];
-    for (i, p) in parent.iter_mut().enumerate().skip(1) {
-        *p = rng.gen_range(0..i);
-    }
-    let mut mask = vec![false; n * n];
+    // In preorder a node is the root (depth 0) or sits at most one level
+    // below the node before it; any such depth sequence is a tree.
     let mut heights = vec![0u32; n];
-    for j in 0..n {
-        let mut a = j;
-        loop {
-            mask[a * n + j] = true;
-            if a == 0 {
-                break;
-            }
-            a = parent[a];
-            heights[j] += 1;
-        }
+    for i in 1..n {
+        heights[i] = rng.gen_range(1..=heights[i - 1] + 1);
     }
-    let row = rng.gen_range(0..n);
-    match shape {
-        1 => (0..n).for_each(|j| mask[row * n + j] = j % 2 == 0),
-        2 => mask[row * n..(row + 1) * n].fill(false),
-        _ => {}
-    }
+    // A node's sub-plan runs up to the next node at its depth or above.
+    let spans = (0..n)
+        .map(|i| {
+            (
+                i,
+                (i + 1..n).find(|&j| heights[j] <= heights[i]).unwrap_or(n),
+            )
+        })
+        .collect();
     PlanFeatures {
         x,
-        mask,
+        spans,
         heights,
         targets: (0..n).map(|_| rng.gen_range(-2.0f32..6.0)).collect(),
     }
+}
+
+/// The batch's spans as the additive score bias the unfolded attention
+/// reads: one `n_max × n_max` matrix per plan, of which only the leading
+/// `lens[b]²` corner is read, `0.0` inside a row's span and `MASK_NEG`
+/// outside it.
+fn span_bias(batch: &PackedBatch) -> (usize, Vec<f32>) {
+    let n_max = *batch.lens.iter().max().unwrap();
+    let mut bias = vec![MASK_NEG; batch.lens.len() * n_max * n_max];
+    let mut row0 = 0;
+    for (b, &n) in batch.lens.iter().enumerate() {
+        for i in 0..n {
+            let (start, end) = batch.spans[row0 + i];
+            let at = (b * n_max + i) * n_max;
+            bias[at + start - row0..at + end - row0].fill(0.0);
+        }
+        row0 += n;
+    }
+    (n_max, bias)
 }
 
 /// A seeded model in `mode` with non-zero LoRA `A` and biases on every
@@ -127,11 +141,12 @@ impl Unfolded {
     /// Per-row predictions: 128-wide block-diagonal attention, then each
     /// LoRA layer unmerged.
     fn forward(&mut self, batch: &PackedBatch) -> Tensor2 {
+        let (n_max, bias) = span_bias(batch);
         self.attention.forward_packed_ws(
             &batch.xc,
             &batch.lens,
-            batch.n_max,
-            &batch.bias,
+            n_max,
+            &bias,
             &mut self.ws,
             &mut self.attn_out,
         );
@@ -214,11 +229,10 @@ fn max_abs(t: &Tensor2) -> f32 {
 
 /// Every parameter gradient of `folded` within [`GRAD_RELATIVE_TOLERANCE`]
 /// of the reference's, relative to the reference's max-norm.
-fn assert_grads_match(folded: &mut DaceModel, reference: &mut Unfolded, mode: LoraMode) {
-    let want = reference.grads();
+fn assert_grads_match(folded: &mut DaceModel, want: &[Tensor2], mode: LoraMode) {
     let got: Vec<Tensor2> = folded.params_mut().iter().map(|p| p.grad.clone()).collect();
     prop_assert_eq!(got.len(), want.len());
-    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
         let mut diff = g.clone();
         diff.scale(-1.0);
         diff.add_assign(w);
@@ -239,14 +253,14 @@ proptest! {
 
     #[test]
     fn folded_training_matches_the_unfolded_network(
-        plans in proptest::collection::vec((1usize..=12, 0u64..1_000_000, 0u8..6), 1..=20),
+        plans in proptest::collection::vec((1usize..=12, 0u64..1_000_000), 1..=20),
         seed in 0u64..1_000,
         finetune in 0u8..2,
     ) {
         let mode = if finetune == 1 { LoraMode::Finetune } else { LoraMode::Pretrain };
         let feats: Vec<PlanFeatures> = plans
             .iter()
-            .map(|&(n, s, shape)| random_plan(n, s, shape))
+            .map(|&(n, s)| random_plan(n, s))
             .collect();
         let refs: Vec<&PlanFeatures> = feats.iter().collect();
         let batch = PackedBatch::pack(&refs).unwrap();
@@ -270,12 +284,12 @@ proptest! {
         let d_pred = Tensor2::uniform(want.rows(), 1, 1.0, seed ^ 0xD0D0);
         folded.backward_compact(&d_pred);
         reference.backward(&d_pred, &batch);
-        assert_grads_match(&mut folded, &mut reference, mode);
+        assert_grads_match(&mut folded, &reference.grads(), mode);
     }
 
     #[test]
     fn sharded_gradients_match_the_unfolded_network(
-        plans in proptest::collection::vec((1usize..=12, 0u64..1_000_000, 0u8..6), 1..=20),
+        plans in proptest::collection::vec((1usize..=12, 0u64..1_000_000), 1..=20),
         shard_plans in 1usize..=6,
         seed in 0u64..1_000,
         finetune in 0u8..2,
@@ -283,7 +297,7 @@ proptest! {
         let mode = if finetune == 1 { LoraMode::Finetune } else { LoraMode::Pretrain };
         let feats: Vec<PlanFeatures> = plans
             .iter()
-            .map(|&(n, s, shape)| random_plan(n, s, shape))
+            .map(|&(n, s)| random_plan(n, s))
             .collect();
         let refs: Vec<&PlanFeatures> = feats.iter().collect();
         let batch = PackedBatch::pack(&refs).unwrap();
@@ -310,9 +324,22 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(start, rows);
+        // The reference sums its shards' gradients in shard order, as the
+        // trainer sums the shards' fold-space gradients.
+        let mut want: Vec<Tensor2> = Vec::new();
+        for (shard, d) in shards.iter().zip(&d_preds) {
+            let mut part = Unfolded::of(&mut folded);
+            part.forward(shard);
+            part.backward(d, shard);
+            let grads = part.grads();
+            if want.is_empty() {
+                want = grads;
+            } else {
+                want.iter_mut().zip(&grads).for_each(|(w, g)| w.add_assign(g));
+            }
+        }
         folded.backward_shards(&shards, &d_preds);
-        reference.backward(&d_pred, &batch);
-        assert_grads_match(&mut folded, &mut reference, mode);
+        assert_grads_match(&mut folded, &want, mode);
     }
 }
 
@@ -362,7 +389,7 @@ fn fresh(model: &DaceModel) -> DaceModel {
 #[test]
 fn the_training_forward_refolds_after_every_weight_change() {
     let feats: Vec<PlanFeatures> = (0..6)
-        .map(|i| random_plan(1 + i * 2, 40 + i as u64, 0))
+        .map(|i| random_plan(1 + i * 2, 40 + i as u64))
         .collect();
     let refs: Vec<&PlanFeatures> = feats.iter().collect();
     let batch = PackedBatch::pack(&refs).unwrap();

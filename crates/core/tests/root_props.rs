@@ -1,10 +1,11 @@
 //! Root-row inference equivalence: the batched root-latency path
 //! (`DaceModel::predict_roots_timed_ws`, which runs the folded `RootNet`)
 //! must agree with the all-rows reference (`DaceModel::predict_root`) to
-//! f32 rounding on arbitrary plan shapes and masks, with and without LoRA
-//! adapters, and a plan's score must be bit-identical alone and inside any
-//! mixed-size batch — the search memo and the serve feature cache both
-//! reuse a score computed in one batch for a plan seen in another.
+//! f32 rounding on arbitrary plan shapes, with and without tree attention
+//! and LoRA adapters, and a plan's score must be bit-identical alone and
+//! inside any mixed-size batch — the search memo and the serve feature
+//! cache both reuse a score computed in one batch for a plan seen in
+//! another.
 //!
 //! The fold is cached inside the model, so the file also checks that every
 //! weight change (an adapter install, a fine-tuning step) drops it: the
@@ -129,16 +130,6 @@ fn root_row(model: &DaceModel, feats: &[&PlanFeatures]) -> Vec<f32> {
     out
 }
 
-/// `feats` with the root's mask row replaced by a non-interval pattern
-/// (every other position, root included), forcing the dense fallback.
-fn non_interval(feats: &PlanFeatures) -> PlanFeatures {
-    let mut f = feats.clone();
-    for (j, m) in f.mask[..feats.x.rows()].iter_mut().enumerate() {
-        *m = j % 2 == 0;
-    }
-    f
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -155,8 +146,8 @@ proptest! {
                 },
                 ..est.featurizer.clone()
             };
-            // Tree masks, full masks (DACE w/o tree attention) and one
-            // hand-built non-interval mask, interleaved into one mixed batch.
+            // Tree spans and full spans (DACE w/o tree attention),
+            // interleaved into one mixed batch.
             let mut feats: Vec<PlanFeatures> = Vec::new();
             for (i, &(seed, nodes)) in shapes.iter().enumerate() {
                 let tree = random_tree(seed, nodes);
@@ -165,9 +156,6 @@ proptest! {
                 } else {
                     est.featurizer.encode(&tree)
                 });
-            }
-            if let Some(f) = feats.iter().position(|f| f.x.rows() >= 3) {
-                feats[f] = non_interval(&feats[f]);
             }
             let len = feats.len();
             feats.rotate_left(rotate % len);

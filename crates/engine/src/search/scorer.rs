@@ -104,7 +104,7 @@ impl PlanScorer for ExplorationScorer {
 /// shared sub-tree is featurized and scored once per memo lifetime. Only
 /// the misses are encoded: one preorder walk per candidate writes its rows
 /// from the cached logs straight into a reused compact buffer, which the
-/// root-row forward reads as is — no per-candidate features, mask or
+/// root-row forward reads as is — no per-candidate features, spans or
 /// [`PlanTree`].
 ///
 /// Candidates are never executed, so a featurizer that reads *actual*

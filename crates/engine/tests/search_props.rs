@@ -191,7 +191,7 @@ proptest! {
     /// candidate of every DP level and greedy round, under every featurizer
     /// variant the scorer accepts, that must be exactly the fingerprint and
     /// the feature rows of the `PlanTree` path. Executed picks (actuals
-    /// filled in) go through the `PlanTree` path, whose mask and heights
+    /// filled in) go through the `PlanTree` path, whose spans and heights
     /// must match the tree's own ancestor matrix and heights.
     #[test]
     fn physplan_featurization_matches_plan_tree(seed in 0u64..1_000_000, variant in 0usize..2) {
@@ -231,10 +231,19 @@ proptest! {
             let tree = p.to_plan_tree();
             let feats = featurizer.encode(&tree);
             prop_assert_eq!(&feats.heights, &tree.heights());
+            // Each span, expanded to a row of booleans, is that row of the
+            // attention mask: all true without tree attention, else the
+            // ancestor matrix's.
+            let n = feats.spans.len();
+            let expanded: Vec<bool> = feats
+                .spans
+                .iter()
+                .flat_map(|&(start, end)| (0..n).map(move |j| start <= j && j < end))
+                .collect();
             if disable_tree_attention {
-                prop_assert!(feats.mask.iter().all(|&m| m));
+                prop_assert!(expanded.iter().all(|&m| m));
             } else {
-                prop_assert_eq!(&feats.mask, &tree.ancestor_matrix());
+                prop_assert_eq!(&expanded, &tree.ancestor_matrix());
             }
         }
     }

@@ -31,7 +31,7 @@ pub use param::Param;
 pub use quant::{QuantRows, QuantScratch, QuantizedAttention, QuantizedLinear, QuantizedMatrix};
 pub use relu::Relu;
 pub use scaler::RobustScaler;
-pub use tensor::Tensor2;
+pub use tensor::{softmax_in_place, Tensor2};
 pub use workspace::{AttnScratch, Workspace};
 
 /// Seeded Xavier/Glorot-uniform initialization bound for a `fan_in × fan_out`

@@ -17,13 +17,11 @@
 //! and is where most of the int8 path's speedup comes from.
 //!
 //! [`QuantizedAttention`] quantizes only the Q/K/V projections; scores,
-//! the interval-sparse masked softmax and the value combine stay in f32 —
-//! including the guard that a fully-masked (all `-inf` logits) row produces
-//! a **zero, finite** output row instead of `NaN`.
+//! the softmax over each row's span and the value combine stay in f32.
 
 use crate::attention::MaskedSelfAttention;
 use crate::linear::LoraLinear;
-use crate::tensor::Tensor2;
+use crate::tensor::{softmax_in_place, Tensor2};
 
 /// One int8-quantized weight matrix with per-output-channel scales.
 ///
@@ -470,7 +468,7 @@ impl QuantizedLinear {
 }
 
 /// The quantized twin of [`MaskedSelfAttention`]: int8 Q/K/V projections,
-/// f32 interval-sparse masked softmax and value combine.
+/// then an f32 softmax and value combine over each row's span.
 #[derive(Debug, Clone)]
 pub struct QuantizedAttention {
     wq: QuantizedMatrix,
@@ -500,24 +498,21 @@ impl QuantizedAttention {
         self.wq.bytes() + self.wk.bytes() + self.wv.bytes()
     }
 
-    /// Int8 block-diagonal masked attention over every row: blocks stream
-    /// in as `(len, mask)` pairs over the compact input `x`. Tree masks are
-    /// row intervals, so each row is scored, softmaxed and value-summed
-    /// over its allowed interval only; a non-interval row falls back to a
-    /// dense row with additive `MASK_NEG`, and a fully-masked row produces
-    /// a zero output row, never `NaN`. Only the three projections run
-    /// int8; tracks the f32 [`MaskedSelfAttention::forward_inference`]
-    /// within quantization error.
-    pub fn forward_masks_into<'m, I>(
+    /// Int8 block-diagonal tree attention over every row: blocks stream in
+    /// as slices of per-row spans over the compact input `x`, one span per
+    /// row of the block. Row `i` of a block is scored, softmaxed and
+    /// value-summed over its span `[start, end)` of the block's rows only.
+    /// Only the three projections run int8; tracks the f32
+    /// [`MaskedSelfAttention::forward_inference`] within quantization error.
+    pub fn forward_spans_into<'s, I>(
         &self,
         x: &Tensor2,
         blocks: I,
         ws: &mut QuantScratch,
         out: &mut Tensor2,
     ) where
-        I: IntoIterator<Item = (usize, &'m [bool])>,
+        I: IntoIterator<Item = &'s [(usize, usize)]>,
     {
-        use crate::attention::MASK_NEG;
         let n = x.rows();
         // Quantize the input rows once and feed all three projections from
         // the same buffer — q/k/v are their destinations.
@@ -531,47 +526,21 @@ impl QuantizedAttention {
         let scale = 1.0 / (self.d_k as f32).sqrt();
         out.resize_zeroed(n, self.wv.out_dim());
         let mut start = 0;
-        for (l, mask) in blocks {
-            assert_eq!(mask.len(), l * l, "mask must be len² per block");
-            for i in 0..l {
-                let mrow = &mask[i * l..(i + 1) * l];
-                let Some(j0) = mrow.iter().position(|&b| b) else {
-                    continue; // fully masked row: zero output, as in f32
-                };
-                let mut run = mrow[j0..].iter().take_while(|&&b| b).count();
-                let interval = !mrow[j0 + run..].iter().any(|&b| b);
-                if !interval {
-                    run = l - j0; // dense fallback: mask additively
-                }
+        for spans in blocks {
+            for (i, &(s0, s1)) in spans.iter().enumerate() {
+                let run = s1 - s0;
                 if ws.srow.len() < run {
                     ws.srow.resize(run, 0.0);
                 }
                 let s = &mut ws.srow[..run];
-                ws.q.row_dots_nt(start + i, &ws.k, start + j0, run, s);
+                ws.q.row_dots_nt(start + i, &ws.k, start + s0, run, s);
                 for v in s.iter_mut() {
                     *v *= scale;
                 }
-                if !interval {
-                    for (v, &allowed) in s.iter_mut().zip(&mrow[j0..]) {
-                        if !allowed {
-                            *v += MASK_NEG;
-                        }
-                    }
-                }
-                let max = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut sum = 0.0;
-                for v in s.iter_mut() {
-                    *v = (*v - max).exp();
-                    sum += *v;
-                }
-                if sum > 0.0 {
-                    for v in s.iter_mut() {
-                        *v /= sum;
-                    }
-                }
-                Tensor2::row_combine(s, &ws.v, start + j0, out.row_mut(start + i));
+                softmax_in_place(s);
+                Tensor2::row_combine(s, &ws.v, start + s0, out.row_mut(start + i));
             }
-            start += l;
+            start += spans.len();
         }
         assert_eq!(start, n, "blocks must cover all rows");
     }
@@ -654,60 +623,21 @@ mod tests {
     }
 
     #[test]
-    fn quantized_attention_tracks_f32_on_interval_masks() {
+    fn quantized_attention_tracks_f32_on_tree_spans() {
         let attn = MaskedSelfAttention::new(16, 32, 24, 11);
         let q = QuantizedAttention::from_attention(&attn);
         let x = random_tensor(5, 16, 12);
-        // Ancestor-style interval mask for a 5-node chain-ish tree.
-        let l = 5;
-        let mut mask = vec![false; l * l];
-        for i in 0..l {
-            for j in i..l {
-                mask[i * l + j] = true;
-            }
+        // Row 0 is the root of two two-node chains, 1 → 2 and 3 → 4.
+        let spans = [(0, 5), (1, 3), (2, 3), (3, 5), (4, 5)];
+        let mut mask = vec![false; 25];
+        for (i, &(s0, s1)) in spans.iter().enumerate() {
+            mask[i * 5 + s0..i * 5 + s1].fill(true);
         }
         let want = attn.forward_inference(&x, &mask);
         let mut ws = QuantScratch::default();
         let mut got = Tensor2::default();
-        q.forward_masks_into(&x, [(l, mask.as_slice())], &mut ws, &mut got);
+        q.forward_spans_into(&x, [&spans[..]], &mut ws, &mut got);
         assert_eq!(got.rows(), want.rows());
-        for (g, w_) in got.as_slice().iter().zip(want.as_slice()) {
-            assert!((g - w_).abs() < 0.2, "{g} vs {w_}");
-        }
-    }
-
-    #[test]
-    fn fully_masked_row_yields_finite_zero_output() {
-        let attn = MaskedSelfAttention::new(8, 16, 16, 13);
-        let q = QuantizedAttention::from_attention(&attn);
-        let x = random_tensor(3, 8, 14);
-        // Row 1 is fully masked (softmax over all -inf in the bias path).
-        let l = 3;
-        let mut mask = vec![true; l * l];
-        for j in 0..l {
-            mask[l + j] = false;
-        }
-        let mut ws = QuantScratch::default();
-        let mut got = Tensor2::default();
-        q.forward_masks_into(&x, [(l, mask.as_slice())], &mut ws, &mut got);
-        assert!(got.as_slice().iter().all(|v| v.is_finite()));
-        assert!(got.row(1).iter().all(|&v| v == 0.0), "masked row not zero");
-    }
-
-    #[test]
-    fn dense_fallback_mask_matches_f32_path() {
-        let attn = MaskedSelfAttention::new(8, 16, 16, 15);
-        let q = QuantizedAttention::from_attention(&attn);
-        let x = random_tensor(4, 8, 16);
-        // Non-interval mask: row 0 attends to {0, 2} — forces the dense
-        // fallback with additive MASK_NEG.
-        let l = 4;
-        let mut mask = vec![true; l * l];
-        mask[1] = false;
-        let want = attn.forward_inference(&x, &mask);
-        let mut ws = QuantScratch::default();
-        let mut got = Tensor2::default();
-        q.forward_masks_into(&x, [(l, mask.as_slice())], &mut ws, &mut got);
         for (g, w_) in got.as_slice().iter().zip(want.as_slice()) {
             assert!((g - w_).abs() < 0.2, "{g} vs {w_}");
         }

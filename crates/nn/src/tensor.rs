@@ -18,6 +18,10 @@
 //!    pass with chained-zip inner loops that auto-vectorize without bounds
 //!    checks, shared dimension in L1-sized blocks.
 //!
+//! `simd_strided` and `simd_dots` are the only places that pick a tier;
+//! every entry point falls back to its blocked scalar kernel when they
+//! report no SIMD tier.
+//!
 //! Per output element every tier keeps the same `p`-ascending summation
 //! order (FMA only fuses the rounding of each step); `matmul_nt`'s
 //! dot-product path additionally splits the sum across SIMD lanes, which
@@ -366,6 +370,77 @@ mod avx512 {
     }
 }
 
+/// Whether the CPU has a SIMD tier ([`simd_strided`] and [`simd_dots`]
+/// will run a kernel rather than return `false`).
+#[cfg(target_arch = "x86_64")]
+fn simd_available() -> bool {
+    avx512::available() || fma::available()
+}
+
+/// `C (m×n) = op(A) @ B (k×n)` with `op(A)(i, p) = a[i·sa + p·sp]`, on the
+/// widest SIMD tier the CPU has: AVX-512F, else AVX2+FMA. The one place
+/// that knows the tier order, with [`simd_dots`]. Returns `false`, writing
+/// nothing, on a CPU with neither; the caller then runs its scalar kernel.
+///
+/// # Safety
+/// `a` must be readable at every `i·sa + p·sp` (`i < m`, `p < k`), `b` for
+/// `k·n` floats and `c` writable for `m·n`.
+#[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+unsafe fn simd_strided(
+    a: *const f32,
+    sa: usize,
+    sp: usize,
+    b: *const f32,
+    c: *mut f32,
+    m: usize,
+    k: usize,
+    n: usize,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx512::available() {
+            avx512::matmul_strided(a, sa, sp, b, c, m, k, n);
+            return true;
+        }
+        if fma::available() {
+            fma::matmul_strided(a, sa, sp, b, c, m, k, n);
+            return true;
+        }
+    }
+    false
+}
+
+/// `C (m×n) = A (m×k) @ B (n×k)ᵀ` as one dot product per element, on the
+/// same tier [`simd_strided`] picks. Returns `false`, writing nothing, on a
+/// CPU with no SIMD tier.
+///
+/// # Safety
+/// `a` must be readable for `m·k` floats, `b` for `n·k` and `c` writable
+/// for `m·n`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+unsafe fn simd_dots(
+    a: *const f32,
+    b: *const f32,
+    c: *mut f32,
+    m: usize,
+    k: usize,
+    n: usize,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx512::available() {
+            avx512::matmul_nt(a, b, c, m, k, n);
+            return true;
+        }
+        if fma::available() {
+            fma::matmul_nt(a, b, c, m, k, n);
+            return true;
+        }
+    }
+    false
+}
+
 /// Output-row panel height of the blocked matmul kernels: each streamed
 /// B row feeds this many independent accumulator rows.
 const MR: usize = 4;
@@ -553,43 +628,16 @@ impl Tensor2 {
     pub fn matmul_into(&self, other: &Tensor2, out: &mut Tensor2) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         out.resize_for_overwrite(self.rows, other.cols);
-        #[cfg(target_arch = "x86_64")]
-        {
-            let (m, k, n) = (self.rows, self.cols, other.cols);
-            // SAFETY (both blocks): the shape assert and the resize make
-            // `self` m×k, `other` k×n and `out` m×n, exactly the extents the
-            // kernel reads and writes, and each kernel runs only after its
-            // CPU-feature check.
-            if avx512::available() {
-                unsafe {
-                    avx512::matmul_strided(
-                        self.data.as_ptr(),
-                        k,
-                        1,
-                        other.data.as_ptr(),
-                        out.data.as_mut_ptr(),
-                        m,
-                        k,
-                        n,
-                    );
-                }
-                return;
-            }
-            if fma::available() {
-                unsafe {
-                    fma::matmul_strided(
-                        self.data.as_ptr(),
-                        k,
-                        1,
-                        other.data.as_ptr(),
-                        out.data.as_mut_ptr(),
-                        m,
-                        k,
-                        n,
-                    );
-                }
-                return;
-            }
+        let (m, k, n) = (self.rows, self.cols, other.cols);
+        let (a, b, c) = (
+            self.data.as_ptr(),
+            other.data.as_ptr(),
+            out.data.as_mut_ptr(),
+        );
+        // SAFETY: the shape assert and the resize make `self` m×k, `other`
+        // k×n and `out` m×n.
+        if unsafe { simd_strided(a, k, 1, b, c, m, k, n) } {
+            return;
         }
         out.fill_zero();
         self.matmul_blocked_into(other, out);
@@ -665,42 +713,16 @@ impl Tensor2 {
     pub fn matmul_tn_into(&self, other: &Tensor2, out: &mut Tensor2) {
         assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
         out.resize_for_overwrite(self.cols, other.cols);
-        #[cfg(target_arch = "x86_64")]
-        {
-            let (k, m, n) = (self.rows, self.cols, other.cols);
-            // SAFETY (both blocks): the shape assert and the resize make
-            // `self` k×m (read transposed), `other` k×n and `out` m×n, and
-            // each kernel runs only after its CPU-feature check.
-            if avx512::available() {
-                unsafe {
-                    avx512::matmul_strided(
-                        self.data.as_ptr(),
-                        1,
-                        m,
-                        other.data.as_ptr(),
-                        out.data.as_mut_ptr(),
-                        m,
-                        k,
-                        n,
-                    );
-                }
-                return;
-            }
-            if fma::available() {
-                unsafe {
-                    fma::matmul_strided(
-                        self.data.as_ptr(),
-                        1,
-                        m,
-                        other.data.as_ptr(),
-                        out.data.as_mut_ptr(),
-                        m,
-                        k,
-                        n,
-                    );
-                }
-                return;
-            }
+        let (k, m, n) = (self.rows, self.cols, other.cols);
+        let (a, b, c) = (
+            self.data.as_ptr(),
+            other.data.as_ptr(),
+            out.data.as_mut_ptr(),
+        );
+        // SAFETY: the shape assert and the resize make `self` k×m (read
+        // transposed), `other` k×n and `out` m×n.
+        if unsafe { simd_strided(a, 1, m, b, c, m, k, n) } {
+            return;
         }
         out.fill_zero();
         self.matmul_tn_blocked_into(other, out);
@@ -768,74 +790,28 @@ impl Tensor2 {
         // independent chains in flight. Same fused p-ascending per-element
         // summation; the scratch reuses its high-water capacity, so steady
         // state stays allocation-free.
+        let (m, k, n) = (self.rows, self.cols, other.rows);
         #[cfg(target_arch = "x86_64")]
-        if self.rows >= NT_PACK_MIN_ROWS && (avx512::available() || fma::available()) {
+        if m >= NT_PACK_MIN_ROWS && simd_available() {
             NT_PACK.with(|cell| {
                 let bt = &mut *cell.borrow_mut();
                 other.transpose_into(bt);
-                let (m, k, n) = (self.rows, self.cols, other.rows);
-                // SAFETY: `self` is m×k, the packed `bt` k×n and `out`
-                // m×n; the kernel matches the feature check above.
-                unsafe {
-                    if avx512::available() {
-                        avx512::matmul_strided(
-                            self.data.as_ptr(),
-                            k,
-                            1,
-                            bt.data.as_ptr(),
-                            out.data.as_mut_ptr(),
-                            m,
-                            k,
-                            n,
-                        );
-                    } else {
-                        fma::matmul_strided(
-                            self.data.as_ptr(),
-                            k,
-                            1,
-                            bt.data.as_ptr(),
-                            out.data.as_mut_ptr(),
-                            m,
-                            k,
-                            n,
-                        );
-                    }
-                }
+                let (a, b, c) = (self.data.as_ptr(), bt.data.as_ptr(), out.data.as_mut_ptr());
+                // SAFETY: `self` is m×k, the packed `bt` k×n and `out` m×n.
+                let ran = unsafe { simd_strided(a, k, 1, b, c, m, k, n) };
+                debug_assert!(ran, "simd_available() promised a SIMD tier");
             });
             return;
         }
-        #[cfg(target_arch = "x86_64")]
-        {
-            let (m, k, n) = (self.rows, self.cols, other.rows);
-            // SAFETY (both blocks): the shape assert and the resize make
-            // `self` m×k, `other` n×k and `out` m×n, and each kernel runs
-            // only after its CPU-feature check.
-            if avx512::available() {
-                unsafe {
-                    avx512::matmul_nt(
-                        self.data.as_ptr(),
-                        other.data.as_ptr(),
-                        out.data.as_mut_ptr(),
-                        m,
-                        k,
-                        n,
-                    );
-                }
-                return;
-            }
-            if fma::available() {
-                unsafe {
-                    fma::matmul_nt(
-                        self.data.as_ptr(),
-                        other.data.as_ptr(),
-                        out.data.as_mut_ptr(),
-                        m,
-                        k,
-                        n,
-                    );
-                }
-                return;
-            }
+        let (a, b, c) = (
+            self.data.as_ptr(),
+            other.data.as_ptr(),
+            out.data.as_mut_ptr(),
+        );
+        // SAFETY: the shape assert and the resize make `self` m×k, `other`
+        // n×k and `out` m×n.
+        if unsafe { simd_dots(a, b, c, m, k, n) } {
+            return;
         }
         self.matmul_nt_blocked_into(other, out);
     }
@@ -944,29 +920,10 @@ impl Tensor2 {
         }
     }
 
-    /// Row-wise softmax in place. Numerically stable (max-subtracted).
-    ///
-    /// A row whose entries are all `-inf` (a fully masked row, e.g. batch
-    /// padding) becomes all zeros rather than NaN: naive max-subtraction
-    /// would compute `(-inf) - (-inf) = NaN` there.
+    /// Row-wise softmax in place: [`softmax_in_place`] on every row.
     pub fn softmax_rows(&mut self) {
         for r in 0..self.rows {
-            let row = self.row_mut(r);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            if max == f32::NEG_INFINITY {
-                row.iter_mut().for_each(|v| *v = 0.0);
-                continue;
-            }
-            let mut sum = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            if sum > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= sum;
-                }
-            }
+            softmax_in_place(self.row_mut(r));
         }
     }
 
@@ -984,38 +941,12 @@ impl Tensor2 {
         assert!(dst.len() >= n, "row_dots_nt dst shorter than n");
         let k = self.cols;
         let a_row = &self.data[i * k..(i + 1) * k];
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY (both blocks): `a_row` holds k floats, rows
-            // `j0..j0 + n` of `other` (k wide) are in bounds and `dst`
-            // holds at least n floats, all asserted above; each kernel runs
-            // only after its CPU-feature check.
-            if avx512::available() {
-                unsafe {
-                    avx512::matmul_nt(
-                        a_row.as_ptr(),
-                        other.data.as_ptr().add(j0 * k),
-                        dst.as_mut_ptr(),
-                        1,
-                        k,
-                        n,
-                    );
-                }
-                return;
-            }
-            if fma::available() {
-                unsafe {
-                    fma::matmul_nt(
-                        a_row.as_ptr(),
-                        other.data.as_ptr().add(j0 * k),
-                        dst.as_mut_ptr(),
-                        1,
-                        k,
-                        n,
-                    );
-                }
-                return;
-            }
+        let b = other.data[j0 * k..].as_ptr();
+        // SAFETY: `a_row` holds k floats, rows `j0..j0 + n` of `other` (k
+        // wide) are in bounds and `dst` holds at least n floats, all
+        // asserted above.
+        if unsafe { simd_dots(a_row.as_ptr(), b, dst.as_mut_ptr(), 1, k, n) } {
+            return;
         }
         for (j, d) in dst[..n].iter_mut().enumerate() {
             let b_row = other.row(j0 + j);
@@ -1035,42 +966,11 @@ impl Tensor2 {
         );
         let n = other.cols;
         assert!(dst.len() >= n, "row_combine dst shorter than other.cols()");
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY (both blocks): rows `j0..j0 + m` of `other` (n wide)
-            // are in bounds and `dst` holds at least n floats, both
-            // asserted above; each kernel runs only after its CPU-feature
-            // check.
-            if avx512::available() {
-                unsafe {
-                    avx512::matmul_strided(
-                        weights.as_ptr(),
-                        m,
-                        1,
-                        other.data.as_ptr().add(j0 * n),
-                        dst.as_mut_ptr(),
-                        1,
-                        m,
-                        n,
-                    );
-                }
-                return;
-            }
-            if fma::available() {
-                unsafe {
-                    fma::matmul_strided(
-                        weights.as_ptr(),
-                        m,
-                        1,
-                        other.data.as_ptr().add(j0 * n),
-                        dst.as_mut_ptr(),
-                        1,
-                        m,
-                        n,
-                    );
-                }
-                return;
-            }
+        let b = other.data[j0 * n..].as_ptr();
+        // SAFETY: rows `j0..j0 + m` of `other` (n wide) are in bounds and
+        // `dst` holds at least n floats, both asserted above.
+        if unsafe { simd_strided(weights.as_ptr(), m, 1, b, dst.as_mut_ptr(), 1, m, n) } {
+            return;
         }
         dst[..n].fill(0.0);
         for (p, &w) in weights.iter().enumerate() {
@@ -1103,6 +1003,29 @@ impl Tensor2 {
     /// Squared Frobenius norm.
     pub fn norm_sq(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum()
+    }
+}
+
+/// Softmax of one score row in place, max-subtracted for stability: the
+/// one softmax every attention path runs. A row whose entries are all
+/// `-inf` (a fully masked row, e.g. batch padding) becomes all zeros rather
+/// than NaN: naive max-subtraction would compute `(-inf) - (-inf) = NaN`
+/// there.
+pub fn softmax_in_place(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    if max == f32::NEG_INFINITY {
+        row.fill(0.0);
+        return;
+    }
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    if sum > 0.0 {
+        for v in row.iter_mut() {
+            *v /= sum;
+        }
     }
 }
 

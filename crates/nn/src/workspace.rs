@@ -14,8 +14,7 @@ use crate::tensor::Tensor2;
 /// Attention-layer scratch: projections and per-block temporaries that
 /// persist from a packed forward pass to the matching backward pass.
 /// [`crate::MaskedSelfAttention`]'s packed passes use the Q/K/V fields;
-/// DACE's folded passes use only `probs`, `scores`, `roots`, `u`, `xbar`
-/// and `srow`.
+/// DACE's folded passes use only `probs`, `roots`, `u`, `xbar` and `srow`.
 #[derive(Debug, Clone, Default)]
 pub struct AttnScratch {
     /// Query projection of the whole packed input (forward → backward).
@@ -24,8 +23,9 @@ pub struct AttnScratch {
     pub k: Tensor2,
     /// Value projection (forward → backward).
     pub v: Tensor2,
-    /// Concatenated per-block softmax probabilities; block `b` contributes
-    /// `lens[b]²` values (forward → backward).
+    /// Concatenated softmax probabilities (forward → backward): block `b`
+    /// of a packed pass contributes `lens[b]²` values, and each row of
+    /// DACE's all-rows pass one value per position of its span.
     pub probs: Vec<f32>,
     /// Per-block row copy of `q`.
     pub qb: Tensor2,
@@ -63,7 +63,7 @@ pub struct AttnScratch {
     /// or per node like `u` (all rows: forward → backward).
     pub xbar: Tensor2,
     /// Root-row inference: one plan's root score row. The all-rows
-    /// backward reuses it for one row's `dP`.
+    /// backward reuses it for one row's `dP` over its span.
     pub srow: Vec<f32>,
 }
 
@@ -77,8 +77,9 @@ pub struct Workspace {
     pub attn: AttnScratch,
     /// Compact input of the last batched forward (the backward's `x`).
     pub xc: Tensor2,
-    /// Block lengths of the last batched forward.
-    pub lens: Vec<usize>,
+    /// Each row's attention span `(start, end)` in `xc`'s rows, of the last
+    /// batched forward.
+    pub spans: Vec<(usize, usize)>,
     /// First hidden activation (post-ReLU; the sign lives in `mask1`).
     pub h1: Tensor2,
     /// Second hidden activation (post-ReLU).

@@ -11,34 +11,31 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Build a random plan: a genuine tree over `n` nodes (random parent
-/// pointers), its ancestor-or-self mask, node depths as heights, and random
+/// Build a random plan: a tree over `n` nodes in DFS preorder, with each
+/// node's sub-plan as its span, its depth as its height, and random
 /// features/targets.
 fn random_plan(n: usize, seed: u64) -> PlanFeatures {
     let mut rng = SmallRng::seed_from_u64(seed);
     let x = Tensor2::uniform(n, FEATURE_DIM, 1.0, seed ^ 0xFEA7);
-    let mut parent = vec![usize::MAX; n];
-    for (i, p) in parent.iter_mut().enumerate().skip(1) {
-        *p = rng.gen_range(0..i);
-    }
-    let mut mask = vec![false; n * n];
+    // In preorder a node is the root (depth 0) or sits at most one level
+    // below the node before it; any such depth sequence is a tree.
     let mut heights = vec![0u32; n];
-    for j in 0..n {
-        // Walk ancestors of j: every one (and j itself) may attend to j.
-        let mut a = j;
-        loop {
-            mask[a * n + j] = true;
-            if a == 0 {
-                break;
-            }
-            a = parent[a];
-            heights[j] += 1;
-        }
+    for i in 1..n {
+        heights[i] = rng.gen_range(1..=heights[i - 1] + 1);
     }
+    // A node's sub-plan runs up to the next node at its depth or above.
+    let spans = (0..n)
+        .map(|i| {
+            (
+                i,
+                (i + 1..n).find(|&j| heights[j] <= heights[i]).unwrap_or(n),
+            )
+        })
+        .collect();
     let targets: Vec<f32> = (0..n).map(|_| rng.gen_range(-2.0f32..6.0)).collect();
     PlanFeatures {
         x,
-        mask,
+        spans,
         heights,
         targets,
     }
@@ -117,20 +114,20 @@ proptest! {
         batched.forward_batch_compact(&packed);
         let preds = batched.batch_preds();
         let mut d = Tensor2::zeros(preds.rows(), 1);
-        let mut row = 0;
-        for b in 0..packed.count {
-            let base = b * packed.n_max;
-            let n = packed.lens[b];
-            let wsum: f32 = (0..n)
-                .map(|i| adjuster.weight(packed.heights[base + i]))
+        let mut start = 0;
+        for &n in &packed.lens {
+            let rows = start..start + n;
+            let wsum: f32 = rows
+                .clone()
+                .map(|r| adjuster.weight(packed.heights[r]))
                 .sum::<f32>()
                 .max(1e-12);
-            for i in 0..n {
-                let w = adjuster.weight(packed.heights[base + i]);
-                let err = preds.get(row, 0) - packed.targets[base + i];
-                d.set(row, 0, 2.0 * w * err / wsum / count);
-                row += 1;
+            for r in rows {
+                let w = adjuster.weight(packed.heights[r]);
+                let err = preds.get(r, 0) - packed.targets[r];
+                d.set(r, 0, 2.0 * w * err / wsum / count);
             }
+            start += n;
         }
         batched.backward_compact(&d);
         let got = flat_grads(&mut batched);
