@@ -109,7 +109,7 @@ impl Default for TrainConfig {
     }
 }
 
-/// Featurize every tree, sharding the work across crossbeam scoped threads.
+/// Featurize every tree, sharding the work across scoped threads.
 /// Output order matches `trees` regardless of thread count (featurization is
 /// pure per-plan work). This is the one featurization entry point shared by
 /// training, [`DaceEstimator::predict_batch_ms`] and the serving scheduler's
@@ -126,22 +126,18 @@ pub fn featurize_trees_sharded(
         return trees.iter().map(|t| featurizer.encode(t)).collect();
     }
     let chunk = trees.len().div_ceil(threads);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = trees
             .chunks(chunk)
             .map(|ts| {
-                scope.spawn(move |_| ts.iter().map(|t| featurizer.encode(t)).collect::<Vec<_>>())
+                scope.spawn(move || ts.iter().map(|t| featurizer.encode(t)).collect::<Vec<_>>())
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("featurization thread panicked"))
-            .collect::<Vec<_>>()
+            .flat_map(|h| h.join().expect("featurization thread panicked"))
+            .collect()
     })
-    .expect("crossbeam scope failed")
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// A thread setting resolved: `0` means every available core.

@@ -53,13 +53,12 @@ pub fn collect_dataset(db: &Database, queries: &[Query], machine: MachineId) -> 
         return Dataset::from_plans(plans);
     }
     let chunk = queries.len().div_ceil(threads);
-    let mut results: Vec<Vec<LabeledPlan>> = Vec::new();
-    crossbeam::scope(|scope| {
+    let plans = std::thread::scope(|scope| {
         let handles: Vec<_> = queries
             .chunks(chunk)
             .enumerate()
             .map(|(ci, qs)| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     qs.iter()
                         .enumerate()
                         .map(|(i, q)| {
@@ -70,12 +69,12 @@ pub fn collect_dataset(db: &Database, queries: &[Query], machine: MachineId) -> 
                 })
             })
             .collect();
-        for h in handles {
-            results.push(h.join().expect("collection thread panicked"));
-        }
-    })
-    .expect("crossbeam scope failed");
-    Dataset::from_plans(results.into_iter().flatten().collect())
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("collection thread panicked"))
+            .collect()
+    });
+    Dataset::from_plans(plans)
 }
 
 /// Convenience: EXPLAIN ANALYZE rendering of one labeled query.

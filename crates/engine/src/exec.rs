@@ -246,7 +246,7 @@ mod tests {
     use crate::cost::CostModel;
     use crate::latency::MachineProfile;
     use crate::planner::{
-        connecting_edge, join_candidates, masked_edges, pick_min_cost, plan, scan_candidates, Side,
+        connecting_edge, join_candidates, masked_edges, plan, scan_candidates, Side,
     };
     use dace_catalog::{generate_database, suite_specs};
     use dace_query::{Aggregate, ComplexWorkloadGen, Query};
@@ -438,10 +438,11 @@ mod tests {
         .into_iter()
         .find(|q| q.joins.len() == 1 && q.tables.len() == 2)
         .expect("a two-table join");
+        // Each table's sequential scan, the first access path generated.
         let scan = |t, mask| {
             let mut cands = Vec::new();
             scan_candidates(&db, &q, t, &cm, &est, &mut cands);
-            Side::new(mask, Arc::new(pick_min_cost(cands)))
+            Side::new(mask, Arc::new(cands.swap_remove(0)))
         };
         let (l, r) = (scan(q.tables[0], 1), scan(q.tables[1], 2));
         let edges = masked_edges(&db, &q);

@@ -7,9 +7,9 @@
 //! 1. estimates cardinalities from table statistics ([`card`]) with the
 //!    classic independence/uniformity assumptions — and therefore with
 //!    realistic, structured *estimation error*;
-//! 2. enumerates join orders and physical operators with a PostgreSQL-style
-//!    cost model ([`cost`], [`planner`]) to produce a physical plan
-//!    annotated with estimated rows and cost per node;
+//! 2. enumerates join orders and physical operators ([`planner`],
+//!    [`search`]) under a PostgreSQL-style cost model ([`cost`]) to produce
+//!    a physical plan annotated with estimated rows and cost per node;
 //! 3. actually executes the plan over the columnar data ([`exec`]) to obtain
 //!    the *actual* cardinality of every node;
 //! 4. synthesizes per-node wall-clock latency from the actual cardinalities
@@ -32,9 +32,7 @@ pub use collect::{collect_dataset, explain_analyze, label_query, plan_query};
 pub use cost::CostModel;
 pub use exec::execute;
 pub use latency::MachineProfile;
-pub use planner::{
-    plan, plan_with_strategy, JoinStrategy, PhysPlan, PlanError, DP_AUTO_MAX, MAX_RELATIONS,
-};
+pub use planner::{plan, JoinStrategy, PhysPlan, PlanError, DP_AUTO_MAX, MAX_RELATIONS};
 pub use search::{
     AnalyticScorer, CrossMachineRouter, ExplorationScorer, HybridScorer, LearnedScorer, PlanScorer,
     RoutingDecision, ScoreMemo, SearchReport, SearchSession,

@@ -1,5 +1,6 @@
-//! Cost-based physical planning: scan selection, dynamic-programming join
-//! enumeration and plan-tree construction.
+//! Cost-based physical planning: the physical plan node, the candidate
+//! generators (access paths, joins, aggregates) the search driver
+//! enumerates, and [`plan`], the analytic optimizer.
 
 use std::cell::OnceCell;
 use std::sync::{Arc, LazyLock};
@@ -13,6 +14,7 @@ use dace_query::{JoinEdge, Predicate, Query};
 
 use crate::card::CardEstimator;
 use crate::cost::CostModel;
+use crate::search::{AnalyticScorer, SearchSession};
 
 /// Join-enumeration cap: masks are `u32` bitsets and the DP table is
 /// `2^k` entries, so wider queries must be rejected up front.
@@ -61,7 +63,8 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Which join-enumeration algorithm [`plan_with_strategy`] runs.
+/// Which join-enumeration algorithm [`SearchSession::plan_with_strategy`]
+/// runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinStrategy {
     /// Exhaustive DP for up to [`DP_AUTO_MAX`] relations, greedy beyond.
@@ -71,20 +74,6 @@ pub enum JoinStrategy {
     Dp,
     /// Force the greedy smallest-output heuristic at any width.
     Greedy,
-}
-
-/// Validate the planning contract shared by every enumeration entry point.
-pub(crate) fn validate_query(query: &Query) -> Result<(), PlanError> {
-    if query.tables.is_empty() {
-        return Err(PlanError::EmptyTableList);
-    }
-    if query.tables.len() > MAX_RELATIONS {
-        return Err(PlanError::TooManyRelations {
-            count: query.tables.len(),
-            cap: MAX_RELATIONS,
-        });
-    }
-    Ok(())
 }
 
 /// What the executor must do at a physical node.
@@ -322,72 +311,26 @@ impl PhysPlan {
     }
 }
 
-/// Plan `query` against `db` under `cost_model`.
+/// Plan `query` against `db` under `cost_model`: the search driver
+/// ([`SearchSession`]) with every choice going to the lowest analytic cost
+/// ([`AnalyticScorer`]).
 ///
 /// Scans are chosen among sequential / index / bitmap / index-only (plus a
 /// parallel Gather alternative for large sequential scans); join orders are
 /// enumerated with dynamic programming over connected subsets (System R
-/// style, bushy plans allowed) choosing among hash join, nested loop
-/// (with inner index lookup or materialization) and sort-merge join;
-/// aggregation picks hash vs. sorted grouping by cost.
+/// style, bushy plans allowed) up to [`DP_AUTO_MAX`] relations and greedily
+/// beyond, choosing among hash join, nested loop (with inner index lookup
+/// or materialization) and sort-merge join; aggregation picks hash vs.
+/// sorted grouping by cost.
 pub fn plan(db: &Database, query: &Query, cost_model: &CostModel) -> Result<PhysPlan, PlanError> {
-    plan_with_strategy(db, query, cost_model, JoinStrategy::Auto)
-}
-
-/// [`plan`] with an explicit join-enumeration strategy. `Auto` reproduces
-/// [`plan`]'s behavior; `Dp`/`Greedy` force one enumerator regardless of
-/// query width (the plan-quality guard tests compare the two directly).
-pub fn plan_with_strategy(
-    db: &Database,
-    query: &Query,
-    cost_model: &CostModel,
-    strategy: JoinStrategy,
-) -> Result<PhysPlan, PlanError> {
-    validate_query(query)?;
-    let est = CardEstimator::new(db);
-    let mut cands = Vec::new();
-
-    // Best access path per base relation.
-    let mut base: Vec<Side> = query
-        .tables
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| {
-            scan_candidates(db, query, t, cost_model, &est, &mut cands);
-            Side::new(1 << i, Arc::new(pick_min_cost(cands.drain(..))))
-        })
-        .collect();
-
-    // Join enumeration.
-    let k = query.tables.len();
-    let use_dp = match strategy {
-        JoinStrategy::Auto => k <= DP_AUTO_MAX,
-        JoinStrategy::Dp => true,
-        JoinStrategy::Greedy => false,
-    };
-    let joined = if k == 1 {
-        base.pop().expect("one relation, one base plan").plan
-    } else if use_dp {
-        dp_join(db, query, base, cost_model, &est, &mut cands)?
-    } else {
-        greedy_join(db, query, base, cost_model, &est, &mut cands)?
-    };
-
-    // Aggregation.
-    let with_agg = if query.aggregates.is_empty() {
-        joined
-    } else {
-        aggregate_candidates(query, &joined, cost_model, &est, &mut cands);
-        Arc::new(pick_min_cost(cands.drain(..)))
-    };
-
-    // LIMIT.
-    Ok(finish_limit(query, with_agg, cost_model))
+    SearchSession::new(db, cost_model)
+        .plan(query, &mut AnalyticScorer)
+        .map(|(plan, _)| plan)
 }
 
 /// Wrap the plan in its LIMIT node, if the query has one. The LIMIT wrap is
-/// deterministic (no physical alternatives), so the learned search driver
-/// shares it verbatim.
+/// deterministic (no physical alternatives), so the search driver adds it
+/// without scoring.
 pub(crate) fn finish_limit(
     query: &Query,
     with_agg: Arc<PhysPlan>,
@@ -413,27 +356,15 @@ pub(crate) fn finish_limit(
     }
 }
 
-/// First-wins argmin over candidates by analytic cost: replicates the
-/// historical `if cand.est_cost < best.est_cost { best = cand }` chains
-/// exactly (ties keep the earlier candidate), so splitting generation from
-/// selection changes no plan the analytic planner picks.
-pub(crate) fn pick_min_cost(cands: impl IntoIterator<Item = PhysPlan>) -> PhysPlan {
-    cands
-        .into_iter()
-        .reduce(|best, c| if c.est_cost < best.est_cost { c } else { best })
-        .expect("candidate generators always emit at least one plan")
-}
-
 /// Threshold row count above which a parallel Gather plan is considered.
 const GATHER_MIN_ROWS: f64 = 15_000.0;
 /// Simulated parallel workers.
 const GATHER_WORKERS: f64 = 2.0;
 
-/// Append every viable access path for `table` to `out`, cheapest-analytic-
-/// first semantics left to the caller. Generation order matches the
-/// historical replace-if-strictly-cheaper chain (seq → gather → index →
-/// index-only → bitmap), so [`pick_min_cost`] over the appended run is the
-/// analytic planner's pick; the learned search driver instead scores it.
+/// Append every viable access path for `table` to `out`, in the order
+/// seq → gather → index → index-only → bitmap. The search driver scores the
+/// run as one decision group and keeps the first lowest score, so on an
+/// analytic-cost tie the earlier path wins.
 ///
 /// The table's scan payload and `Scan` instruction are built once and
 /// shared by every path that reads the table.
@@ -634,138 +565,6 @@ impl Side {
     }
 }
 
-/// The DP table: the [`Side`] chosen for each table mask, if any. The
-/// sides live in an arena and the table maps every mask to an index into
-/// it, so an empty entry costs four bytes.
-pub(crate) struct DpTable {
-    sides: Vec<Side>,
-    index: Vec<u32>,
-}
-
-/// A mask with no side; past the end of any arena.
-const NO_SIDE: u32 = u32::MAX;
-
-impl DpTable {
-    /// A table over masks `0..=full` holding the base relations' sides.
-    pub(crate) fn new(base: Vec<Side>, full: u32) -> DpTable {
-        let mut index = vec![NO_SIDE; full as usize + 1];
-        for (i, side) in base.iter().enumerate() {
-            index[side.mask as usize] = i as u32;
-        }
-        DpTable { sides: base, index }
-    }
-
-    pub(crate) fn get(&self, mask: u32) -> Option<&Side> {
-        self.sides.get(self.index[mask as usize] as usize)
-    }
-
-    pub(crate) fn insert(&mut self, mask: u32, plan: PhysPlan) {
-        self.index[mask as usize] = self.sides.len() as u32;
-        self.sides.push(Side::new(mask, Arc::new(plan)));
-    }
-
-    /// The plan chosen for `mask`; the join graph is disconnected if none
-    /// was.
-    pub(crate) fn into_plan(mut self, mask: u32) -> Result<Arc<PhysPlan>, PlanError> {
-        match self.index[mask as usize] {
-            NO_SIDE => Err(PlanError::DisconnectedJoinGraph),
-            i => Ok(self.sides.swap_remove(i as usize).plan),
-        }
-    }
-}
-
-/// Dynamic programming over connected table subsets (DPsub).
-fn dp_join(
-    db: &Database,
-    query: &Query,
-    base: Vec<Side>,
-    cm: &CostModel,
-    est: &CardEstimator<'_>,
-    cands: &mut Vec<PhysPlan>,
-) -> Result<Arc<PhysPlan>, PlanError> {
-    let k = query.tables.len();
-    let edges = masked_edges(db, query);
-    let full: u32 = if k == 32 { u32::MAX } else { (1u32 << k) - 1 };
-    let mut dp = DpTable::new(base, full);
-    for mask in 1..=full {
-        if mask.count_ones() < 2 || dp.get(mask).is_some() {
-            continue;
-        }
-        let mut best: Option<PhysPlan> = None;
-        // Enumerate proper submasks.
-        let mut left = (mask - 1) & mask;
-        while left > 0 {
-            let right = mask ^ left;
-            // Avoid symmetric duplicates: join operators already consider
-            // both build/probe assignments, so only visit left < right once.
-            if left < right {
-                left = (left - 1) & mask;
-                continue;
-            }
-            if let (Some(l), Some(r)) = (dp.get(left), dp.get(right)) {
-                if let Some(edge) = connecting_edge(&edges, left, right) {
-                    join_candidates(db, l, r, edge, cm, est, cands);
-                    let candidate = pick_min_cost(cands.drain(..));
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| candidate.est_cost < b.est_cost)
-                    {
-                        best = Some(candidate);
-                    }
-                }
-            }
-            left = (left - 1) & mask;
-        }
-        if let Some(best) = best {
-            dp.insert(mask, best);
-        }
-    }
-    dp.into_plan(full)
-}
-
-/// Greedy fallback for very wide queries: repeatedly join the pair with the
-/// smallest estimated output.
-fn greedy_join(
-    db: &Database,
-    query: &Query,
-    mut frags: Vec<Side>,
-    cm: &CostModel,
-    est: &CardEstimator<'_>,
-    cands: &mut Vec<PhysPlan>,
-) -> Result<Arc<PhysPlan>, PlanError> {
-    let edges = masked_edges(db, query);
-    while frags.len() > 1 {
-        let mut best: Option<(usize, usize, PhysPlan)> = None;
-        for i in 0..frags.len() {
-            for j in 0..frags.len() {
-                if i == j {
-                    continue;
-                }
-                let (l, r) = (&frags[i], &frags[j]);
-                if let Some(edge) = connecting_edge(&edges, l.mask, r.mask) {
-                    join_candidates(db, l, r, edge, cm, est, cands);
-                    let cand = pick_min_cost(cands.drain(..));
-                    if best.as_ref().is_none_or(|b| cand.est_cost < b.2.est_cost) {
-                        best = Some((i, j, cand));
-                    }
-                }
-            }
-        }
-        let (i, j, joined) = best.ok_or(PlanError::DisconnectedJoinGraph)?;
-        merge_fragments(&mut frags, i, j, joined);
-    }
-    Ok(frags.pop().unwrap().plan)
-}
-
-/// Replace greedy fragments `i` and `j` by their join `joined`.
-pub(crate) fn merge_fragments(frags: &mut Vec<Side>, i: usize, j: usize, joined: PhysPlan) {
-    let mask = frags[i].mask | frags[j].mask;
-    let (hi, lo) = if i > j { (i, j) } else { (j, i) };
-    frags.swap_remove(hi);
-    frags.swap_remove(lo);
-    frags.push(Side::new(mask, Arc::new(joined)));
-}
-
 /// A join edge with the query-table bits of its two endpoints, so join
 /// enumeration tests fragment masks instead of walking sub-plans, and the
 /// payload and `Join` instruction every candidate along the edge shares.
@@ -811,10 +610,9 @@ pub(crate) fn connecting_edge(edges: &[MaskedEdge], left: u32, right: u32) -> Op
 }
 
 /// Append every physical join of `l` and `r` along `masked` to `out`, in
-/// the historical consideration order (hash → NL-index both orientations →
-/// NL-materialize → sort-merge). [`pick_min_cost`] over the appended run is
-/// the analytic planner's pick; the learned driver batches it for model
-/// scoring.
+/// the order hash → NL-index both orientations → NL-materialize →
+/// sort-merge. The search driver scores them with the rest of their
+/// decision group; on an analytic-cost tie the earlier join wins.
 ///
 /// Candidates share both sub-plans, their pass-through wrappers (built once
 /// per [`Side`]) and the edge's payload by `Arc`; only the join nodes on top
@@ -944,10 +742,9 @@ fn is_scan(p: &PhysPlan) -> bool {
 }
 
 /// Append the aggregation roots over `child` to `out`: hash aggregate
-/// first, then sort + group aggregate (the historical
-/// `hash_cost <= sorted_cost` tie preference for hash equals first-wins
-/// argmin over this order). Grouping-free queries have exactly one
-/// candidate, a plain single-pass group aggregate.
+/// first, then sort + group aggregate, so on an analytic-cost tie hash
+/// wins. Grouping-free queries have exactly one candidate, a plain
+/// single-pass group aggregate.
 pub(crate) fn aggregate_candidates(
     query: &Query,
     child: &Arc<PhysPlan>,

@@ -1,5 +1,5 @@
-//! The plan-search driver: the analytic planner's enumeration with the
-//! argmin handed to a [`PlanScorer`].
+//! The plan-search driver: the one join enumerator, with every argmin
+//! handed to a [`PlanScorer`].
 //!
 //! Candidates are collected *per decision level* — every table's access
 //! paths at once, every DP level's join candidates at once — and scored in
@@ -8,11 +8,10 @@
 //! block-diagonal traffic shape the serving kernels are optimized for,
 //! instead of thousands of single-plan forwards.
 //!
-//! The enumeration order (masks ascending, partitions in submask-descending
-//! order, candidate generation order inside each group) is kept identical to
-//! [`crate::planner`], so driving the search with [`AnalyticScorer`] is
-//! bit-for-bit the analytic planner — the equivalence test that pins the
-//! two implementations together.
+//! Each decision group keeps its first lowest score, so a tie goes to the
+//! candidate generated first. Under [`AnalyticScorer`] the driver is the
+//! analytic optimizer, [`crate::plan`], which plans every labeled dataset;
+//! `tests/pipeline.rs` pins its picks by digest.
 //!
 //! [`AnalyticScorer`]: crate::search::AnalyticScorer
 
@@ -27,8 +26,7 @@ use crate::card::CardEstimator;
 use crate::cost::CostModel;
 use crate::planner::{
     aggregate_candidates, connecting_edge, finish_limit, join_candidates, masked_edges,
-    merge_fragments, scan_candidates, validate_query, DpTable, JoinStrategy, PhysPlan, PlanError,
-    Side, DP_AUTO_MAX,
+    scan_candidates, JoinStrategy, PhysPlan, PlanError, Side, DP_AUTO_MAX, MAX_RELATIONS,
 };
 use crate::search::scorer::PlanScorer;
 
@@ -113,6 +111,70 @@ impl Level {
             .enumerate()
             .filter_map(move |(i, c)| next.next_if_eq(&&i).map(|_| c))
     }
+}
+
+/// The DP table: the [`Side`] chosen for each table mask, if any. The
+/// sides live in an arena and the table maps every mask to an index into
+/// it, so an empty entry costs four bytes.
+struct DpTable {
+    sides: Vec<Side>,
+    index: Vec<u32>,
+}
+
+/// A mask with no side; past the end of any arena.
+const NO_SIDE: u32 = u32::MAX;
+
+impl DpTable {
+    /// A table over masks `0..=full` holding the base relations' sides.
+    fn new(base: Vec<Side>, full: u32) -> DpTable {
+        let mut index = vec![NO_SIDE; full as usize + 1];
+        for (i, side) in base.iter().enumerate() {
+            index[side.mask as usize] = i as u32;
+        }
+        DpTable { sides: base, index }
+    }
+
+    fn get(&self, mask: u32) -> Option<&Side> {
+        self.sides.get(self.index[mask as usize] as usize)
+    }
+
+    fn insert(&mut self, mask: u32, plan: PhysPlan) {
+        self.index[mask as usize] = self.sides.len() as u32;
+        self.sides.push(Side::new(mask, Arc::new(plan)));
+    }
+
+    /// The plan chosen for `mask`; the join graph is disconnected if none
+    /// was.
+    fn into_plan(mut self, mask: u32) -> Result<Arc<PhysPlan>, PlanError> {
+        match self.index[mask as usize] {
+            NO_SIDE => Err(PlanError::DisconnectedJoinGraph),
+            i => Ok(self.sides.swap_remove(i as usize).plan),
+        }
+    }
+}
+
+/// Replace greedy fragments `i` and `j` by their join `joined`.
+fn merge_fragments(frags: &mut Vec<Side>, i: usize, j: usize, joined: PhysPlan) {
+    let mask = frags[i].mask | frags[j].mask;
+    let (hi, lo) = if i > j { (i, j) } else { (j, i) };
+    frags.swap_remove(hi);
+    frags.swap_remove(lo);
+    frags.push(Side::new(mask, Arc::new(joined)));
+}
+
+/// Check the planning contract: at least one relation, at most
+/// [`MAX_RELATIONS`].
+fn validate_query(query: &Query) -> Result<(), PlanError> {
+    if query.tables.is_empty() {
+        return Err(PlanError::EmptyTableList);
+    }
+    if query.tables.len() > MAX_RELATIONS {
+        return Err(PlanError::TooManyRelations {
+            count: query.tables.len(),
+            cap: MAX_RELATIONS,
+        });
+    }
+    Ok(())
 }
 
 impl<'a> SearchSession<'a> {
@@ -228,8 +290,7 @@ impl<'a> SearchSession<'a> {
                     continue;
                 }
                 let start = level.cands.len();
-                // Proper submasks, descending — the analytic planner's
-                // enumeration order.
+                // Proper submasks, descending.
                 let mut left = (mask - 1) & mask;
                 while left > 0 {
                     let right = mask ^ left;

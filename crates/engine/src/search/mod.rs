@@ -1,16 +1,17 @@
 //! Learned-cost plan search: DACE inside the optimizer.
 //!
-//! The analytic planner ([`crate::planner`]) picks every scan, join and
-//! aggregate by `est_cost` argmin. This module runs the *same enumeration*
-//! but delegates the argmin to a pluggable [`PlanScorer`], so the choice can
-//! come from batched DACE inference instead of the analytic cost model:
+//! The crate's one join enumerator. [`crate::planner`] generates the
+//! candidate scans, joins and aggregates; this module enumerates them and
+//! delegates every argmin to a pluggable [`PlanScorer`], so the choice can
+//! come from the analytic cost model ([`crate::plan`]) or from batched DACE
+//! inference:
 //!
 //! * [`SearchSession`] — the driver. It collects candidate sub-plans per
 //!   decision level (all scans, then each DP level's join candidates, then
 //!   aggregation) and scores each level in **one** batch, the traffic shape
 //!   the block-diagonal serving kernels are built for.
-//! * [`PlanScorer`] — the scoring strategy: [`AnalyticScorer`] (reproduces
-//!   the analytic planner bit-for-bit), [`LearnedScorer`] (batched DACE
+//! * [`PlanScorer`] — the scoring strategy: [`AnalyticScorer`] (lowest
+//!   `est_cost`; the analytic optimizer), [`LearnedScorer`] (batched DACE
 //!   predictions, lower predicted ms wins) and [`HybridScorer`] (learned
 //!   for expensive decision groups, analytic below a cost threshold).
 //! * [`ScoreMemo`] — a single-owner sharded LRU over sub-plan fingerprints

@@ -30,9 +30,7 @@ pub trait PlanScorer {
 }
 
 /// The analytic cost model as a scorer: score = `est_cost`. Driving the
-/// search with this reproduces [`crate::planner::plan_with_strategy`]
-/// bit-for-bit (the equivalence test in `search_props.rs` holds the two
-/// implementations together).
+/// search with this is the analytic optimizer, [`crate::plan`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AnalyticScorer;
 

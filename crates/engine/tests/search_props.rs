@@ -1,6 +1,5 @@
-//! Plan-search guarantees: the driven search must reproduce the analytic
-//! planner exactly under the analytic scorer, DP must dominate greedy under
-//! the analytic model, typed plan errors must replace panics, and the score
+//! Plan-search guarantees: DP must dominate greedy under the analytic
+//! model, typed plan errors must replace panics, and the score
 //! memo must be invisible to search results while counting shared sub-trees
 //! correctly, and keying and featurizing a candidate from what its
 //! `PhysPlan` cached must match fingerprinting and featurizing its
@@ -13,9 +12,9 @@ use std::sync::OnceLock;
 use dace_catalog::{generate_database, suite_specs, Database, TableId};
 use dace_core::{log_feature, DaceEstimator, FeatureConfig, TrainConfig, Trainer};
 use dace_engine::{
-    collect_dataset, execute, plan, plan_with_strategy, AnalyticScorer, CostModel,
-    CrossMachineRouter, HybridScorer, JoinStrategy, LearnedScorer, MachineProfile, PhysPlan,
-    PlanError, PlanScorer, SearchSession, MAX_RELATIONS,
+    collect_dataset, execute, plan, AnalyticScorer, CostModel, CrossMachineRouter, HybridScorer,
+    JoinStrategy, LearnedScorer, MachineProfile, PhysPlan, PlanError, PlanScorer, SearchSession,
+    MAX_RELATIONS,
 };
 use dace_plan::{MachineId, NodeType};
 use dace_query::{ComplexWorkloadGen, Query};
@@ -42,28 +41,6 @@ fn test_estimator() -> &'static DaceEstimator {
         .fit(&data)
         .expect("training the test estimator")
     })
-}
-
-#[test]
-fn analytic_search_is_bit_identical_to_planner() {
-    let db = test_db();
-    let cm = CostModel::default();
-    let session = SearchSession::new(db, &cm);
-    let queries = ComplexWorkloadGen::default().generate(db, 120);
-    for strategy in [JoinStrategy::Auto, JoinStrategy::Dp, JoinStrategy::Greedy] {
-        for q in &queries {
-            let direct = plan_with_strategy(db, q, &cm, strategy).unwrap();
-            let (searched, report) = session
-                .plan_with_strategy(q, &mut AnalyticScorer, strategy)
-                .unwrap();
-            assert_eq!(
-                searched, direct,
-                "analytic-scored search diverged from the planner ({strategy:?})"
-            );
-            assert!(report.candidates_scored >= 1);
-            assert!(report.decision_groups >= q.tables.len());
-        }
-    }
 }
 
 #[test]
@@ -128,8 +105,11 @@ fn disconnected_join_graph_is_a_typed_error() {
         plan(db, &q, &CostModel::default()).unwrap_err(),
         PlanError::DisconnectedJoinGraph
     );
+    let cm = CostModel::default();
     assert_eq!(
-        plan_with_strategy(db, &q, &CostModel::default(), JoinStrategy::Greedy).unwrap_err(),
+        SearchSession::new(db, &cm)
+            .plan_with_strategy(&q, &mut AnalyticScorer, JoinStrategy::Greedy)
+            .unwrap_err(),
         PlanError::DisconnectedJoinGraph
     );
 }
@@ -139,20 +119,23 @@ proptest! {
 
     /// DP dominance: on queries the DP enumerator handles (≤ 9 relations),
     /// exhaustive enumeration never produces a costlier plan than the
-    /// greedy heuristic — the plan-cost guard for the DP path the learned
-    /// scorer reuses. (Aggregates/limits are kept: both sit deterministically
+    /// greedy heuristic — the plan-cost guard for the DP path every scorer
+    /// runs. (Aggregates/limits are kept: both sit deterministically
     /// on top of the join result, so dominance carries through.)
     #[test]
     fn greedy_never_beats_dp_under_analytic_model(seed in 0u64..400) {
         let db = test_db();
         let cm = CostModel::default();
+        let session = SearchSession::new(db, &cm);
         let gen = ComplexWorkloadGen { max_joins: 8, seed, ..ComplexWorkloadGen::default() };
         for q in gen.generate(db, 4) {
             if q.tables.len() < 2 {
                 continue;
             }
-            let dp = plan_with_strategy(db, &q, &cm, JoinStrategy::Dp).unwrap();
-            let greedy = plan_with_strategy(db, &q, &cm, JoinStrategy::Greedy).unwrap();
+            let pick = |strategy| {
+                session.plan_with_strategy(&q, &mut AnalyticScorer, strategy).unwrap().0
+            };
+            let (dp, greedy) = (pick(JoinStrategy::Dp), pick(JoinStrategy::Greedy));
             prop_assert!(
                 dp.est_cost() <= greedy.est_cost() * (1.0 + 1e-9),
                 "DP plan cost {} exceeds greedy cost {} on {} tables",

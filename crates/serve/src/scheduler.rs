@@ -125,10 +125,6 @@ pub struct ServeConfig {
     pub default_deadline: Option<Duration>,
     /// Featurization-cache capacity in entries (`0` disables the cache).
     pub cache_capacity: usize,
-    /// Threads for cache-miss featurization within a batch (`0` = auto).
-    /// Batches under 64 misses featurize serially either way, so the
-    /// default never pays thread-spawn latency on the serve path.
-    pub featurize_threads: usize,
     /// Depth limit enforced by admission-time plan validation (`0`
     /// disables the depth check; structural and numeric validation always
     /// run). Defaults to [`DEFAULT_MAX_PLAN_DEPTH`].
@@ -180,7 +176,6 @@ impl Default for ServeConfig {
             workers: 2,
             default_deadline: None,
             cache_capacity: 4096,
-            featurize_threads: 1,
             max_plan_depth: DEFAULT_MAX_PLAN_DEPTH,
             breaker: BreakerConfig::default(),
             faults: FaultConfig::disabled(),
@@ -1446,7 +1441,6 @@ fn forward_group(
     scratch: &mut WorkerScratch,
 ) -> GroupOutput {
     let metrics = &ctx.metrics;
-    let config = ctx.config;
     let est = &version.estimator;
     let cache = &ctx.shards[shard].cache;
     if let Some(delay) = ctx.injector.stage_delay() {
@@ -1476,7 +1470,9 @@ fn forward_group(
     if !miss_idx.is_empty() {
         let _span = span!("serve_featurize");
         let miss_trees: Vec<&PlanTree> = miss_idx.iter().map(|&i| &jobs[i].tree).collect();
-        let fresh = featurize_trees_sharded(&est.featurizer, &miss_trees, config.featurize_threads);
+        // A batch holds at most `max_batch` misses, featurized on this
+        // worker's own thread.
+        let fresh = featurize_trees_sharded(&est.featurizer, &miss_trees, 1);
         for (&i, f) in miss_idx.iter().zip(fresh) {
             let f = Arc::new(f);
             cache.insert(fingerprints[i], Arc::clone(&f));

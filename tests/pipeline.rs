@@ -3,7 +3,9 @@
 //! relies on.
 
 use dace_catalog::{generate_database, suite_specs};
-use dace_engine::{collect_dataset, explain_analyze};
+use dace_engine::planner::ExecOp;
+use dace_engine::{collect_dataset, explain_analyze, plan, CostModel, PhysPlan, DP_AUTO_MAX};
+use dace_obs::fnv1a64;
 use dace_plan::{MachineId, NodeType};
 use dace_query::{render_sql, ComplexWorkloadGen, MscnSet, MscnWorkloadGen};
 
@@ -130,4 +132,40 @@ fn estimation_error_exists_but_is_bounded_on_average() {
         mean < 5.0,
         "optimizer estimates absurdly bad (mean ln err {mean})"
     );
+}
+
+/// The analytic optimizer's picks, pinned: an FNV-1a digest over the plans
+/// `plan` picks for 200 generated queries on two suite databases. Each plan
+/// adds its node types, scan tables and child counts in preorder, and no
+/// estimate, so the digest moves only when a pick does. The queries reach
+/// past `DP_AUTO_MAX` relations, so both the DP and the greedy enumeration
+/// feed it.
+#[test]
+fn analytic_picks_match_the_pinned_digest() {
+    fn preorder(p: &PhysPlan, out: &mut Vec<u8>) {
+        out.push(p.node_type() as u8);
+        if let ExecOp::Scan { table, .. } = *p.exec {
+            out.extend(table.0.to_le_bytes());
+        }
+        out.push(p.children().len() as u8);
+        for c in p.children() {
+            preorder(c, out);
+        }
+    }
+    let cm = CostModel::default();
+    let mut bytes = Vec::new();
+    let mut widest = 0;
+    for id in [0, 1] {
+        let db = generate_database(&suite_specs()[id], 0.05);
+        let gen = ComplexWorkloadGen {
+            max_joins: 11,
+            ..ComplexWorkloadGen::default()
+        };
+        for q in gen.generate(&db, 100) {
+            widest = widest.max(q.tables.len());
+            preorder(&plan(&db, &q, &cm).unwrap(), &mut bytes);
+        }
+    }
+    assert!(widest > DP_AUTO_MAX, "no query reached the greedy path");
+    assert_eq!(fnv1a64(&bytes), 0xa28b_f71d_91f2_44f9);
 }
