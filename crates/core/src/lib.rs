@@ -29,6 +29,7 @@ mod quantized;
 mod rootnet;
 mod scoring;
 mod trainer;
+mod update;
 
 pub use adapter::{AdapterError, LoraAdapter, LoraLayerWeights};
 pub use dace_nn::{Tensor2, Workspace};

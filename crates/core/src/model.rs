@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::adapter::{AdapterError, LoraAdapter, LoraLayerWeights};
 use crate::featurize::{PackedBatch, PlanFeatures, FEATURE_DIM};
 use crate::rootnet::{FoldGrads, RootBlock, RootCell, RootNet};
+use crate::update::{UpdateSlices, SLICES};
 
 /// Width of the penultimate hidden layer `h₂` — the encoding dimension the
 /// pre-trained-encoder interface exposes (Eq. 9: `w_E = h₂`).
@@ -24,8 +25,9 @@ const RANKS: [usize; 3] = [32, 16, 8];
 ///
 /// Every pass runs on the folded [`RootNet`] of the current weights. The
 /// layers are private so that every weight change goes through a method
-/// that also marks the cached fold stale: [`DaceModel::params_mut`] (every
-/// optimizer step) and [`DaceModel::apply_adapter`]. The next pass refolds.
+/// that also marks the cached fold stale: [`DaceModel::params_mut`], the
+/// crate's `layers_mut` (a training run) and [`DaceModel::apply_adapter`].
+/// The next pass refolds.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DaceModel {
     /// Tree-masked single-head self-attention (Eq. 5).
@@ -73,6 +75,19 @@ impl DaceModel {
             l1: LoraLinear::new(D_V, H1, RANKS[0], seed ^ 0x01),
             l2: LoraLinear::new(H1, ENCODING_DIM, RANKS[1], seed ^ 0x02),
             l3: LoraLinear::new(ENCODING_DIM, 1, RANKS[2], seed ^ 0x03),
+            root: RootCell::default(),
+            ws: Workspace::new(),
+        }
+    }
+
+    /// A model of the given layers, with an empty fold and workspace.
+    pub(crate) fn from_layers(attention: MaskedSelfAttention, mlp: [LoraLinear; 3]) -> DaceModel {
+        let [l1, l2, l3] = mlp;
+        DaceModel {
+            attention,
+            l1,
+            l2,
+            l3,
             root: RootCell::default(),
             ws: Workspace::new(),
         }
@@ -136,34 +151,37 @@ impl DaceModel {
     /// The data-parallel training backward, run serially: for each plan
     /// shard of one mini-batch, the all-rows forward and the backward's
     /// row pass from that shard's prediction gradients `d_preds[s]`
-    /// (already scaled for the whole batch); then the shards' fold-space
-    /// gradients summed in shard order and projected onto the parameters
-    /// once. [`Trainer::fit`](crate::Trainer::fit) runs the same steps with
-    /// the shards spread over its worker threads, so a batch's gradient
-    /// does not depend on how many threads computed it. Accumulates like
+    /// (already scaled for the whole batch); then, one parameter group
+    /// after another, the shards' fold-space gradients summed in shard
+    /// order and projected onto the group's parameters. [`Trainer::fit`]
+    /// runs the same steps with the shards and the groups spread over its
+    /// worker threads, so a batch's gradient does not depend on how many
+    /// threads computed it. Accumulates like
     /// [`DaceModel::backward_compact`].
+    ///
+    /// [`Trainer::fit`]: crate::Trainer::fit
     pub fn backward_shards(&mut self, shards: &[PackedBatch], d_preds: &[Tensor2]) {
         assert_eq!(shards.len(), d_preds.len(), "one gradient per shard");
+        if shards.is_empty() {
+            return;
+        }
         let scores = self.scores_trainable();
         let net = self
             .root
             .get_or_refold(&self.attention, [&self.l1, &self.l2, &self.l3]);
-        let (mut total, mut part) = (FoldGrads::default(), FoldGrads::default());
-        for (s, (shard, d_pred)) in shards.iter().zip(d_preds).enumerate() {
+        let mut parts = Vec::with_capacity(shards.len());
+        for (shard, d_pred) in shards.iter().zip(d_preds) {
             net.forward_rows(shard, &mut self.ws);
-            let out = if s == 0 { &mut total } else { &mut part };
-            net.row_grads(d_pred, &mut self.ws, scores, out);
-            if s > 0 {
-                total.add_assign(&part);
-            }
+            let mut grads = FoldGrads::default();
+            net.row_grads(d_pred, &mut self.ws, scores, &mut grads);
+            parts.push(grads);
         }
-        if !shards.is_empty() {
-            net.apply_grads(
-                &total,
-                &mut self.ws,
-                &mut self.attention,
-                [&mut self.l1, &mut self.l2, &mut self.l3],
-            );
+        let slices = UpdateSlices::new(
+            &mut self.attention,
+            [&mut self.l1, &mut self.l2, &mut self.l3],
+        );
+        for s in 0..SLICES {
+            slices.project(s, net, parts.iter());
         }
     }
 
@@ -174,27 +192,14 @@ impl DaceModel {
         self.attention.wq.trainable || self.attention.wk.trainable
     }
 
-    /// Fold the current weights into `net`, reusing its buffers: the
-    /// trainer's own copy of the fold, which its worker threads share.
-    pub(crate) fn refold_into(&self, net: &mut RootNet) {
-        net.refold(&self.attention, self.mlp());
-    }
-
-    /// Project fold-space gradients onto the trainable parameters
-    /// ([`RootNet::apply_grads`]). `net` must be the fold of the current
-    /// weights; `ws` lends only its projection scratch.
-    pub(crate) fn apply_fold_grads(
-        &mut self,
-        net: &RootNet,
-        grads: &FoldGrads,
-        ws: &mut Workspace,
-    ) {
-        net.apply_grads(
-            grads,
-            ws,
+    /// The layers, lent to a training run's update slices. Like
+    /// [`DaceModel::params_mut`], this marks the cached fold stale.
+    pub(crate) fn layers_mut(&mut self) -> (&mut MaskedSelfAttention, [&mut LoraLinear; 3]) {
+        self.root.clear();
+        (
             &mut self.attention,
             [&mut self.l1, &mut self.l2, &mut self.l3],
-        );
+        )
     }
 
     /// Batched root-latency inference over already-featurized plans:

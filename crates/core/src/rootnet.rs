@@ -12,7 +12,8 @@
 //! * `W₂' = W₂ + B₂A₂` and `W₃' = W₃ + B₃A₃`: each LoRA adapter merged
 //!   into its base weight once instead of applied on every call.
 //!
-//! [`RootNet::refold`] is the one fold routine. Two passes run on it:
+//! [`RootNet::refold`] is the one fold routine, a refold of each of the
+//! fold's four parts ([`Group`]) in turn. Two passes run on it:
 //!
 //! * **Root rows** ([`RootNet::forward`]): inference reads only the root's
 //!   prediction (Sec. V-E), so a plan costs `d² + 128·d + 64·128 + 64` ≈
@@ -29,6 +30,12 @@
 //!   training moves the paper's parameters and Adam state exactly as the
 //!   unfolded network would, and the trainer can run the row pass on plan
 //!   shards in parallel and sum their [`FoldGrads`] before one projection.
+//!
+//! The projection and the refold both split by parameter group ([`Group`]):
+//! each group's parameters take their gradients from two of the summed
+//! [`FoldGrads`] parts ([`FoldGrads::parts`]) and fold into one part of the
+//! net ([`RootNet::refold_part`]). The trainer runs the groups on separate
+//! threads (`crate::update`).
 //!
 //! The fold reassociates float sums, so results match the unfolded network
 //! to f32 rounding, not bit for bit.
@@ -64,6 +71,9 @@ pub struct RootNet {
     m: Tensor2,
     /// `1/√d_k`, the score scale folded into `m`.
     scale: f32,
+    /// A copy of `W_V`, `d × 128`: the projection onto `l1` reads it for
+    /// `dW₁' = W_Vᵀ·G`, so it needs no access to the attention's weights.
+    wv: Tensor2,
     /// `W₁ + B₁A₁`, `128 × 128`: not read by any forward, but the backward
     /// needs it for `dW_V`.
     w1: Tensor2,
@@ -104,36 +114,69 @@ pub(crate) struct FoldGrads {
 }
 
 impl FoldGrads {
-    /// Become a copy of `other`, reusing capacity.
-    pub(crate) fn copy_from(&mut self, other: &FoldGrads) {
-        for (dst, src) in self.parts_mut().into_iter().zip(other.parts()) {
-            dst.copy_from(src);
+    /// The two parts `group`'s parameters take their gradients from: `G`
+    /// (for `W_V`) and `dM` for the attention, `G` and `db₁` for `l1`, and
+    /// `dW'` and `db` for `l2` and `l3`.
+    pub(crate) fn parts(&self, group: Group) -> [&Tensor2; 2] {
+        match group {
+            Group::Attention => [&self.g, &self.dm],
+            Group::L1 => [&self.g, &self.db1],
+            Group::L2 => [&self.dw2, &self.db2],
+            Group::L3 => [&self.dw3, &self.db3],
         }
     }
+}
 
-    /// Add `other` element by element.
-    pub(crate) fn add_assign(&mut self, other: &FoldGrads) {
-        for (dst, src) in self.parts_mut().into_iter().zip(other.parts()) {
-            dst.add_assign(src);
+/// A parameter group of the model, and the part of the fold refolded from
+/// it. Each group's gradients, optimizer step and fold part can be updated
+/// apart from the others' (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Group {
+    /// `W_Q`, `W_K`, `W_V`; its fold part is `M` (from `W_Q` and `W_K`).
+    Attention,
+    /// `l1`; its fold part is `W₁'`, `W_V·W₁'` and its transpose, `b₁` and
+    /// the copy of `W_V`, so it also reads the attention's `W_V`.
+    L1,
+    /// `l2`; its fold part is `W₂'`, `W₂'ᵀ` and `b₂`.
+    L2,
+    /// `l3`; its fold part is `W₃'`, `W₃'ᵀ` and `b₃`.
+    L3,
+}
+
+impl Group {
+    /// Every group, in parameter order ([`crate::DaceModel::params_mut`]).
+    pub(crate) const ALL: [Group; 4] = [Group::Attention, Group::L1, Group::L2, Group::L3];
+}
+
+/// A fold part's product of frozen weights, kept across refolds: `M` while
+/// the attention is frozen (LoRA fine-tuning), `B·A` while an adapter is
+/// (pre-training). Computed on the first refold that passes it, then
+/// copied. Valid only while the weights it came from cannot change, so one
+/// lives for one training run.
+#[derive(Debug, Default)]
+pub(crate) struct FrozenProduct(Option<Tensor2>);
+
+impl FrozenProduct {
+    /// The product `compute` writes, computed on the first call only.
+    fn get(&mut self, compute: impl FnOnce(&mut Tensor2)) -> &Tensor2 {
+        self.0.get_or_insert_with(|| {
+            let mut t = Tensor2::default();
+            compute(&mut t);
+            t
+        })
+    }
+}
+
+/// `W + B·A` of `layer` into `out`, as [`LoraLinear::merged_weight_into`]
+/// computes it; `B·A` comes from `cache` while the adapter is frozen.
+fn merge_into(layer: &LoraLinear, out: &mut Tensor2, cache: Option<&mut FrozenProduct>) {
+    let frozen = !(layer.lora_b.trainable || layer.lora_a.trainable);
+    match cache {
+        Some(cache) if frozen => {
+            out.copy_from(cache.get(|ba| layer.lora_b.value.matmul_into(&layer.lora_a.value, ba)));
+            out.add_assign(&layer.w.value);
         }
-    }
-
-    fn parts(&self) -> [&Tensor2; 7] {
-        [
-            &self.dw3, &self.db3, &self.dw2, &self.db2, &self.g, &self.db1, &self.dm,
-        ]
-    }
-
-    fn parts_mut(&mut self) -> [&mut Tensor2; 7] {
-        [
-            &mut self.dw3,
-            &mut self.db3,
-            &mut self.dw2,
-            &mut self.db2,
-            &mut self.g,
-            &mut self.db1,
-            &mut self.dm,
-        ]
+        _ => layer.merged_weight_into(out),
     }
 }
 
@@ -152,30 +195,94 @@ impl RootNet {
     }
 
     /// The one fold routine: recompute every folded matrix from the current
-    /// weights into this net's buffers, reusing their capacity, so the
-    /// training loop's refold after every optimizer step allocates nothing.
-    /// About 1M multiply-adds, dominated by the `128 × 32 × 128` adapter
-    /// product of `l1`. The transposes the row pass multiplies by are
-    /// written here too, once per set of weights rather than once per
-    /// backward.
+    /// weights into this net's buffers, reusing their capacity, so a refold
+    /// allocates nothing. About 1M multiply-adds, dominated by the
+    /// `128 × 32 × 128` adapter product of `l1`. The transposes the row
+    /// pass multiplies by are written here too, once per set of weights
+    /// rather than once per backward.
     pub(crate) fn refold(&mut self, attention: &MaskedSelfAttention, layers: [&LoraLinear; 3]) {
-        let [l1, l2, l3] = layers;
-        attention
-            .wq
-            .value
-            .matmul_nt_into(&attention.wk.value, &mut self.m);
-        self.scale = 1.0 / (attention.dk() as f32).sqrt();
-        self.m.scale(self.scale);
-        l1.merged_weight_into(&mut self.w1);
-        attention.wv.value.matmul_into(&self.w1, &mut self.wv1);
-        l2.merged_weight_into(&mut self.w2);
-        l3.merged_weight_into(&mut self.w3);
-        self.wv1.transpose_into(&mut self.wv1_t);
-        self.w2.transpose_into(&mut self.w2_t);
-        self.w3.transpose_into(&mut self.w3_t);
-        for (b, l) in [(&mut self.b1, l1), (&mut self.b2, l2), (&mut self.b3, l3)] {
-            b.clear();
-            b.extend_from_slice(l.b.value.row(0));
+        for group in Group::ALL {
+            self.refold_part(group, attention, layers, None);
+        }
+    }
+
+    /// Refold only `group`'s part of the net (see [`Group`]), reading only
+    /// the weights that part is folded from, with its product of frozen
+    /// weights taken from `cache` when there is one ([`FrozenProduct`]).
+    /// The cached product is the same bits as a fresh one, and `cached + W`
+    /// is the arithmetic [`LoraLinear::merged_weight_into`] does.
+    pub(crate) fn refold_part(
+        &mut self,
+        group: Group,
+        attention: &MaskedSelfAttention,
+        layers: [&LoraLinear; 3],
+        cache: Option<&mut FrozenProduct>,
+    ) {
+        let (wq, wk) = (&attention.wq, &attention.wk);
+        match group {
+            Group::Attention => {
+                self.scale = 1.0 / (attention.dk() as f32).sqrt();
+                let scale = self.scale;
+                let score = |m: &mut Tensor2| {
+                    wq.value.matmul_nt_into(&wk.value, m);
+                    m.scale(scale);
+                };
+                match cache {
+                    Some(cache) if !(wq.trainable || wk.trainable) => {
+                        self.m.copy_from(cache.get(score));
+                    }
+                    _ => score(&mut self.m),
+                }
+            }
+            Group::L1 => {
+                let l1 = layers[0];
+                self.wv.copy_from(&attention.wv.value);
+                merge_into(l1, &mut self.w1, cache);
+                self.wv.matmul_into(&self.w1, &mut self.wv1);
+                self.wv1.transpose_into(&mut self.wv1_t);
+                self.b1.clear();
+                self.b1.extend_from_slice(l1.b.value.row(0));
+            }
+            Group::L2 | Group::L3 => {
+                let (l, w, w_t, b) = if group == Group::L2 {
+                    (layers[1], &mut self.w2, &mut self.w2_t, &mut self.b2)
+                } else {
+                    (layers[2], &mut self.w3, &mut self.w3_t, &mut self.b3)
+                };
+                merge_into(l, w, cache);
+                w.transpose_into(w_t);
+                b.clear();
+                b.extend_from_slice(l.b.value.row(0));
+            }
+        }
+    }
+
+    /// Exchange `group`'s part of the net with `other`'s, buffers and all:
+    /// how the trainer installs a part another thread refolded.
+    pub(crate) fn swap_part(&mut self, group: Group, other: &mut RootNet) {
+        use std::mem::swap;
+        match group {
+            Group::Attention => {
+                swap(&mut self.m, &mut other.m);
+                swap(&mut self.scale, &mut other.scale);
+            }
+            Group::L1 => {
+                swap(&mut self.wv, &mut other.wv);
+                swap(&mut self.w1, &mut other.w1);
+                swap(&mut self.wv1, &mut other.wv1);
+                swap(&mut self.wv1_t, &mut other.wv1_t);
+                swap(&mut self.b1, &mut other.b1);
+            }
+            Group::L2 => {
+                swap(&mut self.w2, &mut other.w2);
+                swap(&mut self.w2_t, &mut other.w2_t);
+                swap(&mut self.b2, &mut other.b2);
+            }
+            Group::L3 => {
+                swap(&mut self.w3, &mut other.w3);
+                swap(&mut self.w3_t, &mut other.w3_t);
+                swap(&mut self.b3, &mut other.b3);
+            }
         }
     }
 
@@ -373,7 +480,11 @@ impl RootNet {
     /// * `dW_Q = dM·W_K/√d_k` and `dW_K = dMᵀ·W_Q/√d_k`.
     ///
     /// Only `ws.gw` and `ws.gtmp` are written, so a workspace still holding
-    /// a forward can lend them.
+    /// a forward can lend them. The groups' projections
+    /// ([`RootNet::project_l1`], [`RootNet::project_attention`] and
+    /// [`LoraLinear::backward_merged`]) touch disjoint parameters, so any
+    /// order of them, or running them on separate threads, gives the same
+    /// bits.
     pub(crate) fn apply_grads(
         &self,
         grads: &FoldGrads,
@@ -384,29 +495,55 @@ impl RootNet {
         let [l1, l2, l3] = layers;
         l3.backward_merged(&grads.dw3, grads.db3.row(0), &mut ws.gtmp);
         l2.backward_merged(&grads.dw2, grads.db2.row(0), &mut ws.gtmp);
-        attention.wv.value.matmul_tn_into(&grads.g, &mut ws.gw);
-        l1.backward_merged(&ws.gw, grads.db1.row(0), &mut ws.gtmp);
+        self.project_l1(&grads.g, grads.db1.row(0), l1, &mut ws.gw, &mut ws.gtmp);
+        self.project_attention(&grads.g, &grads.dm, attention, &mut ws.gtmp);
+    }
+
+    /// `l1`'s projection: `dW₁' = W_Vᵀ·G` (into `gw`) through
+    /// [`LoraLinear::backward_merged`] with the bias gradient `db1`. Reads
+    /// the fold's copy of `W_V`.
+    pub(crate) fn project_l1(
+        &self,
+        g: &Tensor2,
+        db1: &[f32],
+        l1: &mut LoraLinear,
+        gw: &mut Tensor2,
+        scratch: &mut Tensor2,
+    ) {
+        self.wv.matmul_tn_into(g, gw);
+        l1.backward_merged(gw, db1, scratch);
+    }
+
+    /// The attention's projection: `dW_V = G·W₁'ᵀ`, `dW_Q = dM·W_K/√d_k`
+    /// and `dW_K = dMᵀ·W_Q/√d_k`, each only if that weight trains.
+    pub(crate) fn project_attention(
+        &self,
+        g: &Tensor2,
+        dm: &Tensor2,
+        attention: &mut MaskedSelfAttention,
+        scratch: &mut Tensor2,
+    ) {
         if attention.wv.trainable {
-            grads.g.matmul_nt_into(&self.w1, &mut ws.gtmp);
-            attention.wv.grad.add_assign(&ws.gtmp);
+            g.matmul_nt_into(&self.w1, scratch);
+            attention.wv.grad.add_assign(scratch);
         }
         if !(attention.wq.trainable || attention.wk.trainable) {
             return;
         }
         assert_eq!(
-            grads.dm.rows(),
+            dm.rows(),
             self.m.rows(),
             "the row pass skipped the scores of a trainable attention"
         );
         if attention.wq.trainable {
-            grads.dm.matmul_into(&attention.wk.value, &mut ws.gtmp);
-            ws.gtmp.scale(self.scale);
-            attention.wq.grad.add_assign(&ws.gtmp);
+            dm.matmul_into(&attention.wk.value, scratch);
+            scratch.scale(self.scale);
+            attention.wq.grad.add_assign(scratch);
         }
         if attention.wk.trainable {
-            grads.dm.matmul_tn_into(&attention.wq.value, &mut ws.gtmp);
-            ws.gtmp.scale(self.scale);
-            attention.wk.grad.add_assign(&ws.gtmp);
+            dm.matmul_tn_into(&attention.wq.value, scratch);
+            scratch.scale(self.scale);
+            attention.wk.grad.add_assign(scratch);
         }
     }
 }

@@ -10,15 +10,18 @@
 //! floating-point summation order; `tests/batch_props.rs` asserts agreement
 //! to 1e-4 against one-plan batches through the same passes.
 //!
-//! The shards of a batch run on [`TrainConfig::threads`] threads, and their
-//! fold-space gradients are summed in shard order before one projection
-//! and one optimizer step, so the trained weights are bit-identical at any
-//! thread count.
+//! The shards of a batch run on [`TrainConfig::threads`] threads, and so
+//! does the update: the fold-space gradients' sum in shard order, the
+//! projection, the optimizer step and the refold, each split into fixed
+//! slices by parameter group (`crate::update`). So the trained weights are
+//! bit-identical at any thread count.
 
-use std::sync::{Arc, Mutex, RwLock};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
-use dace_nn::{Adam, LoraMode, Tensor2, Workspace};
+use dace_nn::{Adam, AdamUpdate, LoraMode, Tensor2, Workspace};
 use dace_obs::{alloc_probe_bytes, span, EpochRecord, MetricsRegistry, RunSink, Verbosity};
 use dace_plan::{Dataset, LabeledPlan, PlanTree};
 use rand::rngs::SmallRng;
@@ -32,6 +35,7 @@ use crate::featurize::{FeatureConfig, Featurizer, PackedBatch, PlanFeatures};
 use crate::loss::LossAdjuster;
 use crate::model::{DaceModel, ForwardTimings};
 use crate::rootnet::{FoldGrads, RootNet};
+use crate::update::{UpdateSlices, SLICES};
 
 /// Why training or fine-tuning could not run. An automated retrain loop
 /// (the serving layer's drift-triggered fine-tune) feeds whatever its
@@ -208,24 +212,26 @@ fn alloc_delta(start: Option<u64>) -> Option<u64> {
 /// Mean per-plan validation loss over the packed held-out batches, plus each
 /// held-out plan's root Q-error (`max(pred/actual, actual/pred)` in ms
 /// space) for telemetry quantiles. The batches run through the training
-/// forward and the training loss ([`packed_grad`], its gradient written to
-/// the reused `d_buf` and ignored), so validation scores the same fold the
-/// next epoch trains.
+/// forward on `fold`, the trainer's fold of the current weights, in `ws`,
+/// and the training loss ([`packed_grad`], its gradient written to the
+/// reused `d_buf` and ignored), so validation scores the same fold the next
+/// epoch trains.
 fn validation_stats(
-    model: &mut DaceModel,
+    fold: &RootNet,
     adjuster: &LossAdjuster,
     batches: &[PackedBatch],
+    ws: &mut Workspace,
     d_buf: &mut Tensor2,
 ) -> (f32, Vec<f64>) {
     let _span = span!("validate");
     let mut total = 0.0f32;
     let mut qerrs = Vec::new();
     for batch in batches {
-        model.forward_batch_compact(batch);
+        fold.forward_rows(batch, ws);
         let plans = batch.lens.len();
-        let loss = packed_grad(adjuster, model.batch_preds(), batch, plans, d_buf);
+        let loss = packed_grad(adjuster, &ws.preds, batch, plans, d_buf);
         total += loss * plans as f32;
-        let preds = model.batch_preds().as_slice();
+        let preds = ws.preds.as_slice();
         let mut row = 0;
         for &n in &batch.lens {
             // Root is the plan's first row; Q-error compares in ms space.
@@ -282,7 +288,9 @@ impl RunTelemetry<'_> {
 const SHARD_PLANS: usize = 16;
 
 const SLOT_POISONED: &str = "a training thread panicked while writing a shard's gradients";
-const FOLD_POISONED: &str = "the training thread panicked while refolding";
+const FOLD_POISONED: &str = "a training thread panicked while holding the fold";
+const ADAM_POISONED: &str = "a training thread panicked while holding the Adam update";
+const WORKER_POISONED: &str = "a training thread panicked while running a shard";
 
 /// One frozen mini-batch, packed once as its fixed plan shards.
 struct ShardedBatch {
@@ -290,6 +298,11 @@ struct ShardedBatch {
     /// `1 / plans`, so the shards' gradients sum to the batch's.
     plans: usize,
     shards: Vec<PackedBatch>,
+    /// The order threads claim the shards in: most rows first, so the
+    /// round does not end on one thread running a large shard it claimed
+    /// last. Each shard still writes its own slot, so the order changes
+    /// no result.
+    claims: Vec<usize>,
 }
 
 impl ShardedBatch {
@@ -300,10 +313,13 @@ impl ShardedBatch {
                 let refs: Vec<&PlanFeatures> = chunk.iter().map(|&i| &feats[i]).collect();
                 PackedBatch::pack(&refs).expect("shard chunks are non-empty")
             })
-            .collect();
+            .collect::<Vec<PackedBatch>>();
+        let mut claims: Vec<usize> = (0..shards.len()).collect();
+        claims.sort_by_key(|&s| std::cmp::Reverse(shards[s].xc.rows()));
         ShardedBatch {
             plans: idx.len(),
             shards,
+            claims,
         }
     }
 }
@@ -318,62 +334,211 @@ struct ShardOut {
 
 /// One training thread's scratch, kept for a whole [`run_epochs`] call:
 /// the workspace its shards' forward and row pass run in, and the loss
-/// gradient buffer. Once both reach the high-water shard, a batch
-/// allocates nothing.
+/// gradient buffer.
 #[derive(Default)]
 struct ShardWorker {
     ws: Workspace,
     d_pred: Tensor2,
 }
 
-/// What every training thread of one [`run_epochs`] call shares: the
-/// frozen batches, one result slot per shard of the largest batch, the
-/// loss, whether the attention scores train, and the thread count.
-struct ShardJob<'a> {
-    batches: &'a [ShardedBatch],
-    slots: &'a [Mutex<ShardOut>],
-    adjuster: &'a LossAdjuster,
-    scores: bool,
-    threads: usize,
+/// The rounds of one training step, in order. Each runs on every training
+/// thread at once ([`Crew::round`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// The batch's shards, claimed one at a time from a shared counter,
+    /// largest first: forward, loss gradient and row pass into the
+    /// shard's slot.
+    Shards,
+    /// The update slices' sum and projection ([`UpdateSlices::project`]).
+    Project,
+    /// The update slices' Adam step ([`UpdateSlices::adam`]).
+    Adam,
+    /// The update slices' refold ([`UpdateSlices::refold`]).
+    Refold,
 }
 
-impl ShardJob<'_> {
-    /// Thread `t`'s shards of batch `bi` — `t`, `t + threads`, … — on the
-    /// fold `net`: for each, the all-rows forward, the loss gradient and
-    /// the backward's row pass, written to the shard's slot. Which thread
-    /// runs a shard changes nothing in its slot.
-    fn run(&self, t: usize, bi: usize, net: &RootNet, worker: &mut ShardWorker) {
-        let batch = &self.batches[bi];
-        for s in (t..batch.shards.len()).step_by(self.threads) {
-            let shard = &batch.shards[s];
-            let mut out = self.slots[s].lock().expect(SLOT_POISONED);
-            net.forward_rows(shard, &mut worker.ws);
-            out.loss = packed_grad(
-                self.adjuster,
-                &worker.ws.preds,
-                shard,
-                batch.plans,
-                &mut worker.d_pred,
-            );
-            net.row_grads(&worker.d_pred, &mut worker.ws, self.scores, &mut out.grads);
+impl Phase {
+    const ALL: [Phase; 4] = [Phase::Shards, Phase::Project, Phase::Adam, Phase::Refold];
+
+    /// The order an update round deals its slices to threads: thread `t`
+    /// takes the slices at positions `t`, `t + threads`, … Fixed for a
+    /// run, so each thread's scratch outside the shard slots sees the same
+    /// work every step. In pre-training (`scores`) the attention's
+    /// projection costs about as much as `l1`'s and `l2`'s together (its
+    /// `dW_V` multiplies by a transposed `W₁'`), so the projection deals it
+    /// beside `l3`. Otherwise `l1` and `l2` are the large slices, and
+    /// parameter order splits them.
+    fn deal(self, scores: bool) -> [usize; SLICES] {
+        if self == Phase::Project && scores {
+            [0, 1, 3, 2]
+        } else {
+            [0, 1, 2, 3]
         }
     }
 
-    /// Batch `bi`'s gradients, its slots summed in shard order whatever
-    /// order the shards finished in, into `total`; returns its loss.
-    fn reduce(&self, bi: usize, total: &mut FoldGrads) -> f32 {
-        let mut loss = 0.0f32;
-        let shards = self.batches[bi].shards.len();
-        for (s, slot) in self.slots[..shards].iter().enumerate() {
-            let out = slot.lock().expect(SLOT_POISONED);
-            if s == 0 {
-                total.copy_from(&out.grads);
-            } else {
-                total.add_assign(&out.grads);
-            }
-            loss += out.loss;
+    /// The crew's job index of this phase for batch `bi`.
+    fn job(self, bi: usize) -> usize {
+        bi * Phase::ALL.len() + self as usize
+    }
+
+    /// The phase and batch of a job index.
+    fn of(job: usize) -> (Phase, usize) {
+        let n = Phase::ALL.len();
+        (Phase::ALL[job % n], job / n)
+    }
+}
+
+/// What every training thread of one [`run_epochs`] call shares: the
+/// frozen batches, one slot per shard of the largest batch, the loss,
+/// whether the attention scores train, the thread count, the fold of the
+/// current weights, the model's layers lent to the update slices, and the
+/// current step's Adam update.
+struct StepJob<'a, 'm> {
+    batches: &'a [ShardedBatch],
+    slots: &'a [RwLock<ShardOut>],
+    /// Thread `t`'s scratch; only thread `t` locks it during a round.
+    workers: Vec<Mutex<ShardWorker>>,
+    adjuster: &'a LossAdjuster,
+    scores: bool,
+    threads: usize,
+    /// The next unclaimed shard of the current [`Phase::Shards`] round.
+    next_shard: AtomicUsize,
+    fold: RwLock<RootNet>,
+    slices: UpdateSlices<'m>,
+    update: Mutex<Option<AdamUpdate>>,
+}
+
+/// A shard slot's gradients, read-locked.
+struct SlotGrads<'a>(RwLockReadGuard<'a, ShardOut>);
+
+impl Deref for SlotGrads<'_> {
+    type Target = FoldGrads;
+
+    fn deref(&self) -> &FoldGrads {
+        &self.0.grads
+    }
+}
+
+impl StepJob<'_, '_> {
+    /// One round of `phase` for batch `bi` on every training thread; this
+    /// thread is thread 0.
+    fn round(&self, crew: &Crew, phase: Phase, bi: usize) {
+        if phase == Phase::Shards {
+            // No helper is in a round now, and publishing the round orders
+            // this store before every helper's claims.
+            self.next_shard.store(0, Ordering::Relaxed);
         }
-        loss
+        crew.round(phase.job(bi), || self.run(0, phase.job(bi)));
+    }
+
+    /// Thread `t`'s share of a round. Shards go to whichever thread claims
+    /// them first; update slices are dealt in a fixed order
+    /// ([`Phase::deal`]). Which thread runs what changes no result.
+    fn run(&self, t: usize, job: usize) {
+        let (phase, bi) = Phase::of(job);
+        let mine = phase
+            .deal(self.scores)
+            .into_iter()
+            .skip(t)
+            .step_by(self.threads);
+        match phase {
+            Phase::Shards => {
+                let fold = self.fold.read().expect(FOLD_POISONED);
+                let worker = &mut *self.workers[t].lock().expect(WORKER_POISONED);
+                let batch = &self.batches[bi];
+                loop {
+                    let claim = self.next_shard.fetch_add(1, Ordering::Relaxed);
+                    let Some(&s) = batch.claims.get(claim) else {
+                        break;
+                    };
+                    let shard = &batch.shards[s];
+                    let out = &mut *self.slots[s].write().expect(SLOT_POISONED);
+                    fold.forward_rows(shard, &mut worker.ws);
+                    out.loss = packed_grad(
+                        self.adjuster,
+                        &worker.ws.preds,
+                        shard,
+                        batch.plans,
+                        &mut worker.d_pred,
+                    );
+                    fold.row_grads(&worker.d_pred, &mut worker.ws, self.scores, &mut out.grads);
+                }
+            }
+            Phase::Project => {
+                let fold = self.fold.read().expect(FOLD_POISONED);
+                let slots = &self.slots[..self.batches[bi].shards.len()];
+                for s in mine {
+                    let shards = slots
+                        .iter()
+                        .map(|slot| SlotGrads(slot.read().expect(SLOT_POISONED)));
+                    self.slices.project(s, &fold, shards);
+                }
+            }
+            Phase::Adam => {
+                let update = self
+                    .update
+                    .lock()
+                    .expect(ADAM_POISONED)
+                    .expect("the Adam round follows the step's start");
+                for s in mine {
+                    self.slices.adam(s, &update);
+                }
+            }
+            Phase::Refold => {
+                for s in mine {
+                    self.slices.refold(s);
+                }
+            }
+        }
+    }
+
+    /// Grow every thread's scratch to the largest any thread's has reached.
+    /// Shards go to whichever thread claims them first, so a thread may
+    /// meet its largest shard in any epoch; after an epoch in which every
+    /// shard has run, this leaves no buffer to grow, and no later batch
+    /// allocates.
+    fn even_out_workers(&self) {
+        let mut workers: Vec<_> = self
+            .workers
+            .iter()
+            .map(|w| w.lock().expect(WORKER_POISONED))
+            .collect();
+        let Some((first, rest)) = workers.split_first_mut() else {
+            return;
+        };
+        for w in rest.iter() {
+            first.ws.reserve_like(&w.ws);
+            first.d_pred.reserve_like(&w.d_pred);
+        }
+        for w in rest.iter_mut() {
+            w.ws.reserve_like(&first.ws);
+            w.d_pred.reserve_like(&first.d_pred);
+        }
+    }
+
+    /// Refold every part of the fold from the current weights.
+    fn refold(&self, crew: &Crew) {
+        self.round(crew, Phase::Refold, 0);
+        self.slices
+            .install(&mut self.fold.write().expect(FOLD_POISONED));
+    }
+
+    /// One optimizer step on batch `bi`; returns the batch's loss and the
+    /// step's Adam update. The rounds: the shards; the sum and projection;
+    /// then, from the global gradient norm, Adam; then the refold.
+    fn step(&self, crew: &Crew, opt: &mut Adam, bi: usize) -> (f32, AdamUpdate) {
+        self.round(crew, Phase::Shards, bi);
+        let shards = self.batches[bi].shards.len();
+        let mut loss = 0.0f32;
+        for slot in &self.slots[..shards] {
+            loss += slot.read().expect(SLOT_POISONED).loss;
+        }
+        self.round(crew, Phase::Project, bi);
+        let update = opt.begin_step(self.slices.norm_sq());
+        *self.update.lock().expect(ADAM_POISONED) = Some(update);
+        self.round(crew, Phase::Adam, bi);
+        self.refold(crew);
+        (loss, update)
     }
 }
 
@@ -386,13 +551,13 @@ impl ShardJob<'_> {
 /// seeded-random permutation of the same fixed batches, so every batch is
 /// visited exactly once per epoch and no epoch re-packs anything.
 ///
-/// A batch's shards run on `threads` threads (`0` = all cores, never more
-/// than a batch has shards): this one and helpers that live for the whole
-/// call ([`Crew`]), each with its own [`ShardWorker`] ([`ShardJob::run`]).
-/// This thread then sums the shards' fold-space gradients in shard order
-/// ([`ShardJob::reduce`]), projects the sum onto the parameters once,
-/// steps Adam and refolds. Shards and the summation order are fixed, so
-/// one thread gives the same bits as many.
+/// Each step runs on `threads` threads (`0` = all cores, never more than a
+/// batch has shards): this one and helpers that live for the whole call
+/// ([`Crew`]), in four rounds ([`StepJob::step`]): the batch's shards, then
+/// the update slices ([`crate::update`]) summing the shards' fold-space
+/// gradients in shard order and projecting them, stepping Adam, and
+/// refolding. Shards, slices and every summation order are fixed, so one
+/// thread gives the same bits as many.
 ///
 /// When `validation_fraction > 0` and `patience > 0`, a seeded validation
 /// split (drawn from its own RNG stream so the shuffle stream is unchanged)
@@ -451,22 +616,27 @@ fn run_epochs(
     let mut batch_order: Vec<usize> = (0..batches.len()).collect();
 
     let max_shards = batches.iter().map(|b| b.shards.len()).max().unwrap_or(0);
-    let slots: Vec<Mutex<ShardOut>> = (0..max_shards).map(|_| Mutex::default()).collect();
-    let job = ShardJob {
+    let slots: Vec<RwLock<ShardOut>> = (0..max_shards).map(|_| RwLock::default()).collect();
+    let scores = model.scores_trainable();
+    let (attention, mlp) = model.layers_mut();
+    let threads = worker_count(threads).min(max_shards).max(1);
+    let job = StepJob {
         batches: &batches,
         slots: &slots,
+        workers: (0..threads).map(|_| Mutex::default()).collect(),
         adjuster,
-        scores: model.scores_trainable(),
-        threads: worker_count(threads).min(max_shards).max(1),
+        scores,
+        threads,
+        next_shard: AtomicUsize::new(0),
+        fold: RwLock::new(RootNet::default()),
+        slices: UpdateSlices::new(attention, mlp),
+        update: Mutex::new(None),
     };
-    // The trainer's own fold of the current weights: helpers read it
-    // during a round, this thread refolds it between rounds.
-    let fold = RwLock::new(RootNet::default());
     let crew = Crew::new(job.threads - 1);
-    // Reused buffers: with the packs hoisted and every thread on its own
-    // workspace, the batch loop's steady state is allocation-free.
-    let mut own = ShardWorker::default();
-    let mut total = FoldGrads::default();
+    // Validation's scratch. With the packs hoisted, every thread on its own
+    // workspace and the workspaces evened out after the first epoch, the
+    // batch loop's steady state is allocation-free.
+    let mut val_ws = Workspace::default();
     let mut d_buf = Tensor2::default();
 
     let telemetry_on = telemetry.active();
@@ -475,13 +645,11 @@ fn run_epochs(
     let mut bad_epochs = 0usize;
     std::thread::scope(|scope| {
         for t in 1..job.threads {
-            let (crew, fold, job) = (&crew, &fold, &job);
-            scope.spawn(move || {
-                let mut worker = ShardWorker::default();
-                crew.serve(|bi| job.run(t, bi, &fold.read().expect(FOLD_POISONED), &mut worker));
-            });
+            let (crew, job) = (&crew, &job);
+            scope.spawn(move || crew.serve(|j| job.run(t, j)));
         }
         let _stop = crew.stop_guard();
+        job.refold(&crew);
         for epoch in 0..epochs {
             let _span = span!("train_epoch");
             let epoch_started = Instant::now();
@@ -495,30 +663,20 @@ fn run_epochs(
             let mut batches_done = 0usize;
             let mut grad_norm = 0.0f64;
             for &bi in &batch_order {
-                model.refold_into(&mut fold.write().expect(FOLD_POISONED));
-                let net = fold.read().expect(FOLD_POISONED);
-                crew.round(bi, || job.run(0, bi, &net, &mut own));
-                let loss = job.reduce(bi, &mut total);
-                model.apply_fold_grads(&net, &total, &mut own.ws);
+                let (loss, update) = job.step(&crew, &mut opt, bi);
                 loss_sum += f64::from(loss);
                 batches_done += 1;
-                if telemetry_on {
-                    // Gradient norm over the parameters the optimizer will
-                    // actually move (mirrors Adam's clip-norm accounting).
-                    let g: f32 = model
-                        .params_mut()
-                        .iter()
-                        .filter(|p| p.trainable)
-                        .map(|p| p.grad.norm_sq())
-                        .sum();
-                    grad_norm = f64::from(g).sqrt();
-                }
-                opt.step(&mut model.params_mut());
+                // The pre-clip gradient norm of the parameters the
+                // optimizer moved.
+                grad_norm = f64::from(update.norm());
             }
-            // Sampled around the batch loop only: validation and
-            // snapshotting below are allowed to allocate without polluting
-            // the metric.
+            // Sampled around the batch loop only: evening out the workers,
+            // validation and snapshotting below are allowed to allocate
+            // without polluting the metric.
             let alloc_bytes = alloc_delta(alloc_start);
+            if epoch == 0 {
+                job.even_out_workers();
+            }
             if let Some(bytes) = alloc_bytes {
                 MetricsRegistry::global()
                     .histogram("train_epoch_alloc_bytes")
@@ -528,12 +686,14 @@ fn run_epochs(
             let mut val_loss = None;
             let mut qerrs: Vec<f64> = Vec::new();
             let decision = if early_stop {
-                let (val, q) = validation_stats(model, adjuster, &val_batches, &mut d_buf);
+                let fold = job.fold.read().expect(FOLD_POISONED);
+                let (val, q) =
+                    validation_stats(&fold, adjuster, &val_batches, &mut val_ws, &mut d_buf);
                 val_loss = Some(f64::from(val));
                 qerrs = q;
                 if val < best_val {
                     best_val = val;
-                    best_model = Some(model.clone());
+                    best_model = Some(job.slices.snapshot());
                     bad_epochs = 0;
                     "improved".to_string()
                 } else {
@@ -571,6 +731,7 @@ fn run_epochs(
             }
         }
     });
+    drop(job);
     if let Some(best) = best_model {
         *model = best;
     }

@@ -43,56 +43,100 @@ impl Adam {
     }
 
     /// Apply one optimization step to `params` and clear their gradients.
-    pub fn step(&mut self, params: &mut [&mut Param]) {
+    /// Returns the global norm of the trainable gradients before clipping.
+    pub fn step(&mut self, params: &mut [&mut Param]) -> f32 {
+        let norm_sq: f32 = params
+            .iter()
+            .filter(|p| p.trainable)
+            .map(|p| p.grad.norm_sq())
+            .sum();
+        let update = self.begin_step(norm_sq);
+        for p in params.iter_mut() {
+            update.apply(p);
+        }
+        update.norm()
+    }
+
+    /// Start one optimization step from `norm_sq`, the squared global norm
+    /// of the trainable gradients (each parameter's [`Tensor2::norm_sq`]
+    /// summed in parameter order, as [`Adam::step`] sums them): advances
+    /// the step counter and returns the update every parameter then takes.
+    /// The update touches one parameter at a time, so the parameters can
+    /// take it in any order, on any thread, with the same result as
+    /// [`Adam::step`].
+    ///
+    /// [`Tensor2::norm_sq`]: crate::Tensor2::norm_sq
+    pub fn begin_step(&mut self, norm_sq: f32) -> AdamUpdate {
         self.t += 1;
+        let norm = norm_sq.sqrt();
         // Global-norm clip over trainable gradients.
-        let scale = if self.clip_norm > 0.0 {
-            let total: f32 = params
-                .iter()
-                .filter(|p| p.trainable)
-                .map(|p| p.grad.norm_sq())
-                .sum();
-            let norm = total.sqrt();
-            if norm > self.clip_norm {
-                self.clip_norm / norm
-            } else {
-                1.0
-            }
+        let scale = if self.clip_norm > 0.0 && norm > self.clip_norm {
+            self.clip_norm / norm
         } else {
             1.0
         };
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for p in params.iter_mut() {
-            if !p.trainable {
-                p.zero_grad();
-                continue;
-            }
-            // A detached serving snapshot (Param::detach) has 0×0 state;
-            // reallocate instead of indexing out of bounds so fine-tuning a
-            // registry-loaded model just works.
-            p.restore_state();
-            // Fused single-pass update: split-borrowing the param fields
-            // lets value/m/v update in one zipped sweep with no gradient
-            // temporary.
-            let Param {
-                value, grad, m, v, ..
-            } = &mut **p;
-            for (((val, &g0), mi), vi) in value
-                .as_mut_slice()
-                .iter_mut()
-                .zip(grad.as_slice())
-                .zip(m.as_mut_slice())
-                .zip(v.as_mut_slice())
-            {
-                let g = g0 * scale;
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
-                let m_hat = *mi / bc1;
-                let v_hat = *vi / bc2;
-                *val -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
+        AdamUpdate {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            scale,
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+            norm,
+        }
+    }
+}
+
+/// One Adam step's update, shared by every parameter ([`Adam::begin_step`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AdamUpdate {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    /// Gradient scale of the global-norm clip.
+    scale: f32,
+    /// Bias corrections of the two moments.
+    bc1: f32,
+    bc2: f32,
+    norm: f32,
+}
+
+impl AdamUpdate {
+    /// The global norm of the trainable gradients before clipping.
+    pub fn norm(&self) -> f32 {
+        self.norm
+    }
+
+    /// Update `p` if it is trainable, then clear its gradient.
+    pub fn apply(&self, p: &mut Param) {
+        if !p.trainable {
             p.zero_grad();
+            return;
+        }
+        // A detached serving snapshot (Param::detach) has 0×0 state;
+        // reallocate instead of indexing out of bounds so fine-tuning a
+        // registry-loaded model just works.
+        p.restore_state();
+        // Fused single-pass update: split-borrowing the param fields lets
+        // value/m/v update, and the gradient clear, in one zipped sweep.
+        let Param {
+            value, grad, m, v, ..
+        } = p;
+        for (((val, gi), mi), vi) in value
+            .as_mut_slice()
+            .iter_mut()
+            .zip(grad.as_mut_slice())
+            .zip(m.as_mut_slice())
+            .zip(v.as_mut_slice())
+        {
+            let g = std::mem::take(gi) * self.scale;
+            *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
+            *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
+            let m_hat = *mi / self.bc1;
+            let v_hat = *vi / self.bc2;
+            *val -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
 }
@@ -146,6 +190,21 @@ mod tests {
         // gradient keeps the moments sane; just check finiteness and scale.
         assert!(p.value.get(0, 0).abs() <= 0.11);
         assert!(p.value.get(0, 0).is_finite());
+    }
+
+    #[test]
+    fn step_returns_the_pre_clip_norm() {
+        let mut p = Param::new(Tensor2::zeros(1, 2));
+        p.grad.set(0, 0, 30.0);
+        p.grad.set(0, 1, 40.0);
+        let mut frozen = Param::new(Tensor2::zeros(1, 1));
+        frozen.trainable = false;
+        frozen.grad.set(0, 0, 1e3);
+        let norm = Adam::new(0.1).step(&mut [&mut p, &mut frozen]);
+        assert_eq!(
+            norm, 50.0,
+            "frozen gradients are not counted, clipping comes after"
+        );
     }
 
     #[test]

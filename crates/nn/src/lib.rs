@@ -24,7 +24,7 @@ mod scaler;
 mod tensor;
 mod workspace;
 
-pub use adam::Adam;
+pub use adam::{Adam, AdamUpdate};
 pub use attention::{MaskedSelfAttention, MASK_NEG};
 pub use linear::{Linear, LoraLinear, LoraMode};
 pub use param::Param;

@@ -458,6 +458,9 @@ thread_local! {
     static NT_PACK: std::cell::RefCell<Tensor2> = RefCell::new(Tensor2::default());
 }
 
+/// Side of the square tiles [`Tensor2::transpose_into`] copies.
+const TRANSPOSE_TILE: usize = 16;
+
 /// Shared-dimension block size: a `KC × n` B panel (n ≤ 128 everywhere in
 /// this model) stays within L1/L2 while a panel of output rows is built.
 const KC: usize = 64;
@@ -586,6 +589,14 @@ impl Tensor2 {
             self.data.clear();
             self.data.resize(len, 0.0);
         }
+    }
+
+    /// Grow the buffer's capacity to at least `other`'s, keeping shape and
+    /// contents: a later reshape to any size `other` has held allocates
+    /// nothing.
+    pub fn reserve_like(&mut self, other: &Tensor2) {
+        self.data
+            .reserve_exact(other.data.capacity().saturating_sub(self.data.len()));
     }
 
     /// Become a copy of `src` (shape and contents), reusing capacity.
@@ -864,11 +875,24 @@ impl Tensor2 {
     }
 
     /// [`Tensor2::transpose`] into a caller-owned buffer, reusing capacity.
+    ///
+    /// Copies 16 × 16 tiles, so the writes of one tile stay within 16
+    /// output rows. Writing a whole input row at once strides the writes
+    /// by the input's row count instead: for a `128 × 128` matrix that is
+    /// 512 bytes, which maps every write of a row to 8 of the L1 cache's
+    /// sets, and the transpose ran ≈2.5× slower.
     pub fn transpose_into(&self, out: &mut Tensor2) {
-        out.resize_for_overwrite(self.cols, self.rows);
-        for r in 0..self.rows {
-            for (c, &v) in self.row(r).iter().enumerate() {
-                out.data[c * self.rows + r] = v;
+        let (rows, cols) = (self.rows, self.cols);
+        out.resize_for_overwrite(cols, rows);
+        for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
+            let r1 = (r0 + TRANSPOSE_TILE).min(rows);
+            for c0 in (0..cols).step_by(TRANSPOSE_TILE) {
+                let c1 = (c0 + TRANSPOSE_TILE).min(cols);
+                for r in r0..r1 {
+                    for (c, &v) in (c0..c1).zip(&self.data[r * cols + c0..r * cols + c1]) {
+                        out.data[c * rows + r] = v;
+                    }
+                }
             }
         }
     }
@@ -1059,6 +1083,28 @@ mod tests {
         let explicit2 = a.matmul(&c.transpose());
         for (x, y) in via_nt.as_slice().iter().zip(explicit2.as_slice()) {
             assert!((x - y).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn tiled_transpose_matches_the_definition() {
+        for (rows, cols) in [
+            (1, 1),
+            (1, 40),
+            (40, 1),
+            (16, 16),
+            (17, 33),
+            (128, 128),
+            (18, 130),
+        ] {
+            let a = Tensor2::uniform(rows, cols, 1.0, (rows * 1000 + cols) as u64);
+            let t = a.transpose();
+            assert_eq!((t.rows(), t.cols()), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(t.get(c, r).to_bits(), a.get(r, c).to_bits());
+                }
+            }
         }
     }
 

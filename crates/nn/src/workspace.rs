@@ -109,6 +109,106 @@ impl Workspace {
     pub fn new() -> Workspace {
         Workspace::default()
     }
+
+    /// Grow every buffer's capacity to at least `other`'s, so this
+    /// workspace runs whatever `other` has run without allocating. Threads
+    /// that take turns at the same work use it to share one high-water
+    /// mark.
+    pub fn reserve_like(&mut self, other: &Workspace) {
+        let Workspace {
+            attn,
+            xc,
+            spans,
+            h1,
+            h2,
+            preds,
+            mask1,
+            mask2,
+            d1,
+            d2,
+            dxbar,
+            dsx,
+            gw,
+            gtmp,
+        } = self;
+        attn.reserve_like(&other.attn);
+        for (t, o) in [
+            (xc, &other.xc),
+            (h1, &other.h1),
+            (h2, &other.h2),
+            (preds, &other.preds),
+            (d1, &other.d1),
+            (d2, &other.d2),
+            (dxbar, &other.dxbar),
+            (dsx, &other.dsx),
+            (gw, &other.gw),
+            (gtmp, &other.gtmp),
+        ] {
+            t.reserve_like(o);
+        }
+        reserve_vec_like(spans, &other.spans);
+        reserve_vec_like(mask1, &other.mask1);
+        reserve_vec_like(mask2, &other.mask2);
+    }
+}
+
+impl AttnScratch {
+    /// [`Workspace::reserve_like`] for the attention sub-arena.
+    fn reserve_like(&mut self, other: &AttnScratch) {
+        let AttnScratch {
+            q,
+            k,
+            v,
+            probs,
+            qb,
+            kb,
+            vb,
+            scores,
+            blk,
+            pb,
+            dob,
+            dp,
+            dscores,
+            dq,
+            dk,
+            dv,
+            gtmp,
+            roots,
+            u,
+            xbar,
+            srow,
+        } = self;
+        for (t, o) in [
+            (q, &other.q),
+            (k, &other.k),
+            (v, &other.v),
+            (qb, &other.qb),
+            (kb, &other.kb),
+            (vb, &other.vb),
+            (scores, &other.scores),
+            (blk, &other.blk),
+            (pb, &other.pb),
+            (dob, &other.dob),
+            (dp, &other.dp),
+            (dscores, &other.dscores),
+            (dq, &other.dq),
+            (dk, &other.dk),
+            (dv, &other.dv),
+            (gtmp, &other.gtmp),
+            (roots, &other.roots),
+            (u, &other.u),
+            (xbar, &other.xbar),
+        ] {
+            t.reserve_like(o);
+        }
+        reserve_vec_like(probs, &other.probs);
+        reserve_vec_like(srow, &other.srow);
+    }
+}
+
+/// Grow `v`'s capacity to at least `other`'s.
+fn reserve_vec_like<T>(v: &mut Vec<T>, other: &Vec<T>) {
+    v.reserve_exact(other.capacity().saturating_sub(v.len()));
 }
 
 impl Clone for Workspace {
@@ -116,5 +216,39 @@ impl Clone for Workspace {
     /// duplicate megabytes of scratch: clones start with an empty arena.
     fn clone(&self) -> Workspace {
         Workspace::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reserve_like_takes_the_larger_capacity() {
+        let mut big = Workspace::new();
+        big.h1.resize_zeroed(300, 128);
+        big.attn.probs.resize(900, 0.0);
+        big.mask1.resize(300 * 128, false);
+        let mut small = Workspace::new();
+        small.h1.resize_zeroed(10, 128);
+        small.reserve_like(&big);
+        assert_eq!(
+            (small.h1.rows(), small.h1.cols()),
+            (10, 128),
+            "contents are kept"
+        );
+        assert!(small.attn.probs.capacity() >= 900);
+        assert!(small.mask1.capacity() >= 300 * 128);
+        // Growing to `big`'s size keeps the buffer where it is.
+        let at = small.h1.as_slice().as_ptr();
+        small.h1.resize_zeroed(300, 128);
+        assert_eq!(small.h1.as_slice().as_ptr(), at);
+        let at = big.h1.as_slice().as_ptr();
+        big.reserve_like(&small);
+        assert_eq!(
+            big.h1.as_slice().as_ptr(),
+            at,
+            "a larger buffer is left alone"
+        );
     }
 }

@@ -20,11 +20,12 @@
 # 5 points is marked `steal-skewed`: its latency tails say more about the
 # hypervisor than about the code. The summary adds each side's median steal.
 #
-# Each run also records its wall time and CPU seconds (user + sys, from
-# bash's `time`) under runs/<side>-<seed>.time. Each pair prints
-# `cpu_x = cpu / wall` for both sides, and the summary gives each side's
-# median, so a claim about using more cores shows whether the host actually
-# ran them.
+# Each run also records its wall time, CPU seconds (user + sys, from
+# bash's `time`) and sys seconds under runs/<side>-<seed>.time. Each pair
+# prints `cpu_x = cpu / wall` and `sys_x = sys / wall` for both sides, and
+# the summary gives each side's medians, so a claim about using more cores
+# shows whether the host actually ran them, and how much of that was spent
+# in the kernel (waits that yield or block) rather than in user code.
 #
 # Example: scripts/ab.sh HEAD plan_search 10 1001
 set -euo pipefail
@@ -63,7 +64,7 @@ cpu_jiffies() {
 
 # One run: prints perfbench's final JSON line, or exits on a failed check.
 # The run's steal share (percent) goes to runs/<side>-<seed>.steal, and its
-# wall and CPU seconds ("wall cpu") to runs/<side>-<seed>.time.
+# wall, CPU and sys seconds ("wall cpu sys") to runs/<side>-<seed>.time.
 run() {
     local side=$1 seed=$2 log="$dir/runs/$1-$2.txt" s0 t0 s1 t1 ok=0
     local TIMEFORMAT='%R %U %S'
@@ -75,7 +76,7 @@ run() {
         tail -5 "$log" >&2
         exit 1
     fi
-    awk '{ printf "%.2f %.2f\n", $1, $2 + $3 }' "$dir/runs/$side-$seed.rus" >"$dir/runs/$side-$seed.time"
+    awk '{ printf "%.2f %.2f %.2f\n", $1, $2 + $3, $3 }' "$dir/runs/$side-$seed.rus" >"$dir/runs/$side-$seed.time"
     read -r s1 t1 < <(cpu_jiffies)
     awk -v s=$((s1 - s0)) -v t=$((t1 - t0)) \
         'BEGIN { printf "%.2f\n", (t > 0 ? 100 * s / t : 0) }' >"$dir/runs/$side-$seed.steal"
@@ -106,12 +107,14 @@ for ((i = 0; i < pairs; i++)); do
     printf '%s\t%s\n' "$sp" "$sc" >>"$dir/steal.tsv"
     line+=" steal $sp% -> $sc%"
     line+=$(awk -v p="$sp" -v c="$sc" 'BEGIN { d = p - c; if (d > 5 || d < -5) printf " steal-skewed" }')
-    read -r wp cp <"$dir/runs/parent-$seed.time"
-    read -r wc cc <"$dir/runs/change-$seed.time"
-    xp=$(awk -v w="$wp" -v c="$cp" 'BEGIN { printf "%.2f", (w > 0 ? c / w : 0) }')
-    xc=$(awk -v w="$wc" -v c="$cc" 'BEGIN { printf "%.2f", (w > 0 ? c / w : 0) }')
-    printf '%s\t%s\n' "$xp" "$xc" >>"$dir/cpu.tsv"
-    line+=" wall ${wp}s -> ${wc}s cpu ${cp}s -> ${cc}s cpu_x $xp -> $xc"
+    read -r wp cp yp <"$dir/runs/parent-$seed.time"
+    read -r wc cc yc <"$dir/runs/change-$seed.time"
+    ratio() { awk -v w="$1" -v c="$2" 'BEGIN { printf "%.2f", (w > 0 ? c / w : 0) }'; }
+    xp=$(ratio "$wp" "$cp") xc=$(ratio "$wc" "$cc")
+    zp=$(ratio "$wp" "$yp") zc=$(ratio "$wc" "$yc")
+    printf '%s\t%s\t%s\t%s\n' "$xp" "$xc" "$zp" "$zc" >>"$dir/cpu.tsv"
+    line+=" wall ${wp}s -> ${wc}s cpu ${cp}s -> ${cc}s sys ${yp}s -> ${yc}s"
+    line+=" cpu_x $xp -> $xc sys_x $zp -> $zc"
     echo "$line"
 done
 
@@ -148,5 +151,9 @@ printf '%-12s %30s %30s %7s %6s\n' "steal_pct" "$pm [$p1, $p3]" "$cm [$c1, $c3]"
 read -r pm p1 p3 < <(cut -f1 "$dir/cpu.tsv" | quartiles)
 read -r cm c1 c3 < <(cut -f2 "$dir/cpu.tsv" | quartiles)
 printf '%-12s %30s %30s %7s %6s\n' "cpu_x" "$pm [$p1, $p3]" "$cm [$c1, $c3]" "-" "-"
+read -r pm p1 p3 < <(cut -f3 "$dir/cpu.tsv" | quartiles)
+read -r cm c1 c3 < <(cut -f4 "$dir/cpu.tsv" | quartiles)
+printf '%-12s %30s %30s %7s %6s\n' "sys_x" "$pm [$p1, $p3]" "$cm [$c1, $c3]" "-" "-"
 echo "(steal_pct: the host's steal share of CPU time during each run; its last column counts steal-skewed pairs)"
 echo "(cpu_x: each run's CPU seconds, user + sys, over its wall seconds: about the number of cores it kept busy)"
+echo "(sys_x: each run's sys seconds over its wall seconds: the share of those cores spent in the kernel)"

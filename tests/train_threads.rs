@@ -9,6 +9,7 @@
 //! and a whole corpus smaller than one shard.
 
 use dace_core::{DaceEstimator, TrainConfig, Trainer};
+use dace_obs::hash::fnv1a64;
 use dace_plan::{
     Dataset, LabeledPlan, MachineId, NodeId, NodeType, OpPayload, PlanNode, PlanTree, TreeBuilder,
 };
@@ -109,6 +110,38 @@ fn assert_thread_count_invariant(name: &str, train_set: &Dataset, tune_set: &Dat
             bits(&got_ms),
             bits(&want_ms),
             "{name}: {threads} threads predict differently than 1"
+        );
+    }
+}
+
+/// FNV-1a digest of [`bytes`] after [`train`] on the "short last batch"
+/// corpora, on the AVX-512 kernel tier. Any change to the arithmetic of a
+/// training step (the shard sum's order, the projection, Adam, the refold)
+/// moves it.
+const GOLDEN_DIGEST: u64 = 0xf0db_1be4_db50_db8b;
+
+/// Whether the matmul kernels run the tier [`GOLDEN_DIGEST`] was taken on.
+/// The AVX2 and scalar tiers round differently, so there the digest is
+/// not checked; the thread-count test below still holds on every tier.
+fn on_the_golden_tier() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx512f");
+    #[cfg(not(target_arch = "x86_64"))]
+    return false;
+}
+
+#[test]
+fn training_reproduces_the_golden_weights_at_every_thread_count() {
+    if !on_the_golden_tier() {
+        eprintln!("no AVX-512: the golden training digest is not checked");
+        return;
+    }
+    let (train_set, tune_set) = (corpus(150, 1), corpus(40, 2));
+    for threads in THREADS {
+        let digest = fnv1a64(bytes(&train(threads, &train_set, &tune_set)).as_bytes());
+        assert_eq!(
+            digest, GOLDEN_DIGEST,
+            "{threads} threads: trained weights digest {digest:#018x}"
         );
     }
 }
