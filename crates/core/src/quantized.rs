@@ -100,9 +100,9 @@ impl QuantizedModel {
             start += f.x.rows();
         }
         self.l1.forward_into(&ws.heads, &mut ws.h1, &mut ws.qs);
-        Relu::relu_in_place(&mut ws.h1);
+        Relu::forward_in_place(&mut ws.h1);
         self.l2.forward_into(&ws.h1, &mut ws.h2, &mut ws.qs);
-        Relu::relu_in_place(&mut ws.h2);
+        Relu::forward_in_place(&mut ws.h2);
         self.l3.forward_into(&ws.h2, &mut ws.preds, &mut ws.qs);
         let mlp_us = t_mlp.elapsed().as_micros() as u64;
         out.extend((0..feats.len()).map(|b| ws.preds.get(b, 0)));

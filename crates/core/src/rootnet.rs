@@ -311,10 +311,10 @@ impl RootNet {
         let t_mlp = Instant::now();
         ws.attn.xbar.matmul_into(&self.wv1, &mut ws.h1);
         ws.h1.add_row_broadcast(&self.b1);
-        Relu::relu_in_place(&mut ws.h1);
+        Relu::forward_in_place(&mut ws.h1);
         ws.h1.matmul_into(&self.w2, &mut ws.h2);
         ws.h2.add_row_broadcast(&self.b2);
-        Relu::relu_in_place(&mut ws.h2);
+        Relu::forward_in_place(&mut ws.h2);
         ws.h2.matmul_into(&self.w3, &mut ws.preds);
         ws.preds.add_row_broadcast(&self.b3);
         let mlp_us = t_mlp.elapsed().as_micros() as u64;
@@ -356,7 +356,8 @@ impl RootNet {
     /// every node's log-latency into `ws.preds` (`Σ lens[b] × 1`, compact
     /// row order), with everything [`RootNet::backward_rows`] reads left in
     /// `ws`: the input and the row spans, the attention probabilities and
-    /// means `x̄`, both hidden layers and their ReLU masks.
+    /// means `x̄` and both hidden layers (post-ReLU; the backward reads the
+    /// ReLU's sign from them).
     ///
     /// Node `i` scores only the rows `j` of its span, as `u_i·x_j` with
     /// `u = X·M`, and softmaxes over them; its probabilities are stored
@@ -379,10 +380,10 @@ impl RootNet {
         }
         a.xbar.matmul_into(&self.wv1, &mut ws.h1);
         ws.h1.add_row_broadcast(&self.b1);
-        Relu::forward_in_place(&mut ws.h1, &mut ws.mask1);
+        Relu::forward_in_place(&mut ws.h1);
         ws.h1.matmul_into(&self.w2, &mut ws.h2);
         ws.h2.add_row_broadcast(&self.b2);
-        Relu::forward_in_place(&mut ws.h2, &mut ws.mask2);
+        Relu::forward_in_place(&mut ws.h2);
         ws.h2.matmul_into(&self.w3, &mut ws.preds);
         ws.preds.add_row_broadcast(&self.b3);
     }
@@ -436,11 +437,11 @@ impl RootNet {
         ws.h2.matmul_tn_into(d_pred, &mut out.dw3);
         col_sums_into(d_pred, &mut out.db3);
         d_pred.matmul_into(&self.w3_t, &mut ws.d1);
-        Relu::backward_in_place(&mut ws.d1, &ws.mask2);
+        Relu::backward_in_place(&mut ws.d1, &ws.h2);
         ws.h1.matmul_tn_into(&ws.d1, &mut out.dw2);
         col_sums_into(&ws.d1, &mut out.db2);
         ws.d1.matmul_into(&self.w2_t, &mut ws.d2);
-        Relu::backward_in_place(&mut ws.d2, &ws.mask1);
+        Relu::backward_in_place(&mut ws.d2, &ws.h1);
         ws.attn.xbar.matmul_tn_into(&ws.d2, &mut out.g);
         col_sums_into(&ws.d2, &mut out.db1);
         if !scores {
@@ -623,9 +624,9 @@ mod tests {
         let chain: Vec<bool> = (0..n * n).map(|c| c / n <= c % n).collect();
         let a = attn.forward_inference(x, &chain).row_block(0, 1);
         let mut h1 = ls[0].forward_inference(&a);
-        Relu::relu_in_place(&mut h1);
+        Relu::forward_in_place(&mut h1);
         let mut h2 = ls[1].forward_inference(&h1);
-        Relu::relu_in_place(&mut h2);
+        Relu::forward_in_place(&mut h2);
         ls[2].forward_inference(&h2).get(0, 0)
     }
 

@@ -80,16 +80,14 @@ pub struct Workspace {
     /// Each row's attention span `(start, end)` in `xc`'s rows, of the last
     /// batched forward.
     pub spans: Vec<(usize, usize)>,
-    /// First hidden activation (post-ReLU; the sign lives in `mask1`).
+    /// First hidden activation (post-ReLU; the backward reads the ReLU's
+    /// sign from it).
     pub h1: Tensor2,
-    /// Second hidden activation (post-ReLU).
+    /// Second hidden activation (post-ReLU; the backward reads the ReLU's
+    /// sign from it).
     pub h2: Tensor2,
     /// Final predictions of the last forward pass.
     pub preds: Tensor2,
-    /// ReLU sign mask after layer 1.
-    pub mask1: Vec<bool>,
-    /// ReLU sign mask after layer 2.
-    pub mask2: Vec<bool>,
     /// Gradient at the second hidden layer, `dH₂` (backward).
     pub d1: Tensor2,
     /// Gradient at the first hidden layer, `dH₁` (backward).
@@ -122,8 +120,6 @@ impl Workspace {
             h1,
             h2,
             preds,
-            mask1,
-            mask2,
             d1,
             d2,
             dxbar,
@@ -147,8 +143,6 @@ impl Workspace {
             t.reserve_like(o);
         }
         reserve_vec_like(spans, &other.spans);
-        reserve_vec_like(mask1, &other.mask1);
-        reserve_vec_like(mask2, &other.mask2);
     }
 }
 
@@ -228,7 +222,7 @@ mod tests {
         let mut big = Workspace::new();
         big.h1.resize_zeroed(300, 128);
         big.attn.probs.resize(900, 0.0);
-        big.mask1.resize(300 * 128, false);
+        big.spans.resize(300, (0, 0));
         let mut small = Workspace::new();
         small.h1.resize_zeroed(10, 128);
         small.reserve_like(&big);
@@ -238,7 +232,7 @@ mod tests {
             "contents are kept"
         );
         assert!(small.attn.probs.capacity() >= 900);
-        assert!(small.mask1.capacity() >= 300 * 128);
+        assert!(small.spans.capacity() >= 300);
         // Growing to `big`'s size keeps the buffer where it is.
         let at = small.h1.as_slice().as_ptr();
         small.h1.resize_zeroed(300, 128);

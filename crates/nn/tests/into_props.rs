@@ -105,17 +105,15 @@ proptest! {
         let dx = relu.backward(&dy);
 
         let mut y_ip = x.clone();
-        let mut mask = vec![true; 3]; // wrong-sized garbage: must be refilled
-        Relu::forward_in_place(&mut y_ip, &mut mask);
+        Relu::forward_in_place(&mut y_ip);
         prop_assert_eq!(y.as_slice(), y_ip.as_slice());
 
+        // The backward reads the sign from the activation, not a mask.
         let mut dx_ip = dy.clone();
-        Relu::backward_in_place(&mut dx_ip, &mask);
+        Relu::backward_in_place(&mut dx_ip, &y_ip);
         prop_assert_eq!(dx.as_slice(), dx_ip.as_slice());
 
-        let mut inf = x.clone();
-        Relu::relu_in_place(&mut inf);
-        prop_assert_eq!(relu.forward_inference(&x).as_slice(), inf.as_slice());
+        prop_assert_eq!(relu.forward_inference(&x).as_slice(), y_ip.as_slice());
     }
 }
 

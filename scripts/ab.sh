@@ -11,8 +11,19 @@
 # of <workload>; pair i uses seed <first-seed>+i for both sides, and the
 # side that runs first flips every pair. Each pair's end-to-end metrics come
 # from perfbench's final JSON line. The summary gives, per metric, each
-# side's median and quartiles, the median ratio, and the number of pairs the
-# change won in the metric's `better` direction (BENCHMARK.json).
+# side's median and quartiles, the median ratio, the number of pairs the
+# change won in the metric's `better` direction (BENCHMARK.json), and a
+# verdict:
+#
+#   gain        the change won at least 9/10 of the pairs (ties count for
+#               neither side) and its median is better than the parent's
+#               by more than the parent's interquartile range;
+#   worse       the change's median is worse than the parent's by more than
+#               the metric's relative `bound` (BENCHMARK.json);
+#   unresolved  neither, and the parent's interquartile range is wider than
+#               the bound (relative to its median): the runs spread too
+#               widely to call the metric unchanged;
+#   same        otherwise.
 #
 # Each run also records the host's steal share: the `steal` column of the
 # `cpu` line in /proc/stat, read before and after the run, as a percentage
@@ -53,8 +64,9 @@ declare -A bin=(
     [change]="$dir/change-target/release/dace-perfbench"
 )
 
-# Metric name and better direction (higher|lower), one per line.
-metrics=$(jq -r '.end_to_end[] | "\(.name) \(.better)"' "$root/BENCHMARK.json")
+# Metric name, better direction (higher|lower) and relative bound, one per
+# line.
+metrics=$(jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' "$root/BENCHMARK.json")
 
 # Cumulative steal and total jiffies of the host's `cpu` line (user nice
 # system idle iowait irq softirq steal; guest time is inside user).
@@ -94,7 +106,7 @@ for ((i = 0; i < pairs; i++)); do
         json[$side]=$(run "$side" "$seed")
     done
     line="pair $((i + 1)) seed $seed (${order[0]} first):"
-    while read -r name better; do
+    while read -r name better _; do
         p=$(jq -r ".metrics.\"$name\".value" <<<"${json[parent]}")
         c=$(jq -r ".metrics.\"$name\".value" <<<"${json[change]}")
         printf '%s\t%s\t%s\t%s\n' "$name" "$better" "$p" "$c" >>"$dir/pairs.tsv"
@@ -131,17 +143,28 @@ quartiles() {
 
 echo
 echo "ab: $workload over $pairs pairs, $seconds s runs, parent $rev vs working tree"
-printf '%-12s %30s %30s %7s %6s\n' metric "parent median [q1, q3]" \
-    "change median [q1, q3]" ratio wins
-while read -r name better; do
+printf '%-12s %30s %30s %7s %6s %10s\n' metric "parent median [q1, q3]" \
+    "change median [q1, q3]" ratio wins verdict
+while read -r name better bound; do
     read -r pm p1 p3 < <(awk -F'\t' -v m="$name" '$1 == m { print $3 }' "$dir/pairs.tsv" | quartiles)
     read -r cm c1 c3 < <(awk -F'\t' -v m="$name" '$1 == m { print $4 }' "$dir/pairs.tsv" | quartiles)
     wins=$(awk -F'\t' -v m="$name" -v better="$better" '$1 == m {
             if ((better == "higher" && $4 > $3) || (better == "lower" && $4 < $3)) w++
         } END { print w + 0 }' "$dir/pairs.tsv")
     ratio=$(awk -v p="$pm" -v c="$cm" 'BEGIN { printf "%.3f", p != 0 ? c / p : 0 }')
-    printf '%-12s %30s %30s %7s %6s\n' "$name" "$pm [$p1, $p3]" "$cm [$c1, $c3]" \
-        "$ratio" "$wins/$pairs"
+    # The verdict of the header comment; `gain` is how far the change's
+    # median is better than the parent's (negative when it is worse).
+    verdict=$(awk -v pm="$pm" -v p1="$p1" -v p3="$p3" -v cm="$cm" -v wins="$wins" \
+        -v pairs="$pairs" -v better="$better" -v bound="$bound" 'BEGIN {
+            gain = (better == "higher") ? cm - pm : pm - cm
+            scale = pm < 0 ? -pm : pm
+            if (10 * wins >= 9 * pairs && gain > p3 - p1) print "gain"
+            else if (-gain > bound * scale) print "worse"
+            else if (p3 - p1 > bound * scale) print "unresolved"
+            else print "same"
+        }')
+    printf '%-12s %30s %30s %7s %6s %10s\n' "$name" "$pm [$p1, $p3]" "$cm [$c1, $c3]" \
+        "$ratio" "$wins/$pairs" "$verdict"
 done <<<"$metrics"
 read -r pm p1 p3 < <(cut -f1 "$dir/steal.tsv" | quartiles)
 read -r cm c1 c3 < <(cut -f2 "$dir/steal.tsv" | quartiles)
