@@ -290,7 +290,7 @@ mod tests {
                         NodeType::SeqScan,
                         OpPayload::Scan(ScanInfo {
                             table_id,
-                            table_name: format!("t{table_id}"),
+                            table_name: format!("t{table_id}").into(),
                             predicates: vec![PredicateInfo {
                                 column_id: table_id * 64 + 1,
                                 op: CmpOp::Lt,

@@ -205,7 +205,7 @@ mod tests {
                     condition: "a = b".into(),
                 }),
             ),
-            vec![s1, s2],
+            &[s1, s2],
         );
         LabeledPlan {
             tree: b.finish(j),

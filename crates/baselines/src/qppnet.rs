@@ -257,7 +257,7 @@ pub(crate) fn tree_dataset(n: usize, seed: u64) -> Dataset {
                 node.est_rows = 5_000.0;
                 node.actual_ms = child_ms + join_cost * rate;
                 node.actual_rows = 4_000.0;
-                b.internal(node, vec![s1, s2])
+                b.internal(node, &[s1, s2])
             };
             let root = {
                 let mut node = PlanNode::new(NodeType::GroupAggregate, OpPayload::Other);
@@ -265,7 +265,7 @@ pub(crate) fn tree_dataset(n: usize, seed: u64) -> Dataset {
                 node.est_rows = 1.0;
                 node.actual_ms = b.node(join).actual_ms * 1.1;
                 node.actual_rows = 1.0;
-                b.internal(node, vec![join])
+                b.internal(node, &[join])
             };
             LabeledPlan {
                 tree: b.finish(root),

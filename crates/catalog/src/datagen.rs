@@ -57,12 +57,7 @@ pub fn generate_database(spec: &DatabaseSpec, scale: f64) -> Database {
         })
         .collect();
 
-    Database {
-        spec: spec.clone(),
-        schema,
-        tables,
-        stats,
-    }
+    Database::new(spec.clone(), schema, tables, stats)
 }
 
 /// Generate one column of `n` values.

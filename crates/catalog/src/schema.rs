@@ -124,6 +124,20 @@ impl Schema {
             .collect()
     }
 
+    /// The join condition along `edge`, rendered as
+    /// `child.column = parent.pk`, e.g. `mk.movie_id = t.id`.
+    pub fn join_condition(&self, edge: FkEdge) -> String {
+        let child = self.table(edge.child);
+        let parent = self.table(edge.parent);
+        format!(
+            "{}.{} = {}.{}",
+            child.name,
+            child.columns[edge.child_column as usize].name,
+            parent.name,
+            parent.columns[0].name
+        )
+    }
+
     /// Total number of columns across all tables.
     pub fn total_columns(&self) -> usize {
         self.tables.iter().map(|t| t.columns.len()).sum()
@@ -225,6 +239,10 @@ mod tests {
         assert!(ddl.contains("id BIGINT PRIMARY KEY"));
         assert!(ddl.contains("ADD FOREIGN KEY (parent_id) REFERENCES parent (id)"));
         assert_eq!(schema.fks_of(TableId(0)).len(), 1);
+        assert_eq!(
+            schema.join_condition(schema.fks[0]),
+            "child.parent_id = parent.id"
+        );
         assert_eq!(schema.total_columns(), 3);
     }
 }

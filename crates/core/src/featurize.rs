@@ -414,7 +414,7 @@ mod tests {
             n.est_cost = cost;
             n.est_rows = 1.0;
             n.actual_ms = ms;
-            b.internal(n, vec![scan])
+            b.internal(n, &[scan])
         };
         LabeledPlan {
             tree: b.finish(root),
@@ -585,25 +585,25 @@ mod tests {
         // HashJoin(Hash(SeqScan 20), SeqScan 10), children stored first.
         let mut b = TreeBuilder::new();
         let s2 = b.leaf(est_node(NodeType::SeqScan, 20.0));
-        let hash = b.internal(est_node(NodeType::Hash, 25.0), vec![s2]);
+        let hash = b.internal(est_node(NodeType::Hash, 25.0), &[s2]);
         let s1 = b.leaf(est_node(NodeType::SeqScan, 10.0));
-        let root = b.internal(est_node(NodeType::HashJoin, 60.0), vec![hash, s1]);
+        let root = b.internal(est_node(NodeType::HashJoin, 60.0), &[hash, s1]);
         let built = b.finish(root);
         // The same tree with the Hash node stored before its child.
         let mut b = TreeBuilder::new();
         let a = b.leaf(est_node(NodeType::SeqScan, 10.0));
         let c = b.leaf(est_node(NodeType::SeqScan, 20.0));
-        let d = b.internal(est_node(NodeType::Hash, 25.0), vec![c]);
-        let root = b.internal(est_node(NodeType::HashJoin, 60.0), vec![d, a]);
+        let d = b.internal(est_node(NodeType::Hash, 25.0), &[c]);
+        let root = b.internal(est_node(NodeType::HashJoin, 60.0), &[d, a]);
         let mut rewired = b.finish(root);
         *rewired.node_mut(c) = est_node(NodeType::Hash, 25.0);
-        rewired.node_mut(c).children = vec![d];
+        rewired.node_mut(c).children = [d].into();
         *rewired.node_mut(d) = est_node(NodeType::SeqScan, 20.0);
-        rewired.node_mut(root).children = vec![c, a];
+        rewired.node_mut(root).children = [c, a].into();
         assert_eq!(f.fingerprint(&rewired), f.fingerprint(&built));
         assert_eq!(f.encode(&rewired).x, f.encode(&built).x);
         // Swapping the join's inputs changes the key.
-        rewired.node_mut(root).children = vec![a, c];
+        rewired.node_mut(root).children = [a, c].into();
         assert_ne!(f.fingerprint(&rewired), f.fingerprint(&built));
     }
 
@@ -616,7 +616,7 @@ mod tests {
         let tree = |cost: f64| {
             let mut b = TreeBuilder::new();
             let scan = b.leaf(est_node(NodeType::SeqScan, cost));
-            let root = b.internal(est_node(NodeType::Gather, cost), vec![scan]);
+            let root = b.internal(est_node(NodeType::Gather, cost), &[scan]);
             b.finish(root)
         };
         assert_ne!(f.fingerprint(&tree(10.0)), f.fingerprint(&tree(500.0)));

@@ -438,7 +438,7 @@ mod tests {
             n.est_cost = 400.0;
             n.est_rows = 500.0;
             n.actual_ms = 8.0;
-            b.internal(n, vec![s1, s2])
+            b.internal(n, &[s1, s2])
         };
         let plan = LabeledPlan {
             tree: b.finish(j),

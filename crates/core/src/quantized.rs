@@ -160,7 +160,9 @@ impl QuantizedEstimator {
 mod tests {
     use super::*;
     use crate::trainer::{TrainConfig, Trainer};
-    use dace_plan::{Dataset, LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, TreeBuilder};
+    use dace_plan::{
+        ChildIds, Dataset, LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, TreeBuilder,
+    };
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -169,7 +171,7 @@ mod tests {
         let plans = (0..n)
             .map(|i| {
                 let mut b = TreeBuilder::new();
-                let kids: Vec<_> = (0..rng.gen_range(1..=3))
+                let kids: Vec<_> = (0..rng.gen_range(1..=ChildIds::MAX))
                     .map(|_| {
                         let mut n = PlanNode::new(NodeType::SeqScan, OpPayload::Other);
                         n.est_cost = rng.gen_range(10.0..1e4);
@@ -182,7 +184,7 @@ mod tests {
                 root.est_cost = rng.gen_range(100.0..1e5);
                 root.est_rows = rng.gen_range(1.0..1e6);
                 root.actual_ms = rng.gen_range(1.0..200.0);
-                let id = b.internal(root, kids);
+                let id = b.internal(root, &kids);
                 LabeledPlan {
                     tree: b.finish(id),
                     db_id: (i % 4) as u16,

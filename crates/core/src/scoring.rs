@@ -155,7 +155,7 @@ mod tests {
                     node.est_rows = rows;
                     node.actual_ms = cost * 0.01;
                     node.actual_rows = rows;
-                    b.internal(node, vec![scan])
+                    b.internal(node, &[scan])
                 };
                 LabeledPlan {
                     tree: b.finish(root),

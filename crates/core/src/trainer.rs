@@ -1053,7 +1053,7 @@ mod tests {
                     node.est_rows = scan_rows;
                     node.actual_ms = scan_cost * 2.0 * mult + scan_cost * 0.014;
                     node.actual_rows = scan_rows;
-                    b.internal(node, vec![scan, scan2])
+                    b.internal(node, &[scan, scan2])
                 };
                 LabeledPlan {
                     tree: b.finish(root),

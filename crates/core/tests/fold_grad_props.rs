@@ -359,7 +359,7 @@ fn dataset(n: usize, seed: u64) -> Dataset {
             let cost = rng.gen_range(10.0..10_000.0f64);
             let mut b = TreeBuilder::new();
             let scan = b.leaf(node(NodeType::SeqScan, cost, cost * 0.004));
-            let root = b.internal(node(NodeType::Sort, cost * 1.5, cost * 0.006), vec![scan]);
+            let root = b.internal(node(NodeType::Sort, cost * 1.5, cost * 0.006), &[scan]);
             LabeledPlan {
                 tree: b.finish(root),
                 db_id: 0,

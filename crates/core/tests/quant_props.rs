@@ -12,7 +12,7 @@ use dace_core::{
     DaceEstimator, PlanFeatures, QuantWorkspace, QuantizedEstimator, TrainConfig, Trainer,
 };
 use dace_plan::{
-    Dataset, LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, PlanTree, TreeBuilder,
+    ChildIds, Dataset, LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, PlanTree, TreeBuilder,
 };
 
 /// The fast tier's accuracy contract, in q-error against full precision.
@@ -37,7 +37,7 @@ fn training_dataset(n: usize, seed: u64) -> Dataset {
     let plans = (0..n)
         .map(|i| {
             let mut b = TreeBuilder::new();
-            let kids: Vec<_> = (0..rng.gen_range(1..=3))
+            let kids: Vec<_> = (0..rng.gen_range(1..=ChildIds::MAX))
                 .map(|_| {
                     let mut n = PlanNode::new(NodeType::SeqScan, OpPayload::Other);
                     n.est_cost = rng.gen_range(10.0..1e4);
@@ -50,7 +50,7 @@ fn training_dataset(n: usize, seed: u64) -> Dataset {
             root.est_cost = rng.gen_range(100.0..1e5);
             root.est_rows = rng.gen_range(1.0..1e6);
             root.actual_ms = rng.gen_range(1.0..200.0);
-            let id = b.internal(root, kids);
+            let id = b.internal(root, &kids);
             LabeledPlan {
                 tree: b.finish(id),
                 db_id: (i % 4) as u16,
@@ -81,8 +81,8 @@ fn tiers() -> &'static (DaceEstimator, QuantizedEstimator) {
 /// A random plan tree grown bottom-up: `shape` drives both structure and
 /// the cost/cardinality annotations, so cases cover deep chains, bushy
 /// joins, single leaves, and degenerate zero-cost nodes.
-fn random_tree(shape: (u64, usize, usize)) -> PlanTree {
-    let (seed, nodes, max_kids) = shape;
+fn random_tree(shape: (u64, usize)) -> PlanTree {
+    let (seed, nodes) = shape;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut b = TreeBuilder::new();
     let mut roots: Vec<_> = (0..nodes)
@@ -101,17 +101,16 @@ fn random_tree(shape: (u64, usize, usize)) -> PlanTree {
         })
         .collect();
     while roots.len() > 1 {
-        // Combine at least two roots per step, or the forest never shrinks.
-        let take = rng.gen_range(2..=max_kids.max(2).min(roots.len()).max(2));
-        let take = take.min(roots.len());
-        let kids: Vec<_> = roots.drain(..take).collect();
+        // Combine two roots per step (a node has at most two children, and
+        // the forest must shrink).
+        let kids: Vec<_> = roots.drain(..2).collect();
         let mut n = PlanNode::new(
             NODE_TYPES[rng.gen_range(0..NODE_TYPES.len())],
             OpPayload::Other,
         );
         n.est_cost = 10f64.powf(rng.gen_range(0.0..7.0));
         n.est_rows = 10f64.powf(rng.gen_range(0.0..8.0));
-        roots.insert(0, b.internal(n, kids));
+        roots.insert(0, b.internal(n, &kids));
     }
     let root = roots.pop().expect("at least one node");
     b.finish(root)
@@ -126,10 +125,9 @@ proptest! {
     fn quantized_tier_stays_within_qerror_bound(
         seed in 0u64..10_000,
         nodes in 1usize..24,
-        max_kids in 1usize..5,
     ) {
         let (est, quant) = tiers();
-        let tree = random_tree((seed, nodes, max_kids));
+        let tree = random_tree((seed, nodes));
         let feats = est.featurizer.encode(&tree);
         let refs: Vec<&PlanFeatures> = vec![&feats];
         let full = est.predict_features_batch_ms(&refs)[0];

@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use dace_core::{DaceEstimator, DaceModel, Featurizer, PlanFeatures, TrainConfig, Trainer};
 use dace_nn::{Tensor2, Workspace};
 use dace_plan::{
-    Dataset, LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, PlanTree, TreeBuilder,
+    ChildIds, Dataset, LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, PlanTree, TreeBuilder,
 };
 
 /// Largest allowed |Δ ln ms| between the root-row and all-rows passes.
@@ -55,10 +55,10 @@ fn random_tree(seed: u64, nodes: usize) -> PlanTree {
     let mut b = TreeBuilder::new();
     let mut roots: Vec<_> = (0..nodes).map(|_| b.leaf(node(&mut rng))).collect();
     while roots.len() > 1 {
-        let take = rng.gen_range(1..=3usize).min(roots.len());
+        let take = rng.gen_range(1..=ChildIds::MAX).min(roots.len());
         let kids: Vec<_> = roots.drain(..take).collect();
         let parent = node(&mut rng);
-        roots.insert(0, b.internal(parent, kids));
+        roots.insert(0, b.internal(parent, &kids));
     }
     b.finish(roots[0])
 }

@@ -5,10 +5,11 @@
 use std::cell::OnceCell;
 use std::sync::{Arc, LazyLock};
 
-use dace_catalog::{ColumnId, Database, TableId};
+use dace_catalog::{ColumnId, Database, FkEdge, TableId};
 use dace_core::{log_feature, node_fingerprint};
 use dace_plan::{
-    JoinInfo, NodeType, OpPayload, PlanNode, PlanTree, PredicateInfo, ScanInfo, TreeBuilder,
+    ChildIds, JoinInfo, NodeType, OpPayload, PlanNode, PlanTree, PredicateInfo, ScanInfo,
+    TreeBuilder,
 };
 use dace_query::{JoinEdge, Predicate, Query};
 
@@ -289,25 +290,27 @@ impl PhysPlan {
     }
 
     /// Convert into a [`PlanTree`] (estimates and any filled-in actuals).
+    /// The tree's arena is allocated once, at [`PhysPlan::len`] nodes, and
+    /// its payloads share this plan's names; a scan's predicate list is
+    /// the only other allocation.
     pub fn to_plan_tree(&self) -> PlanTree {
-        let mut builder = TreeBuilder::new();
+        let mut builder = TreeBuilder::with_capacity(self.len);
         let root = self.build_into(&mut builder);
         builder.finish(root)
     }
 
     fn build_into(&self, builder: &mut TreeBuilder) -> dace_plan::NodeId {
-        let children: Vec<dace_plan::NodeId> = self
-            .children()
-            .iter()
-            .map(|c| c.build_into(builder))
-            .collect();
+        let mut children = [dace_plan::NodeId(0); ChildIds::MAX];
+        for (slot, c) in children.iter_mut().zip(self.children()) {
+            *slot = c.build_into(builder);
+        }
         let mut node = PlanNode::new(self.node_type, OpPayload::clone(&self.payload));
         node.est_rows = self.est_rows;
         node.est_cost = self.est_cost;
         node.width = self.width;
         node.actual_rows = self.actual_rows;
         node.actual_ms = self.actual_ms;
-        builder.internal(node, children)
+        builder.internal(node, &children[..self.children().len()])
     }
 }
 
@@ -494,7 +497,7 @@ fn scan_payload(
         .collect();
     OpPayload::Scan(ScanInfo {
         table_id: table.0,
-        table_name: db.schema.table(table).name.clone(),
+        table_name: Arc::clone(db.table_name(table)),
         predicates: infos,
     })
 }
@@ -715,18 +718,14 @@ pub(crate) fn join_candidates(
 }
 
 fn join_payload(db: &Database, edge: JoinEdge) -> OpPayload {
-    let child_t = db.schema.table(edge.child);
-    let parent_t = db.schema.table(edge.parent);
     OpPayload::Join(JoinInfo {
         left_column: edge.child_column_id().0,
         right_column: edge.parent_column_id().0,
-        condition: format!(
-            "{}.{} = {}.{}",
-            child_t.name,
-            child_t.columns[edge.child_column as usize].name,
-            parent_t.name,
-            parent_t.columns[0].name
-        ),
+        condition: db.join_condition(FkEdge {
+            child: edge.child,
+            child_column: edge.child_column,
+            parent: edge.parent,
+        }),
     })
 }
 

@@ -56,12 +56,14 @@ pub struct SearchSession<'a> {
 }
 
 /// One decision level's batch: the candidates, the decision groups
-/// partitioning them, and the index each group picked. One `Level` serves
-/// every level of a query, so its buffers are allocated once per query.
+/// partitioning them, their scores and the index each group picked. One
+/// `Level` serves every level of a query, so its buffers are allocated
+/// once per query.
 #[derive(Default)]
 struct Level {
     cands: Vec<PhysPlan>,
     groups: Vec<Range<usize>>,
+    scores: Vec<f64>,
     picked: Vec<usize>,
 }
 
@@ -84,7 +86,8 @@ impl Level {
     /// Score the batch and record the first-wins argmin index per group.
     fn pick(&mut self, scorer: &mut dyn PlanScorer, report: &mut SearchReport) {
         let _span = span!("search_score");
-        let scores = scorer.score(&self.cands, &self.groups);
+        scorer.score_into(&self.cands, &self.groups, &mut self.scores);
+        let scores = &self.scores;
         debug_assert_eq!(scores.len(), self.cands.len());
         report.candidates_scored += self.cands.len();
         report.score_batches += 1;

@@ -27,6 +27,26 @@ pub trait PlanScorer {
     /// groups; returned scores must be comparable within a group (lower is
     /// better) but carry no meaning across groups.
     fn score(&mut self, cands: &[PhysPlan], groups: &[Range<usize>]) -> Vec<f64>;
+
+    /// [`PlanScorer::score`] into `scores`, which ends up holding one score
+    /// per candidate. The search driver calls this with one buffer per
+    /// query; the scorers here write into it without allocating, and the
+    /// default forwards to `score`.
+    fn score_into(&mut self, cands: &[PhysPlan], groups: &[Range<usize>], scores: &mut Vec<f64>) {
+        *scores = self.score(cands, groups);
+    }
+}
+
+/// `scorer`'s [`PlanScorer::score_into`] into a fresh vector: the
+/// `score` of every scorer here.
+fn collect_scores(
+    scorer: &mut impl PlanScorer,
+    cands: &[PhysPlan],
+    groups: &[Range<usize>],
+) -> Vec<f64> {
+    let mut scores = Vec::with_capacity(cands.len());
+    scorer.score_into(cands, groups, &mut scores);
+    scores
 }
 
 /// The analytic cost model as a scorer: score = `est_cost`. Driving the
@@ -39,8 +59,13 @@ impl PlanScorer for AnalyticScorer {
         "analytic"
     }
 
-    fn score(&mut self, cands: &[PhysPlan], _groups: &[Range<usize>]) -> Vec<f64> {
-        cands.iter().map(|c| c.est_cost()).collect()
+    fn score(&mut self, cands: &[PhysPlan], groups: &[Range<usize>]) -> Vec<f64> {
+        collect_scores(self, cands, groups)
+    }
+
+    fn score_into(&mut self, cands: &[PhysPlan], _groups: &[Range<usize>], scores: &mut Vec<f64>) {
+        scores.clear();
+        scores.extend(cands.iter().map(|c| c.est_cost()));
     }
 }
 
@@ -77,16 +102,18 @@ impl PlanScorer for ExplorationScorer {
         "exploration"
     }
 
-    fn score(&mut self, cands: &[PhysPlan], _groups: &[Range<usize>]) -> Vec<f64> {
-        cands
-            .iter()
-            .map(|c| {
-                let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = self.rng.gen();
-                let normal = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                c.est_cost() * (self.sigma * normal).exp()
-            })
-            .collect()
+    fn score(&mut self, cands: &[PhysPlan], groups: &[Range<usize>]) -> Vec<f64> {
+        collect_scores(self, cands, groups)
+    }
+
+    fn score_into(&mut self, cands: &[PhysPlan], _groups: &[Range<usize>], scores: &mut Vec<f64>) {
+        scores.clear();
+        scores.extend(cands.iter().map(|c| {
+            let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = self.rng.gen();
+            let normal = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+            c.est_cost() * (self.sigma * normal).exp()
+        }));
     }
 }
 
@@ -196,7 +223,7 @@ impl<'a> LearnedScorer<'a> {
     /// Score the candidates `subset` names (indices into `cands`)
     /// and write each score to its candidate's index in `scores`, so
     /// [`HybridScorer`] routes a sub-batch here without collecting it.
-    pub(crate) fn score_into(
+    fn score_subset(
         &mut self,
         cands: &[PhysPlan],
         subset: impl Iterator<Item = usize> + Clone,
@@ -297,10 +324,14 @@ impl PlanScorer for LearnedScorer<'_> {
         "learned"
     }
 
-    fn score(&mut self, cands: &[PhysPlan], _groups: &[Range<usize>]) -> Vec<f64> {
-        let mut scores = vec![0.0; cands.len()];
-        self.score_into(cands, 0..cands.len(), &mut scores);
-        scores
+    fn score(&mut self, cands: &[PhysPlan], groups: &[Range<usize>]) -> Vec<f64> {
+        collect_scores(self, cands, groups)
+    }
+
+    fn score_into(&mut self, cands: &[PhysPlan], _groups: &[Range<usize>], scores: &mut Vec<f64>) {
+        scores.clear();
+        scores.resize(cands.len(), 0.0);
+        self.score_subset(cands, 0..cands.len(), scores);
     }
 }
 
@@ -358,7 +389,12 @@ impl PlanScorer for HybridScorer<'_> {
     }
 
     fn score(&mut self, cands: &[PhysPlan], groups: &[Range<usize>]) -> Vec<f64> {
-        let mut scores: Vec<f64> = cands.iter().map(|c| c.est_cost()).collect();
+        collect_scores(self, cands, groups)
+    }
+
+    fn score_into(&mut self, cands: &[PhysPlan], groups: &[Range<usize>], scores: &mut Vec<f64>) {
+        scores.clear();
+        scores.extend(cands.iter().map(|c| c.est_cost()));
         self.routed.clear();
         for g in groups {
             let min_cost = cands[g.clone()]
@@ -374,8 +410,7 @@ impl PlanScorer for HybridScorer<'_> {
         }
         if !self.routed.is_empty() {
             self.learned
-                .score_into(cands, self.routed.iter().copied(), &mut scores);
+                .score_subset(cands, self.routed.iter().copied(), scores);
         }
-        scores
     }
 }

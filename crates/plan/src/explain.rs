@@ -76,7 +76,7 @@ mod tests {
                 }],
             }),
         ));
-        let root = b.internal(PlanNode::new(NodeType::Limit, OpPayload::Other), vec![scan]);
+        let root = b.internal(PlanNode::new(NodeType::Limit, OpPayload::Other), &[scan]);
         let tree = b.finish(root);
         let text = explain_tree(&tree);
         assert!(text.contains("Limit"));

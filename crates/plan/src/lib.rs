@@ -31,5 +31,5 @@ pub use explain::explain_tree;
 pub use label::{Dataset, LabeledPlan, MachineId};
 pub use node::{CmpOp, JoinInfo, OpPayload, PlanNode, PredicateInfo, ScanInfo};
 pub use node_type::{NodeKind, NodeType, NODE_TYPE_COUNT};
-pub use tree::{NodeId, PlanTree, TreeBuilder};
+pub use tree::{ChildIds, NodeId, PlanTree, TreeBuilder};
 pub use validate::{validate_plan, PlanValidationError, DEFAULT_MAX_PLAN_DEPTH};

@@ -1,10 +1,13 @@
 //! Arena-backed plan trees and the structural artifacts of Sec. IV-B:
 //! DFS order, ancestor (partial-order) matrix and node heights.
 
-use serde::{Deserialize, Serialize};
+use std::ops::Deref;
+
+use serde::{Deserialize, Serialize, Value};
 
 use crate::node::{OpPayload, PlanNode};
 use crate::node_type::NodeType;
+use crate::validate::PlanValidationError;
 
 /// Index of a node within its [`PlanTree`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -18,15 +21,122 @@ impl NodeId {
     }
 }
 
+/// A node's child ids, stored inline: no physical operator has more than
+/// [`ChildIds::MAX`] inputs, so a node needs no heap list of its own.
+///
+/// Derefs to `&[NodeId]` (outer/probe side first for joins) and serializes
+/// as that list. Deserializing a longer list is an error.
+#[derive(Clone, Copy)]
+pub struct ChildIds {
+    ids: [NodeId; ChildIds::MAX],
+    len: u8,
+}
+
+impl ChildIds {
+    /// Most children a node can have.
+    pub const MAX: usize = 2;
+
+    /// The ids in `ids`, or `None` if there are more than [`ChildIds::MAX`].
+    pub fn from_slice(ids: &[NodeId]) -> Option<ChildIds> {
+        if ids.len() > ChildIds::MAX {
+            return None;
+        }
+        let mut out = ChildIds::default();
+        out.ids[..ids.len()].copy_from_slice(ids);
+        out.len = ids.len() as u8;
+        Some(out)
+    }
+
+    /// The ids, in plan order.
+    #[inline]
+    pub fn as_slice(&self) -> &[NodeId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+/// No children.
+impl Default for ChildIds {
+    fn default() -> ChildIds {
+        ChildIds {
+            ids: [NodeId(0); ChildIds::MAX],
+            len: 0,
+        }
+    }
+}
+
+impl Deref for ChildIds {
+    type Target = [NodeId];
+
+    #[inline]
+    fn deref(&self) -> &[NodeId] {
+        self.as_slice()
+    }
+}
+
+impl<'a> IntoIterator for &'a ChildIds {
+    type Item = &'a NodeId;
+    type IntoIter = std::slice::Iter<'a, NodeId>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+impl From<[NodeId; 1]> for ChildIds {
+    fn from(ids: [NodeId; 1]) -> ChildIds {
+        ChildIds::from_slice(&ids).expect("one child fits")
+    }
+}
+
+impl From<[NodeId; 2]> for ChildIds {
+    fn from(ids: [NodeId; 2]) -> ChildIds {
+        ChildIds::from_slice(&ids).expect("two children fit")
+    }
+}
+
+impl PartialEq for ChildIds {
+    fn eq(&self, other: &ChildIds) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ChildIds {}
+
+impl std::fmt::Debug for ChildIds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+impl Serialize for ChildIds {
+    fn serialize(&self) -> Value {
+        Value::Seq(self.iter().map(Serialize::serialize).collect())
+    }
+}
+
+impl Deserialize for ChildIds {
+    fn deserialize(v: &Value) -> Result<ChildIds, serde::Error> {
+        let ids = Vec::<NodeId>::deserialize(v)?;
+        ChildIds::from_slice(&ids).ok_or_else(|| {
+            serde::Error::msg(format!(
+                "a plan node has at most {} children, found {}",
+                ChildIds::MAX,
+                ids.len()
+            ))
+        })
+    }
+}
+
 /// A physical query plan tree.
 ///
-/// Nodes live in an arena; `root` is the tree's root node. Trees produced by
-/// [`TreeBuilder`] (and by the planner in `dace-engine`) store nodes in DFS
-/// preorder, but no method here relies on that: all structural accessors
-/// traverse explicitly from `root`.
+/// Nodes live in an arena of exactly the tree's length; `root` is the
+/// tree's root node. Trees produced by [`TreeBuilder`] (and by the planner
+/// in `dace-engine`) store nodes in DFS preorder, but no method here relies
+/// on that: all structural accessors traverse explicitly from `root`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanTree {
-    nodes: Vec<PlanNode>,
+    nodes: Box<[PlanNode]>,
     root: NodeId,
 }
 
@@ -43,19 +153,57 @@ impl TreeBuilder {
         TreeBuilder { nodes: Vec::new() }
     }
 
+    /// Empty builder for a tree of `len` nodes: the arena is allocated once,
+    /// at its final size.
+    pub fn with_capacity(len: usize) -> Self {
+        TreeBuilder {
+            nodes: Vec::with_capacity(len),
+        }
+    }
+
     /// Add a leaf node; returns its id.
+    ///
+    /// # Panics
+    /// Panics if `node` already lists children.
     pub fn leaf(&mut self, node: PlanNode) -> NodeId {
         assert!(node.children.is_empty(), "leaf must have no children");
         self.push(node)
     }
 
     /// Add an internal node over existing children; returns its id.
-    pub fn internal(&mut self, mut node: PlanNode, children: Vec<NodeId>) -> NodeId {
-        for &c in &children {
-            assert!(c.index() < self.nodes.len(), "child {c:?} not built yet");
+    ///
+    /// # Panics
+    /// Panics where [`TreeBuilder::try_internal`] returns an error.
+    pub fn internal(&mut self, node: PlanNode, children: &[NodeId]) -> NodeId {
+        self.try_internal(node, children)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Add an internal node over existing children; returns its id, or
+    /// [`PlanValidationError::TooManyChildren`] for more than
+    /// [`ChildIds::MAX`] children and [`PlanValidationError::ChildOutOfRange`]
+    /// for a child not built yet. On error nothing is added.
+    pub fn try_internal(
+        &mut self,
+        mut node: PlanNode,
+        children: &[NodeId],
+    ) -> Result<NodeId, PlanValidationError> {
+        // The node would take the next slot, so the arena's length is
+        // both its id and the bound on its children's ids.
+        let id = self.nodes.len();
+        node.children =
+            ChildIds::from_slice(children).ok_or(PlanValidationError::TooManyChildren {
+                node: id,
+                count: children.len(),
+            })?;
+        if let Some(c) = children.iter().find(|c| c.index() >= id) {
+            return Err(PlanValidationError::ChildOutOfRange {
+                node: id,
+                child: c.index(),
+                len: id,
+            });
         }
-        node.children = children;
-        self.push(node)
+        Ok(self.push(node))
     }
 
     fn push(&mut self, node: PlanNode) -> NodeId {
@@ -74,7 +222,9 @@ impl TreeBuilder {
         &self.nodes[id.index()]
     }
 
-    /// Finish the tree with `root` as the root node.
+    /// Finish the tree with `root` as the root node. The arena is trimmed
+    /// to its length (free when the builder was sized by
+    /// [`TreeBuilder::with_capacity`]).
     ///
     /// # Panics
     /// Panics if any built node other than the root's descendants would be
@@ -82,7 +232,7 @@ impl TreeBuilder {
     /// have two parents.
     pub fn finish(self, root: NodeId) -> PlanTree {
         let tree = PlanTree {
-            nodes: self.nodes,
+            nodes: self.nodes.into_boxed_slice(),
             root,
         };
         tree.validate();
@@ -229,14 +379,11 @@ impl PlanTree {
 
     fn copy_into(&self, builder: &mut TreeBuilder, id: NodeId) -> NodeId {
         let src = self.node(id);
-        let children: Vec<NodeId> = src
-            .children
-            .iter()
-            .map(|&c| self.copy_into(builder, c))
-            .collect();
-        let mut node = src.clone();
-        node.children.clear();
-        builder.internal(node, children)
+        let mut children = [NodeId(0); ChildIds::MAX];
+        for (slot, &c) in children.iter_mut().zip(&src.children) {
+            *slot = self.copy_into(builder, c);
+        }
+        builder.internal(src.clone(), &children[..src.children.len()])
     }
 
     /// Root-level estimated cost (what `EXPLAIN` prints as total cost).
@@ -295,12 +442,12 @@ mod tests {
         let b2 = b.leaf(PlanNode::new(NodeType::SeqScan, OpPayload::Other));
         let j = b.internal(
             PlanNode::new(NodeType::HashJoin, OpPayload::Other),
-            vec![a, b2],
+            &[a, b2],
         );
-        let s = b.internal(PlanNode::new(NodeType::Sort, OpPayload::Other), vec![j]);
+        let s = b.internal(PlanNode::new(NodeType::Sort, OpPayload::Other), &[j]);
         let g = b.internal(
             PlanNode::new(NodeType::GroupAggregate, OpPayload::Other),
-            vec![s],
+            &[s],
         );
         b.finish(g)
     }

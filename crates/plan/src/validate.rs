@@ -34,6 +34,16 @@ pub enum PlanValidationError {
         /// Number of nodes in the arena.
         len: usize,
     },
+    /// A node would get more than [`ChildIds::MAX`](crate::ChildIds::MAX)
+    /// children ([`TreeBuilder::try_internal`](crate::TreeBuilder::try_internal);
+    /// a deserialized node with too many is a serde error, and a built
+    /// tree cannot hold one).
+    TooManyChildren {
+        /// The node that would hold them.
+        node: usize,
+        /// Children asked for.
+        count: usize,
+    },
     /// A node lists a child outside the arena.
     ChildOutOfRange {
         /// The node holding the bad edge.
@@ -82,6 +92,13 @@ impl std::fmt::Display for PlanValidationError {
             PlanValidationError::EmptyTree => write!(f, "plan has no nodes"),
             PlanValidationError::RootOutOfRange { root, len } => {
                 write!(f, "root {root} outside arena of {len} nodes")
+            }
+            PlanValidationError::TooManyChildren { node, count } => {
+                write!(
+                    f,
+                    "node {node} has {count} children; a plan node has at most {}",
+                    crate::ChildIds::MAX
+                )
             }
             PlanValidationError::ChildOutOfRange { node, child, len } => {
                 write!(
@@ -186,7 +203,7 @@ mod tests {
         let mut b = TreeBuilder::new();
         let mut id = b.leaf(PlanNode::new(NodeType::SeqScan, OpPayload::Other));
         for _ in 0..depth {
-            id = b.internal(PlanNode::new(NodeType::Sort, OpPayload::Other), vec![id]);
+            id = b.internal(PlanNode::new(NodeType::Sort, OpPayload::Other), &[id]);
         }
         b.finish(id)
     }
@@ -268,5 +285,44 @@ mod tests {
             validate_plan(&corrupted("\"root\":2", "\"root\":0"), 0),
             Err(PlanValidationError::UnreachableNodes { reached: 1, len: 3 })
         ));
+    }
+
+    #[test]
+    fn a_third_child_is_an_error_not_a_panic() {
+        // By deserialization: the node list is fine JSON, but no node can
+        // hold it, so parsing fails instead of truncating or panicking.
+        let json = serde_json::to_string(&chain(2)).unwrap();
+        let forged = json.replacen("\"children\":[1]", "\"children\":[1,0,1]", 1);
+        assert_ne!(json, forged);
+        let err = serde_json::from_str::<PlanTree>(&forged).unwrap_err();
+        assert!(err.to_string().contains("at most 2 children"), "{err}");
+
+        // By the builder: `try_internal` reports it and adds nothing.
+        let mut b = TreeBuilder::new();
+        let leaves: Vec<_> = (0..3)
+            .map(|_| b.leaf(PlanNode::new(NodeType::SeqScan, OpPayload::Other)))
+            .collect();
+        assert_eq!(
+            b.try_internal(PlanNode::new(NodeType::HashJoin, OpPayload::Other), &leaves),
+            Err(PlanValidationError::TooManyChildren { node: 3, count: 3 })
+        );
+        assert_eq!(
+            b.try_internal(
+                PlanNode::new(NodeType::Sort, OpPayload::Other),
+                &[crate::NodeId(5)]
+            ),
+            Err(PlanValidationError::ChildOutOfRange {
+                node: 3,
+                child: 5,
+                len: 3
+            })
+        );
+        let join = b
+            .try_internal(
+                PlanNode::new(NodeType::HashJoin, OpPayload::Other),
+                &leaves[..2],
+            )
+            .unwrap();
+        assert_eq!(join, crate::NodeId(3), "a rejected node takes no slot");
     }
 }

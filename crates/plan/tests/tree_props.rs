@@ -29,7 +29,7 @@ fn random_tree(seed: u64, max_nodes: usize) -> PlanTree {
                 NodeType::NestedLoop,
                 NodeType::MergeJoin,
             ][rng.gen_range(0..3)];
-            roots.push(b.internal(PlanNode::new(ty, OpPayload::Other), vec![l, r]));
+            roots.push(b.internal(PlanNode::new(ty, OpPayload::Other), &[l, r]));
         } else {
             // Unary node on a random root.
             let c = roots.swap_remove(rng.gen_range(0..roots.len()));
@@ -39,7 +39,7 @@ fn random_tree(seed: u64, max_nodes: usize) -> PlanTree {
                 NodeType::HashAggregate,
                 NodeType::Limit,
             ][rng.gen_range(0..4)];
-            roots.push(b.internal(PlanNode::new(ty, OpPayload::Other), vec![c]));
+            roots.push(b.internal(PlanNode::new(ty, OpPayload::Other), &[c]));
         }
     }
     let root = roots.pop().unwrap();
@@ -48,7 +48,7 @@ fn random_tree(seed: u64, max_nodes: usize) -> PlanTree {
     for _ in 0..rng.gen_range(0..3) {
         root = b.internal(
             PlanNode::new(NodeType::GroupAggregate, OpPayload::Other),
-            vec![root],
+            &[root],
         );
     }
     b.finish(root)

@@ -213,7 +213,7 @@ fn hostile_plans_are_rejected_at_admission_not_served() {
     for _ in 0..40 {
         child = b.internal(
             PlanNode::new(NodeType::Materialize, OpPayload::Other),
-            vec![child],
+            &[child],
         );
     }
     let tree = b.finish(child);

@@ -50,7 +50,7 @@ pub fn synthetic_dataset(n: usize, seed: u64) -> Dataset {
                 node.est_rows = scan_rows;
                 node.actual_ms = scan_cost * 2.0 * mult + scan_cost * 0.014;
                 node.actual_rows = scan_rows;
-                b.internal(node, vec![scan, scan2])
+                b.internal(node, &[scan, scan2])
             };
             LabeledPlan {
                 tree: b.finish(root),

@@ -36,7 +36,7 @@ fn tiny_dataset(n: usize) -> Dataset {
                 node.est_rows = cost;
                 node.actual_ms = cost * 0.01;
                 node.actual_rows = cost;
-                b.internal(node, vec![scan])
+                b.internal(node, &[scan])
             };
             LabeledPlan {
                 tree: b.finish(root),

@@ -81,7 +81,7 @@ fn hostile_plan() -> impl Strategy<Value = PlanTree> {
                 let mut node = PlanNode::new(ty(i), OpPayload::Other);
                 node.est_cost = cost;
                 node.est_rows = rows;
-                cur = b.internal(node, vec![cur]);
+                cur = b.internal(node, &[cur]);
             }
             b.finish(cur)
         })
@@ -135,7 +135,7 @@ fn deep_chain_predicts_finite_without_overflow() {
         let mut node = PlanNode::new(NodeType::Materialize, OpPayload::Other);
         node.est_cost = 10.0;
         node.est_rows = 1000.0;
-        cur = b.internal(node, vec![cur]);
+        cur = b.internal(node, &[cur]);
     }
     let tree = b.finish(cur);
     // Deeper than the default serving depth limit would admit…

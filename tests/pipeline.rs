@@ -169,3 +169,29 @@ fn analytic_picks_match_the_pinned_digest() {
     assert!(widest > DP_AUTO_MAX, "no query reached the greedy path");
     assert_eq!(fnv1a64(&bytes), 0xa28b_f71d_91f2_44f9);
 }
+
+/// The JSON shape of plan trees, pinned: an FNV-1a digest over
+/// `serde_json::to_string` of 200 executed plans (estimates, labels and
+/// payloads) from two suite databases. The in-memory representation may
+/// change (inline children, shared names, an exact-size arena), but the
+/// text must not: `"children":[1]`, names as plain strings, fields in
+/// declaration order. Saved datasets and the surgical-JSON validation tests
+/// rely on it. The constant is what the representation before that change
+/// (a child `Vec` and owned strings per node) produced.
+#[test]
+fn plan_json_matches_the_pinned_digest() {
+    let mut text = String::new();
+    let mut plans = 0;
+    for id in [2, 7] {
+        let db = generate_database(&suite_specs()[id], 0.05);
+        let queries = ComplexWorkloadGen::default().generate(&db, 100);
+        for p in collect_dataset(&db, &queries, MachineId::M1).plans {
+            text.push_str(&serde_json::to_string(&p.tree).unwrap());
+            text.push('\n');
+            plans += 1;
+        }
+    }
+    assert_eq!(plans, 200);
+    assert!(text.contains("\"children\":[") && text.contains("\"table_name\":\""));
+    assert_eq!(fnv1a64(text.as_bytes()), 0x91d7_66e7_c29b_e3f6);
+}

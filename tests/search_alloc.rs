@@ -5,11 +5,13 @@
 //! Candidates store their children inline and share their sub-plans, their
 //! pass-through wrappers (built once per DP entry or greedy fragment), their
 //! join edge's payload and the static pass-through payload by `Arc`; the
-//! driver and the scorers reuse their per-level buffers. What a query still
-//! allocates is per table (the scan payload and predicates), per join edge
-//! (its payload), per winner (the node the DP table keeps), per index
-//! nested-loop candidate (its re-costed inner scan) and per scored batch
-//! (the score vector `PlanScorer::score` returns).
+//! payloads' table names and join conditions are the catalog's shared
+//! copies. The driver and the scorers reuse their buffers across levels,
+//! scores included (`PlanScorer::score_into`). What a query still allocates
+//! is per query (the driver's buffers), per table (the scan payload and
+//! predicates), per join edge (its payload), per winner (the node the DP
+//! table keeps) and per index nested-loop candidate (its re-costed inner
+//! scan).
 //!
 //! The binary installs a counting `#[global_allocator]`. The counter sees
 //! every thread in the process, so this file must hold exactly one
@@ -61,11 +63,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Ceiling on heap allocations per planned query, 10% above what this
-/// fixture measures: 62.9 per query (2.21 per candidate) with either
-/// scorer. Before candidates shared their payloads and wrappers and stored
-/// their children inline, the same fixture read 198.4 (analytic) and 201.8
-/// (learned), about 7 per candidate.
-const ALLOCS_PER_QUERY_CEILING: f64 = 69.0;
+/// fixture measures: 53.3 per query (1.87 per candidate) with either
+/// scorer. It read 62.9 (2.21) while each join payload formatted its own
+/// condition, each scan payload copied its table name and each scored level
+/// returned a fresh score vector; before candidates shared their payloads
+/// and wrappers and stored their children inline, 198.4 (analytic) and
+/// 201.8 (learned), about 7 per candidate.
+const ALLOCS_PER_QUERY_CEILING: f64 = 58.5;
 
 const QUERIES: usize = 200;
 /// Sub-plan memo entries of the learned scorer.

@@ -105,10 +105,7 @@ fn synthetic_training_set(n: usize, seed: u64) -> Dataset {
                 rows * 0.1,
             ));
             let root_ms = cost * 2.0 * mult + cost * 0.014;
-            let root = b.internal(
-                node(join, cost * 2.0, rows, root_ms, rows),
-                vec![scan, index],
-            );
+            let root = b.internal(node(join, cost * 2.0, rows, root_ms, rows), &[scan, index]);
             LabeledPlan {
                 tree: b.finish(root),
                 db_id: 0,

@@ -40,7 +40,7 @@ fn random_plan(rng: &mut SmallRng) -> PlanTree {
         let (left, left_ms) = subtree(b, rng, budget / 2);
         if budget == 2 {
             let ms = left_ms + cost * 0.006;
-            return (b.internal(node(NodeType::Sort, cost, ms), vec![left]), ms);
+            return (b.internal(node(NodeType::Sort, cost, ms), &[left]), ms);
         }
         let (right, right_ms) = subtree(b, rng, budget - 1 - budget / 2);
         let (ty, mult) = if rng.gen_bool(0.5) {
@@ -49,7 +49,7 @@ fn random_plan(rng: &mut SmallRng) -> PlanTree {
             (NodeType::NestedLoop, 0.02)
         };
         let ms = left_ms + right_ms + cost * mult;
-        (b.internal(node(ty, cost, ms), vec![left, right]), ms)
+        (b.internal(node(ty, cost, ms), &[left, right]), ms)
     }
     let mut b = TreeBuilder::new();
     let budget = rng.gen_range(1..=7);
