@@ -3,7 +3,7 @@
 # (all dependencies are vendored under vendor/ — see README "Offline builds").
 #
 #   ./ci.sh         # full gate: build, tests, clippy, fmt, rustdoc, plansearch and perfbench smoke
-#   ./ci.sh quick   # fast gate: release build, root test suite, plan, model and optimizer crates' tests
+#   ./ci.sh quick   # fast gate: release build, root test suite, plan, model, nn, baseline and optimizer crates' tests
 #
 # The root suite includes two allocation gates, each a counting global
 # allocator: the training-epoch gate (tests/train_alloc.rs) and the
@@ -24,11 +24,12 @@ cargo test -q
 if [[ "${1:-}" == "quick" ]]; then
     # The model's own property tests: fold exactness (fold_grad_props),
     # root-row equivalence (root_props) and the kernel tiers; the
-    # optimizer's, since its search driver plans every labeled dataset; and
-    # the plan trees' (tree_props, validation), which every crate shares.
-    # The full gate runs them with the rest of the workspace below.
-    echo "==> test (dace-plan, dace-core, dace-nn, dace-engine)"
-    cargo test -q -p dace-plan -p dace-core -p dace-nn -p dace-engine
+    # optimizer's, since its search driver plans every labeled dataset; the
+    # plan trees' (tree_props, validation), which every crate shares; and
+    # the baselines', the other users of dace-nn's layers. The full gate
+    # runs them with the rest of the workspace below.
+    echo "==> test (dace-plan, dace-core, dace-nn, dace-baselines, dace-engine)"
+    cargo test -q -p dace-plan -p dace-core -p dace-nn -p dace-baselines -p dace-engine
     echo "ci.sh quick: OK"
     exit 0
 fi

@@ -28,6 +28,7 @@ mod plan_feat;
 mod qppnet;
 mod queryformer;
 mod tpool;
+mod train;
 mod zeroshot;
 
 pub use estimator::{log_ms, CostEstimator};

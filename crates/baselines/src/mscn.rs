@@ -2,16 +2,14 @@
 //! predicate sets, with optional DACE knowledge integration (Eq. 9).
 
 use dace_core::DaceEstimator;
-use dace_nn::{Adam, Linear, Param, Relu, Tensor2};
+use dace_nn::{Linear, Param, Tensor2};
 use dace_plan::{Dataset, PlanTree};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use crate::estimator::{log_ms, CostEstimator};
 use crate::plan_feat::{
     plan_joins, plan_predicates, plan_tables, JOIN_FEAT, PRED_FEAT, TABLE_FEAT,
 };
+use crate::train::{fit_minibatches, linear_relu, linear_relu_backward, Schedule};
 
 /// Hidden width of the per-set MLPs and the output MLP.
 const HIDDEN: usize = 256;
@@ -21,9 +19,14 @@ const HIDDEN: usize = 256;
 struct SetEncoder {
     l1: Linear,
     l2: Linear,
-    relu1: Relu,
-    relu2: Relu,
-    last_count: usize,
+}
+
+/// One set's forward activations: the set (`k × input`) and both hidden
+/// layers (post-ReLU).
+struct SetActs {
+    x: Tensor2,
+    h1: Tensor2,
+    h2: Tensor2,
 }
 
 impl SetEncoder {
@@ -31,54 +34,39 @@ impl SetEncoder {
         SetEncoder {
             l1: Linear::new(input, HIDDEN, seed),
             l2: Linear::new(HIDDEN, HIDDEN, seed ^ 0xA1),
-            relu1: Relu::new(),
-            relu2: Relu::new(),
-            last_count: 0,
         }
     }
 
-    /// Encode a set (`k × input`) into a pooled `1 × HIDDEN` vector.
-    fn forward(&mut self, set: &Tensor2) -> Tensor2 {
-        self.last_count = set.rows();
-        if set.rows() == 0 {
-            return Tensor2::zeros(1, HIDDEN);
+    /// Encode a set (`k × input`) into a pooled `1 × HIDDEN` vector; an
+    /// empty set pools to zeros.
+    fn forward(&self, x: Tensor2) -> (Tensor2, SetActs) {
+        if x.rows() == 0 {
+            let acts = SetActs {
+                x,
+                h1: Tensor2::default(),
+                h2: Tensor2::default(),
+            };
+            return (Tensor2::zeros(1, HIDDEN), acts);
         }
-        let h = self
-            .relu2
-            .forward(&self.l2.forward(&self.relu1.forward(&self.l1.forward(set))));
-        mean_pool(&h)
+        let h1 = linear_relu(&self.l1, &x);
+        let h2 = linear_relu(&self.l2, &h1);
+        (mean_pool(&h2), SetActs { x, h1, h2 })
     }
 
-    fn forward_inference(&self, set: &Tensor2) -> Tensor2 {
-        if set.rows() == 0 {
-            return Tensor2::zeros(1, HIDDEN);
-        }
-        let h = self.relu2.forward_inference(
-            &self.l2.forward_inference(
-                &self
-                    .relu1
-                    .forward_inference(&self.l1.forward_inference(set)),
-            ),
-        );
-        mean_pool(&h)
-    }
-
-    fn backward(&mut self, d_pooled: &Tensor2) {
-        if self.last_count == 0 {
+    fn backward(&mut self, acts: &SetActs, d_pooled: &[f32]) {
+        let k = acts.x.rows();
+        if k == 0 {
             return;
         }
         // Mean pooling distributes the gradient evenly over elements.
-        let k = self.last_count;
         let mut dh = Tensor2::zeros(k, HIDDEN);
         for r in 0..k {
-            for c in 0..HIDDEN {
-                dh.set(r, c, d_pooled.get(0, c) / k as f32);
+            for (v, &g) in dh.row_mut(r).iter_mut().zip(d_pooled) {
+                *v = g / k as f32;
             }
         }
-        let d = self.relu2.backward(&dh);
-        let d = self.l2.backward(&d);
-        let d = self.relu1.backward(&d);
-        let _ = self.l1.backward(&d);
+        let d = linear_relu_backward(&mut self.l2, dh, &acts.h1, &acts.h2);
+        let _ = linear_relu_backward(&mut self.l1, d, &acts.x, &acts.h1);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -98,6 +86,16 @@ fn mean_pool(x: &Tensor2) -> Tensor2 {
     Tensor2::from_vec(1, x.cols(), sums.into_iter().map(|s| s / k).collect())
 }
 
+/// One plan's forward activations: the three sets', the output MLP's input
+/// (pooled sets ‖ DACE embedding) and hidden layer, and the predicted
+/// log-latency.
+struct MscnActs {
+    sets: [SetActs; 3],
+    x: Tensor2,
+    h: Tensor2,
+    pred: f32,
+}
+
 /// The MSCN estimator. Pass a pre-trained DACE to [`Mscn::with_encoder`] to
 /// build DACE-MSCN: the plan's `h₂` embedding is concatenated to the pooled
 /// set encodings before the output MLP (the paper's Eq. 9).
@@ -106,7 +104,6 @@ pub struct Mscn {
     joins: SetEncoder,
     preds: SetEncoder,
     out1: Linear,
-    out_relu: Relu,
     out2: Linear,
     encoder: Option<DaceEstimator>,
     /// Training epochs.
@@ -140,7 +137,6 @@ impl Mscn {
             joins: SetEncoder::new(JOIN_FEAT, seed ^ 0x02),
             preds: SetEncoder::new(PRED_FEAT, seed ^ 0x03),
             out1: Linear::new(3 * HIDDEN + enc_dim, HIDDEN, seed ^ 0x04),
-            out_relu: Relu::new(),
             out2: Linear::new(HIDDEN, 1, seed ^ 0x05),
             encoder,
             epochs: 30,
@@ -150,7 +146,9 @@ impl Mscn {
         }
     }
 
-    fn featurize(&self, tree: &PlanTree) -> (Tensor2, Tensor2, Tensor2, Vec<f32>) {
+    /// The forward fit and inference share: the predicted log-latency and
+    /// what [`Mscn::backward`] reads.
+    fn forward(&self, tree: &PlanTree) -> MscnActs {
         let to_tensor = |rows: Vec<Vec<f32>>, width: usize| {
             let k = rows.len();
             let mut t = Tensor2::zeros(k, width);
@@ -159,44 +157,45 @@ impl Mscn {
             }
             t
         };
-        let tables = to_tensor(plan_tables(tree), TABLE_FEAT);
-        let joins = to_tensor(plan_joins(tree), JOIN_FEAT);
-        let preds = to_tensor(plan_predicates(tree), PRED_FEAT);
+        let (pt, t) = self
+            .tables
+            .forward(to_tensor(plan_tables(tree), TABLE_FEAT));
+        let (pj, j) = self.joins.forward(to_tensor(plan_joins(tree), JOIN_FEAT));
+        let (pp, p) = self
+            .preds
+            .forward(to_tensor(plan_predicates(tree), PRED_FEAT));
         let emb = self
             .encoder
             .as_ref()
             .map(|e| e.encode(tree))
             .unwrap_or_default();
-        (tables, joins, preds, emb)
-    }
-
-    /// Training forward: returns the predicted log-latency.
-    fn forward(&mut self, tree: &PlanTree) -> f32 {
-        let (t, j, p, emb) = self.featurize(tree);
-        let pt = self.tables.forward(&t);
-        let pj = self.joins.forward(&j);
-        let pp = self.preds.forward(&p);
         let mut concat = Vec::with_capacity(3 * HIDDEN + emb.len());
         concat.extend_from_slice(pt.row(0));
         concat.extend_from_slice(pj.row(0));
         concat.extend_from_slice(pp.row(0));
         concat.extend_from_slice(&emb);
         let x = Tensor2::from_vec(1, concat.len(), concat);
-        let h = self.out_relu.forward(&self.out1.forward(&x));
-        self.out2.forward(&h).get(0, 0)
+        let h = linear_relu(&self.out1, &x);
+        let pred = self.out2.forward(&h).get(0, 0);
+        MscnActs {
+            sets: [t, j, p],
+            x,
+            h,
+            pred,
+        }
     }
 
-    fn backward(&mut self, d_pred: f32) {
+    fn backward(&mut self, acts: &MscnActs, d_pred: f32) {
         let d = Tensor2::from_vec(1, 1, vec![d_pred]);
-        let d = self.out2.backward(&d);
-        let d = self.out_relu.backward(&d);
-        let d = self.out1.backward(&d);
+        let d = self.out2.backward(&d, &acts.h);
+        let d = linear_relu_backward(&mut self.out1, d, &acts.x, &acts.h);
         // Split the concat gradient back to the three encoders (the DACE
         // embedding segment is an input, not a parameter — dropped).
-        let slice = |lo: usize| Tensor2::from_vec(1, HIDDEN, d.row(0)[lo..lo + HIDDEN].to_vec());
-        self.tables.backward(&slice(0));
-        self.joins.backward(&slice(HIDDEN));
-        self.preds.backward(&slice(2 * HIDDEN));
+        let [t, j, p] = &acts.sets;
+        let d = d.row(0);
+        self.tables.backward(t, &d[..HIDDEN]);
+        self.joins.backward(j, &d[HIDDEN..2 * HIDDEN]);
+        self.preds.backward(p, &d[2 * HIDDEN..3 * HIDDEN]);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -221,40 +220,26 @@ impl CostEstimator for Mscn {
     fn fit(&mut self, train: &Dataset) {
         assert!(!train.is_empty());
         let targets: Vec<f32> = train.plans.iter().map(|p| log_ms(p.latency_ms())).collect();
-        let mut opt = Adam::new(self.lr);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x5417);
-        for _ in 0..self.epochs {
-            order.shuffle(&mut rng);
-            let batch_size = self.batch.max(1);
-            // Split borrow: collect batches of indices, then loop.
-            for start in (0..order.len()).step_by(batch_size) {
-                let batch = &order[start..(start + batch_size).min(order.len())];
-                for &i in batch {
-                    let pred = self.forward(&train.plans[i].tree);
-                    let d = 2.0 * (pred - targets[i]) / batch.len() as f32;
-                    self.backward(d);
-                }
-                opt.step(&mut self.params_mut());
-            }
-        }
+        let schedule = Schedule {
+            epochs: self.epochs,
+            lr: self.lr,
+            batch: self.batch,
+            seed: self.seed,
+        };
+        fit_minibatches(
+            self,
+            train.len(),
+            &schedule,
+            Mscn::params_mut,
+            |m, i, len| {
+                let acts = m.forward(&train.plans[i].tree);
+                m.backward(&acts, 2.0 * (acts.pred - targets[i]) / len as f32);
+            },
+        );
     }
 
     fn predict_ms(&self, tree: &PlanTree) -> f64 {
-        let (t, j, p, emb) = self.featurize(tree);
-        let pt = self.tables.forward_inference(&t);
-        let pj = self.joins.forward_inference(&j);
-        let pp = self.preds.forward_inference(&p);
-        let mut concat = Vec::with_capacity(3 * HIDDEN + emb.len());
-        concat.extend_from_slice(pt.row(0));
-        concat.extend_from_slice(pj.row(0));
-        concat.extend_from_slice(pp.row(0));
-        concat.extend_from_slice(&emb);
-        let x = Tensor2::from_vec(1, concat.len(), concat);
-        let h = self
-            .out_relu
-            .forward_inference(&self.out1.forward_inference(&x));
-        (self.out2.forward_inference(&h).get(0, 0) as f64).exp()
+        (self.forward(tree).pred as f64).exp()
     }
 
     fn param_count(&self) -> usize {
@@ -273,7 +258,8 @@ mod tests {
         CmpOp, LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, PredicateInfo, ScanInfo,
         TreeBuilder,
     };
-    use rand::Rng;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     /// Dataset where latency depends on which table is scanned and the
     /// predicate literal — data characteristics MSCN is built to learn.

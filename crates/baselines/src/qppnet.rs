@@ -3,16 +3,14 @@
 //! sub-plan's latency is supervised **with equal weight** — the information
 //! redundancy DACE's loss adjuster fixes (paper Sec. IV-B).
 
-use dace_nn::{Adam, Linear, Param, Relu, Tensor2};
+use dace_nn::{Linear, Param, Tensor2};
 use dace_plan::{Dataset, PlanTree, NODE_TYPE_COUNT};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use crate::estimator::{log_ms, CostEstimator};
 use crate::plan_feat::{
     debug_assert_child_before_parent, single_node_features, NodeScalers, NODE_FEAT,
 };
+use crate::train::{fit_minibatches, linear_relu, linear_relu_backward, Schedule};
 
 /// Width of the "data vector" a node passes to its parent.
 const DATA_VEC: usize = 16;
@@ -94,17 +92,8 @@ impl QppNet {
             }
             let x = Tensor2::from_vec(1, INPUT, x);
             let net = &self.nets[node.node_type.one_hot_index()];
-            let a = net.l1.forward_inference(&x);
-            let h = {
-                let mut h = a;
-                for v in h.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-                h
-            };
-            let out = net.l2.forward_inference(&h);
+            let h = linear_relu(&net.l1, &x);
+            let out = net.l2.forward(&h);
             caches[id.index()] = Some(NodeCache { x, h, out });
         }
         caches
@@ -127,9 +116,8 @@ impl QppNet {
                 .as_ref()
                 .expect("forward_plan caches every node");
             let net = &mut self.nets[node.node_type.one_hot_index()];
-            let dh = net.l2.backward_from(&d_out[id.index()], &cache.h);
-            let da = Relu::backward_from(&dh, &cache.h);
-            let dx = net.l1.backward_from(&da, &cache.x);
+            let dh = net.l2.backward(&d_out[id.index()], &cache.h);
+            let dx = linear_relu_backward(&mut net.l1, dh, &cache.x, &cache.h);
             // Sum aggregation: each child receives the same slice gradient.
             for &c in &node.children {
                 let dst = &mut d_out[c.index()];
@@ -178,34 +166,35 @@ impl CostEstimator for QppNet {
                     .collect()
             })
             .collect();
-        let mut opt = Adam::new(self.lr);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x5417);
-        for _ in 0..self.epochs {
-            order.shuffle(&mut rng);
-            let bs = self.batch.max(1);
-            for start in (0..order.len()).step_by(bs) {
-                let batch = &order[start..(start + bs).min(order.len())];
-                for &i in batch {
-                    let tree = &train.plans[i].tree;
-                    let caches = self.forward_plan(tree, &scalers);
-                    let dfs = tree.dfs();
-                    // Equal-weight sub-plan loss: mean squared log error
-                    // over all nodes (QPPNet's defining training signal).
-                    let n = dfs.len() as f32;
-                    let d_pred: Vec<f32> = dfs
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &id)| {
-                            let pred = caches[id.index()].as_ref().unwrap().out.get(0, 0);
-                            2.0 * (pred - targets[i][k]) / (n * batch.len() as f32)
-                        })
-                        .collect();
-                    self.backward_plan(tree, &caches, &d_pred);
-                }
-                opt.step(&mut self.params_mut());
-            }
-        }
+        let schedule = Schedule {
+            epochs: self.epochs,
+            lr: self.lr,
+            batch: self.batch,
+            seed: self.seed,
+        };
+        fit_minibatches(
+            self,
+            train.len(),
+            &schedule,
+            QppNet::params_mut,
+            |m, i, len| {
+                let tree = &train.plans[i].tree;
+                let caches = m.forward_plan(tree, &scalers);
+                let dfs = tree.dfs();
+                // Equal-weight sub-plan loss: mean squared log error over all
+                // nodes (QPPNet's defining training signal).
+                let n = dfs.len() as f32;
+                let d_pred: Vec<f32> = dfs
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &id)| {
+                        let pred = caches[id.index()].as_ref().unwrap().out.get(0, 0);
+                        2.0 * (pred - targets[i][k]) / (n * len as f32)
+                    })
+                    .collect();
+                m.backward_plan(tree, &caches, &d_pred);
+            },
+        );
         self.scalers = Some(scalers);
     }
 
@@ -227,7 +216,8 @@ impl CostEstimator for QppNet {
 #[cfg(test)]
 pub(crate) fn tree_dataset(n: usize, seed: u64) -> Dataset {
     use dace_plan::{LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, TreeBuilder};
-    use rand::Rng;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     let mut rng = SmallRng::seed_from_u64(seed);
     let plans = (0..n)
         .map(|_| {

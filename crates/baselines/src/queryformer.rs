@@ -11,14 +11,12 @@
 //! distance — is preserved; see DESIGN.md).
 
 use dace_core::DaceEstimator;
-use dace_nn::{Adam, Linear, MaskedSelfAttention, Param, Relu, Tensor2};
+use dace_nn::{AttnScratch, Linear, MaskedSelfAttention, Param, Tensor2};
 use dace_plan::{Dataset, PlanTree};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use crate::estimator::{log_ms, CostEstimator};
 use crate::plan_feat::{node_features, NodeScalers, NODE_FEAT};
+use crate::train::{fit_minibatches, linear_relu, linear_relu_backward, Schedule};
 
 /// Model width.
 const D: usize = 128;
@@ -35,8 +33,17 @@ const UNRELATED_BIAS: f32 = -4.0;
 struct Layer {
     attn: MaskedSelfAttention,
     ff1: Linear,
-    relu: Relu,
     ff2: Linear,
+}
+
+/// One layer's forward activations: its input, the attention's scratch
+/// (Q/K/V and probabilities), the attention output plus residual, and the
+/// feed-forward hidden layer (post-ReLU).
+struct LayerActs {
+    x: Tensor2,
+    ws: AttnScratch,
+    a: Tensor2,
+    h: Tensor2,
 }
 
 impl Layer {
@@ -44,37 +51,34 @@ impl Layer {
         Layer {
             attn: MaskedSelfAttention::new(D, D, D, seed),
             ff1: Linear::new(D, 2 * D, seed ^ 0xF1),
-            relu: Relu::new(),
             ff2: Linear::new(2 * D, D, seed ^ 0xF2),
         }
     }
 
-    fn forward(&mut self, x: &Tensor2, bias: &[f32]) -> Tensor2 {
-        let mut a = self.attn.forward_bias(x, bias);
-        a.add_assign(x);
-        let mut f = self.ff2.forward(&self.relu.forward(&self.ff1.forward(&a)));
+    /// `a = attn(x) + x`, then `ff2(relu(ff1(a))) + a`, over one plan: a
+    /// single attention block under `bias`.
+    fn forward(&self, x: Tensor2, bias: &[f32]) -> (Tensor2, LayerActs) {
+        let n = x.rows();
+        let (mut ws, mut a) = (AttnScratch::default(), Tensor2::default());
+        self.attn
+            .forward_packed_ws(&x, &[n], n, bias, &mut ws, &mut a);
+        a.add_assign(&x);
+        let h = linear_relu(&self.ff1, &a);
+        let mut f = self.ff2.forward(&h);
         f.add_assign(&a);
-        f
+        (f, LayerActs { x, ws, a, h })
     }
 
-    fn forward_inference(&self, x: &Tensor2, bias: &[f32]) -> Tensor2 {
-        let mut a = self.attn.forward_bias_inference(x, bias);
-        a.add_assign(x);
-        let mut f = self
-            .ff2
-            .forward_inference(&self.relu.forward_inference(&self.ff1.forward_inference(&a)));
-        f.add_assign(&a);
-        f
-    }
-
-    fn backward(&mut self, dy: &Tensor2) -> Tensor2 {
-        let d_ff = self
-            .ff1
-            .backward(&self.relu.backward(&self.ff2.backward(dy)));
-        let mut da = d_ff;
+    fn backward(&mut self, dy: &Tensor2, acts: &mut LayerActs) -> Tensor2 {
+        let d_h = self.ff2.backward(dy, &acts.h);
+        let mut da = linear_relu_backward(&mut self.ff1, d_h, &acts.a, &acts.h);
         da.add_assign(dy);
-        let d_attn = self.attn.backward(&da);
-        let mut dx = d_attn;
+        let n = acts.x.rows();
+        let ws = &mut acts.ws;
+        self.attn.backward_params_ws(&da, &acts.x, &[n], ws);
+        let mut dx = ws.dq.matmul_nt(&self.attn.wq.value);
+        dx.add_assign(&ws.dk.matmul_nt(&self.attn.wk.value));
+        dx.add_assign(&ws.dv.matmul_nt(&self.attn.wv.value));
         dx.add_assign(&da);
         dx
     }
@@ -91,6 +95,18 @@ impl Layer {
     }
 }
 
+/// One plan's forward activations: the node features and clamped heights,
+/// every layer's, the head's input (super-node row ‖ DACE embedding) and
+/// hidden layer, and the predicted log-latency.
+struct QueryFormerActs {
+    feats: Tensor2,
+    heights: Vec<usize>,
+    layers: Vec<LayerActs>,
+    hx: Tensor2,
+    h: Tensor2,
+    pred: f32,
+}
+
 /// The QueryFormer estimator.
 pub struct QueryFormer {
     input: Linear,
@@ -98,7 +114,6 @@ pub struct QueryFormer {
     super_node: Param,
     layers: Vec<Layer>,
     head1: Linear,
-    head_relu: Relu,
     head2: Linear,
     scalers: Option<NodeScalers>,
     encoder: Option<DaceEstimator>,
@@ -109,8 +124,6 @@ pub struct QueryFormer {
     /// Plans per optimizer step.
     pub batch: usize,
     seed: u64,
-    /// Cached forward state for the height-embedding backward.
-    last_heights: Vec<usize>,
 }
 
 impl QueryFormer {
@@ -139,7 +152,6 @@ impl QueryFormer {
                 .map(|i| Layer::new(seed ^ (0x30 + i * 0x1111)))
                 .collect(),
             head1: Linear::new(D + enc_dim, 64, seed ^ 0x23),
-            head_relu: Relu::new(),
             head2: Linear::new(64, 1, seed ^ 0x24),
             scalers: None,
             encoder,
@@ -147,7 +159,6 @@ impl QueryFormer {
             lr: 5e-4,
             batch: 64,
             seed,
-            last_heights: Vec::new(),
         }
     }
 
@@ -176,9 +187,11 @@ impl QueryFormer {
         bias
     }
 
-    /// Embed a plan: super node row + projected node features with height
-    /// embeddings added.
-    fn embed(&mut self, tree: &PlanTree, scalers: &NodeScalers) -> (Tensor2, Vec<f32>) {
+    /// The forward fit and inference share: embed the plan (the super
+    /// node's row, then each node's projected features plus its height
+    /// embedding), run the layers, and put the head on the super-node row
+    /// concatenated with `emb` (the DACE embedding, or empty).
+    fn forward(&self, tree: &PlanTree, scalers: &NodeScalers, emb: &[f32]) -> QueryFormerActs {
         let feats = node_features(tree, scalers);
         let proj = self.input.forward(&feats);
         let heights: Vec<usize> = tree
@@ -186,8 +199,7 @@ impl QueryFormer {
             .iter()
             .map(|&h| (h as usize).min(MAX_HEIGHT - 1))
             .collect();
-        let n = proj.rows();
-        let mut x = Tensor2::zeros(n + 1, D);
+        let mut x = Tensor2::zeros(proj.rows() + 1, D);
         x.row_mut(0).copy_from_slice(self.super_node.value.row(0));
         for (i, &h) in heights.iter().enumerate() {
             let row = x.row_mut(i + 1);
@@ -196,38 +208,54 @@ impl QueryFormer {
                 *v += e;
             }
         }
-        self.last_heights = heights;
-        (x, Self::build_bias(tree))
+        let bias = Self::build_bias(tree);
+        let mut layers = Vec::with_capacity(LAYERS);
+        for layer in &self.layers {
+            let (y, acts) = layer.forward(x, &bias);
+            layers.push(acts);
+            x = y;
+        }
+        let mut concat = x.row(0).to_vec();
+        concat.extend_from_slice(emb);
+        let hx = Tensor2::from_vec(1, concat.len(), concat);
+        let h = linear_relu(&self.head1, &hx);
+        let pred = self.head2.forward(&h).get(0, 0);
+        QueryFormerActs {
+            feats,
+            heights,
+            layers,
+            hx,
+            h,
+            pred,
+        }
     }
 
-    fn embed_inference(&self, tree: &PlanTree, scalers: &NodeScalers) -> (Tensor2, Vec<f32>) {
-        let feats = node_features(tree, scalers);
-        let proj = self.input.forward_inference(&feats);
-        let n = proj.rows();
-        let heights = tree.heights();
-        let mut x = Tensor2::zeros(n + 1, D);
-        x.row_mut(0).copy_from_slice(self.super_node.value.row(0));
-        for (i, &hraw) in heights.iter().enumerate() {
-            let row = x.row_mut(i + 1);
-            row.copy_from_slice(proj.row(i));
-            let h = (hraw as usize).min(MAX_HEIGHT - 1);
-            for (v, e) in row.iter_mut().zip(self.height_emb.value.row(h)) {
-                *v += e;
+    fn backward(&mut self, acts: &mut QueryFormerActs, d_pred: f32) {
+        let d = Tensor2::from_vec(1, 1, vec![d_pred]);
+        let d = self.head2.backward(&d, &acts.h);
+        let d_hx = linear_relu_backward(&mut self.head1, d, &acts.hx, &acts.h);
+        // Only the super-node slice flows back into the stack.
+        let mut dx = Tensor2::zeros(acts.heights.len() + 1, D);
+        dx.row_mut(0).copy_from_slice(&d_hx.row(0)[..D]);
+        for (layer, layer_acts) in self.layers.iter_mut().zip(&mut acts.layers).rev() {
+            dx = layer.backward(&dx, layer_acts);
+        }
+        // Split: super node row and per-node rows.
+        for (c, v) in dx.row(0).iter().enumerate() {
+            let cur = self.super_node.grad.get(0, c);
+            self.super_node.grad.set(0, c, cur + v);
+        }
+        let n = dx.rows() - 1;
+        let mut d_proj = Tensor2::zeros(n, D);
+        for r in 0..n {
+            d_proj.row_mut(r).copy_from_slice(dx.row(r + 1));
+            let hrow = acts.heights[r];
+            for (c, v) in dx.row(r + 1).iter().enumerate() {
+                let cur = self.height_emb.grad.get(hrow, c);
+                self.height_emb.grad.set(hrow, c, cur + v);
             }
         }
-        (x, Self::build_bias(tree))
-    }
-
-    fn head(&self, super_repr: &[f32], emb: &[f32]) -> (Tensor2, Tensor2, f32) {
-        let mut concat = Vec::with_capacity(super_repr.len() + emb.len());
-        concat.extend_from_slice(super_repr);
-        concat.extend_from_slice(emb);
-        let x = Tensor2::from_vec(1, concat.len(), concat);
-        let h = self
-            .head_relu
-            .forward_inference(&self.head1.forward_inference(&x));
-        let pred = self.head2.forward_inference(&h).get(0, 0);
-        (x, h, pred)
+        let _ = self.input.backward(&d_proj, &acts.feats);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -260,78 +288,34 @@ impl CostEstimator for QueryFormer {
             Some(e) => train.plans.iter().map(|p| e.encode(&p.tree)).collect(),
             None => vec![Vec::new(); train.len()],
         };
-        let mut opt = Adam::new(self.lr);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x5417);
-        for _ in 0..self.epochs {
-            order.shuffle(&mut rng);
-            let bs = self.batch.max(1);
-            for start in (0..order.len()).step_by(bs) {
-                let batch = &order[start..(start + bs).min(order.len())];
-                for &i in batch {
-                    let tree = &train.plans[i].tree;
-                    let (mut x, bias) = self.embed(tree, &scalers);
-                    // Hold intermediate layer outputs implicitly via module
-                    // caches: forward layers in order.
-                    for li in 0..LAYERS {
-                        x = self.layers[li].forward(&x, &bias);
-                    }
-                    // Head on the super-node row, via the training path so
-                    // caches are populated.
-                    let mut concat = x.row(0).to_vec();
-                    concat.extend_from_slice(&embeddings[i]);
-                    let hx = Tensor2::from_vec(1, concat.len(), concat);
-                    let h = self.head_relu.forward(&self.head1.forward(&hx));
-                    let pred = self.head2.forward(&h).get(0, 0);
-
-                    // Backward.
-                    let d = 2.0 * (pred - targets[i]) / batch.len() as f32;
-                    let d = Tensor2::from_vec(1, 1, vec![d]);
-                    let d = self.head2.backward(&d);
-                    let d = self.head_relu.backward(&d);
-                    let d_hx = self.head1.backward(&d);
-                    // Only the super-node slice flows back into the stack.
-                    let mut dx = Tensor2::zeros(x.rows(), D);
-                    dx.row_mut(0).copy_from_slice(&d_hx.row(0)[..D]);
-                    for li in (0..LAYERS).rev() {
-                        dx = self.layers[li].backward(&dx);
-                    }
-                    // Split: super node row and per-node rows.
-                    for (c, v) in dx.row(0).iter().enumerate() {
-                        let cur = self.super_node.grad.get(0, c);
-                        self.super_node.grad.set(0, c, cur + v);
-                    }
-                    let n = dx.rows() - 1;
-                    let mut d_proj = Tensor2::zeros(n, D);
-                    for r in 0..n {
-                        d_proj.row_mut(r).copy_from_slice(dx.row(r + 1));
-                        let hrow = self.last_heights[r];
-                        for (c, v) in dx.row(r + 1).iter().enumerate() {
-                            let cur = self.height_emb.grad.get(hrow, c);
-                            self.height_emb.grad.set(hrow, c, cur + v);
-                        }
-                    }
-                    let _ = self.input.backward(&d_proj);
-                }
-                opt.step(&mut self.params_mut());
-            }
-        }
+        let schedule = Schedule {
+            epochs: self.epochs,
+            lr: self.lr,
+            batch: self.batch,
+            seed: self.seed,
+        };
+        fit_minibatches(
+            self,
+            train.len(),
+            &schedule,
+            QueryFormer::params_mut,
+            |m, i, len| {
+                let mut acts = m.forward(&train.plans[i].tree, &scalers, &embeddings[i]);
+                let d = 2.0 * (acts.pred - targets[i]) / len as f32;
+                m.backward(&mut acts, d);
+            },
+        );
         self.scalers = Some(scalers);
     }
 
     fn predict_ms(&self, tree: &PlanTree) -> f64 {
         let scalers = self.scalers.as_ref().expect("QueryFormer not fitted");
-        let (mut x, bias) = self.embed_inference(tree, scalers);
-        for l in &self.layers {
-            x = l.forward_inference(&x, &bias);
-        }
         let emb = self
             .encoder
             .as_ref()
             .map(|e| e.encode(tree))
             .unwrap_or_default();
-        let (_, _, pred) = self.head(x.row(0), &emb);
-        (pred as f64).exp()
+        (self.forward(tree, scalers, &emb).pred as f64).exp()
     }
 
     fn param_count(&self) -> usize {

@@ -8,16 +8,14 @@
 //! offline, and the hashed features exercise the same code path: per-node
 //! predicate information flowing into a tree-pooled representation.
 
-use dace_nn::{Adam, Linear, Param, Relu, Tensor2};
+use dace_nn::{Linear, Param, Tensor2};
 use dace_plan::{Dataset, OpPayload, PlanTree};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use crate::estimator::{log_ms, CostEstimator};
 use crate::plan_feat::{
     debug_assert_child_before_parent, single_node_features, NodeScalers, NODE_FEAT, PRED_FEAT,
 };
+use crate::train::{fit_minibatches, linear_relu, linear_relu_backward, Schedule};
 
 /// Node representation width.
 const HIDDEN: usize = 256;
@@ -103,7 +101,7 @@ impl TPool {
             enc_in[..NODE_FEAT].copy_from_slice(&single_node_features(tree, id, scalers));
             enc_in[NODE_FEAT..].copy_from_slice(&Self::node_predicates(tree, id));
             let enc_in = Tensor2::from_vec(1, ENC_IN, enc_in);
-            let enc_out = relu_copy(self.encoder.forward_inference(&enc_in));
+            let enc_out = linear_relu(&self.encoder, &enc_in);
 
             // Max pool children representations per dimension.
             let mut pooled = vec![0.0f32; HIDDEN];
@@ -125,7 +123,7 @@ impl TPool {
             comb_in[..HIDDEN].copy_from_slice(enc_out.row(0));
             comb_in[HIDDEN..].copy_from_slice(&pooled);
             let comb_in = Tensor2::from_vec(1, 2 * HIDDEN, comb_in);
-            let repr = relu_copy(self.combine.forward_inference(&comb_in));
+            let repr = linear_relu(&self.combine, &comb_in);
             caches[id.index()] = Some(NodeCache {
                 enc_in,
                 enc_out,
@@ -139,13 +137,12 @@ impl TPool {
 
     /// Heads on the root representation: (hidden, log-ms, log-card).
     fn heads(&self, root_repr: &Tensor2) -> (Tensor2, f32, f32) {
-        let h = relu_copy(self.cost_head1.forward_inference(root_repr));
-        let cost = self.cost_head2.forward_inference(&h).get(0, 0);
-        let card = self.card_head.forward_inference(root_repr).get(0, 0);
+        let h = linear_relu(&self.cost_head1, root_repr);
+        let cost = self.cost_head2.forward(&h).get(0, 0);
+        let card = self.card_head.forward(root_repr).get(0, 0);
         (h, cost, card)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn backward_plan(
         &mut self,
         tree: &PlanTree,
@@ -161,12 +158,11 @@ impl TPool {
             .repr;
         // Cost head.
         let d = Tensor2::from_vec(1, 1, vec![d_cost]);
-        let d = self.cost_head2.backward_from(&d, head_h);
-        let d = Relu::backward_from(&d, head_h);
-        let mut d_root = self.cost_head1.backward_from(&d, root_repr);
+        let d = self.cost_head2.backward(&d, head_h);
+        let mut d_root = linear_relu_backward(&mut self.cost_head1, d, root_repr, head_h);
         // Cardinality head (multi-task).
         let dc = Tensor2::from_vec(1, 1, vec![d_card]);
-        d_root.add_assign(&self.card_head.backward_from(&dc, root_repr));
+        d_root.add_assign(&self.card_head.backward(&dc, root_repr));
 
         // Top-down through max pooling.
         let order = tree.dfs();
@@ -176,12 +172,12 @@ impl TPool {
             let cache = caches[id.index()]
                 .as_ref()
                 .expect("forward_plan caches every node");
-            let d = Relu::backward_from(&d_repr[id.index()], &cache.repr);
-            let d_comb = self.combine.backward_from(&d, &cache.comb_in);
+            // A node's gradient is complete once its parent has run.
+            let d = std::mem::take(&mut d_repr[id.index()]);
+            let d_comb = linear_relu_backward(&mut self.combine, d, &cache.comb_in, &cache.repr);
             // Encoder segment.
             let d_enc = Tensor2::from_vec(1, HIDDEN, d_comb.row(0)[..HIDDEN].to_vec());
-            let d_enc = Relu::backward_from(&d_enc, &cache.enc_out);
-            let _ = self.encoder.backward_from(&d_enc, &cache.enc_in);
+            let _ = linear_relu_backward(&mut self.encoder, d_enc, &cache.enc_in, &cache.enc_out);
             // Max-pool routes each dim's gradient to the winning child.
             for j in 0..HIDDEN {
                 let winner = cache.argmax[j];
@@ -204,15 +200,6 @@ impl TPool {
     }
 }
 
-fn relu_copy(mut x: Tensor2) -> Tensor2 {
-    for v in x.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
-    x
-}
-
 impl CostEstimator for TPool {
     fn name(&self) -> &'static str {
         "TPool"
@@ -227,30 +214,30 @@ impl CostEstimator for TPool {
             .iter()
             .map(|p| (1.0 + p.tree.node(p.tree.root()).actual_rows).ln() as f32)
             .collect();
-        let mut opt = Adam::new(self.lr);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x5417);
-        for _ in 0..self.epochs {
-            order.shuffle(&mut rng);
-            let bs = self.batch.max(1);
-            for start in (0..order.len()).step_by(bs) {
-                let batch = &order[start..(start + bs).min(order.len())];
-                for &i in batch {
-                    let tree = &train.plans[i].tree;
-                    let caches = self.forward_plan(tree, &scalers);
-                    let root_repr = &caches[tree.root().index()]
-                        .as_ref()
-                        .expect("forward_plan caches every node")
-                        .repr;
-                    let (h, cost, card) = self.heads(root_repr);
-                    let d_cost = 2.0 * (cost - cost_targets[i]) / batch.len() as f32;
-                    let d_card =
-                        self.card_task_weight * 2.0 * (card - card_targets[i]) / batch.len() as f32;
-                    self.backward_plan(tree, &caches, &h, d_cost, d_card);
-                }
-                opt.step(&mut self.params_mut());
-            }
-        }
+        let schedule = Schedule {
+            epochs: self.epochs,
+            lr: self.lr,
+            batch: self.batch,
+            seed: self.seed,
+        };
+        fit_minibatches(
+            self,
+            train.len(),
+            &schedule,
+            TPool::params_mut,
+            |m, i, len| {
+                let tree = &train.plans[i].tree;
+                let caches = m.forward_plan(tree, &scalers);
+                let root_repr = &caches[tree.root().index()]
+                    .as_ref()
+                    .expect("forward_plan caches every node")
+                    .repr;
+                let (h, cost, card) = m.heads(root_repr);
+                let d_cost = 2.0 * (cost - cost_targets[i]) / len as f32;
+                let d_card = m.card_task_weight * 2.0 * (card - card_targets[i]) / len as f32;
+                m.backward_plan(tree, &caches, &h, d_cost, d_card);
+            },
+        );
         self.scalers = Some(scalers);
     }
 

@@ -5,16 +5,14 @@
 //! and the root hidden state feeds an output MLP. Only the root latency is
 //! supervised (no sub-plan learning — Fig. 4's motivation for DACE).
 
-use dace_nn::{Adam, Linear, Param, Relu, Tensor2};
+use dace_nn::{Linear, Param, Tensor2};
 use dace_plan::{Dataset, PlanTree, NODE_TYPE_COUNT};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use crate::estimator::{log_ms, CostEstimator};
 use crate::plan_feat::{
     debug_assert_child_before_parent, single_node_features, NodeScalers, NODE_FEAT,
 };
+use crate::train::{fit_minibatches, linear_relu, linear_relu_backward, Schedule};
 
 /// Hidden state width propagated up the tree.
 const HIDDEN: usize = 128;
@@ -98,8 +96,8 @@ impl ZeroShot {
             }
             let x = Tensor2::from_vec(1, INPUT, x);
             let net = &self.nets[node.node_type.one_hot_index()];
-            let h1 = relu_copy(net.l1.forward_inference(&x));
-            let h2 = relu_copy(net.l2.forward_inference(&h1));
+            let h1 = linear_relu(&net.l1, &x);
+            let h2 = linear_relu(&net.l2, &h1);
             caches[id.index()] = Some(NodeCache {
                 x,
                 h1,
@@ -112,8 +110,8 @@ impl ZeroShot {
 
     /// Root prediction from caches.
     fn head(&self, root_h: &Tensor2) -> (Tensor2, f32) {
-        let o1 = relu_copy(self.out1.forward_inference(root_h));
-        let pred = self.out2.forward_inference(&o1).get(0, 0);
+        let o1 = linear_relu(&self.out1, root_h);
+        let pred = self.out2.forward(&o1).get(0, 0);
         (o1, pred)
     }
 
@@ -127,15 +125,12 @@ impl ZeroShot {
     ) {
         // Head.
         let d = Tensor2::from_vec(1, 1, vec![d_pred]);
-        let d = self.out2.backward_from(&d, o1);
-        let d = Relu::backward_from(&d, o1);
-        let d_root_h = self.out1.backward_from(
-            &d,
-            &caches[tree.root().index()]
-                .as_ref()
-                .expect("forward_plan caches every node")
-                .h2,
-        );
+        let d = self.out2.backward(&d, o1);
+        let root_h = &caches[tree.root().index()]
+            .as_ref()
+            .expect("forward_plan caches every node")
+            .h2;
+        let d_root_h = linear_relu_backward(&mut self.out1, d, root_h, o1);
 
         // Top-down through the tree.
         let order = tree.dfs();
@@ -147,10 +142,10 @@ impl ZeroShot {
                 .as_ref()
                 .expect("forward_plan caches every node");
             let net = &mut self.nets[node.node_type.one_hot_index()];
-            let d = Relu::backward_from(&d_h2[id.index()], &cache.h2);
-            let d = net.l2.backward_from(&d, &cache.h1);
-            let d = Relu::backward_from(&d, &cache.h1);
-            let dx = net.l1.backward_from(&d, &cache.x);
+            // A node's gradient is complete once its parent has run.
+            let d = std::mem::take(&mut d_h2[id.index()]);
+            let d = linear_relu_backward(&mut net.l2, d, &cache.h1, &cache.h2);
+            let dx = linear_relu_backward(&mut net.l1, d, &cache.x, &cache.h1);
             let k = cache.n_children;
             for &c in &node.children {
                 let dst = &mut d_h2[c.index()];
@@ -178,15 +173,6 @@ impl ZeroShot {
     }
 }
 
-fn relu_copy(mut x: Tensor2) -> Tensor2 {
-    for v in x.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
-    x
-}
-
 impl CostEstimator for ZeroShot {
     fn name(&self) -> &'static str {
         "Zero-Shot"
@@ -196,28 +182,28 @@ impl CostEstimator for ZeroShot {
         assert!(!train.is_empty());
         let scalers = NodeScalers::fit(train);
         let targets: Vec<f32> = train.plans.iter().map(|p| log_ms(p.latency_ms())).collect();
-        let mut opt = Adam::new(self.lr);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x5417);
-        for _ in 0..self.epochs {
-            order.shuffle(&mut rng);
-            let bs = self.batch.max(1);
-            for start in (0..order.len()).step_by(bs) {
-                let batch = &order[start..(start + bs).min(order.len())];
-                for &i in batch {
-                    let tree = &train.plans[i].tree;
-                    let caches = self.forward_plan(tree, &scalers);
-                    let root_h = &caches[tree.root().index()]
-                        .as_ref()
-                        .expect("forward_plan caches every node")
-                        .h2;
-                    let (o1, pred) = self.head(root_h);
-                    let d = 2.0 * (pred - targets[i]) / batch.len() as f32;
-                    self.backward_plan(tree, &caches, &o1, d);
-                }
-                opt.step(&mut self.params_mut());
-            }
-        }
+        let schedule = Schedule {
+            epochs: self.epochs,
+            lr: self.lr,
+            batch: self.batch,
+            seed: self.seed,
+        };
+        fit_minibatches(
+            self,
+            train.len(),
+            &schedule,
+            ZeroShot::params_mut,
+            |m, i, len| {
+                let tree = &train.plans[i].tree;
+                let caches = m.forward_plan(tree, &scalers);
+                let root_h = &caches[tree.root().index()]
+                    .as_ref()
+                    .expect("forward_plan caches every node")
+                    .h2;
+                let (o1, pred) = m.head(root_h);
+                m.backward_plan(tree, &caches, &o1, 2.0 * (pred - targets[i]) / len as f32);
+            },
+        );
         self.scalers = Some(scalers);
     }
 

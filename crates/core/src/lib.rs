@@ -47,5 +47,5 @@ pub use quantized::{QuantWorkspace, QuantizedEstimator, QuantizedModel};
 pub use rootnet::RootNet;
 pub use scoring::ScoreSession;
 pub use trainer::{
-    featurize_trees_sharded, quantile, DaceEstimator, TrainConfig, TrainError, Trainer,
+    featurize_trees_sharded, q_error, quantile, DaceEstimator, TrainConfig, TrainError, Trainer,
 };

@@ -43,9 +43,7 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use dace_nn::{
-    softmax_in_place, AttnScratch, LoraLinear, MaskedSelfAttention, Relu, Tensor2, Workspace,
-};
+use dace_nn::{softmax_in_place, LoraLinear, MaskedSelfAttention, Relu, Tensor2, Workspace};
 
 use crate::featurize::PackedBatch;
 
@@ -306,10 +304,10 @@ impl RootNet {
         I: Iterator<Item = RootBlock<'a>> + Clone,
     {
         let t_attn = Instant::now();
-        self.root_means(blocks, &mut ws.attn);
+        self.root_means(blocks, ws);
         let attention_us = t_attn.elapsed().as_micros() as u64;
         let t_mlp = Instant::now();
-        ws.attn.xbar.matmul_into(&self.wv1, &mut ws.h1);
+        ws.xbar.matmul_into(&self.wv1, &mut ws.h1);
         ws.h1.add_row_broadcast(&self.b1);
         Relu::forward_in_place(&mut ws.h1);
         ws.h1.matmul_into(&self.w2, &mut ws.h2);
@@ -328,7 +326,7 @@ impl RootNet {
     /// Each block's attention-weighted input mean `x̄` into `ws.xbar`
     /// (`B × d`): scores `s_j = (x₀·M)·x_j` over the whole block, then
     /// `x̄ = Σ_j softmax(s)_j·x_j`.
-    fn root_means<'a, I>(&self, blocks: I, ws: &mut AttnScratch)
+    fn root_means<'a, I>(&self, blocks: I, ws: &mut Workspace)
     where
         I: Iterator<Item = RootBlock<'a>> + Clone,
     {
@@ -366,19 +364,19 @@ impl RootNet {
     pub(crate) fn forward_rows(&self, batch: &PackedBatch, ws: &mut Workspace) {
         ws.xc.copy_from(&batch.xc);
         ws.spans.clone_from(&batch.spans);
-        let (x, a) = (&ws.xc, &mut ws.attn);
-        x.matmul_into(&self.m, &mut a.u);
-        a.xbar.resize_zeroed(x.rows(), x.cols());
-        a.probs.clear();
+        let x = &ws.xc;
+        x.matmul_into(&self.m, &mut ws.u);
+        ws.xbar.resize_zeroed(x.rows(), x.cols());
+        ws.probs.clear();
         for (i, &(start, end)) in batch.spans.iter().enumerate() {
-            let p0 = a.probs.len();
-            a.probs.resize(p0 + end - start, 0.0);
-            let p = &mut a.probs[p0..];
-            a.u.row_dots_nt(i, x, start, end - start, p);
+            let p0 = ws.probs.len();
+            ws.probs.resize(p0 + end - start, 0.0);
+            let p = &mut ws.probs[p0..];
+            ws.u.row_dots_nt(i, x, start, end - start, p);
             softmax_in_place(p);
-            Tensor2::row_combine(p, x, start, a.xbar.row_mut(i));
+            Tensor2::row_combine(p, x, start, ws.xbar.row_mut(i));
         }
-        a.xbar.matmul_into(&self.wv1, &mut ws.h1);
+        ws.xbar.matmul_into(&self.wv1, &mut ws.h1);
         ws.h1.add_row_broadcast(&self.b1);
         Relu::forward_in_place(&mut ws.h1);
         ws.h1.matmul_into(&self.w2, &mut ws.h2);
@@ -442,7 +440,7 @@ impl RootNet {
         col_sums_into(&ws.d1, &mut out.db2);
         ws.d1.matmul_into(&self.w2_t, &mut ws.d2);
         Relu::backward_in_place(&mut ws.d2, &ws.h1);
-        ws.attn.xbar.matmul_tn_into(&ws.d2, &mut out.g);
+        ws.xbar.matmul_tn_into(&ws.d2, &mut out.g);
         col_sums_into(&ws.d2, &mut out.db1);
         if !scores {
             out.dm.resize_zeroed(0, 0);
@@ -455,12 +453,12 @@ impl RootNet {
         let mut p0 = 0;
         for (i, &(start, end)) in ws.spans.iter().enumerate() {
             let l = end - start;
-            if ws.attn.srow.len() < l {
-                ws.attn.srow.resize(l, 0.0);
+            if ws.srow.len() < l {
+                ws.srow.resize(l, 0.0);
             }
-            let ds = &mut ws.attn.srow[..l];
+            let ds = &mut ws.srow[..l];
             ws.dxbar.row_dots_nt(i, x, start, l, ds);
-            let p = &ws.attn.probs[p0..p0 + l];
+            let p = &ws.probs[p0..p0 + l];
             let dot: f32 = p.iter().zip(ds.iter()).map(|(a, b)| a * b).sum();
             for (g, &pj) in ds.iter_mut().zip(p) {
                 *g = pj * (*g - dot);
@@ -601,6 +599,7 @@ impl Clone for RootCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dace_nn::{AttnScratch, MASK_NEG};
 
     fn layers(seed: u64) -> [LoraLinear; 3] {
         let mut ls = [
@@ -621,13 +620,16 @@ mod tests {
     /// ancestor mask, then the three LoRA layers on the root row.
     fn unfolded(attn: &MaskedSelfAttention, ls: &[LoraLinear; 3], x: &Tensor2) -> f32 {
         let n = x.rows();
-        let chain: Vec<bool> = (0..n * n).map(|c| c / n <= c % n).collect();
-        let a = attn.forward_inference(x, &chain).row_block(0, 1);
-        let mut h1 = ls[0].forward_inference(&a);
+        let chain: Vec<f32> = (0..n * n)
+            .map(|c| if c / n <= c % n { 0.0 } else { MASK_NEG })
+            .collect();
+        let mut a = Tensor2::default();
+        attn.forward_packed_ws(x, &[n], n, &chain, &mut AttnScratch::default(), &mut a);
+        let mut h1 = ls[0].forward(&a.row_block(0, 1));
         Relu::forward_in_place(&mut h1);
-        let mut h2 = ls[1].forward_inference(&h1);
+        let mut h2 = ls[1].forward(&h1);
         Relu::forward_in_place(&mut h2);
-        ls[2].forward_inference(&h2).get(0, 0)
+        ls[2].forward(&h2).get(0, 0)
     }
 
     fn blocks(xs: &[Tensor2]) -> impl Iterator<Item = RootBlock<'_>> + Clone {

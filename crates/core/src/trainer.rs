@@ -235,13 +235,26 @@ fn validation_stats(
         let mut row = 0;
         for &n in &batch.lens {
             // Root is the plan's first row; Q-error compares in ms space.
-            let pred_ms = Featurizer::to_ms(preds[row]).max(1e-6);
-            let actual_ms = Featurizer::to_ms(batch.targets[row]).max(1e-6);
-            qerrs.push((pred_ms / actual_ms).max(actual_ms / pred_ms));
+            qerrs.push(q_error(
+                Featurizer::to_ms(preds[row]),
+                Featurizer::to_ms(batch.targets[row]),
+            ));
             row += n;
         }
     }
     (total / qerrs.len().max(1) as f32, qerrs)
+}
+
+/// Q-error of a predicted latency against the actual one (Eq. 1 of the
+/// paper): `max(p, a) / min(p, a)`, both floored at 1e-6 ms so the ratio is
+/// always finite and ≥ 1. The one definition shared by training's
+/// validation stats, the serving layer's feedback loop and the evaluation
+/// harness.
+#[inline]
+pub fn q_error(predicted_ms: f64, actual_ms: f64) -> f64 {
+    let p = predicted_ms.max(1e-6);
+    let a = actual_ms.max(1e-6);
+    (p / a).max(a / p)
 }
 
 /// Quantile of an unsorted sample set by exact rank (`ceil(p·n)`-th order
@@ -1012,6 +1025,14 @@ mod tests {
     use super::*;
     use dace_plan::{LabeledPlan, MachineId, NodeType, OpPayload, PlanNode, TreeBuilder};
     use rand::Rng;
+
+    #[test]
+    fn q_error_is_symmetric_floored_and_at_least_one() {
+        assert_eq!(q_error(2.0, 8.0), 4.0);
+        assert_eq!(q_error(8.0, 2.0), 4.0);
+        assert_eq!(q_error(5.0, 5.0), 1.0);
+        assert!(q_error(0.0, 1.0).is_finite() && q_error(0.0, 1.0) >= 1.0);
+    }
 
     /// Synthetic learnable dataset: latency = f(node type mix, est cost)
     /// with a per-operator multiplier the model must discover.

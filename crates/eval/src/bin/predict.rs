@@ -6,9 +6,10 @@
 //! predict --model FILE [--db DB_ID] [--queries N]
 //! ```
 
+use dace_core::q_error;
 use dace_core::DaceEstimator;
 use dace_engine::{collect_dataset, plan_query};
-use dace_eval::{qerror, EvalConfig};
+use dace_eval::EvalConfig;
 use dace_plan::MachineId;
 use dace_query::{render_sql, ComplexWorkloadGen};
 
@@ -63,7 +64,7 @@ fn main() {
         println!("== {}", render_sql(q, &db.schema));
         let pred = est.predict_ms(&plan.tree);
         let actual = plan.latency_ms();
-        let qe = qerror(pred, actual);
+        let qe = q_error(pred, actual);
         total_q += qe;
         println!("   predicted {pred:.3} ms | actual {actual:.3} ms | qerror {qe:.2}");
         // Sub-plan predictions, DFS order (what plan comparison would use).

@@ -19,4 +19,4 @@ pub mod metrics;
 pub mod models;
 
 pub use data::{collect_suite_m1, workload3, EvalConfig, Workload3};
-pub use metrics::{qerror, QErrorStats};
+pub use metrics::QErrorStats;

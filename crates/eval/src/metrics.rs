@@ -1,14 +1,7 @@
 //! Q-error metrics (Eq. 1 of the paper).
 
+use dace_core::q_error;
 use serde::{Deserialize, Serialize};
-
-/// `qerror = max(est, actual) / min(est, actual)`, floored at tiny values so
-/// a zero prediction cannot divide by zero. Always ≥ 1.
-pub fn qerror(est_ms: f64, actual_ms: f64) -> f64 {
-    let e = est_ms.max(1e-6);
-    let a = actual_ms.max(1e-6);
-    (e / a).max(a / e)
-}
 
 /// Summary statistics of a qerror distribution — the columns of Table I.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,7 +25,7 @@ pub struct QErrorStats {
 impl QErrorStats {
     /// Stats from (prediction, actual) latency pairs in milliseconds.
     pub fn from_pairs(pairs: &[(f64, f64)]) -> QErrorStats {
-        let qs: Vec<f64> = pairs.iter().map(|&(e, a)| qerror(e, a)).collect();
+        let qs: Vec<f64> = pairs.iter().map(|&(e, a)| q_error(e, a)).collect();
         QErrorStats::from_qerrors(qs)
     }
 
@@ -88,14 +81,6 @@ impl QErrorStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn qerror_is_symmetric_and_at_least_one() {
-        assert_eq!(qerror(2.0, 8.0), 4.0);
-        assert_eq!(qerror(8.0, 2.0), 4.0);
-        assert_eq!(qerror(5.0, 5.0), 1.0);
-        assert!(qerror(0.0, 1.0) >= 1.0);
-    }
 
     #[test]
     fn stats_percentiles() {

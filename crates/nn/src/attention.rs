@@ -5,14 +5,17 @@
 //! softmax, so every node attends to exactly itself and its descendants.
 //! DACE uses one head and one layer (Sec. V-A), so no multi-head machinery.
 //!
-//! The attention math lives in one forward/backward pair over a
+//! The layer has one stateless forward/backward pair over a
 //! **block-diagonal** layout: the input is stacked blocks of rows,
 //! attention scores are computed only *within* each block, and rows never
 //! attend across block boundaries ([`MaskedSelfAttention::forward_packed_ws`] /
-//! [`MaskedSelfAttention::backward_params_ws`]). The single-plan entry
-//! points ([`MaskedSelfAttention::forward_bias`] and friends), which
-//! QueryFormer trains through, are the degenerate case of one block, run
-//! through the same two functions.
+//! [`MaskedSelfAttention::backward_params_ws`]). The mask is an additive
+//! score bias ([`MASK_NEG`] where a node may not attend, or any other
+//! bias, such as QueryFormer's `−λ·distance`). A single plan is one block.
+//! The caller owns the scratch ([`AttnScratch`]) that carries Q/K/V and
+//! the probabilities from the forward to the backward, and the input the
+//! backward takes. The backward leaves `dQ`/`dK`/`dV` in the scratch; a
+//! caller that needs `dx` forms `dQ·W_Qᵀ + dK·W_Kᵀ + dV·W_Vᵀ` itself.
 //!
 //! DACE runs neither: its attention output feeds `l1` with no nonlinearity
 //! in between, so the model crate folds these weights, with the MLP's, into
@@ -31,13 +34,6 @@ use crate::workspace::AttnScratch;
 /// rows (see [`Tensor2::softmax_rows`]'s fully-masked-row handling).
 pub const MASK_NEG: f32 = -1.0e9;
 
-/// Convert a boolean attention mask into an additive score bias.
-fn mask_to_bias(mask: &[bool]) -> Vec<f32> {
-    mask.iter()
-        .map(|&allowed| if allowed { 0.0 } else { MASK_NEG })
-        .collect()
-}
-
 /// Single-head masked scaled-dot-product self-attention with learned
 /// projections `W_Q`, `W_K` (d → d_k) and `W_V` (d → d_v); no biases, as in
 /// the paper's Eq. 5.
@@ -50,14 +46,6 @@ pub struct MaskedSelfAttention {
     /// Value projection, `d × d_v`.
     pub wv: Param,
     d_k: usize,
-    /// Input of the last [`MaskedSelfAttention::forward_bias`] call, taken
-    /// by the matching [`MaskedSelfAttention::backward`].
-    #[serde(skip)]
-    cache_x: Option<Tensor2>,
-    /// Scratch of the single-plan entry points; after `forward_bias` it
-    /// holds the Q/K/V/probs `backward` reads.
-    #[serde(skip)]
-    scratch: AttnScratch,
 }
 
 impl MaskedSelfAttention {
@@ -69,8 +57,6 @@ impl MaskedSelfAttention {
             wk: Param::xavier(d, d_k, seed ^ 0x5EED_0001),
             wv: Param::xavier(d, d_v, seed ^ 0x5EED_0002),
             d_k,
-            cache_x: None,
-            scratch: AttnScratch::default(),
         }
     }
 
@@ -80,62 +66,14 @@ impl MaskedSelfAttention {
         self.d_k
     }
 
-    /// Forward pass without caching (inference) over `x` (`n × d`) with
-    /// `mask` (`n × n`, row-major; `mask[i*n+j]` = may node `i` attend to
-    /// node `j`).
-    pub fn forward_inference(&self, x: &Tensor2, mask: &[bool]) -> Tensor2 {
-        let bias = mask_to_bias(mask);
-        self.forward_bias_inference(x, &bias)
-    }
-
-    /// Forward pass with an arbitrary additive score bias (`n × n`,
-    /// row-major): `softmax((QKᵀ)/√d_k + bias)`. This generalizes boolean
-    /// masking (bias = −∞) and supports QueryFormer-style tree-bias
-    /// attention (bias = −λ·distance). Caches for [`backward`]: one
-    /// [`forward_packed_ws`] block over the layer's own scratch.
-    ///
-    /// [`backward`]: MaskedSelfAttention::backward
-    /// [`forward_packed_ws`]: MaskedSelfAttention::forward_packed_ws
-    pub fn forward_bias(&mut self, x: &Tensor2, bias: &[f32]) -> Tensor2 {
-        let mut ws = std::mem::take(&mut self.scratch);
-        let mut out = Tensor2::default();
-        self.forward_packed_ws(x, &[x.rows()], x.rows(), bias, &mut ws, &mut out);
-        self.scratch = ws;
-        self.cache_x = Some(x.clone());
-        out
-    }
-
-    /// Biased forward pass without caching (inference).
-    pub fn forward_bias_inference(&self, x: &Tensor2, bias: &[f32]) -> Tensor2 {
-        let mut out = Tensor2::default();
-        let n = x.rows();
-        self.forward_packed_ws(x, &[n], n, bias, &mut AttnScratch::default(), &mut out);
-        out
-    }
-
-    /// Backward pass of the last [`forward_bias`]: accumulates
-    /// dW_Q/dW_K/dW_V through [`backward_params_ws`] and returns dx, the
-    /// three back-projections `dQ·W_Qᵀ + dK·W_Kᵀ + dV·W_Vᵀ`.
-    ///
-    /// [`forward_bias`]: MaskedSelfAttention::forward_bias
-    /// [`backward_params_ws`]: MaskedSelfAttention::backward_params_ws
-    pub fn backward(&mut self, d_out: &Tensor2) -> Tensor2 {
-        let x = self.cache_x.take().expect("backward called before forward");
-        let mut ws = std::mem::take(&mut self.scratch);
-        self.backward_params_ws(d_out, &x, &[x.rows()], &mut ws);
-        let mut dx = ws.dq.matmul_nt(&self.wq.value);
-        dx.add_assign(&ws.dk.matmul_nt(&self.wk.value));
-        dx.add_assign(&ws.dv.matmul_nt(&self.wv.value));
-        self.scratch = ws;
-        dx
-    }
-
-    /// Variable-length block-diagonal forward pass. `x` holds the blocks'
-    /// rows back to back **without padding**: block `b` occupies the next
-    /// `lens[b]` rows. `bias` is laid out padded — one `stride × stride`
-    /// matrix per block of which only the leading `lens[b] × lens[b]`
-    /// corner is read — so a `PackedBatch`-style bias buffer serves the
-    /// compact row layout directly.
+    /// Variable-length block-diagonal forward pass:
+    /// `softmax(QKᵀ/√d_k + bias)·V` within each block. `x` holds the
+    /// blocks' rows back to back **without padding**: block `b` occupies
+    /// the next `lens[b]` rows. `bias` is laid out padded — one
+    /// `stride × stride` matrix per block of which only the leading
+    /// `lens[b] × lens[b]` corner is read — so a `PackedBatch`-style bias
+    /// buffer serves the compact row layout directly. One plan is
+    /// `lens = [n]`, `stride = n` and an `n × n` bias.
     ///
     /// Score/softmax/PV work is `Σ lens[b]²`, not `nb · stride²`, and the
     /// Q/K/V projections only touch real rows. Every intermediate lives in
@@ -193,14 +131,13 @@ impl MaskedSelfAttention {
     }
 
     /// Backward pass over the Q/K/V/probs a [`forward_packed_ws`] call
-    /// left in `ws`: per-block gradients through PV, softmax and the score
-    /// product, then dW_Q/dW_K/dW_V accumulation. dQ/dK/dV stay in `ws`;
-    /// `dx` is never materialized here — DACE's attention is its first
-    /// layer, and [`backward`] adds the projections when a caller needs
-    /// them.
+    /// left in `ws`, with `x` that call's input: per-block gradients
+    /// through PV, softmax and the score product, then dW_Q/dW_K/dW_V
+    /// accumulation. dQ/dK/dV stay in `ws`; `dx` is never materialized
+    /// here, so a caller that needs it adds the three back-projections
+    /// `dQ·W_Qᵀ + dK·W_Kᵀ + dV·W_Vᵀ` itself.
     ///
     /// [`forward_packed_ws`]: MaskedSelfAttention::forward_packed_ws
-    /// [`backward`]: MaskedSelfAttention::backward
     pub fn backward_params_ws(
         &mut self,
         d_out: &Tensor2,
@@ -292,12 +229,24 @@ mod tests {
         m
     }
 
+    /// One plan's attention: a single block under `mask` as a
+    /// [`MASK_NEG`] bias.
+    fn attend(attn: &MaskedSelfAttention, x: &Tensor2, mask: &[bool]) -> Tensor2 {
+        let bias: Vec<f32> = mask
+            .iter()
+            .map(|&ok| if ok { 0.0 } else { MASK_NEG })
+            .collect();
+        let (n, mut out) = (x.rows(), Tensor2::default());
+        attn.forward_packed_ws(x, &[n], n, &bias, &mut AttnScratch::default(), &mut out);
+        out
+    }
+
     #[test]
     fn masked_rows_ignore_disallowed_positions() {
         let attn = MaskedSelfAttention::new(4, 8, 8, 3);
         let x = Tensor2::uniform(3, 4, 1.0, 7);
-        let out_full = attn.forward_inference(&x, &full_mask(3));
-        let out_chain = attn.forward_inference(&x, &chain_mask(3));
+        let out_full = attend(&attn, &x, &full_mask(3));
+        let out_chain = attend(&attn, &x, &chain_mask(3));
         // The last node attends only to itself under the chain mask: its
         // output must equal its own value projection.
         let v = x.matmul(&attn.wv.value);
@@ -315,11 +264,11 @@ mod tests {
         let attn = MaskedSelfAttention::new(4, 8, 8, 3);
         let mut x = Tensor2::uniform(3, 4, 1.0, 7);
         let mask = chain_mask(3);
-        let before = attn.forward_inference(&x, &mask);
+        let before = attend(&attn, &x, &mask);
         // Node 0 is masked out from node 2's view (mask[2][0] = false) and
         // node 1's view; perturb node 0 and check rows 1, 2 are unchanged.
         x.set(0, 0, x.get(0, 0) + 10.0);
-        let after = attn.forward_inference(&x, &mask);
+        let after = attend(&attn, &x, &mask);
         for r in 1..3 {
             for c in 0..8 {
                 assert!(
@@ -337,8 +286,8 @@ mod tests {
         let xa = Tensor2::uniform(2, 4, 1.0, 7);
         let xb = Tensor2::uniform(3, 4, 1.0, 8);
         let (ma, mb) = (chain_mask(2), chain_mask(3));
-        let out_a = attn.forward_inference(&xa, &ma);
-        let out_b = attn.forward_inference(&xb, &mb);
+        let out_a = attend(&attn, &xa, &ma);
+        let out_b = attend(&attn, &xb, &mb);
 
         let stride = 3;
         let mut x = Tensor2::zeros(5, 4);

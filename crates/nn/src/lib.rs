@@ -7,6 +7,14 @@
 //! ([`Tensor2`]) and a handful of modules with *explicit* forward/backward
 //! passes: [`Linear`], [`LoraLinear`] (Low-Rank Adaptation, Eq. 8 of the
 //! paper), [`Relu`], and single-head [`MaskedSelfAttention`] (Eq. 5).
+//!
+//! Every layer is stateless: one forward, and one backward that takes what
+//! the forward read or left (its input, the ReLU's output, or the
+//! attention's [`AttnScratch`]), so a layer can run any number of times
+//! before its backward passes and holds no forward cache. Attention runs
+//! over stacked blocks of rows (one block per plan) with an additive score
+//! bias; a single plan is one block.
+//!
 //! Optimization is [`Adam`] with gradient clipping; featurization helpers
 //! ([`RobustScaler`], one-hot) round out the kit.
 //!

@@ -5,15 +5,15 @@ use serde::{Deserialize, Serialize};
 use crate::param::Param;
 use crate::tensor::Tensor2;
 
-/// `y = x @ W + b`.
+/// `y = x @ W + b`. Stateless: the backward takes the forward's input, so
+/// one layer can run any number of times before its backward passes (the
+/// recursive tree networks call the same layer once per plan node).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Linear {
     /// Weight, `in × out`.
     pub w: Param,
     /// Bias, `1 × out`.
     pub b: Param,
-    #[serde(skip)]
-    cache_x: Option<Tensor2>,
 }
 
 impl Linear {
@@ -22,45 +22,20 @@ impl Linear {
         Linear {
             w: Param::xavier(input, output, seed),
             b: Param::zeros(1, output),
-            cache_x: None,
         }
     }
 
-    /// Forward pass; caches the input for backward.
-    pub fn forward(&mut self, x: &Tensor2) -> Tensor2 {
-        let mut y = x.matmul(&self.w.value);
-        y.add_row_broadcast(self.b.value.row(0));
-        self.cache_x = Some(x.clone());
-        y
-    }
-
-    /// Forward pass without caching (inference).
-    pub fn forward_inference(&self, x: &Tensor2) -> Tensor2 {
+    /// Forward pass: `x @ W + b`.
+    pub fn forward(&self, x: &Tensor2) -> Tensor2 {
         let mut y = x.matmul(&self.w.value);
         y.add_row_broadcast(self.b.value.row(0));
         y
     }
 
-    /// Backward pass: accumulates dW, db; returns dx.
-    pub fn backward(&mut self, dy: &Tensor2) -> Tensor2 {
-        let x = self.cache_x.take().expect("backward called before forward");
-        // dW = xᵀ @ dy
-        self.w.grad.add_assign(&x.matmul_tn(dy));
-        // db = column sums of dy
-        let sums = dy.col_sums();
-        for (i, s) in sums.iter().enumerate() {
-            let cur = self.b.grad.get(0, i);
-            self.b.grad.set(0, i, cur + s);
-        }
-        // dx = dy @ Wᵀ
-        dy.matmul_nt(&self.w.value)
-    }
-
-    /// Stateless backward: like [`Linear::backward`] but with the caller
-    /// supplying the cached input. Needed by recursive tree networks
-    /// (QPPNet, Zero-Shot) that call the same layer many times per tree and
-    /// therefore cannot rely on the single internal cache slot.
-    pub fn backward_from(&mut self, dy: &Tensor2, x: &Tensor2) -> Tensor2 {
+    /// Backward pass of [`Linear::forward`] on input `x`: accumulates
+    /// `dW = xᵀ @ dy` and `db` (the column sums of `dy`); returns
+    /// `dx = dy @ Wᵀ`.
+    pub fn backward(&mut self, dy: &Tensor2, x: &Tensor2) -> Tensor2 {
         self.w.grad.add_assign(&x.matmul_tn(dy));
         let sums = dy.col_sums();
         for (i, s) in sums.iter().enumerate() {
@@ -141,9 +116,9 @@ impl LoraLinear {
         self.lora_b.trainable = finetune;
     }
 
-    /// Forward pass without caching (inference), the layer's definition:
-    /// `y = x @ W + (x @ B) @ A + b`, the adapter applied unmerged.
-    pub fn forward_inference(&self, x: &Tensor2) -> Tensor2 {
+    /// Forward pass, the layer's definition: `y = x @ W + (x @ B) @ A + b`,
+    /// the adapter applied unmerged.
+    pub fn forward(&self, x: &Tensor2) -> Tensor2 {
         let mut y = x.matmul(&self.w.value);
         y.add_assign(&x.matmul(&self.lora_b.value).matmul(&self.lora_a.value));
         y.add_row_broadcast(self.b.value.row(0));
@@ -256,11 +231,11 @@ mod tests {
         let x = Tensor2::uniform(4, 3, 1.0, 11);
         // Loss = sum(y²)/2 so dy = y.
         let y = layer.forward(&x);
-        let dx = layer.backward(&y);
+        let dx = layer.backward(&y, &x);
 
         let eps = 1e-3f32;
         let loss = |layer: &Linear, x: &Tensor2| -> f32 {
-            let y = layer.forward_inference(x);
+            let y = layer.forward(x);
             0.5 * y.norm_sq()
         };
         // Check dW numerically.
@@ -300,7 +275,7 @@ mod tests {
     fn lora_starts_identical_to_base() {
         let lora = LoraLinear::new(6, 4, 2, 3);
         let x = Tensor2::uniform(5, 6, 1.0, 9);
-        let y = lora.forward_inference(&x);
+        let y = lora.forward(&x);
         // A is zero ⇒ ΔW = 0 ⇒ output equals the base layer's.
         let base = x.matmul(&lora.w.value);
         for (a, b) in y.as_slice().iter().zip(base.as_slice()) {
@@ -319,13 +294,13 @@ mod tests {
             layer.lora_a.value = Tensor2::uniform(2, 3, 0.5, 21);
             let x = Tensor2::uniform(3, 4, 1.0, 13);
             // Loss = sum(y²)/2 so dy = y; dW' = xᵀ·dy and dx = dy·W'ᵀ.
-            let y = layer.forward_inference(&x);
+            let y = layer.forward(&x);
             let dx = y.matmul_nt(&layer.merged_weight());
             let mut scratch = Tensor2::default();
             layer.backward_merged(&x.matmul_tn(&y), &y.col_sums(), &mut scratch);
 
             let eps = 1e-3f32;
-            let loss = |layer: &LoraLinear, x: &Tensor2| 0.5 * layer.forward_inference(x).norm_sq();
+            let loss = |layer: &LoraLinear, x: &Tensor2| 0.5 * layer.forward(x).norm_sq();
             let close = |num: f32, ana: f32| (num - ana).abs() < 2e-2 * (1.0 + ana.abs());
             for p in 0..4 {
                 let len = layer.params_mut()[p].value.len();

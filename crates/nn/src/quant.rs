@@ -503,7 +503,8 @@ impl QuantizedAttention {
     /// row of the block. Row `i` of a block is scored, softmaxed and
     /// value-summed over its span `[start, end)` of the block's rows only.
     /// Only the three projections run int8; tracks the f32
-    /// [`MaskedSelfAttention::forward_inference`] within quantization error.
+    /// [`MaskedSelfAttention::forward_packed_ws`] under the same spans as a
+    /// [`MASK_NEG`](crate::MASK_NEG) bias within quantization error.
     pub fn forward_spans_into<'s, I>(
         &self,
         x: &Tensor2,
@@ -549,6 +550,7 @@ impl QuantizedAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AttnScratch, MASK_NEG};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -609,7 +611,7 @@ mod tests {
         let a = random_tensor(8, 16, 9);
         layer.set_lora_weights(b, a).unwrap();
         let x = random_tensor(4, 32, 10);
-        let want = layer.forward_inference(&x);
+        let want = layer.forward(&x);
         let q = QuantizedLinear::from_lora(&layer);
         let mut scratch = QuantScratch::default();
         let mut got = Tensor2::default();
@@ -629,11 +631,13 @@ mod tests {
         let x = random_tensor(5, 16, 12);
         // Row 0 is the root of two two-node chains, 1 → 2 and 3 → 4.
         let spans = [(0, 5), (1, 3), (2, 3), (3, 5), (4, 5)];
-        let mut mask = vec![false; 25];
+        let mut bias = vec![MASK_NEG; 25];
         for (i, &(s0, s1)) in spans.iter().enumerate() {
-            mask[i * 5 + s0..i * 5 + s1].fill(true);
+            bias[i * 5 + s0..i * 5 + s1].fill(0.0);
         }
-        let want = attn.forward_inference(&x, &mask);
+        let mut want = Tensor2::default();
+        let mut attn_ws = AttnScratch::default();
+        attn.forward_packed_ws(&x, &[5], 5, &bias, &mut attn_ws, &mut want);
         let mut ws = QuantScratch::default();
         let mut got = Tensor2::default();
         q.forward_spans_into(&x, [&spans[..]], &mut ws, &mut got);

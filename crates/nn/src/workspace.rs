@@ -5,16 +5,16 @@
 //! to its high-water capacity, after which steady-state training epochs and
 //! serving batches stop touching the allocator entirely. The arena doubles
 //! as the layer-activation cache — forward passes leave attention state
-//! (Q/K/V and probabilities for [`crate::MaskedSelfAttention`], `x̄` and
-//! probabilities for DACE's folded pass) and the MLP activations here, and
-//! backward passes read them back instead of per-layer `x.clone()` caches.
+//! (Q/K/V and probabilities in [`AttnScratch`] for
+//! [`crate::MaskedSelfAttention`], `x̄` and probabilities in [`Workspace`]
+//! for DACE's folded pass) and the MLP activations here, and backward
+//! passes read them back instead of per-layer `x.clone()` caches.
 
 use crate::tensor::Tensor2;
 
-/// Attention-layer scratch: projections and per-block temporaries that
-/// persist from a packed forward pass to the matching backward pass.
-/// [`crate::MaskedSelfAttention`]'s packed passes use the Q/K/V fields;
-/// DACE's folded passes use only `probs`, `roots`, `u`, `xbar` and `srow`.
+/// [`crate::MaskedSelfAttention`]'s scratch: projections and per-block
+/// temporaries that persist from a packed forward pass to the matching
+/// backward pass.
 #[derive(Debug, Clone, Default)]
 pub struct AttnScratch {
     /// Query projection of the whole packed input (forward → backward).
@@ -24,8 +24,7 @@ pub struct AttnScratch {
     /// Value projection (forward → backward).
     pub v: Tensor2,
     /// Concatenated softmax probabilities (forward → backward): block `b`
-    /// of a packed pass contributes `lens[b]²` values, and each row of
-    /// DACE's all-rows pass one value per position of its span.
+    /// of a packed pass contributes `lens[b]²` values.
     pub probs: Vec<f32>,
     /// Per-block row copy of `q`.
     pub qb: Tensor2,
@@ -53,6 +52,17 @@ pub struct AttnScratch {
     pub dv: Tensor2,
     /// Parameter-gradient product scratch (`xᵀ dQ` etc., backward).
     pub gtmp: Tensor2,
+}
+
+/// The full model scratch arena threaded through DACE's folded passes: the
+/// all-rows training forward/backward and the serving root-row forward.
+/// Both keep their attention state (`x̄`, probabilities) and the MLP
+/// activations here.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    /// Softmax probabilities of the all-rows pass (forward → backward):
+    /// each row contributes one value per position of its span.
+    pub probs: Vec<f32>,
     /// Root-row inference: each block's root input row (`B × d`).
     pub roots: Tensor2,
     /// Folded keys `u = x·M`, where `M = W_Q·W_Kᵀ/√d_k`: one row per root
@@ -65,16 +75,6 @@ pub struct AttnScratch {
     /// Root-row inference: one plan's root score row. The all-rows
     /// backward reuses it for one row's `dP` over its span.
     pub srow: Vec<f32>,
-}
-
-/// The full model scratch arena threaded through DACE's folded passes: the
-/// all-rows training forward/backward and the serving root-row forward.
-/// The all-rows pass keeps its attention state (`x̄`, probabilities) in
-/// [`AttnScratch`] and the MLP activations here.
-#[derive(Debug, Default)]
-pub struct Workspace {
-    /// Attention sub-arena.
-    pub attn: AttnScratch,
     /// Compact input of the last batched forward (the backward's `x`).
     pub xc: Tensor2,
     /// Each row's attention span `(start, end)` in `xc`'s rows, of the last
@@ -114,7 +114,11 @@ impl Workspace {
     /// mark.
     pub fn reserve_like(&mut self, other: &Workspace) {
         let Workspace {
-            attn,
+            probs,
+            roots,
+            u,
+            xbar,
+            srow,
             xc,
             spans,
             h1,
@@ -127,8 +131,10 @@ impl Workspace {
             gw,
             gtmp,
         } = self;
-        attn.reserve_like(&other.attn);
         for (t, o) in [
+            (roots, &other.roots),
+            (u, &other.u),
+            (xbar, &other.xbar),
             (xc, &other.xc),
             (h1, &other.h1),
             (h2, &other.h2),
@@ -142,61 +148,9 @@ impl Workspace {
         ] {
             t.reserve_like(o);
         }
-        reserve_vec_like(spans, &other.spans);
-    }
-}
-
-impl AttnScratch {
-    /// [`Workspace::reserve_like`] for the attention sub-arena.
-    fn reserve_like(&mut self, other: &AttnScratch) {
-        let AttnScratch {
-            q,
-            k,
-            v,
-            probs,
-            qb,
-            kb,
-            vb,
-            scores,
-            blk,
-            pb,
-            dob,
-            dp,
-            dscores,
-            dq,
-            dk,
-            dv,
-            gtmp,
-            roots,
-            u,
-            xbar,
-            srow,
-        } = self;
-        for (t, o) in [
-            (q, &other.q),
-            (k, &other.k),
-            (v, &other.v),
-            (qb, &other.qb),
-            (kb, &other.kb),
-            (vb, &other.vb),
-            (scores, &other.scores),
-            (blk, &other.blk),
-            (pb, &other.pb),
-            (dob, &other.dob),
-            (dp, &other.dp),
-            (dscores, &other.dscores),
-            (dq, &other.dq),
-            (dk, &other.dk),
-            (dv, &other.dv),
-            (gtmp, &other.gtmp),
-            (roots, &other.roots),
-            (u, &other.u),
-            (xbar, &other.xbar),
-        ] {
-            t.reserve_like(o);
-        }
         reserve_vec_like(probs, &other.probs);
         reserve_vec_like(srow, &other.srow);
+        reserve_vec_like(spans, &other.spans);
     }
 }
 
@@ -221,7 +175,7 @@ mod tests {
     fn reserve_like_takes_the_larger_capacity() {
         let mut big = Workspace::new();
         big.h1.resize_zeroed(300, 128);
-        big.attn.probs.resize(900, 0.0);
+        big.probs.resize(900, 0.0);
         big.spans.resize(300, (0, 0));
         let mut small = Workspace::new();
         small.h1.resize_zeroed(10, 128);
@@ -231,7 +185,7 @@ mod tests {
             (10, 128),
             "contents are kept"
         );
-        assert!(small.attn.probs.capacity() >= 900);
+        assert!(small.probs.capacity() >= 900);
         assert!(small.spans.capacity() >= 300);
         // Growing to `big`'s size keeps the buffer where it is.
         let at = small.h1.as_slice().as_ptr();

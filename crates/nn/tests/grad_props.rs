@@ -1,13 +1,15 @@
 //! Property-based gradient checks: for random shapes, inputs and parameter
 //! values, every module's analytic backward pass must match central finite
 //! differences. This is the trust anchor of the from-scratch NN library.
-//! Attention is checked through `MaskedSelfAttention::backward`, a thin
-//! wrapper over `forward_packed_ws`/`backward_params_ws` (QueryFormer's
-//! training path). LoRA is checked through the merged-weight gradient DACE's
-//! folded training pass runs: `LoraLinear::backward_merged` from
-//! `dW' = xᵀ·dy` and `db = Σ dy`.
+//! Attention is checked through its one packed pair, `forward_packed_ws` /
+//! `backward_params_ws`, on one block, with `dx` formed from the `dQ`/`dK`/
+//! `dV` it leaves as QueryFormer forms it. LoRA is checked through the
+//! merged-weight gradient DACE's folded training pass runs:
+//! `LoraLinear::backward_merged` from `dW' = xᵀ·dy` and `db = Σ dy`.
 
-use dace_nn::{Linear, LoraLinear, MaskedSelfAttention, Relu, RobustScaler, Tensor2, MASK_NEG};
+use dace_nn::{
+    AttnScratch, Linear, LoraLinear, MaskedSelfAttention, Relu, RobustScaler, Tensor2, MASK_NEG,
+};
 use proptest::prelude::*;
 
 const EPS: f32 = 1e-2;
@@ -25,8 +27,8 @@ proptest! {
         let mut layer = Linear::new(input, output, seed);
         let x = Tensor2::uniform(rows, input, 1.0, seed ^ 0xF00D);
         let y = layer.forward(&x);
-        let _ = layer.backward(&y); // loss = ||y||²/2
-        let loss = |l: &Linear| 0.5 * l.forward_inference(&x).norm_sq();
+        let _ = layer.backward(&y, &x); // loss = ||y||²/2
+        let loss = |l: &Linear| 0.5 * l.forward(&x).norm_sq();
         for idx in 0..layer.w.value.len() {
             let orig = layer.w.value.as_slice()[idx];
             let ana = layer.w.grad.as_slice()[idx];
@@ -57,10 +59,10 @@ proptest! {
         layer.set_mode(dace_nn::LoraMode::Finetune);
         layer.lora_a.value = Tensor2::uniform(rank, dim, 0.5, seed ^ 0xA);
         let x = Tensor2::uniform(rows, dim, 1.0, seed ^ 0xB);
-        let y = layer.forward_inference(&x);
+        let y = layer.forward(&x);
         let mut scratch = Tensor2::default();
         layer.backward_merged(&x.matmul_tn(&y), &y.col_sums(), &mut scratch); // loss = ||y||²/2
-        let loss = |l: &LoraLinear| 0.5 * l.forward_inference(&x).norm_sq();
+        let loss = |l: &LoraLinear| 0.5 * l.forward(&x).norm_sq();
         // params_mut order: W, bias, B, A — fine-tuning trains the last two.
         for which in [2usize, 3] {
             for idx in 0..layer.params_mut()[which].value.len() {
@@ -81,6 +83,11 @@ proptest! {
     #[test]
     fn attention_gradients(n in 2usize..5, d in 2usize..5, seed in 0u64..1_000) {
         let mut attn = MaskedSelfAttention::new(d, 4, 4, seed);
+        let attend = |a: &MaskedSelfAttention, x: &Tensor2, bias: &[f32], ws: &mut AttnScratch| {
+            let mut out = Tensor2::default();
+            a.forward_packed_ws(x, &[n], n, bias, ws, &mut out);
+            out
+        };
         let mut x = Tensor2::uniform(n, d, 1.0, seed ^ 0xC);
         // Random "tree-ish" mask: lower-triangular style, always reflexive.
         let mut mask = vec![false; n * n];
@@ -90,9 +97,15 @@ proptest! {
             }
         }
         let bias: Vec<f32> = mask.iter().map(|&ok| if ok { 0.0 } else { MASK_NEG }).collect();
-        let y = attn.forward_bias(&x, &bias);
-        let dx = attn.backward(&y); // loss = ||y||²/2
-        let loss = |a: &MaskedSelfAttention, x: &Tensor2| 0.5 * a.forward_inference(x, &mask).norm_sq();
+        let mut ws = AttnScratch::default();
+        let y = attend(&attn, &x, &bias, &mut ws);
+        attn.backward_params_ws(&y, &x, &[n], &mut ws); // loss = ||y||²/2
+        let mut dx = ws.dq.matmul_nt(&attn.wq.value);
+        dx.add_assign(&ws.dk.matmul_nt(&attn.wk.value));
+        dx.add_assign(&ws.dv.matmul_nt(&attn.wv.value));
+        let loss = |a: &MaskedSelfAttention, x: &Tensor2| {
+            0.5 * attend(a, x, &bias, &mut AttnScratch::default()).norm_sq()
+        };
         // W_Q, W_K, W_V: the gradients `backward_params_ws` accumulates.
         for which in 0..3 {
             for idx in 0..attn.params_mut()[which].value.len() {
@@ -122,11 +135,12 @@ proptest! {
 
     #[test]
     fn relu_gradient_gates(rows in 1usize..5, cols in 1usize..6, seed in 0u64..1_000) {
-        let mut relu = Relu::new();
         let x = Tensor2::uniform(rows, cols, 2.0, seed);
-        let y = relu.forward(&x);
+        let mut y = x.clone();
+        Relu::forward_in_place(&mut y);
         let dy = Tensor2::uniform(rows, cols, 1.0, seed ^ 1);
-        let dx = relu.backward(&dy);
+        let mut dx = dy.clone();
+        Relu::backward_in_place(&mut dx, &y);
         for i in 0..x.len() {
             if x.as_slice()[i] > 0.0 {
                 prop_assert_eq!(dx.as_slice()[i], dy.as_slice()[i]);

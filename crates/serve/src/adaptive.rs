@@ -56,7 +56,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use dace_core::{quantile, save_checkpoint};
+use dace_core::{q_error, quantile, save_checkpoint};
 use dace_obs::{current_trace, span, trace_scope, Counter, LifecycleEvent, MetricsRegistry};
 use dace_plan::{Dataset, LabeledPlan, MachineId, PlanTree};
 
@@ -66,15 +66,6 @@ use crate::metrics::Histogram;
 use crate::registry::{ModelRegistry, ModelVersion};
 use crate::scheduler::{Prediction, FALLBACK_VERSION};
 use crate::supervisor::lock_recover;
-
-/// Q-error of a prediction against an observation (both clamped away from
-/// zero so the ratio is always finite and ≥ 1).
-#[inline]
-pub fn q_error(predicted_ms: f64, observed_ms: f64) -> f64 {
-    let p = predicted_ms.max(1e-6);
-    let a = observed_ms.max(1e-6);
-    (p / a).max(a / p)
-}
 
 // ---------------------------------------------------------------------------
 // Feedback buffer
@@ -1121,14 +1112,6 @@ mod tests {
             done.store(true, Ordering::Release);
             assert_eq!(over, None, "len() exceeded capacity {}", buf.capacity());
         });
-    }
-
-    #[test]
-    fn q_error_is_symmetric_and_floored() {
-        assert!((q_error(2.0, 8.0) - 4.0).abs() < 1e-12);
-        assert!((q_error(8.0, 2.0) - 4.0).abs() < 1e-12);
-        assert!(q_error(0.0, 1.0).is_finite());
-        assert!(q_error(1.0, 1.0) >= 1.0);
     }
 
     #[test]

@@ -73,8 +73,8 @@ mod supervisor;
 mod tenant;
 
 pub use adaptive::{
-    q_error, AdaptiveConfig, AdaptiveController, AdaptiveMetrics, DriftConfig, DriftDetector,
-    DriftTrip, FeedbackBuffer, FeedbackSample,
+    AdaptiveConfig, AdaptiveController, AdaptiveMetrics, DriftConfig, DriftDetector, DriftTrip,
+    FeedbackBuffer, FeedbackSample,
 };
 pub use cache::{FeatureCache, ShardedLruCache};
 pub use dace_obs::{

@@ -83,18 +83,18 @@ pub struct ServeMetrics {
     /// Per-batch collection time: first request drained to batch dispatched
     /// (µs) — how much of the `max_wait` window batches actually pay.
     pub drain_us: Arc<Histogram>,
-    /// Per-group fingerprint + cache probe time (µs); only recorded when
-    /// stage timing is on.
+    /// Per-group fingerprint + cache probe time (µs), recorded for every
+    /// forward group.
     pub cache_lookup_us: Arc<Histogram>,
     /// Per-batch featurization time, cache misses included (µs).
     pub featurize_us: Arc<Histogram>,
     /// Per-batch packed forward-pass time (µs).
     pub forward_us: Arc<Histogram>,
-    /// Attention share of the forward pass (µs); only recorded when stage
-    /// timing is on.
+    /// Attention share of the forward pass (µs), recorded for every
+    /// forward group.
     pub attention_us: Arc<Histogram>,
-    /// MLP share of the forward pass (µs); only recorded when stage timing
-    /// is on.
+    /// MLP share of the forward pass (µs), recorded for every forward
+    /// group.
     pub mlp_us: Arc<Histogram>,
     /// Per-batch response-delivery time: client handoff including wakeups
     /// (µs).
@@ -381,15 +381,15 @@ pub struct MetricsSnapshot {
     pub batch_size: HistogramSnapshot,
     /// Per-batch collection time (µs).
     pub drain_us: HistogramSnapshot,
-    /// Per-group cache-probe time (µs; zero when stage timing is off).
+    /// Per-group cache-probe time (µs).
     pub cache_lookup_us: HistogramSnapshot,
     /// Per-batch featurization time (µs).
     pub featurize_us: HistogramSnapshot,
     /// Per-batch forward time (µs).
     pub forward_us: HistogramSnapshot,
-    /// Attention share of forward (µs; zero when stage timing is off).
+    /// Attention share of forward (µs).
     pub attention_us: HistogramSnapshot,
-    /// MLP share of forward (µs; zero when stage timing is off).
+    /// MLP share of forward (µs).
     pub mlp_us: HistogramSnapshot,
     /// Per-batch response-delivery time (µs).
     pub respond_us: HistogramSnapshot,

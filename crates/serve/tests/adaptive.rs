@@ -193,7 +193,7 @@ fn q90_under_drift(registry: &ModelRegistry, data: &dace_plan::Dataset, drift_fa
         .plans
         .iter()
         .map(|p| {
-            dace_serve::q_error(
+            dace_core::q_error(
                 base.estimator.predict_ms(&p.tree),
                 p.latency_ms() * drift_factor,
             )

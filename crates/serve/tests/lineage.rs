@@ -87,7 +87,7 @@ fn drift_to_promotion_lineage_is_journaled_traced_and_served() {
         let pred = server.predict(&plan.tree).expect("healthy request");
         let observed = plan.latency_ms() * factor;
         ctrl.observe(&plan.tree, &pred, observed);
-        dace_serve::q_error(pred.ms, observed)
+        dace_core::q_error(pred.ms, observed)
     };
     let mut clean: Vec<f64> = (0..window + window / 2).map(|i| observe(i, 1.0)).collect();
     let mut fed = 0;

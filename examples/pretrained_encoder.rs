@@ -8,9 +8,9 @@
 
 use dace_baselines::{CostEstimator, Mscn};
 use dace_catalog::{generate_database, suite_specs};
+use dace_core::q_error;
 use dace_core::{TrainConfig, Trainer};
 use dace_engine::collect_dataset;
-use dace_eval::qerror;
 use dace_plan::{Dataset, MachineId};
 use dace_query::{MscnSet, MscnWorkloadGen};
 
@@ -18,7 +18,7 @@ fn median(model: &dyn CostEstimator, ds: &Dataset) -> f64 {
     let mut qs: Vec<f64> = ds
         .plans
         .iter()
-        .map(|p| qerror(model.predict_ms(&p.tree), p.latency_ms()))
+        .map(|p| q_error(model.predict_ms(&p.tree), p.latency_ms()))
         .collect();
     qs.sort_by(f64::total_cmp);
     qs[qs.len() / 2]

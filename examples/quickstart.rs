@@ -6,9 +6,9 @@
 //! ```
 
 use dace_catalog::{generate_database, suite_specs};
+use dace_core::q_error;
 use dace_core::{TrainConfig, Trainer};
 use dace_engine::collect_dataset;
-use dace_eval::qerror;
 use dace_plan::{Dataset, MachineId};
 use dace_query::ComplexWorkloadGen;
 
@@ -52,7 +52,7 @@ fn main() {
     let mut qs: Vec<f64> = test
         .plans
         .iter()
-        .map(|p| qerror(est.predict_ms(&p.tree), p.latency_ms()))
+        .map(|p| q_error(est.predict_ms(&p.tree), p.latency_ms()))
         .collect();
     qs.sort_by(f64::total_cmp);
     println!(

@@ -4,9 +4,9 @@
 
 use dace_baselines::{CostEstimator, Mscn};
 use dace_catalog::{generate_database, suite_specs};
+use dace_core::q_error;
 use dace_core::{TrainConfig, Trainer};
 use dace_engine::collect_dataset;
-use dace_eval::qerror;
 use dace_plan::{Dataset, MachineId};
 use dace_query::ComplexWorkloadGen;
 
@@ -20,7 +20,7 @@ fn median_q(est: &dace_core::DaceEstimator, ds: &Dataset) -> f64 {
     let mut qs: Vec<f64> = ds
         .plans
         .iter()
-        .map(|p| qerror(est.predict_ms(&p.tree), p.latency_ms()))
+        .map(|p| q_error(est.predict_ms(&p.tree), p.latency_ms()))
         .collect();
     qs.sort_by(f64::total_cmp);
     qs[qs.len() / 2]
@@ -98,7 +98,7 @@ fn dace_encoder_warm_starts_mscn() {
         let mut qs: Vec<f64> = target_test
             .plans
             .iter()
-            .map(|p| qerror(m.predict_ms(&p.tree), p.latency_ms()))
+            .map(|p| q_error(m.predict_ms(&p.tree), p.latency_ms()))
             .collect();
         qs.sort_by(f64::total_cmp);
         qs[qs.len() / 2]

@@ -3,8 +3,8 @@
 //! consistent labels.
 
 use dace_catalog::{generate_database, suite_specs, ColumnId, Database, TableId, NULL_CODE};
+use dace_core::q_error;
 use dace_engine::{execute, label_query, plan_query};
-use dace_eval::qerror;
 use dace_plan::{CmpOp, MachineId};
 use dace_query::{JoinEdge, Predicate, Query};
 use proptest::prelude::*;
@@ -165,12 +165,12 @@ proptest! {
 
     #[test]
     fn qerror_properties(est in 1e-6f64..1e6, actual in 1e-6f64..1e6) {
-        let q = qerror(est, actual);
+        let q = q_error(est, actual);
         prop_assert!(q >= 1.0);
-        let sym = qerror(actual, est);
+        let sym = q_error(actual, est);
         prop_assert!((q - sym).abs() < 1e-9 * q);
         // Scale invariance.
-        let scaled = qerror(est * 7.0, actual * 7.0);
+        let scaled = q_error(est * 7.0, actual * 7.0);
         prop_assert!((q - scaled).abs() < 1e-6 * q);
     }
 }
